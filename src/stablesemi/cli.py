@@ -208,8 +208,10 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
         rows.append({
             "trial": trial, "true_dim_H0": du, "recovered_dim": rec,
             "max_principal_angle": angle, "residual": wr.residual,
+            "rank_gap": wr.rank_gap,
         })
-    return rows, {"all_exact": ok}, ok
+    gaps = [r["rank_gap"] for r in rows if r["rank_gap"] is not None]
+    return rows, {"all_exact": ok, "min_rank_gap": min(gaps, default=None)}, ok
 
 
 def run_cantor_demo(cfg: dict, rng: np.random.Generator):

@@ -8,8 +8,7 @@ Implements, on the discretized spectral model:
   stable in the model sense (no repeated frequency), with the bound 2t/n;
 * eigenspace inflation and injective frequency perturbation of a periodic
   group, keeping embedded anchors within eps over a fixed time horizon;
-* Wold decomposition of an isometric one-step map by iterated range
-  intersection;
+* Wold decomposition of an isometric one-step map by repeated squaring;
 * periodization of the truncated right shift (circular wrap on the first
   n_c cells);
 * the two composed density pipelines (isometry -> periodic unitary,
@@ -217,8 +216,11 @@ class WoldResult:
     unitary_basis: tuple[HVector, ...]
     shift_basis: tuple[HVector, ...]
     residual: float
-    iterations: int
+    iterations: int  # squarings of the one-step map
     stabilized: bool
+    # smallest kept over largest dropped singular value of W^K; None when
+    # either side is empty, inf when the dropped ones are exactly zero
+    rank_gap: float | None
     step: float
     one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
@@ -243,38 +245,41 @@ def _orth_columns(A: np.ndarray, tol: float) -> np.ndarray:
     return u[:, :rank]
 
 
+def _stable_range(
+    W: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, int, bool, float | None]:
+    """(B0, B1, squarings, stabilized, rank_gap) from one full SVD of W^K.
+
+    K = 2^squarings with squarings = min(ceil(log2 k), max_iter); range(W^j)
+    stops shrinking by j = k, and W is a contraction, so its powers stay
+    bounded.  stabilized says rank(W^2K) = rank(W^K) at tol, read off the
+    r x r core S_r Vh_r U_r S_r of W^K W^K.
+    """
+    k = W.shape[0]
+    squarings = max(0, min((k - 1).bit_length(), max_iter))
+    P = W
+    for _ in range(squarings):
+        P = P @ P
+    u, s, vh = np.linalg.svd(P)
+    rank = int((s > tol).sum())
+    core = s[:rank, None] * (vh[:rank] @ u[:, :rank]) * s[:rank]
+    stabilized = int((np.linalg.svd(core, compute_uv=False) > tol).sum()) == rank
+    rank_gap = None
+    if 0 < rank < k:
+        rank_gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else math.inf
+    return u[:, :rank], u[:, rank:], squarings, stabilized, rank_gap
+
+
 def wold_decompose_matrix(
     W: np.ndarray, max_iter: int = 200, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Stable range of W: B0 spans the intersection of range(W^k).
+    """Stable range of W by repeated squaring: B0 spans range(W^K), K >= k.
 
-    Returns (B0, B1, iterations, stabilized) with B1 an orthonormal basis of
-    the complement.  Ranks are decided by singular-value thresholding at tol.
+    Returns (B0, B1, iterations, stabilized): B0 and B1 are the left singular
+    vectors of W^K above and below tol, so B1 is an orthonormal basis of the
+    complement; iterations counts squarings, capped by max_iter.
     """
-    k = W.shape[0]
-    R = np.eye(k, dtype=complex)
-    iterations = 0
-    stabilized = False
-    for _ in range(max_iter):
-        nxt = _orth_columns(W @ R, tol)
-        iterations += 1
-        if nxt.shape[1] == R.shape[1]:
-            R = nxt
-            stabilized = True
-            break
-        R = nxt
-        if R.shape[1] == 0:
-            stabilized = True
-            break
-    B0 = R
-    # orthonormal complement via the full SVD of the projector residual
-    if B0.shape[1] == 0:
-        B1 = np.eye(k, dtype=complex)
-    else:
-        resid = np.eye(k, dtype=complex) - B0 @ B0.conj().T
-        u, s, _ = np.linalg.svd(resid)
-        B1 = u[:, : k - B0.shape[1]]
-    return B0, B1, iterations, stabilized
+    return _stable_range(W, max_iter, tol)[:4]
 
 
 def wold_decompose(
@@ -287,14 +292,13 @@ def wold_decompose(
 
     Operates on the one-step map W = V(h) in weighted coordinates on the
     model's nominal grid; shift overflow is truncated, which is exactly what
-    makes the intersected ranges of the shift part shrink to zero on the
-    simulated horizon.
+    makes the powers of the shift part vanish on the simulated horizon.
     """
     if not V.is_isometric:
         raise NotIsometricError("Wold decomposition needs an isometric model")
     h = step if step is not None else _natural_step(V)
     W = one_step_matrix(V, h)
-    B0, B1, iterations, stabilized = wold_decompose_matrix(W, max_iter, tol)
+    B0, B1, iterations, stabilized, rank_gap = _stable_range(W, max_iter, tol)
 
     M0 = B0.conj().T @ W @ B0
     M1 = B1.conj().T @ W @ B1
@@ -318,6 +322,7 @@ def wold_decompose(
         residual=residual,
         iterations=iterations,
         stabilized=stabilized,
+        rank_gap=rank_gap,
         step=h,
         one_step=W,
         unitary_block=M0,

@@ -39,6 +39,8 @@ class WeightedGrid:
             raise ValueError("grid must have at least one point")
         if not np.all(np.isfinite(wts)) or not np.all(wts > 0):
             raise ValueError("all weights must be strictly positive and finite")
+        if not np.isfinite(pts).all():
+            raise ValueError("all points must be finite")
         pts.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -42,6 +42,18 @@ def _shift_steps(t: float, h: float) -> int:
     return ell
 
 
+def _shift_payload_cells(x: HVector, step: float, fiber_dim: int) -> int:
+    """Cell count of a payload whose grid has weight `step` on every entry.
+
+    The weights are finite (WeightedGrid checks), so one max over
+    |w - step| gives the same answer as np.allclose(w, step).
+    """
+    w = x.grid.weights
+    if w.size % fiber_dim != 0 or np.abs(w - step).max() > 1e-8 + 1e-5 * step:
+        raise GridMismatchError("payload grid is not shift-compatible")
+    return w.size // fiber_dim
+
+
 def shift_grid(cells: int, step: float, fiber_dim: int = 1) -> WeightedGrid:
     """Cell-major grid for L2([0, cells*h), C^m): weight h per entry."""
     pts = np.repeat(np.arange(cells, dtype=float) * step, fiber_dim)
@@ -90,6 +102,8 @@ class MultiplicationGroup(SemigroupModel):
         q = np.ascontiguousarray(np.asarray(self.symbol, dtype=float))
         if q.shape != (self._grid.size,):
             raise ValueError("symbol length must equal grid size")
+        if not np.isfinite(q).all():
+            raise ValueError("symbol must be finite")
         q.setflags(write=False)
         object.__setattr__(self, "symbol", q)
 
@@ -148,17 +162,11 @@ class ShiftSemigroup(SemigroupModel):
             return False
         return True
 
-    def _payload_cells(self, x: HVector) -> int:
-        m = self.fiber_dim
-        if x.grid.size % m != 0 or not np.allclose(x.grid.weights, self.step):
-            raise GridMismatchError("payload grid is not shift-compatible")
-        return x.grid.size // m
-
     def apply(self, t: float, x: HVector) -> HVector:
         if t < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
         ell = _shift_steps(t, self.step)
-        n = self._payload_cells(x)
+        n = _shift_payload_cells(x, self.step, self.fiber_dim)
         m = self.fiber_dim
         out = np.zeros((n + ell) * m, dtype=complex)
         out[ell * m :] = x.coeffs
@@ -168,7 +176,7 @@ class ShiftSemigroup(SemigroupModel):
         if t < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
         ell = _shift_steps(t, self.step)
-        n = self._payload_cells(x)
+        n = _shift_payload_cells(x, self.step, self.fiber_dim)
         m = self.fiber_dim
         out = np.zeros(n * m, dtype=complex)
         if ell < n:
@@ -216,9 +224,7 @@ class PeriodicShiftGroup(SemigroupModel):
     def apply(self, t: float, x: HVector) -> HVector:
         ell = _shift_steps(t, self.step)
         m = self.fiber_dim
-        if x.grid.size % m != 0 or not np.allclose(x.grid.weights, self.step):
-            raise GridMismatchError("payload grid is not shift-compatible")
-        n = x.grid.size // m
+        n = _shift_payload_cells(x, self.step, m)
         nc = self.period_cells
         if n < nc:
             c = np.zeros(nc * m, dtype=complex)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,27 @@ class TestInflation:
             inflate_and_perturb(U, [], 0.1, 1.0)
 
 
+def _mixed():
+    gu = WeightedGrid.uniform(3)
+    gs = shift_grid(6, 1.0)
+    return DirectSumSemigroup(
+        SumSpace((gu, gs)),
+        (MultiplicationGroup(gu, np.array([0.3, 0.9, 1.4])), ShiftSemigroup(1.0, 6)))
+
+
+def _conjugated_mixed(du, nc, seed):
+    """Q*(Mult (+) Shift)Q on a uniform grid, and the true H0 basis."""
+    rng = np.random.default_rng(seed)
+    k = du + nc
+    gu = WeightedGrid.uniform(du)
+    inner = DirectSumSemigroup(
+        SumSpace((gu, shift_grid(nc, 1.0))),
+        (MultiplicationGroup(gu, rng.uniform(-np.pi / 2, np.pi / 2, du)),
+         ShiftSemigroup(1.0, nc)))
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return ConjugatedGroup(WeightedGrid.uniform(k), q, inner), q.conj().T[:, :du]
+
+
 class TestWold:
     def test_pure_unitary(self):
         U = _mult(7, seed=9, hi=np.pi)
@@ -138,12 +161,7 @@ class TestWold:
         assert wr.unitary_dim == 0 and wr.shift_dim == 9
 
     def test_mixed_dims_and_wandering(self):
-        gu = WeightedGrid.uniform(3)
-        gs = shift_grid(6, 1.0)
-        space = SumSpace((gu, gs))
-        T = DirectSumSemigroup(
-            space, (MultiplicationGroup(gu, np.array([0.3, 0.9, 1.4])), ShiftSemigroup(1.0, 6)))
-        wr = wold_decompose(T, step=1.0)
+        wr = wold_decompose(_mixed(), step=1.0)
         assert wr.unitary_dim == 3 and wr.shift_dim == 6
         L = wandering_subspace(wr)
         assert L.shape[1] == 1  # one-dimensional wandering generator
@@ -152,6 +170,41 @@ class TestWold:
         v = L[:, 0]
         for k in range(1, 5):
             assert abs(np.vdot(np.linalg.matrix_power(W, k) @ v, v)) < 1e-10
+
+    def test_iterations_count_squarings(self):
+        wr = wold_decompose(_mixed(), step=1.0)
+        assert wr.iterations == math.ceil(math.log2(9))  # W^16 for k = 9
+
+    def test_squaring_cap_reports_unstabilized(self):
+        # W^4 of a 9-cell shift still has rank 5, W^8 rank 1
+        R = ShiftSemigroup(1.0, 9)
+        T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (R,))
+        wr = wold_decompose(T, max_iter=2, step=1.0)
+        assert wr.iterations == 2
+        assert wr.stabilized is False
+        assert wr.residual >= 1.0
+
+    def test_conjugated_one_to_two_split(self):
+        V, truth = _conjugated_mixed(100, 200, seed=21)
+        wr = wold_decompose(V, step=1.0)
+        assert wr.unitary_dim == 100 and wr.stabilized
+        B0 = wr.basis_matrix_unitary
+        sin_angle = np.linalg.norm(B0 - truth @ (truth.conj().T @ B0), 2)
+        assert sin_angle <= 1e-10
+
+    def test_shift_basis_orthonormal_complement(self):
+        V, _ = _conjugated_mixed(4, 8, seed=22)
+        wr = wold_decompose(V, step=1.0)
+        B0, B1 = wr.basis_matrix_unitary, wr.basis_matrix_shift
+        assert B1.shape[1] == 8
+        np.testing.assert_allclose(B1.conj().T @ B1, np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(B0.conj().T @ B1, 0.0, atol=1e-12)
+
+    def test_rank_gap(self):
+        assert wold_decompose(_mixed(), step=1.0).rank_gap > 1e6
+        assert wold_decompose(_conjugated_mixed(4, 8, seed=23)[0], step=1.0).rank_gap > 1e6
+        # nothing dropped, so there is no gap to report
+        assert wold_decompose(_mult(5, seed=24, hi=np.pi)).rank_gap is None
 
     def test_matrix_dims_nonincreasing(self):
         rng = np.random.default_rng(10)

@@ -33,6 +33,11 @@ class TestWeightedGrid:
         with pytest.raises(ValueError):
             WeightedGrid(np.arange(3.0), np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError):
+            WeightedGrid(np.array([0.0, bad, 2.0]), np.ones(3))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             WeightedGrid(np.arange(3.0), np.ones(2))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stablesemi.hilbert import HVector, SumSpace, WeightedGrid, inner_product_aligned
+from stablesemi.hilbert import (
+    GridMismatchError, HVector, SumSpace, WeightedGrid, inner_product_aligned)
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -55,6 +56,11 @@ class TestMultiplicationGroup:
         U = MultiplicationGroup(g, np.array([1.0, -4.0, 2.0]))
         assert U.max_frequency() == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_symbol(self, bad):
+        with pytest.raises(ValueError):
+            MultiplicationGroup(WeightedGrid.uniform(3), np.array([1.0, bad, 2.0]))
+
 
 class TestShiftSemigroup:
     def test_isometric_by_extension(self):
@@ -94,6 +100,17 @@ class TestShiftSemigroup:
         assert check_semigroup_law(R, 1.0, 2.0, x, 1e-12)
         assert check_semigroup_law(R, 0.0, 3.0, x, 1e-12)
         assert check_isometry(R, 4.0, [x], 1e-12)
+
+    def test_payload_weights_checked_to_allclose_tolerance(self):
+        # accepted exactly when np.allclose(weights, step) holds
+        R = ShiftSemigroup(step=0.5, cells=4)
+        near = WeightedGrid(np.arange(4.0), np.full(4, 0.5 + 1e-8))
+        assert R.apply(0.5, HVector(near, np.ones(4))).grid.size == 5
+        far = WeightedGrid(np.arange(4.0), np.array([0.5, 0.5, 0.5 + 1e-4, 0.5]))
+        with pytest.raises(GridMismatchError):
+            R.apply(1.0, HVector(far, np.ones(4)))
+        with pytest.raises(GridMismatchError):
+            PeriodicShiftGroup(period_cells=4, step=0.5).apply(1.0, HVector(far, np.ones(4)))
 
 
 class TestPeriodicShiftGroup:
