@@ -34,7 +34,7 @@ from .constructions import (
     quantize_symbol,
     wold_decompose,
 )
-from .diagnostics import cesaro_mean_abs2, CorrelationTrace, mt_membership, wjkt_membership
+from .diagnostics import cesaro_mean_abs2, correlation, mt_membership, wjkt_membership
 from .hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
 from .metrics import MetricConfig, metric_unitary
 from .semigroups import (
@@ -222,12 +222,10 @@ def run_cantor_demo(cfg: dict, rng: np.random.Generator):
     oracle = cantor_transform_abs(times)
     group = cantor_group(depth)
     unit = HVector(group.grid, np.ones(group.grid.size))
-    # autocorrelation of the uniform unit vector, in closed diagonal form
-    disc = np.abs(
-        np.exp(1j * np.outer(times, group.grid.points)) @ group.grid.weights
-    )
+    # autocorrelation of the uniform unit vector
+    trace = correlation(group, unit, unit, times)
+    disc = np.abs(trace.values)
     gap = float(np.abs(oracle - disc).max())
-    trace = CorrelationTrace(times, disc.astype(complex))
     ces = cesaro_mean_abs2(trace)
     tail = times >= horizon / 2.0
     tail_sup = float(oracle[tail].max())
@@ -262,10 +260,8 @@ def run_category_escape(cfg: dict, rng: np.random.Generator):
     for n in n_values:
         Vn = quantize_symbol(U, n).approximant
         d = metric_unitary(U, Vn, mcfg).value
-        for m in range(1, multiples + 1):
-            val = abs(
-                complex((grid.weights * np.exp(1j * m * n * Vn.symbol) * np.abs(x.coeffs) ** 2).sum())
-            )
+        revivals = np.abs(correlation(Vn, x, x, n * np.arange(1, multiples + 1)).values)
+        for m, val in enumerate(revivals.tolist(), start=1):
             escaped = not mt_membership(Vn, x, m * n)
             ok = ok and escaped and val > 0.5
             rows.append({
@@ -287,10 +283,7 @@ def run_category_escape(cfg: dict, rng: np.random.Generator):
     ]))
     for j in range(j_count):
         xj = seq[j]
-        vals = np.abs([
-            complex((grid.weights * np.exp(1j * t * aws.symbol)
-                     * np.abs(xj.coeffs) ** 2).sum()) for t in t_sweep
-        ]) / xj.norm() ** 2
+        vals = np.abs(correlation(aws, xj, xj, t_sweep).values) / xj.norm() ** 2
         best_t = float(t_sweep[int(np.argmin(vals))])
         entered = bool(vals.min() < 1.0 / k_max) and wjkt_membership(
             aws, xj.normalized(), k_max, best_t)
@@ -389,6 +382,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_safe(v):
+    """The value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return v
+
+
 def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet: bool):
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg["scenario"]
@@ -405,9 +409,9 @@ def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet
         "seed": cfg["seed"],
         "rows": len(rows),
         "bounds_ok": ok,
-        "metrics": summary,
+        "metrics": _json_safe(summary),
     }
-    json_path.write_text(json.dumps(doc, indent=2, default=str) + "\n")
+    json_path.write_text(json.dumps(doc, indent=2, default=str, allow_nan=False) + "\n")
     if not quiet:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] {scenario}: {len(rows)} rows -> {csv_path}")

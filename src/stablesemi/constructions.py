@@ -453,35 +453,6 @@ def approximate_isometry_by_periodic(
     return ConjugatedGroup(V.grid, to_diag, quantized)
 
 
-def _as_diagonal(model: SemigroupModel) -> tuple[MultiplicationGroup, np.ndarray, WeightedGrid]:
-    """(diagonal group, transform to diagonal weighted coords, outer grid)."""
-    if isinstance(model, MultiplicationGroup):
-        k = model.grid.size
-        return model, np.eye(k, dtype=complex), model.grid
-    if isinstance(model, ConjugatedGroup) and isinstance(model.inner, MultiplicationGroup):
-        return model.inner, model.basis, model.grid
-    if isinstance(model, PeriodicShiftGroup):
-        # circular shift diagonalizes in the DFT basis of each fiber slot
-        nc, m, h = model.period_cells, model.fiber_dim, model.step
-        F = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
-        basis = np.kron(F, np.eye(m)).astype(complex)
-        freqs = np.repeat(-2.0 * np.pi * np.arange(nc) / (nc * h), m)
-        freqs = np.where(freqs <= -np.pi / h, freqs + 2.0 * np.pi / h, freqs)
-        diag = MultiplicationGroup(WeightedGrid.uniform(nc * m), freqs)
-        return diag, basis, model.grid
-    if isinstance(model, DirectSumSemigroup):
-        groups, blocks = [], []
-        for part in model.parts:
-            dg, b, _ = _as_diagonal(part)
-            groups.append(dg)
-            blocks.append(b)
-        freqs = np.concatenate([g.symbol for g in groups])
-        basis = scipy.linalg.block_diag(*blocks)
-        diag = MultiplicationGroup(WeightedGrid.uniform(freqs.size), freqs)
-        return diag, basis, model.grid
-    raise TypeError(f"cannot diagonalize {type(model).__name__}")
-
-
 def approximate_isometry_by_aws(
     V: SemigroupModel,
     eps: float,
@@ -500,12 +471,17 @@ def approximate_isometry_by_aws(
     approximant is at most eps on |t| <= t0 for unit vectors.
     """
     periodic = approximate_isometry_by_periodic(V, n, max_iter=max_iter, tol=tol)
-    diag, basis, outer = _as_diagonal(periodic)
-    inflation = inflate_and_perturb(diag, [], eps, t0, copies=copies)
-    perturbed = MultiplicationGroup(diag.grid, inflation.compressed().symbol)
-    if np.allclose(basis, np.eye(basis.shape[0])) and outer.same_as(diag.grid):
-        return perturbed
-    return ConjugatedGroup(outer, basis, perturbed)
+    form = periodic.spectral_form()
+    if form is None:
+        raise TypeError(f"cannot diagonalize {type(periodic).__name__}")
+    freqs, basis = form
+    inner_grid = WeightedGrid.uniform(freqs.size)
+    inflation = inflate_and_perturb(
+        MultiplicationGroup(inner_grid, freqs), [], eps, t0, copies=copies)
+    symbol = inflation.compressed().symbol
+    if basis is None:
+        return MultiplicationGroup(periodic.grid, symbol)
+    return ConjugatedGroup(periodic.grid, basis, MultiplicationGroup(inner_grid, symbol))
 
 
 def distinct_frequency_certificate(model: SemigroupModel) -> bool:

@@ -6,6 +6,15 @@ All asymptotic notions become finite-horizon estimates; every verdict is
 labeled "evidence", never a proof.  On finite grids all spectral measures
 are atomic, so almost weak stability is certified by the combination of a
 simple spectrum (no repeated frequency) and a small Wiener limit.
+
+Spectral path: for a model with a spectral form (multiplication groups,
+periodic shifts, unitary direct sums of these, and conjugations of any of
+them) and vectors on its grid, every correlation is the spectral sum
+<T(t)x, y> = sum_m exp(i t f_m) a_m conj(b_m) with a = B sqrt(mu) x.
+`correlation` evaluates it for one pair and `classify` for all witness
+pairs in one call, in time blocks of bounded memory, without `apply`.
+Other models (truncated shifts and anything containing one) and vectors
+off the model's grid fall back to one `apply` per (time, vector).
 """
 
 from __future__ import annotations
@@ -15,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import DenseSequence, HVector, inner_product_aligned
-from .semigroups import ConjugatedGroup, MultiplicationGroup, SemigroupModel
+from .semigroups import (
+    ConjugatedGroup,
+    MultiplicationGroup,
+    SemigroupModel,
+    _check_times,
+    _phase_sums,
+    _spectral_coords,
+)
 
 
 @dataclass(frozen=True)
@@ -40,11 +56,27 @@ class CorrelationTrace:
         return float(self.times[-1])
 
 
+def _spectral_correlations(T: SemigroupModel, vectors, rows, cols, times):
+    """(<T(t) v_r, v_c> for each (r, c) pair, one column each; coordinates of
+    the vectors in T's spectral basis), or None when T has no spectral form
+    or a vector is off T.grid."""
+    form = T.spectral_form()
+    A = None if form is None else _spectral_coords(form[1], T.grid, vectors)
+    if A is None:
+        return None
+    _check_times(T, times)
+    return _phase_sums(times, form[0], A[:, rows] * A[:, cols].conj()), A
+
+
 def correlation(T: SemigroupModel, x: HVector, y: HVector, time_grid) -> CorrelationTrace:
     times = np.asarray(time_grid, dtype=float)
-    values = np.array(
-        [inner_product_aligned(T.apply(t, x), y) for t in times], dtype=complex
-    )
+    spectral = _spectral_correlations(T, (x, y), [0], [1], times)
+    if spectral is None:
+        values = np.array(
+            [inner_product_aligned(T.apply(t, x), y) for t in times], dtype=complex
+        )
+    else:
+        values = spectral[0][:, 0]
     return CorrelationTrace(times, values)
 
 
@@ -73,11 +105,12 @@ def wiener_limit(U: MultiplicationGroup, x: HVector) -> float:
     Equal to the sum of squared atom masses of the spectral measure of x:
     frequencies are grouped by exact equality.
     """
-    masses = U.grid.weights * np.abs(x.coeffs) ** 2
-    total = 0.0
-    for lam in np.unique(U.symbol):
-        total += float(masses[U.symbol == lam].sum()) ** 2
-    return total
+    return _atom_mass_squares(U.symbol, U.grid.weights * np.abs(x.coeffs) ** 2)
+
+
+def _atom_mass_squares(freqs: np.ndarray, masses: np.ndarray) -> float:
+    _, group = np.unique(freqs, return_inverse=True)
+    return float((np.bincount(group, weights=masses) ** 2).sum())
 
 
 def density_estimate(trace: CorrelationTrace, eps: float) -> float:
@@ -170,14 +203,6 @@ class StabilityReport:
         return rec
 
 
-def _diagonal_form(T: SemigroupModel) -> MultiplicationGroup | None:
-    if isinstance(T, MultiplicationGroup):
-        return T
-    if isinstance(T, ConjugatedGroup) and isinstance(T.inner, MultiplicationGroup):
-        return T.inner
-    return None
-
-
 def _time_grid(T: SemigroupModel, horizon: float, samples: int) -> np.ndarray:
     h = T.time_step
     if h is None:
@@ -202,30 +227,41 @@ def classify(
     tail = times >= params.horizon / 2.0
     revival_window = times >= max(params.horizon / 100.0, times[1] if times.size > 1 else 0.0)
 
-    diag = _diagonal_form(T)
+    # atoms and the Wiener limit: multiplication groups and their conjugates
+    diag = T.inner if isinstance(T, ConjugatedGroup) else T
+    diag = diag if isinstance(diag, MultiplicationGroup) else None
     atoms = tuple(detect_atoms(diag, params.mass_threshold)) if diag is not None else ()
 
-    worst_tail = 0.0
+    # every pair i <= j in one kernel call; the diagonal pairs are the
+    # autocorrelations
+    rows, cols = np.triu_indices(len(normed))
+    spectral = _spectral_correlations(T, normed, rows, cols, times)
+    if spectral is None:
+        values = np.column_stack(
+            [correlation(T, normed[i], normed[j], times).values for i, j in zip(rows, cols)])
+    else:
+        values, coords = spectral
+
+    w = _trapezoid_weights(times)
     worst_cesaro = 0.0
     worst_cesaro_abs = 0.0
     worst_density = 1.0
-    worst_wiener = 0.0 if diag is not None else None
     revival = False
-    for x in normed:
-        tr = correlation(T, x, x, times)
-        absv = np.abs(tr.values)
+    for v in values[:, rows == cols].T:
+        tr = CorrelationTrace(times, v)
+        absv = np.abs(v)
         if np.any(absv[revival_window] > 1.0 - params.eps):
             revival = True
         worst_cesaro = max(worst_cesaro, cesaro_mean_abs2(tr))
-        w = _trapezoid_weights(times)
         worst_cesaro_abs = max(worst_cesaro_abs, float((w * absv).sum() / w.sum()))
         worst_density = min(worst_density, density_estimate(tr, params.eps))
-        if diag is not None:
-            worst_wiener = max(worst_wiener, wiener_limit(diag, _to_diag_coords(T, x)))
-    for i, x in enumerate(normed):
-        for y in normed[i:]:
-            tr = correlation(T, x, y, times)
-            worst_tail = max(worst_tail, float(np.abs(tr.values[tail]).max()))
+    worst_tail = float(np.abs(values[tail]).max())
+    # apply rejects witnesses off a multiplication group's grid, so here it
+    # took the spectral path, where |coordinate|^2 is the spectral mass
+    worst_wiener = None
+    if diag is not None:
+        worst_wiener = max(
+            _atom_mass_squares(diag.symbol, np.abs(a) ** 2) for a in coords.T)
 
     if atoms or revival:
         verdict = "PointSpectrumDetected"
@@ -249,16 +285,6 @@ def classify(
         verdict=verdict,
         tail_sup=worst_tail,
     )
-
-
-def _to_diag_coords(T: SemigroupModel, x: HVector) -> HVector:
-    """Express a witness in the diagonal model's coordinates."""
-    if isinstance(T, MultiplicationGroup):
-        return x
-    assert isinstance(T, ConjugatedGroup)
-    inner = T.inner
-    z = T.basis @ (np.sqrt(T.grid.weights) * x.coeffs)
-    return HVector(inner.grid, z / np.sqrt(inner.grid.weights))
 
 
 def mt_membership(U: SemigroupModel, x: HVector, t: float) -> bool:

@@ -35,9 +35,13 @@ class InadmissibleTimeError(ValueError):
     """The requested time is not in the model's admissible set."""
 
 
+# relative distance from the step lattice up to which a time counts as on it
+_STEP_RTOL = 1e-9
+
+
 def _shift_steps(t: float, h: float) -> int:
     ell = int(round(t / h))
-    if abs(t - ell * h) > 1e-9 * max(1.0, abs(t)):
+    if abs(t - ell * h) > _STEP_RTOL * max(1.0, abs(t)):
         raise InadmissibleTimeError(f"t={t} is not an integer multiple of step {h}")
     return ell
 
@@ -88,6 +92,14 @@ class SemigroupModel:
         """Upper bound on the generator's spectral radius, when available."""
         return None
 
+    def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """(freqs, basis) with T(t) = B* diag(exp(i t freqs)) B in weighted
+        coordinates of `grid`; basis None means the identity.  None for
+        models without one: every non-unitary model, and direct sums whose
+        parts disagree on their time step or act on a longer component grid
+        than their own."""
+        return None
+
 
 @dataclass(frozen=True)
 class MultiplicationGroup(SemigroupModel):
@@ -124,6 +136,9 @@ class MultiplicationGroup(SemigroupModel):
 
     def max_frequency(self) -> float:
         return float(np.abs(self.symbol).max())
+
+    def spectral_form(self) -> tuple[np.ndarray, None]:
+        return self.symbol, None
 
 
 @dataclass(frozen=True)
@@ -239,6 +254,14 @@ class PeriodicShiftGroup(SemigroupModel):
     def adjoint_apply(self, t: float, x: HVector) -> HVector:
         return self.apply(-t, x)
 
+    def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
+        # the circular shift diagonalizes in the DFT basis of each fiber slot
+        nc, m, h = self.period_cells, self.fiber_dim, self.step
+        F = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
+        freqs = np.repeat(-2.0 * np.pi * np.arange(nc) / (nc * h), m)
+        freqs = np.where(freqs <= -np.pi / h, freqs + 2.0 * np.pi / h, freqs)
+        return freqs, np.kron(F, np.eye(m))
+
 
 @dataclass(frozen=True)
 class DirectSumSemigroup(SemigroupModel):
@@ -291,6 +314,25 @@ class DirectSumSemigroup(SemigroupModel):
 
     def adjoint_apply(self, t: float, x: HVector) -> HVector:
         return self._blockwise(t, x, adjoint=True)
+
+    def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """Block-diagonal form; None unless every part has one on its own
+        component grid (a part acting on a longer component falls back) and
+        the parts share their time step."""
+        forms = [p.spectral_form() for p in self.parts]
+        steps = {p.time_step for p in self.parts} - {None}
+        if len(steps) > 1 or any(f is None for f in forms) or not all(
+            p.grid.same_as(g) for p, g in zip(self.parts, self.space.components)
+        ):
+            return None
+        freqs = np.concatenate([f for f, _ in forms])
+        if all(b is None for _, b in forms):
+            return freqs, None
+        basis = np.zeros((freqs.size, freqs.size), dtype=complex)
+        for i, (f, b) in enumerate(forms):
+            sl = self.space.block_slice(i)
+            basis[sl, sl] = np.eye(f.size) if b is None else b
+        return freqs, basis
 
     def _blockwise(self, t: float, x: HVector, adjoint: bool) -> HVector:
         if not x.grid.same_as(self.space.combined):
@@ -349,6 +391,13 @@ class ConjugatedGroup(SemigroupModel):
     def max_frequency(self):
         return self.inner.max_frequency()
 
+    def spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+        form = self.inner.spectral_form()
+        if form is None:
+            return None
+        freqs, inner_basis = form
+        return freqs, self.basis if inner_basis is None else inner_basis @ self.basis
+
     def _conjugate(self, t: float, x: HVector, adjoint: bool) -> HVector:
         if not x.grid.same_as(self._grid):
             raise GridMismatchError("vector does not live on the model's grid")
@@ -367,6 +416,66 @@ class ConjugatedGroup(SemigroupModel):
 
     def adjoint_apply(self, t: float, x: HVector) -> HVector:
         return self._conjugate(t, x, adjoint=True)
+
+
+# --- spectral kernels --------------------------------------------------------
+
+# Phase entries (times x frequencies) evaluated at once by the kernels below;
+# it bounds their working memory at a few MB whatever the number of times.
+_PHASE_BLOCK = 1 << 16
+
+
+def _check_times(T: SemigroupModel, times: np.ndarray) -> None:
+    """Vectorized admissibility: every time on T's step lattice, if it has one."""
+    h = T.time_step
+    if h is None:
+        return
+    off = np.abs(times - np.round(times / h) * h) > _STEP_RTOL * np.maximum(1.0, np.abs(times))
+    if off.any():
+        raise InadmissibleTimeError(
+            f"t={times[off].flat[0]} is not an integer multiple of step {h}")
+
+
+def _spectral_coords(basis, grid: WeightedGrid, vectors) -> np.ndarray | None:
+    """Columns B (sqrt(mu) x), one per vector; None when a vector is off grid."""
+    if not all(v.grid.same_as(grid) for v in vectors):
+        return None
+    Z = np.sqrt(grid.weights)[:, None] * np.column_stack([v.coeffs for v in vectors])
+    return Z if basis is None else basis @ Z
+
+
+def _time_blocks(n_times: int, n_freqs: int):
+    rows = max(1, _PHASE_BLOCK // max(1, n_freqs))
+    return (slice(lo, lo + rows) for lo in range(0, n_times, rows))
+
+
+def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp(i t (x) freqs) @ V, one time block at a time.
+
+    Real cos/sin products: the same blocks through complex exp are slower.
+    """
+    times = np.ravel(times)
+    Vr, Vi = np.ascontiguousarray(V.real), np.ascontiguousarray(V.imag)
+    out = np.empty((times.size, V.shape[1]), dtype=complex)
+    for sl in _time_blocks(times.size, freqs.size):
+        arg = np.multiply.outer(times[sl], freqs)
+        c, s = np.cos(arg), np.sin(arg)
+        out.real[sl] = c @ Vr - s @ Vi
+        out.imag[sl] = s @ Vr + c @ Vi
+    return out
+
+
+def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """|exp(i t f_S) - exp(i t f_T)|^2 @ masses for dfreqs = f_S - f_T.
+
+    Written 4 sin^2(t dfreqs / 2) so nearby models lose no digits to
+    cancellation (2 - 2 cos would leave ~1e-8 where the gap is 0).
+    """
+    out = np.empty((times.size, masses.shape[1]))
+    for sl in _time_blocks(times.size, dfreqs.size):
+        s = np.sin(np.multiply.outer(times[sl], 0.5 * dfreqs))
+        out[sl] = (4.0 * s * s) @ masses
+    return out
 
 
 def check_semigroup_law(

@@ -108,6 +108,20 @@ class TestOutputs:
         assert doc["bounds_ok"] is True
         assert doc["rows"] == SMALL["trials"]
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # one n value leaves no rate to fit: the slope is NaN, written as null
+        cfgp = _write(tmp_path, "nan.json",
+                      {"scenario": "quantization_sweep", "trials": 50, "n_values": [8]})
+        assert main(["run", str(cfgp), "--out", str(tmp_path), "--quiet"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (tmp_path / "quantization_sweep_summary.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        jsonschema.validate(doc, _schema())
+        assert doc["metrics"]["slope"] is None
+
     def test_all_scenarios_validate(self, tmp_path):
         schema = _schema()
         quick = {
