@@ -27,6 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import (
+    cantor_group,
+    cantor_transform_abs,
     inflate_and_perturb,
     periodization_error_identity,
     near_identity_aws,
@@ -50,38 +52,6 @@ ENV_OUT_DIR = "STABLESEMI_OUT"
 
 class ConfigError(ValueError):
     pass
-
-
-# --- Cantor measure oracle ---------------------------------------------------
-
-def cantor_transform_abs(t, factor_tol: float = 1e-14) -> np.ndarray:
-    """|Fourier-Stieltjes transform| of the middle-thirds Cantor measure.
-
-    Product formula |gamma(t)| = prod_{k>=1} |cos(t / 3^k)|, truncated at the
-    depth where every remaining factor is within factor_tol of 1.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    tmax = max(float(np.abs(t).max()), 1.0)
-    depth = max(1, math.ceil(math.log(tmax / math.sqrt(2.0 * factor_tol)) / math.log(3.0)))
-    out = np.ones_like(t)
-    for k in range(1, depth + 1):
-        out *= np.abs(np.cos(t / 3.0 ** k))
-    return out
-
-
-def cantor_group(depth: int) -> MultiplicationGroup:
-    """Multiplication group on the depth-d Cantor approximation grid.
-
-    2^d atoms (left endpoints of the surviving intervals) with uniform
-    weights; the symbol is the atom position, so the autocorrelation of the
-    uniform unit vector is the depth-d truncated product formula.
-    """
-    if depth < 1:
-        raise ConfigError("cantor depth must be >= 1")
-    bits = np.arange(2 ** depth)[:, None] >> np.arange(depth)[None, :] & 1
-    pts = (bits * (2.0 / 3.0 ** np.arange(1, depth + 1))).sum(axis=1)
-    grid = WeightedGrid(pts, np.full(2 ** depth, 2.0 ** -depth))
-    return MultiplicationGroup(grid, pts)
 
 
 # --- helpers -----------------------------------------------------------------

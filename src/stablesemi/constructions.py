@@ -12,7 +12,9 @@ Implements, on the discretized spectral model:
 * periodization of the truncated right shift (circular wrap on the first
   n_c cells);
 * the two composed density pipelines (isometry -> periodic unitary,
-  isometry -> almost weakly stable).
+  isometry -> almost weakly stable);
+* the Cantor-measure witness: the depth-d multiplication group and the
+  product-formula oracle for its Fourier-Stieltjes transform.
 """
 
 from __future__ import annotations
@@ -425,13 +427,21 @@ def approximate_isometry_by_periodic(
         n_c = max(1, int(round(n / V.step)))
         return periodize_shift(V, n_c)
     if isinstance(V, DirectSumSemigroup):
-        parts = tuple(approximate_isometry_by_periodic(p, n, max_iter, tol) for p in V.parts)
-        # keep each original block grid when it already covers the new period
-        grids = tuple(
-            g if g.size >= p.grid.size else p.grid
-            for p, g in zip(parts, V.space.components)
-        )
-        return DirectSumSemigroup(SumSpace(grids), parts)
+        parts, grids = [], []
+        for p, g in zip(V.parts, V.space.components):
+            q = approximate_isometry_by_periodic(p, n, max_iter, tol)
+            k = q.grid.size
+            if g.size <= k:
+                parts.append(q)
+                grids.append(g if g.size == k else q.grid)
+                continue
+            # a shift block longer than the new period: the periodic part is
+            # the identity above it, kept as a zero-frequency block of its own
+            # so the sum stays diagonalizable on V's ambient space
+            tail = WeightedGrid(g.points[k:], g.weights[k:])
+            parts += [q, MultiplicationGroup(tail, np.zeros(tail.size))]
+            grids += [WeightedGrid(g.points[:k], g.weights[:k]), tail]
+        return DirectSumSemigroup(SumSpace(tuple(grids)), tuple(parts))
 
     wr = wold_decompose(V, max_iter=max_iter, tol=tol)
     freqs0, Z0 = _diagonalize_unitary(wr.unitary_block, wr.step)
@@ -491,3 +501,35 @@ def distinct_frequency_certificate(model: SemigroupModel) -> bool:
     if isinstance(model, MultiplicationGroup):
         return bool(np.unique(model.symbol).size == model.symbol.size)
     raise TypeError("certificate requires a (conjugated) multiplication group")
+
+
+# --- Cantor measure witness -------------------------------------------------
+
+def cantor_transform_abs(t, factor_tol: float = 1e-14) -> np.ndarray:
+    """|Fourier-Stieltjes transform| of the middle-thirds Cantor measure.
+
+    Product formula |gamma(t)| = prod_{k>=1} |cos(t / 3^k)|, truncated at the
+    depth where every remaining factor is within factor_tol of 1.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    tmax = max(float(np.abs(t).max()), 1.0)
+    depth = max(1, math.ceil(math.log(tmax / math.sqrt(2.0 * factor_tol)) / math.log(3.0)))
+    out = np.ones_like(t)
+    for k in range(1, depth + 1):
+        out *= np.abs(np.cos(t / 3.0 ** k))
+    return out
+
+
+def cantor_group(depth: int) -> MultiplicationGroup:
+    """Multiplication group on the depth-d Cantor approximation grid.
+
+    2^d atoms (left endpoints of the surviving intervals) with uniform
+    weights; the symbol is the atom position, so the autocorrelation of the
+    uniform unit vector is the depth-d truncated product formula.
+    """
+    if depth < 1:
+        raise ValueError("cantor depth must be >= 1")
+    bits = np.arange(2 ** depth)[:, None] >> np.arange(depth)[None, :] & 1
+    pts = (bits * (2.0 / 3.0 ** np.arange(1, depth + 1))).sum(axis=1)
+    grid = WeightedGrid(pts, np.full(2 ** depth, 2.0 ** -depth))
+    return MultiplicationGroup(grid, pts)

@@ -13,10 +13,16 @@ cells instead of dropping mass, so isometry is exact.  Inside a direct sum
 the ambient space is fixed, so there the overflow of a shift block is
 truncated (that truncated one-step map is exactly what the Wold analysis
 needs).
+
+`one_step_matrix` builds T(h) from each model's structure, not from `apply`:
+a phase diagonal, a (circular) shift of cells, a block-diagonal sum, and
+B* inner(h) B for a conjugation.  Shift grids are memoized, so equal grids
+are one object and compare by identity.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,20 +52,28 @@ def _shift_steps(t: float, h: float) -> int:
     return ell
 
 
-def _shift_payload_cells(x: HVector, step: float, fiber_dim: int) -> int:
-    """Cell count of a payload whose grid has weight `step` on every entry.
+def _shift_payload_cells(grid: WeightedGrid, step: float, fiber_dim: int) -> int:
+    """Cell count of a payload grid that has weight `step` on every entry.
 
     The weights are finite (WeightedGrid checks), so one max over
     |w - step| gives the same answer as np.allclose(w, step).
     """
-    w = x.grid.weights
+    w = grid.weights
     if w.size % fiber_dim != 0 or np.abs(w - step).max() > 1e-8 + 1e-5 * step:
         raise GridMismatchError("payload grid is not shift-compatible")
     return w.size // fiber_dim
 
 
 def shift_grid(cells: int, step: float, fiber_dim: int = 1) -> WeightedGrid:
-    """Cell-major grid for L2([0, cells*h), C^m): weight h per entry."""
+    """Cell-major grid for L2([0, cells*h), C^m): weight h per entry.
+
+    Memoized: equal arguments give the same (frozen, read-only) instance.
+    """
+    return _shift_grid(cells, step, fiber_dim)
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_grid(cells: int, step: float, fiber_dim: int) -> WeightedGrid:
     pts = np.repeat(np.arange(cells, dtype=float) * step, fiber_dim)
     return WeightedGrid(pts, np.full(cells * fiber_dim, step))
 
@@ -100,6 +114,10 @@ class SemigroupModel:
         than their own."""
         return None
 
+    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
+        """Matrix of T(h) in weighted coordinates of `grid`, truncated to it."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class MultiplicationGroup(SemigroupModel):
@@ -139,6 +157,11 @@ class MultiplicationGroup(SemigroupModel):
 
     def spectral_form(self) -> tuple[np.ndarray, None]:
         return self.symbol, None
+
+    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
+        if not grid.same_as(self._grid):
+            raise GridMismatchError("vector does not live on the model's grid")
+        return np.diag(np.exp(1j * h * self.symbol))
 
 
 @dataclass(frozen=True)
@@ -181,7 +204,7 @@ class ShiftSemigroup(SemigroupModel):
         if t < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
         ell = _shift_steps(t, self.step)
-        n = _shift_payload_cells(x, self.step, self.fiber_dim)
+        n = _shift_payload_cells(x.grid, self.step, self.fiber_dim)
         m = self.fiber_dim
         out = np.zeros((n + ell) * m, dtype=complex)
         out[ell * m :] = x.coeffs
@@ -191,12 +214,19 @@ class ShiftSemigroup(SemigroupModel):
         if t < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
         ell = _shift_steps(t, self.step)
-        n = _shift_payload_cells(x, self.step, self.fiber_dim)
+        n = _shift_payload_cells(x.grid, self.step, self.fiber_dim)
         m = self.fiber_dim
         out = np.zeros(n * m, dtype=complex)
         if ell < n:
             out[: (n - ell) * m] = x.coeffs[ell * m :]
         return HVector(shift_grid(n, self.step, m), out)
+
+    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
+        if h < -1e-12:
+            raise InadmissibleTimeError("right shift only admits t >= 0")
+        ell = _shift_steps(h, self.step)
+        k = _shift_payload_cells(grid, self.step, self.fiber_dim) * self.fiber_dim
+        return np.eye(k, k=-ell * self.fiber_dim, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -239,7 +269,7 @@ class PeriodicShiftGroup(SemigroupModel):
     def apply(self, t: float, x: HVector) -> HVector:
         ell = _shift_steps(t, self.step)
         m = self.fiber_dim
-        n = _shift_payload_cells(x, self.step, m)
+        n = _shift_payload_cells(x.grid, self.step, m)
         nc = self.period_cells
         if n < nc:
             c = np.zeros(nc * m, dtype=complex)
@@ -253,6 +283,16 @@ class PeriodicShiftGroup(SemigroupModel):
 
     def adjoint_apply(self, t: float, x: HVector) -> HVector:
         return self.apply(-t, x)
+
+    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
+        # roll the first nc cells, identity above them; a payload grid
+        # shorter than the period sees the truncation of that map
+        ell = _shift_steps(h, self.step)
+        m, nc = self.fiber_dim, self.period_cells
+        k = _shift_payload_cells(grid, self.step, m) * m
+        W = np.eye(max(k, nc * m), dtype=complex)
+        W[: nc * m, : nc * m] = np.kron(np.roll(np.eye(nc), ell % nc, axis=0), np.eye(m))
+        return W[:k, :k]
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
         # the circular shift diagonalizes in the DFT basis of each fiber slot
@@ -334,6 +374,15 @@ class DirectSumSemigroup(SemigroupModel):
             basis[sl, sl] = np.eye(f.size) if b is None else b
         return freqs, basis
 
+    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
+        if not grid.same_as(self.space.combined):
+            raise GridMismatchError("vector does not live on the sum space")
+        W = np.zeros((grid.size, grid.size), dtype=complex)
+        for b, (part, g) in enumerate(zip(self.parts, self.space.components)):
+            sl = self.space.block_slice(b)
+            W[sl, sl] = part._one_step(h, g)
+        return W
+
     def _blockwise(self, t: float, x: HVector, adjoint: bool) -> HVector:
         if not x.grid.same_as(self.space.combined):
             raise GridMismatchError("vector does not live on the sum space")
@@ -352,7 +401,8 @@ class ConjugatedGroup(SemigroupModel):
 
     `basis` maps outer weighted coordinates (sqrt(mu) * coeffs) to inner
     weighted coordinates.  The inner model must preserve dimension for all
-    admissible times (multiplication groups, periodic shifts and their sums).
+    admissible times (multiplication groups, periodic shifts and their sums);
+    a bare truncated shift extends its payload and is rejected.
     """
 
     _grid: WeightedGrid
@@ -366,6 +416,8 @@ class ConjugatedGroup(SemigroupModel):
             raise ValueError("basis shape must be (inner dim, outer dim)")
         if b.shape[0] != k:
             raise ValueError("conjugation requires equal inner and outer dimension")
+        if isinstance(self.inner, ShiftSemigroup):
+            raise ValueError("inner model changed dimension under conjugation")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -406,10 +458,13 @@ class ConjugatedGroup(SemigroupModel):
         z = self.basis @ (sw_out * x.coeffs)
         xi = HVector(self.inner.grid, z / sw_in)
         yi = self.inner.adjoint_apply(t, xi) if adjoint else self.inner.apply(t, xi)
-        if yi.grid.size != self.inner.grid.size:
-            raise ValueError("inner model changed dimension under conjugation")
         zo = self.basis.conj().T @ (sw_in * yi.coeffs)
         return HVector(self._grid, zo / sw_out)
+
+    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
+        if not grid.same_as(self._grid):
+            raise GridMismatchError("vector does not live on the model's grid")
+        return self.basis.conj().T @ self.inner._one_step(h, self.inner.grid) @ self.basis
 
     def apply(self, t: float, x: HVector) -> HVector:
         return self._conjugate(t, x, adjoint=False)
@@ -509,19 +564,11 @@ def check_unitarity(T: SemigroupModel, t: float, sample, tol: float) -> bool:
 def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:
     """Matrix of T(h) in weighted coordinates on the model's nominal grid.
 
-    Overflow of extending shifts is truncated, so the result always has the
-    nominal dimension.
+    Built from the model's structure, with no `apply` call.  Overflow of
+    extending shifts is truncated, so the result always has the nominal
+    dimension.
     """
-    g = T.grid
-    k = g.size
-    sw = np.sqrt(g.weights)
-    W = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        e = np.zeros(k, dtype=complex)
-        e[j] = 1.0 / sw[j]
-        y = T.apply(h, HVector(g, e))
-        W[:, j] = (np.sqrt(y.grid.weights) * y.coeffs)[:k]
-    return W
+    return T._one_step(h, T.grid)
 
 
 # --- serialization (CLI round-tripping) -------------------------------------

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from stablesemi.cli import (
-    cantor_transform_abs,
-    cantor_group,
     run_category_escape,
     run_quantization_sweep,
     run_wold_benchmark,
 )
 from stablesemi.constructions import (
+    cantor_group,
+    cantor_transform_abs,
     inflate_and_perturb,
     near_identity_aws,
     periodization_error_identity,

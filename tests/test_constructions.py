@@ -303,3 +303,25 @@ class TestAwsPipeline:
         A = approximate_isometry_by_aws(R, 0.2, 2.0, n=32)
         assert distinct_frequency_certificate(A)
         assert A.grid.size == 32  # acts on the periodization's ambient space
+
+    def test_direct_sum_with_shift_block_longer_than_period(self):
+        # the 40-cell shift block outlasts the new 32-cell period
+        gu = WeightedGrid.uniform(3)
+        V = DirectSumSemigroup(
+            SumSpace((gu, shift_grid(40, 1.0))),
+            (MultiplicationGroup(gu, np.array([0.2, 0.7, 1.1])), ShiftSemigroup(1.0, 40)))
+        eps, t0 = 0.25, 5.0
+        P = approximate_isometry_by_periodic(V, 32)
+        A = approximate_isometry_by_aws(V, eps, t0, n=32)
+        assert A.grid.same_as(V.grid)
+        freqs, basis = A.spectral_form()
+        assert np.unique(freqs).size == freqs.size
+        assert distinct_frequency_certificate(A)
+        sw = np.sqrt(A.grid.weights)
+        for seed in (21, 22, 23):
+            x = _rvec(V.grid, seed).normalized()
+            for t in range(-int(t0), int(t0) + 1):
+                z = basis.conj().T @ (np.exp(1j * t * freqs) * (basis @ (sw * x.coeffs)))
+                y = A.apply(float(t), x)
+                np.testing.assert_allclose(z / sw, y.coeffs, rtol=0, atol=1e-12)
+                assert difference_norm(y, P.apply(float(t), x)) <= eps + 1e-10

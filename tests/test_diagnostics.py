@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stablesemi.cli import cantor_group, cantor_transform_abs
+from stablesemi.constructions import cantor_group, cantor_transform_abs
 from stablesemi.diagnostics import (
     ClassifyParams,
     CorrelationTrace,

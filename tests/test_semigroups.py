@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablesemi.hilbert import (
     GridMismatchError, HVector, SumSpace, WeightedGrid, inner_product_aligned)
@@ -202,6 +203,101 @@ class TestOneStepMatrix:
         # truncated shift: M*M has rank cells-1
         np.testing.assert_allclose(M @ M.conj().T + np.outer(
             np.eye(5)[0], np.eye(5)[0]), np.eye(5), atol=1e-13)
+
+
+ZOO = ("mult", "shift", "periodic", "dsum_shift", "dsum_long", "conj_dsum")
+ZOO_STEP = 0.5
+
+
+def _zoo(kind, seed):
+    rng = np.random.default_rng(seed)
+    g = WeightedGrid(np.arange(4, dtype=float), rng.uniform(0.2, 2.0, 4))
+    mult = MultiplicationGroup(g, rng.uniform(-3.0, 3.0, 4))
+    if kind == "mult":
+        return mult
+    if kind == "shift":
+        return ShiftSemigroup(ZOO_STEP, 5, fiber_dim=2)
+    if kind == "periodic":
+        return PeriodicShiftGroup(4, ZOO_STEP, fiber_dim=2)
+    if kind == "dsum_long":
+        # a 3-cell period on a 6-cell component: identity above the period
+        part, comp = PeriodicShiftGroup(3, ZOO_STEP, 2), shift_grid(6, ZOO_STEP, 2)
+    else:
+        part = ShiftSemigroup(ZOO_STEP, 4, fiber_dim=2)
+        comp = part.grid
+    dsum = DirectSumSemigroup(SumSpace((g, comp)), (mult, part))
+    if kind != "conj_dsum":
+        return dsum
+    k = dsum.grid.size
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    outer = WeightedGrid(np.arange(k, dtype=float), rng.uniform(0.5, 1.5, k))
+    return ConjugatedGroup(outer, q * (np.diag(r) / np.abs(np.diag(r))), dsum)
+
+
+def _one_step_reference(T, h):
+    """T(h) one weighted basis column at a time through apply."""
+    g = T.grid
+    sw = np.sqrt(g.weights)
+    W = np.zeros((g.size, g.size), dtype=complex)
+    for j in range(g.size):
+        e = np.zeros(g.size, dtype=complex)
+        e[j] = 1.0 / sw[j]
+        y = T.apply(h, HVector(g, e))
+        W[:, j] = (np.sqrt(y.grid.weights) * y.coeffs)[: g.size]
+    return W
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_one_step_matrix_matches_apply_columns(kind, seed, steps):
+    T = _zoo(kind, seed)
+    h = steps * ZOO_STEP
+    W = one_step_matrix(T, h)
+    assert W.shape == (T.grid.size,) * 2
+    assert np.abs(W - _one_step_reference(T, h)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["shift", "dsum_shift", "conj_dsum"])
+def test_one_step_matrix_rejects_inadmissible_times(kind):
+    T = _zoo(kind, 0)
+    with pytest.raises(InadmissibleTimeError):
+        one_step_matrix(T, -ZOO_STEP)
+    with pytest.raises(InadmissibleTimeError):
+        one_step_matrix(T, 1.25 * ZOO_STEP)
+
+
+def test_one_step_matrix_rejects_mismatched_grids():
+    mult = _mult(4, seed=1)
+    off_grid = DirectSumSemigroup(SumSpace((WeightedGrid.uniform(4, 0.5),)), (mult,))
+    not_shift = DirectSumSemigroup(
+        SumSpace((WeightedGrid.uniform(6, 0.3),)), (ShiftSemigroup(ZOO_STEP, 3, 2),))
+    for T in (off_grid, not_shift):
+        with pytest.raises(GridMismatchError):
+            one_step_matrix(T, ZOO_STEP)
+
+
+@pytest.mark.parametrize("kind", ZOO)
+def test_one_step_matrix_makes_no_apply_calls(kind, monkeypatch):
+    T = _zoo(kind, 3)
+
+    def no_apply(self, t, x):
+        raise AssertionError("apply called by one_step_matrix")
+
+    for cls in (MultiplicationGroup, ShiftSemigroup, PeriodicShiftGroup,
+                DirectSumSemigroup, ConjugatedGroup):
+        monkeypatch.setattr(cls, "apply", no_apply)
+        monkeypatch.setattr(cls, "adjoint_apply", no_apply)
+    one_step_matrix(T, 2 * ZOO_STEP)
+
+
+def test_conjugating_a_truncated_shift_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="changed dimension"):
+        ConjugatedGroup(WeightedGrid.uniform(5), np.eye(5), ShiftSemigroup(1.0, 5))
+
+
+def test_shift_grid_is_shared():
+    assert shift_grid(7, 0.5, 2) is shift_grid(7, 0.5, 2)
+    assert ShiftSemigroup(0.5, 7, 2).grid is PeriodicShiftGroup(7, 0.5, 2).grid
 
 
 class TestSerialization:

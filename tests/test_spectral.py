@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablesemi.cli import cantor_group
-from stablesemi.constructions import quantize_symbol
+from stablesemi.constructions import cantor_group, quantize_symbol
 from stablesemi.diagnostics import ClassifyParams, classify, correlation, detect_atoms
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid, difference_norm,
