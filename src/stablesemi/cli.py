@@ -343,7 +343,19 @@ def load_config(path: Path) -> dict:
     cfg = dict(defaults)
     cfg.update(raw)
     cfg.setdefault("seed", 0)
+    if scenario == "cantor_demo":
+        _check_cantor_demo(cfg)
     return cfg
+
+
+def _check_cantor_demo(cfg: dict) -> None:
+    """Reject values the Cantor witness cannot run with, before it runs."""
+    for key, low in (("depth", 1), ("num_samples", 2), ("row_stride", 1)):
+        if not isinstance(cfg[key], int) or cfg[key] < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    h = cfg["horizon"]
+    if not isinstance(h, (int, float)) or not 0 < h < math.inf:
+        raise ConfigError(f"horizon must be a finite number > 0, got {h!r}")
 
 
 def _fmt(v) -> str:

@@ -12,7 +12,9 @@ periodic shifts, unitary direct sums of these, and conjugations of any of
 them) and vectors on its grid, every correlation is the spectral sum
 <T(t)x, y> = sum_m exp(i t f_m) a_m conj(b_m) with a = B sqrt(mu) x.
 `correlation` evaluates it for one pair and `classify` for all witness
-pairs in one call, in time blocks of bounded memory, without `apply`.
+pairs in one call, without `apply`.  The kernel factors the phases on
+arithmetic time grids (linspace, j*h; any other grid is summed row by row),
+so T times cost about 2 sqrt(T) phase rows, not T.
 Other models (truncated shifts and anything containing one) and vectors
 off the model's grid fall back to one `apply` per (time, vector).
 """

@@ -18,11 +18,20 @@ needs).
 a phase diagonal, a (circular) shift of cells, a block-diagonal sum, and
 B* inner(h) B for a conjugation.  Shift grids are memoized, so equal grids
 are one object and compare by identity.
+
+Unitary models also have a spectral form: frequencies and a basis (a
+periodic shift's DFT basis is memoized by shape, like shift grids).  The
+spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
+grid.  On an arithmetic grid t0 + j dt, which is every grid the library
+builds, it factors each phase as exp(i t_{ab} f) exp(i c dt f), so it needs
+about 2 sqrt(T) M cos/sin pairs instead of T M and reduces by matrix
+products.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,12 +304,23 @@ class PeriodicShiftGroup(SemigroupModel):
         return W[:k, :k]
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
-        # the circular shift diagonalizes in the DFT basis of each fiber slot
-        nc, m, h = self.period_cells, self.fiber_dim, self.step
-        F = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
-        freqs = np.repeat(-2.0 * np.pi * np.arange(nc) / (nc * h), m)
-        freqs = np.where(freqs <= -np.pi / h, freqs + 2.0 * np.pi / h, freqs)
-        return freqs, np.kron(F, np.eye(m))
+        return _dft_form(self.period_cells, self.step, self.fiber_dim)
+
+
+# Memoized by shape, not per instance: a model that lives long (a pool of
+# cases, say) then holds no (nc m)^2 basis of its own, and few shapes are
+# live at a time.
+@functools.lru_cache(maxsize=8)
+def _dft_form(nc: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only spectral form of a circular shift: the DFT basis of each
+    fiber slot."""
+    F = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
+    freqs = np.repeat(-2.0 * np.pi * np.arange(nc) / (nc * h), m)
+    freqs = np.where(freqs <= -np.pi / h, freqs + 2.0 * np.pi / h, freqs)
+    basis = np.kron(F, np.eye(m))
+    freqs.setflags(write=False)
+    basis.setflags(write=False)
+    return freqs, basis
 
 
 @dataclass(frozen=True)
@@ -475,8 +495,8 @@ class ConjugatedGroup(SemigroupModel):
 
 # --- spectral kernels --------------------------------------------------------
 
-# Phase entries (times x frequencies) evaluated at once by the kernels below;
-# it bounds their working memory at a few MB whatever the number of times.
+# Entries (times x frequencies x columns) evaluated at once by the kernels
+# below; it bounds their blocked working memory at a few MB.
 _PHASE_BLOCK = 1 << 16
 
 
@@ -499,25 +519,66 @@ def _spectral_coords(basis, grid: WeightedGrid, vectors) -> np.ndarray | None:
     return Z if basis is None else basis @ Z
 
 
-def _time_blocks(n_times: int, n_freqs: int):
-    rows = max(1, _PHASE_BLOCK // max(1, n_freqs))
+def _time_blocks(n_times: int, row_size: int):
+    rows = max(1, _PHASE_BLOCK // max(1, row_size))
     return (slice(lo, lo + rows) for lo in range(0, n_times, rows))
 
 
-def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """exp(i t (x) freqs) @ V, one time block at a time.
+# A time grid within this many float64 rounding errors (of max|t|) of an
+# arithmetic progression is split as one: linspace and j*h grids are, and the
+# phase error it allows is of the order of the rounding of t*f itself.
+_GRID_ULPS = 8
 
-    Real cos/sin products: the same blocks through complex exp are slower.
+
+def _time_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, fine) with times[a*b + c] = coarse[a] + fine[c], b = fine.size.
+
+    An arithmetic grid t0 + j dt gives b = ceil(sqrt(T)), coarse = times[::b]
+    and fine = c dt; any other grid gives b = 1: coarse = times, fine = {0}.
+    """
+    n = times.size
+    if n > 2:
+        dt = (times[-1] - times[0]) / (n - 1)
+        drift = np.abs(times[0] + np.arange(n) * dt - times).max()
+        if drift <= _GRID_ULPS * np.finfo(float).eps * np.abs(times).max():
+            b = math.isqrt(n - 1) + 1
+            return times[::b], np.arange(b) * dt
+    return times, np.zeros(1)
+
+
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(i a (x) b) from real cos and sin, which is faster than complex exp.
+
+    The phases are written to the imaginary part first, so the table is the
+    only allocation.
+    """
+    out = np.empty((a.size, b.size), dtype=complex)
+    np.multiply.outer(a, b, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
+
+
+def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp(i t (x) freqs) @ V for a freqs.size x cols matrix V.
+
+    With the split of `_time_split`, exp(i t_{ab+c} f) =
+    exp(i coarse_a f) exp(i fine_c f), so the sum is one complex product
+    E_fine (b x M) @ (E_coarse o V) (M x C*cols): (b + C) M phases instead
+    of T M, reduced by matrix products.  The coarse side runs in blocks of
+    at most `_PHASE_BLOCK` entries of E_coarse o V, so the memory is that
+    plus the b x M table E_fine, b <= sqrt(T) + 1.
     """
     times = np.ravel(times)
-    Vr, Vi = np.ascontiguousarray(V.real), np.ascontiguousarray(V.imag)
-    out = np.empty((times.size, V.shape[1]), dtype=complex)
-    for sl in _time_blocks(times.size, freqs.size):
-        arg = np.multiply.outer(times[sl], freqs)
-        c, s = np.cos(arg), np.sin(arg)
-        out.real[sl] = c @ Vr - s @ Vi
-        out.imag[sl] = s @ Vr + c @ Vi
-    return out
+    coarse, fine = _time_split(times)
+    cols = V.shape[1]
+    E_fine = _phases(fine, freqs)
+    out = np.empty((coarse.size, fine.size, cols), dtype=complex)
+    for sl in _time_blocks(coarse.size, freqs.size * cols):
+        W = _phases(freqs, coarse[sl])[:, :, None] * V[:, None, :]
+        S = E_fine @ W.reshape(freqs.size, -1)
+        out[sl] = S.reshape(fine.size, -1, cols).transpose(1, 0, 2)
+    return out.reshape(-1, cols)[: times.size]
 
 
 def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np.ndarray:

@@ -43,6 +43,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown scenario"):
             load_config(_write(tmp_path, "c.json", {"scenario": "wat"}))
 
+    @pytest.mark.parametrize("bad", [
+        {"depth": 0}, {"depth": 2.5}, {"num_samples": 1}, {"row_stride": 0},
+        {"horizon": 0.0}, {"horizon": -3.0}, {"horizon": "10"},
+    ])
+    def test_cantor_demo_values_rejected(self, tmp_path, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            load_config(_write(tmp_path, "c.json", {"scenario": "cantor_demo", **bad}))
+
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("[1, 2]")
@@ -57,6 +65,11 @@ class TestMain:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "zz": 1})
         assert main(["run", str(bad)]) == 2
+
+    def test_out_of_range_value_exits_2(self, tmp_path):
+        bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "depth": 0})
+        assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfgp = _write(tmp_path, "ok.json", SMALL)

@@ -1,6 +1,7 @@
 """The spectral path of correlation, classify and the strong metrics, checked
 against plain apply loops over a zoo of unitary models."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,9 @@ from stablesemi.semigroups import (
     InadmissibleTimeError,
     MultiplicationGroup,
     PeriodicShiftGroup,
+    _dft_form,
+    _phase_sums,
+    _time_split,
 )
 
 KINDS = ("mult", "periodic", "dsum", "conj_mult", "conj_dsum")
@@ -268,3 +272,76 @@ def test_correlation_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def _dense_phase_sums(times, freqs, V):
+    return np.exp(1j * np.outer(times, freqs)) @ V
+
+
+def _kernel_inputs(rng, m, cols):
+    freqs = rng.uniform(-4.0, 4.0, m)
+    V = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
+    return freqs, V
+
+
+def _assert_phase_sums(times, freqs, V):
+    err = np.abs(_phase_sums(times, freqs, V) - _dense_phase_sums(times, freqs, V))
+    assert err.shape == (times.size, V.shape[1])
+    assert np.all(err <= TOL * np.abs(V).sum(axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 97, 143, 144, 145, 1023, 1024, 1025]),
+    t0=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)),
+    dt=st.one_of(st.floats(-0.1, -1e-3), st.floats(1e-3, 0.1)),
+    m=st.integers(1, 40),
+    cols=st.sampled_from([1, 3, 6]),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_phase_sums_on_arithmetic_grids(n, t0, dt, m, cols, seed):
+    times = t0 + dt * np.arange(n)
+    freqs, V = _kernel_inputs(np.random.default_rng(seed), m, cols)
+    # the grid is recognized: b = ceil(sqrt(T)) fine offsets once T > 2
+    assert _time_split(times)[1].size == (math.isqrt(n - 1) + 1 if n > 2 else 1)
+    _assert_phase_sums(times, freqs, V)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 400),
+    m=st.integers(1, 40),
+    cols=st.sampled_from([1, 3, 6]),
+    jittered=st.booleans(),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_phase_sums_on_other_grids(n, m, cols, jittered, seed):
+    rng = np.random.default_rng(seed)
+    if jittered:  # off the progression by far more than rounding
+        times = np.linspace(-50.0, 50.0, n)
+        times[n // 2] += 5e-8
+    else:
+        times = np.sort(rng.uniform(-100.0, 100.0, n))
+    freqs, V = _kernel_inputs(rng, m, cols)
+    coarse, fine = _time_split(times)
+    assert fine.size == 1 and np.array_equal(coarse, times)
+    _assert_phase_sums(times, freqs, V)
+
+
+def test_periodic_basis_is_built_once_and_read_only(monkeypatch):
+    _dft_form.cache_clear()
+    builds = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: builds.append(1) or fft(*a, **k))
+    T = PeriodicShiftGroup(6, 0.5, fiber_dim=2)
+    x = _vec(T.grid, np.random.default_rng(3))
+    freqs, basis = T.spectral_form()
+    correlation(T, x, x, np.arange(8.0) * 0.5)
+    classify(T, DenseSequence((x,)), ClassifyParams(horizon=10.0, samples=20))
+    again = PeriodicShiftGroup(6, 0.5, fiber_dim=2).spectral_form()
+    assert len(builds) == 1
+    assert again[0] is freqs and again[1] is basis
+    for a in (freqs, basis):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
