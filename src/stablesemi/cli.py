@@ -32,9 +32,10 @@ from .constructions import (
     inflate_and_perturb,
     periodization_error_identity,
     near_identity_aws,
-    quantization_distance,
     quantize_symbol,
     wold_decompose,
+    _phase_distance,
+    _snap_down,
 )
 from .diagnostics import cesaro_mean_abs2, correlation, mt_membership, wjkt_membership
 from .hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
@@ -76,21 +77,25 @@ def _loglog_slope(ns, errs) -> float:
 def run_quantization_sweep(cfg: dict, rng: np.random.Generator):
     dim, trials, t_max = cfg["dimension"], cfg["trials"], cfg["t_max"]
     n_values = cfg["n_values"]
-    grid = WeightedGrid.uniform(dim, 1.0 / dim)
-    rows, violations = [], 0
-    max_err = {n: 0.0 for n in n_values}
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
-        t = float(rng.uniform(-t_max, t_max))
-        U = MultiplicationGroup(grid, _random_symbol(rng, dim))
-        V = quantize_symbol(U, n).approximant
-        measured = quantization_distance(U, V, t)
-        bound = 2.0 * np.pi * abs(t) / n
-        ratio = measured / bound if bound > 0 else 0.0
-        if measured > bound * (1.0 + 1e-12):
-            violations += 1
-        max_err[n] = max(max_err[n], measured)
-        rows.append({"n": n, "t": t, "measured_dist": measured, "bound": bound, "ratio": ratio})
+    # draw every trial first, in the per-trial order of the seeded stream
+    ns = np.empty(trials, dtype=np.int64)
+    ts = np.empty(trials)
+    Q = np.empty((trials, dim))
+    for i in range(trials):
+        ns[i] = n_values[rng.integers(0, len(n_values))]
+        ts[i] = rng.uniform(-t_max, t_max)
+        Q[i] = _random_symbol(rng, dim)
+    # then quantize and measure the whole stack at once
+    measured = _phase_distance(Q, _snap_down(Q, ns), ts)
+    bound = 2.0 * np.pi * np.abs(ts) / ns
+    ratio = np.divide(measured, bound, out=np.zeros(trials), where=bound > 0)
+    violations = int(np.count_nonzero(measured > bound * (1.0 + 1e-12)))
+    max_err = {n: float(measured[ns == n].max(initial=0.0)) for n in n_values}
+    rows = [
+        {"n": n, "t": t, "measured_dist": m, "bound": b, "ratio": r}
+        for n, t, m, b, r in zip(ns.tolist(), ts.tolist(), measured.tolist(),
+                                 bound.tolist(), ratio.tolist())
+    ]
     # fit the rate only where the bound is below the trivial cap of 2
     fit_ns = [n for n in n_values if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
     slope = _loglog_slope(fit_ns, [max_err[n] for n in fit_ns]) if len(fit_ns) >= 2 else float("nan")
@@ -109,12 +114,13 @@ def run_near_identity_sweep(cfg: dict, rng: np.random.Generator):
     rows, violations = [], 0
     for n in n_values:
         U = near_identity_aws(grid, n)
-        for t in np.linspace(0.0, np.pi * n, t_samples):
-            measured = float(np.abs(np.exp(1j * t * U.symbol) - 1.0).max())
-            bound = 2.0 * t / n
-            if measured > bound * (1.0 + 1e-12) + 1e-15:
-                violations += 1
-            rows.append({"n": n, "t": float(t), "measured_dist": measured, "bound": bound})
+        ts = np.linspace(0.0, np.pi * n, t_samples)
+        measured = _phase_distance(U.symbol, 0.0, ts)  # exp(0j) is exactly 1
+        bound = 2.0 * ts / n
+        violations += int(np.count_nonzero(measured > bound * (1.0 + 1e-12) + 1e-15))
+        rows.extend(
+            {"n": n, "t": t, "measured_dist": m, "bound": b}
+            for t, m, b in zip(ts.tolist(), measured.tolist(), bound))
     return rows, {"violations": violations}, violations == 0
 
 
@@ -343,19 +349,37 @@ def load_config(path: Path) -> dict:
     cfg = dict(defaults)
     cfg.update(raw)
     cfg.setdefault("seed", 0)
-    if scenario == "cantor_demo":
-        _check_cantor_demo(cfg)
+    if scenario in _VALUE_RULES:
+        _check_values(cfg, *_VALUE_RULES[scenario])
     return cfg
 
 
-def _check_cantor_demo(cfg: dict) -> None:
-    """Reject values the Cantor witness cannot run with, before it runs."""
-    for key, low in (("depth", 1), ("num_samples", 2), ("row_stride", 1)):
-        if not isinstance(cfg[key], int) or cfg[key] < low:
+# per scenario: integer keys with their minimum, keys that must be finite
+# numbers > 0, and whether n_values must be a non-empty list of levels >= 1
+_VALUE_RULES = {
+    "quantization_sweep": ({"dimension": 1, "trials": 1}, ("t_max",), True),
+    "near_identity_sweep": ({"dimension": 1, "t_samples": 1}, (), True),
+    "cantor_demo": ({"depth": 1, "num_samples": 2, "row_stride": 1}, ("horizon",), False),
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_values(cfg: dict, int_lows: dict, positive: tuple, levels: bool) -> None:
+    """Reject values the scenario cannot run with, before it runs."""
+    for key, low in int_lows.items():
+        if not _is_int(cfg[key]) or cfg[key] < low:
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
-    h = cfg["horizon"]
-    if not isinstance(h, (int, float)) or not 0 < h < math.inf:
-        raise ConfigError(f"horizon must be a finite number > 0, got {h!r}")
+    for key in positive:
+        v = cfg[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
+    ns = cfg.get("n_values")
+    if levels and (not isinstance(ns, list) or not ns
+                   or not all(_is_int(n) and n >= 1 for n in ns)):
+        raise ConfigError(f"n_values must be a non-empty list of integers >= 1, got {ns!r}")
 
 
 def _fmt(v) -> str:
@@ -382,10 +406,9 @@ def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet
     json_path = out_dir / cfg.get("json_name", f"{scenario}_summary.json")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         if rows:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(rows[0]))
+            writer.writerows([_fmt(v) for v in row.values()] for row in rows)
     doc = {
         "scenario": scenario,
         "seed": cfg["seed"],

@@ -56,30 +56,50 @@ class QuantizationResult:
     guaranteed_bound: Callable[[float], float]
 
 
+def _snap_down(q: np.ndarray, n) -> np.ndarray:
+    """Every entry of q snapped down onto the lattice (2*pi/n)Z.
+
+    q's last axis holds one symbol; n is a level or an array of levels that
+    broadcasts over q's leading axes, one level per symbol.
+    """
+    n = np.asarray(n)
+    if n.min(initial=1) < 1:
+        raise ValueError("quantization level must be >= 1")
+    cell = 2.0 * np.pi / n[..., None]
+    ratio = q / cell
+    j = np.floor(ratio)
+    # frequencies already on the lattice must be fixed points despite rounding
+    j = np.where(ratio - j > 1.0 - 1e-9, j + 1.0, j)
+    return cell * j
+
+
+def _phase_distance(q: np.ndarray, qn: np.ndarray, t) -> np.ndarray:
+    """max_k |exp(itq_k) - exp(itqn_k)| over q's last axis.
+
+    t is a time or an array of times that broadcasts over the leading axes,
+    one time per symbol.
+    """
+    t = np.asarray(t)[..., None]
+    return np.abs(np.exp(1j * t * q) - np.exp(1j * t * qn)).max(axis=-1)
+
+
 def quantize_symbol(U: MultiplicationGroup, n: int) -> QuantizationResult:
-    """Snap every frequency down to the lattice (2*pi/n)Z.
+    """Snap every frequency down to the lattice (2*pi/n)Z (see `_snap_down`).
 
     The approximant satisfies sup_k |exp(itq_k) - exp(itq_{n,k})| <= 2*pi*|t|/n
     for every real t and is n-periodic: approximant.apply(n) is the identity.
     """
-    if n < 1:
-        raise ValueError("quantization level must be >= 1")
-    cell = 2.0 * np.pi / n
-    ratio = U.symbol / cell
-    j = np.floor(ratio)
-    # frequencies already on the lattice must be fixed points despite rounding
-    j = np.where(ratio - j > 1.0 - 1e-9, j + 1.0, j)
-    qn = cell * j
     return QuantizationResult(
-        approximant=MultiplicationGroup(U.grid, qn),
+        approximant=MultiplicationGroup(U.grid, _snap_down(U.symbol, n)),
         level=n,
         guaranteed_bound=lambda t: 2.0 * np.pi * abs(t) / n,
     )
 
 
 def quantization_distance(U: MultiplicationGroup, V: MultiplicationGroup, t: float) -> float:
-    """Exact operator distance sup_k |exp(itq_k) - exp(itq'_k)| on the grid."""
-    return float(np.abs(np.exp(1j * t * U.symbol) - np.exp(1j * t * V.symbol)).max())
+    """Exact operator distance sup_k |exp(itq_k) - exp(itq'_k)| on the grid
+    (see `_phase_distance`)."""
+    return float(_phase_distance(U.symbol, V.symbol, t))
 
 
 # --- near-identity almost weakly stable groups -------------------

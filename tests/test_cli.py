@@ -1,12 +1,26 @@
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from stablesemi.cli import ConfigError, load_config, main
+from stablesemi.cli import (
+    SCENARIOS,
+    ConfigError,
+    _fmt,
+    load_config,
+    main,
+    run_near_identity_sweep,
+    run_quantization_sweep,
+    write_outputs,
+)
+from stablesemi.constructions import near_identity_aws, quantization_distance, quantize_symbol
+from stablesemi.hilbert import WeightedGrid
+from stablesemi.semigroups import MultiplicationGroup
 
 
 def _write(tmp_path: Path, name: str, doc: dict) -> Path:
@@ -51,6 +65,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(bad))):
             load_config(_write(tmp_path, "c.json", {"scenario": "cantor_demo", **bad}))
 
+    @pytest.mark.parametrize("scenario,bad", [
+        ("quantization_sweep", {"n_values": [0]}),
+        ("quantization_sweep", {"n_values": []}),
+        ("quantization_sweep", {"n_values": [8.5]}),
+        ("quantization_sweep", {"n_values": [8, True]}),
+        ("quantization_sweep", {"n_values": 8}),
+        ("quantization_sweep", {"dimension": 0}),
+        ("quantization_sweep", {"dimension": True}),
+        ("quantization_sweep", {"trials": 0}),
+        ("quantization_sweep", {"trials": 10.0}),
+        ("quantization_sweep", {"t_max": 0.0}),
+        ("quantization_sweep", {"t_max": -1}),
+        ("quantization_sweep", {"t_max": math.inf}),
+        ("quantization_sweep", {"t_max": "10"}),
+        ("near_identity_sweep", {"n_values": [0]}),
+        ("near_identity_sweep", {"n_values": []}),
+        ("near_identity_sweep", {"n_values": [2.5]}),
+        ("near_identity_sweep", {"dimension": 0}),
+        ("near_identity_sweep", {"t_samples": 0}),
+        ("near_identity_sweep", {"t_samples": None}),
+    ])
+    def test_sweep_values_rejected(self, tmp_path, scenario, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            load_config(_write(tmp_path, "c.json", {"scenario": scenario, **bad}))
+
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("[1, 2]")
@@ -69,6 +108,14 @@ class TestMain:
     def test_out_of_range_value_exits_2(self, tmp_path):
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "depth": 0})
         assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"n_values": [0]}, {"n_values": []}, {"n_values": [8.5]}, {"dimension": 0},
+    ])
+    def test_bad_sweep_value_exits_2(self, tmp_path, bad):
+        cfgp = _write(tmp_path, "bad.json", {"scenario": "quantization_sweep", **bad})
+        assert main(["run", str(cfgp), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert not (tmp_path / "o").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
@@ -150,3 +197,100 @@ class TestOutputs:
             assert main(["run", str(cfgp), "--out", str(tmp_path), "--quiet"]) == 0
             doc = json.loads((tmp_path / f"{scenario}_summary.json").read_text())
             jsonschema.validate(doc, schema)
+
+
+# --- reference implementations, one trial or one time at a time ---------------
+
+def _reference_quantization_sweep(cfg):
+    dim, trials, t_max, n_values = cfg["dimension"], cfg["trials"], cfg["t_max"], cfg["n_values"]
+    rng = np.random.default_rng(cfg["seed"])
+    grid = WeightedGrid.uniform(dim, 1.0 / dim)
+    rows, violations = [], 0
+    max_err = {n: 0.0 for n in n_values}
+    for _ in range(trials):
+        n = int(rng.choice(n_values))
+        t = float(rng.uniform(-t_max, t_max))
+        U = MultiplicationGroup(grid, rng.uniform(0.0, 2.0 * np.pi, dim))
+        measured = quantization_distance(U, quantize_symbol(U, n).approximant, t)
+        bound = 2.0 * np.pi * abs(t) / n
+        violations += measured > bound * (1.0 + 1e-12)
+        max_err[n] = max(max_err[n], measured)
+        rows.append({"n": n, "t": t, "measured_dist": measured, "bound": bound,
+                     "ratio": measured / bound if bound > 0 else 0.0})
+    fit_ns = [n for n in n_values if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
+    slope = (float(np.polyfit(np.log(fit_ns), np.log([max_err[n] for n in fit_ns]), 1)[0])
+             if len(fit_ns) >= 2 else float("nan"))
+    summary = {"violations": violations, "slope": slope, "fit_n_values": fit_ns,
+               "max_error_per_n": {str(n): max_err[n] for n in n_values}}
+    return rows, summary
+
+
+def _same_rows(rows, want):
+    assert rows == want
+    # the CSV text depends on each value's type, not only on its value
+    assert [[type(v) for v in r.values()] for r in rows] == \
+        [[type(v) for v in r.values()] for r in want]
+
+
+class TestBatchedSweeps:
+    @pytest.mark.parametrize("overrides", [
+        {"trials": 300},
+        {"trials": 50, "n_values": [8]},
+        {"trials": 200, "dimension": 5, "t_max": 3.0, "n_values": [64, 8, 64, 512, 8]},
+    ])
+    def test_quantization_sweep_matches_per_trial_loop(self, overrides):
+        cfg = {**SCENARIOS["quantization_sweep"][1], "seed": 11, **overrides}
+        rows, summary, ok = run_quantization_sweep(cfg, np.random.default_rng(cfg["seed"]))
+        want_rows, want_summary = _reference_quantization_sweep(cfg)
+        _same_rows(rows, want_rows)
+        slope, want_slope = summary.pop("slope"), want_summary.pop("slope")
+        assert slope == want_slope or (math.isnan(slope) and math.isnan(want_slope))
+        assert summary == want_summary
+        assert ok == (want_summary["violations"] == 0)
+
+    def test_near_identity_sweep_matches_per_time_loop(self):
+        cfg = {"dimension": 7, "n_values": [1, 4, 64], "t_samples": 25}
+        rows, summary, ok = run_near_identity_sweep(cfg, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        grid = WeightedGrid(np.sort(rng.uniform(0, 1, 7)), np.full(7, 1.0 / 7))
+        want = []
+        for n in cfg["n_values"]:
+            U = near_identity_aws(grid, n)
+            for t in np.linspace(0.0, np.pi * n, 25):
+                want.append({"n": n, "t": float(t),
+                             "measured_dist": float(np.abs(np.exp(1j * t * U.symbol) - 1.0).max()),
+                             "bound": 2.0 * t / n})
+        _same_rows(rows, want)
+        assert ok and summary == {"violations": 0}
+
+
+# every scenario at a size small enough for a unit test
+QUICK = {
+    "quantization_sweep": {"trials": 30, "dimension": 4, "n_values": [8, 64]},
+    "near_identity_sweep": {"dimension": 6, "n_values": [8, 32], "t_samples": 10},
+    "shift_periodization_check": {"cells": 12, "period_cells": 8, "trials": 5},
+    "wold_benchmark": {"trials": 2, "max_unitary_dim": 4, "max_shift_cells": 8},
+    "cantor_demo": {"depth": 6, "num_samples": 2001, "row_stride": 200},
+    "category_escape": {},
+    "metric_tables": {"dimension": 8, "n_values": [32, 64], "J": 4, "N": 4,
+                      "samples_per_block": 8},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_write_outputs_matches_dictwriter(tmp_path, scenario):
+    fn, defaults = SCENARIOS[scenario]
+    cfg = {**defaults, **QUICK[scenario], "scenario": scenario, "seed": 4}
+    rows, summary, ok = fn(cfg, np.random.default_rng(cfg["seed"]))
+    if scenario == "category_escape":
+        # bools, strings, ints and NaN all reach the CSV
+        kinds = {type(v) for v in rows[-1].values()}
+        assert {bool, str, int, float} <= kinds and math.isnan(rows[-1]["metric_to_base"])
+    csv_path, _ = write_outputs(cfg, rows, summary, ok, tmp_path, quiet=True)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _fmt(v) for k, v in row.items()})
+    assert csv_path.read_bytes() == ref.read_bytes()

@@ -5,6 +5,8 @@ import pytest
 
 from stablesemi.constructions import (
     NotIsometricError,
+    _phase_distance,
+    _snap_down,
     NotPeriodicError,
     approximate_isometry_by_aws,
     approximate_isometry_by_periodic,
@@ -71,6 +73,34 @@ class TestQuantization:
         V = MultiplicationGroup(g, np.array([0.0, 0.0]))
         # sup over the grid of |e^{it q} - e^{it q'}| = |e^{it} - 1|
         assert quantization_distance(U, V, 1.0) == pytest.approx(abs(np.exp(1j) - 1))
+
+
+    def test_snap_down_stack_keeps_each_rows_lattice(self):
+        rng = np.random.default_rng(2)
+        ns = np.array([1, 3, 16, 1024, 7])
+        k = rng.integers(-40, 2000, (ns.size, 9)).astype(float)
+        Q = (2.0 * np.pi / ns)[:, None] * k
+        np.testing.assert_array_equal(_snap_down(Q, ns), Q)
+
+    def test_snap_down_stack_matches_per_row_quantize(self):
+        rng = np.random.default_rng(3)
+        ns = rng.choice([1, 8, 64, 512, 1000], 40)
+        Q = rng.uniform(-2 * np.pi, 4 * np.pi, (40, 6))
+        ts = rng.uniform(-10, 10, 40)
+        grid = WeightedGrid.uniform(6)
+        snapped = _snap_down(Q, ns)
+        dist = _phase_distance(Q, snapped, ts)
+        for q, n, t, got, d in zip(Q, ns, ts, snapped, dist):
+            U = MultiplicationGroup(grid, q)
+            V = quantize_symbol(U, int(n)).approximant
+            np.testing.assert_array_equal(got, V.symbol)
+            assert d == quantization_distance(U, V, float(t))
+
+    def test_snap_down_rejects_level_below_one(self):
+        with pytest.raises(ValueError, match="level"):
+            _snap_down(np.zeros((2, 3)), np.array([4, 0]))
+        with pytest.raises(ValueError, match="level"):
+            quantize_symbol(_mult(3, seed=0), 0)
 
 
 class TestNearIdentity:
