@@ -96,8 +96,9 @@ def run_quantization_sweep(cfg: dict, rng: np.random.Generator):
         for n, t, m, b, r in zip(ns.tolist(), ts.tolist(), measured.tolist(),
                                  bound.tolist(), ratio.tolist())
     ]
-    # fit the rate only where the bound is below the trivial cap of 2
-    fit_ns = [n for n in n_values if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
+    # fit the rate over distinct levels, only where the bound is below the
+    # trivial cap of 2
+    fit_ns = [n for n in max_err if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
     slope = _loglog_slope(fit_ns, [max_err[n] for n in fit_ns]) if len(fit_ns) >= 2 else float("nan")
     summary = {
         "violations": violations,
@@ -120,7 +121,7 @@ def run_near_identity_sweep(cfg: dict, rng: np.random.Generator):
         violations += int(np.count_nonzero(measured > bound * (1.0 + 1e-12) + 1e-15))
         rows.extend(
             {"n": n, "t": t, "measured_dist": m, "bound": b}
-            for t, m, b in zip(ts.tolist(), measured.tolist(), bound))
+            for t, m, b in zip(ts.tolist(), measured.tolist(), bound.tolist()))
     return rows, {"violations": violations}, violations == 0
 
 
@@ -349,8 +350,7 @@ def load_config(path: Path) -> dict:
     cfg = dict(defaults)
     cfg.update(raw)
     cfg.setdefault("seed", 0)
-    if scenario in _VALUE_RULES:
-        _check_values(cfg, *_VALUE_RULES[scenario])
+    _check_values(cfg, *_VALUE_RULES[scenario])
     return cfg
 
 
@@ -360,6 +360,14 @@ _VALUE_RULES = {
     "quantization_sweep": ({"dimension": 1, "trials": 1}, ("t_max",), True),
     "near_identity_sweep": ({"dimension": 1, "t_samples": 1}, (), True),
     "cantor_demo": ({"depth": 1, "num_samples": 2, "row_stride": 1}, ("horizon",), False),
+    # one trial draws its period from [1, period_cells)
+    "shift_periodization_check": (
+        {"cells": 1, "period_cells": 2, "trials": 1, "fiber_dim": 1}, (), False),
+    "wold_benchmark": ({"trials": 1, "min_unitary_dim": 0, "max_unitary_dim": 0,
+                        "min_shift_cells": 1, "max_shift_cells": 1}, (), False),
+    "category_escape": ({"dimension": 1, "base_level": 1, "multiples": 1, "witnesses": 1,
+                         "k_max": 1, "copies": 2}, ("eps", "t0"), True),
+    "metric_tables": ({"dimension": 1, "J": 1, "N": 1, "samples_per_block": 2}, (), True),
 }
 
 
@@ -372,6 +380,10 @@ def _check_values(cfg: dict, int_lows: dict, positive: tuple, levels: bool) -> N
     for key, low in int_lows.items():
         if not _is_int(cfg[key]) or cfg[key] < low:
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    for key in int_lows:  # a min_* bound may not exceed its max_*
+        top = "max_" + key[4:]
+        if key.startswith("min_") and cfg[key] > cfg[top]:
+            raise ConfigError(f"{key} must be <= {top}, got {cfg[key]!r} > {cfg[top]!r}")
     for key in positive:
         v = cfg[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:

@@ -34,6 +34,8 @@ from .semigroups import (
     PeriodicShiftGroup,
     SemigroupModel,
     ShiftSemigroup,
+    _columns,
+    _diff_norms,
     one_step_matrix,
     shift_grid,
 )
@@ -395,14 +397,12 @@ def periodization_error_identity(
     The tail bound 2 * sum_{cells >= n-t} h ||f||^2 is the constant claimed
     alongside it; see the tests for how tight it actually is.
     """
-    from .hilbert import difference_norm
-
     h, m = R.step, R.fiber_dim
     ell = int(round(t / h))
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = periodize_shift(R, n_c)
-    lhs = difference_norm(U.apply(t, f), R.apply(t, f)) ** 2
+    lhs = _diff_norms(U, R, _columns(R, [f]), np.array([t], dtype=float))[0, 0] ** 2
     if ell == 0:
         return float(lhs), 0.0, 0.0
 

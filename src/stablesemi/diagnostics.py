@@ -7,16 +7,17 @@ labeled "evidence", never a proof.  On finite grids all spectral measures
 are atomic, so almost weak stability is certified by the combination of a
 simple spectrum (no repeated frequency) and a small Wiener limit.
 
-Spectral path: for a model with a spectral form (multiplication groups,
-periodic shifts, unitary direct sums of these, and conjugations of any of
-them) and vectors on its grid, every correlation is the spectral sum
-<T(t)x, y> = sum_m exp(i t f_m) a_m conj(b_m) with a = B sqrt(mu) x.
-`correlation` evaluates it for one pair and `classify` for all witness
-pairs in one call, without `apply`.  The kernel factors the phases on
-arithmetic time grids (linspace, j*h; any other grid is summed row by row),
-so T times cost about 2 sqrt(T) phase rows, not T.
-Other models (truncated shifts and anything containing one) and vectors
-off the model's grid fall back to one `apply` per (time, vector).
+Two paths compute every correlation <T(t)x, y>, chosen by whether T has a
+spectral form and the vectors lie on T's grid.  Spectral path (multiplication
+groups, periodic shifts, unitary direct sums of these, and conjugations of
+any of them): the spectral sum sum_m exp(i t f_m) a_m conj(b_m) with
+a = B sqrt(mu) x.  The kernel factors the phases on arithmetic time grids
+(linspace, j*h; any other grid is summed row by row), so T times cost about
+2 sqrt(T) phase rows, not T.  Every other model (truncated shifts and
+anything containing one): one batched `_evolve` of all the vectors per
+block of times, reduced by a matrix product.  `correlation` evaluates one
+pair, `classify` all witness pairs in one call, and the membership
+predicates one time.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import DenseSequence, HVector, inner_product_aligned
+from .hilbert import DenseSequence, HVector
 from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
     SemigroupModel,
     _check_times,
+    _columns,
+    _gram,
     _phase_sums,
-    _spectral_coords,
 )
 
 
@@ -58,28 +60,22 @@ class CorrelationTrace:
         return float(self.times[-1])
 
 
-def _spectral_correlations(T: SemigroupModel, vectors, rows, cols, times):
+def _correlations(T: SemigroupModel, vectors, rows, cols, times):
     """(<T(t) v_r, v_c> for each (r, c) pair, one column each; coordinates of
-    the vectors in T's spectral basis), or None when T has no spectral form
-    or a vector is off T.grid."""
+    the vectors: in T's spectral basis on the spectral path, weighted
+    otherwise)."""
+    Z = _columns(T, vectors)
     form = T.spectral_form()
-    A = None if form is None else _spectral_coords(form[1], T.grid, vectors)
-    if A is None:
-        return None
+    if form is None or not vectors[0].grid.same_as(T.grid):
+        return _gram(T, times, Z)[:, cols, rows], Z
     _check_times(T, times)
+    A = Z if form[1] is None else form[1] @ Z
     return _phase_sums(times, form[0], A[:, rows] * A[:, cols].conj()), A
 
 
 def correlation(T: SemigroupModel, x: HVector, y: HVector, time_grid) -> CorrelationTrace:
     times = np.asarray(time_grid, dtype=float)
-    spectral = _spectral_correlations(T, (x, y), [0], [1], times)
-    if spectral is None:
-        values = np.array(
-            [inner_product_aligned(T.apply(t, x), y) for t in times], dtype=complex
-        )
-    else:
-        values = spectral[0][:, 0]
-    return CorrelationTrace(times, values)
+    return CorrelationTrace(times, _correlations(T, (x, y), [0], [1], times)[0][:, 0])
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -234,15 +230,10 @@ def classify(
     diag = diag if isinstance(diag, MultiplicationGroup) else None
     atoms = tuple(detect_atoms(diag, params.mass_threshold)) if diag is not None else ()
 
-    # every pair i <= j in one kernel call; the diagonal pairs are the
+    # every pair i <= j in one call; the diagonal pairs are the
     # autocorrelations
     rows, cols = np.triu_indices(len(normed))
-    spectral = _spectral_correlations(T, normed, rows, cols, times)
-    if spectral is None:
-        values = np.column_stack(
-            [correlation(T, normed[i], normed[j], times).values for i, j in zip(rows, cols)])
-    else:
-        values, coords = spectral
+    values, coords = _correlations(T, normed, rows, cols, times)
 
     w = _trapezoid_weights(times)
     worst_cesaro = 0.0
@@ -258,7 +249,7 @@ def classify(
         worst_cesaro_abs = max(worst_cesaro_abs, float((w * absv).sum() / w.sum()))
         worst_density = min(worst_density, density_estimate(tr, params.eps))
     worst_tail = float(np.abs(values[tail]).max())
-    # apply rejects witnesses off a multiplication group's grid, so here it
+    # witnesses off a multiplication group's grid are rejected, so here it
     # took the spectral path, where |coordinate|^2 is the spectral mass
     worst_wiener = None
     if diag is not None:
@@ -289,15 +280,19 @@ def classify(
     )
 
 
+def _autocorrelation(U: SemigroupModel, x: HVector, t: float) -> complex:
+    return complex(_gram(U, np.array([t], dtype=float), _columns(U, [x]))[0, 0, 0])
+
+
 def mt_membership(U: SemigroupModel, x: HVector, t: float) -> bool:
     """|<U(t)x, x>| <= 1/2 for a unit vector x."""
     if abs(x.norm() - 1.0) > 1e-12:
         raise ValueError("membership in M_t is defined for unit vectors")
-    return abs(inner_product_aligned(U.apply(t, x), x)) <= 0.5
+    return abs(_autocorrelation(U, x, t)) <= 0.5
 
 
 def wjkt_membership(U: SemigroupModel, x_j: HVector, k: int, t: float) -> bool:
     """|<U(t)x_j, x_j>| < 1/k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return abs(inner_product_aligned(U.apply(t, x_j), x_j)) < 1.0 / k
+    return abs(_autocorrelation(U, x_j, t)) < 1.0 / k

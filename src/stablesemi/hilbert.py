@@ -76,6 +76,8 @@ class HVector:
         c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
         if c.ndim != 1 or c.size != self.grid.size:
             raise ValueError("coefficient count must equal grid size")
+        if not np.isfinite(c).all():
+            raise ValueError("all coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -150,11 +152,6 @@ def difference_norm(x: HVector, y: HVector) -> float:
     return (xa - ya).norm()
 
 
-def inner_product_aligned(x: HVector, y: HVector) -> complex:
-    xa, ya = align(x, y)
-    return inner_product(xa, ya)
-
-
 @dataclass(frozen=True)
 class SumSpace:
     """Orthogonal direct sum of component grids, finitely truncated."""
@@ -191,12 +188,6 @@ class SumSpace:
             raise IndexError(f"block index {block} out of range")
         start = self.offsets[block]
         return slice(start, start + self.components[block].size)
-
-    def restrict(self, block: int, x: HVector) -> HVector:
-        """Extract the coefficients of one block as a vector on its grid."""
-        if not x.grid.same_as(self.combined):
-            raise GridMismatchError("vector does not live on the sum space")
-        return HVector(self.components[block], x.coeffs[self.block_slice(block)])
 
 
 def direct_sum_embed(space: SumSpace, block: int, x: HVector) -> HVector:

@@ -13,7 +13,8 @@ on one grid with the same basis (the same array or an equal one), as a model
 and its quantized approximant do: ||S(t)x - T(t)x||^2 is then
 |exp(i t f_S) - exp(i t f_T)|^2 @ |a|^2 with a = B sqrt(mu) x, evaluated in
 time blocks of bounded memory.  Every other pair (shifts, different bases)
-and the weak metric take one `apply` per (time, witness).
+and the weak metric take one batched `_evolve` of all witnesses per model
+and block of times, reduced by a norm or a matrix product.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence, difference_norm, inner_product_aligned
-from .semigroups import SemigroupModel, _phase_gaps, _spectral_coords
+from .hilbert import DenseSequence
+from .semigroups import SemigroupModel, _columns, _diff_norms, _gram, _phase_gaps
 
 
 @dataclass(frozen=True)
@@ -111,30 +112,34 @@ def _same_basis(a, b) -> bool:
     return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
-def _spectral_diffs(S, T, witnesses, times: np.ndarray) -> np.ndarray | None:
+def _spectral_diffs(S, T, grid, Z: np.ndarray, times: np.ndarray) -> np.ndarray | None:
     """||S(t)x - T(t)x|| = sqrt(|e^{itf_S} - e^{itf_T}|^2 @ |a|^2) per (time,
-    witness) when S and T share one grid and one spectral basis; else None."""
+    witness) when S, T and the witnesses share one grid and S and T one
+    spectral basis; else None."""
     fs, ft = S.spectral_form(), T.spectral_form()
-    if fs is None or ft is None or not S.grid.same_as(T.grid) or not _same_basis(fs[1], ft[1]):
+    if (fs is None or ft is None or not grid.same_as(S.grid) or not S.grid.same_as(T.grid)
+            or not _same_basis(fs[1], ft[1])):
         return None
-    A = _spectral_coords(fs[1], S.grid, witnesses)
-    if A is None:
-        return None
+    A = Z if fs[1] is None else fs[1] @ Z
     return np.sqrt(_phase_gaps(times, fs[0] - ft[0], np.abs(A) ** 2))
+
+
+def _witness_columns(S, T, cfg: MetricConfig):
+    """(witness norms, weighted witness columns) after checking that both
+    models act on the witnesses' grid."""
+    witnesses = cfg.dense_seq.vectors[: cfg.J]
+    T._check_grid(witnesses[0].grid)
+    return np.array([x.norm() for x in witnesses]), _columns(S, witnesses)
 
 
 def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
     step = _resolve_step(S, T)
     lo = 0.0 if forward else -float(cfg.N)
     times = _times(cfg, step, lo, float(cfg.N))
-    witnesses = cfg.dense_seq.vectors[: cfg.J]
-    norms = np.array([x.norm() for x in witnesses])
-    diffs = _spectral_diffs(S, T, witnesses, times)
+    norms, Z = _witness_columns(S, T, cfg)
+    diffs = _spectral_diffs(S, T, cfg.dense_seq[0].grid, Z, times)
     if diffs is None:
-        diffs = np.zeros((times.size, cfg.J))
-        for i, t in enumerate(times):
-            for j, x in enumerate(witnesses):
-                diffs[i, j] = difference_norm(S.apply(t, x), T.apply(t, x))
+        diffs = _diff_norms(S, T, Z, times)
     sups = _block_sups(diffs, times, cfg, forward)
     slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
     return _assemble(sups, norms, cfg, _tail_bound_double(cfg.J, cfg.N), slack)
@@ -159,19 +164,10 @@ def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) 
     """Weak metric on contractions: triple-truncated sum over witness pairs."""
     step = _resolve_step(S, T)
     times = _times(cfg, step, 0.0, float(cfg.N))
-    witnesses = cfg.dense_seq.vectors[: cfg.J]
-    norms = np.array([x.norm() for x in witnesses])
+    norms, Z = _witness_columns(S, T, cfg)
     J = cfg.J
-    diffs = np.zeros((times.size, J, J))
-    for it, t in enumerate(times):
-        sx = [S.apply(t, x) for x in witnesses]
-        tx = [T.apply(t, x) for x in witnesses]
-        for i in range(J):
-            for j in range(J):
-                diffs[it, i, j] = abs(
-                    inner_product_aligned(sx[i], witnesses[j])
-                    - inner_product_aligned(tx[i], witnesses[j])
-                )
+    # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|
+    diffs = np.abs(_gram(S, times, Z) - _gram(T, times, Z)).transpose(0, 2, 1)
     value = 0.0
     for n in range(1, cfg.N + 1):
         sup_n = diffs[times <= n + 1e-12].max(axis=0)

@@ -1,4 +1,4 @@
-"""Concrete semigroup representations with a uniform apply/adjoint interface.
+"""Concrete semigroup representations behind one batched evolution.
 
 Four structural models cover everything the constructions produce:
 multiplication (spectral) groups, truncated right shifts, periodic circular
@@ -7,17 +7,22 @@ unitary basis change, which is how mixed/benchmark operators and the outputs
 of the Wold-based approximation pipeline are represented on their original
 ambient space.
 
+Each model defines one private `_evolve(times, X, adjoint)`: T(t) X (or
+T(t)* X) for every time at once, with the columns of X in weighted
+coordinates sqrt(mu) x.  It is a phase for a multiplication group, an index
+shift of cells for a truncated shift, a roll of the first period cells for
+a periodic shift, blocks truncated to each component for a direct sum, and
+B* inner B for a conjugation.  `apply` and `adjoint_apply` are its
+one-column case, `one_step_matrix` is its value at one time on the
+identity, and a time is admissible when `_evolve` accepts it.
+
 Shift conventions: admissible times are integer multiples of the cell step h;
 applying a truncated right shift EXTENDS the payload grid by the shifted
 cells instead of dropping mass, so isometry is exact.  Inside a direct sum
 the ambient space is fixed, so there the overflow of a shift block is
 truncated (that truncated one-step map is exactly what the Wold analysis
-needs).
-
-`one_step_matrix` builds T(h) from each model's structure, not from `apply`:
-a phase diagonal, a (circular) shift of cells, a block-diagonal sum, and
-B* inner(h) B for a conjugation.  Shift grids are memoized, so equal grids
-are one object and compare by identity.
+needs).  Shift grids are memoized, so equal grids are one object and compare
+by identity.
 
 Unitary models also have a spectral form: frequencies and a basis (a
 periodic shift's DFT basis is memoized by shape, like shift grids).  The
@@ -42,7 +47,6 @@ from .hilbert import (
     SumSpace,
     WeightedGrid,
     difference_norm,
-    inner_product,
 )
 
 
@@ -61,16 +65,22 @@ def _shift_steps(t: float, h: float) -> int:
     return ell
 
 
-def _shift_payload_cells(grid: WeightedGrid, step: float, fiber_dim: int) -> int:
-    """Cell count of a payload grid that has weight `step` on every entry.
+def _steps(times: np.ndarray, h: float) -> np.ndarray:
+    """Integer step counts of `times` on the lattice h Z, as a column.
 
-    The weights are finite (WeightedGrid checks), so one max over
-    |w - step| gives the same answer as np.allclose(w, step).
+    Checked one time at a time: an evolution takes few times (`apply` one),
+    where numpy's per-call cost would dominate; `_check_times` applies the
+    same rule vectorized to the long grids of the spectral path.
     """
-    w = grid.weights
-    if w.size % fiber_dim != 0 or np.abs(w - step).max() > 1e-8 + 1e-5 * step:
-        raise GridMismatchError("payload grid is not shift-compatible")
-    return w.size // fiber_dim
+    return np.array([_shift_steps(t, h) for t in times.tolist()], dtype=int)[:, None]
+
+
+def _rows(X: np.ndarray, src: np.ndarray, extra: int) -> np.ndarray:
+    """Rows `src` (times x rows) of X with `extra` zero rows appended; an
+    index in [-extra, 0) counts from the end, so it reads a zero row too."""
+    padded = np.zeros((X.shape[0] + extra, X.shape[1]), dtype=complex)
+    padded[: X.shape[0]] = X
+    return padded[src]
 
 
 def shift_grid(cells: int, step: float, fiber_dim: int = 1) -> WeightedGrid:
@@ -88,19 +98,50 @@ def _shift_grid(cells: int, step: float, fiber_dim: int) -> WeightedGrid:
 
 
 class SemigroupModel:
-    """Common interface; concrete models subclass this."""
+    """Common interface; concrete models subclass this and define `_evolve`."""
 
     is_unitary: bool = False
     is_isometric: bool = False
 
-    def apply(self, t: float, x: HVector) -> HVector:
+    def _evolve(self, times: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
+        """T(t) X, or T(t)* X when adjoint, for each of the 1-d `times`.
+
+        X holds weighted coordinates, one column per vector, on a grid the
+        model accepts (`_check_grid`).  The result is times x rows x
+        columns; it has more rows than X only where a shift extends its
+        payload.  Raises InadmissibleTimeError for a time off the model's
+        admissible set.
+        """
         raise NotImplementedError
+
+    def _check_grid(self, grid: WeightedGrid) -> None:
+        """Raise GridMismatchError unless the model acts on vectors over grid."""
+        if not grid.same_as(self.grid):
+            raise GridMismatchError("vector does not live on the model's grid")
+
+    def _out_grid(self, rows: int) -> WeightedGrid:
+        """Grid of an evolved vector with `rows` coefficients."""
+        return self.grid
+
+    def apply(self, t: float, x: HVector) -> HVector:
+        return self._act(t, x, adjoint=False)
 
     def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        raise NotImplementedError
+        return self._act(t, x, adjoint=True)
+
+    def _act(self, t: float, x: HVector, adjoint: bool) -> HVector:
+        self._check_grid(x.grid)
+        z = np.sqrt(x.grid.weights) * x.coeffs
+        y = self._evolve(np.array([t], dtype=float), z[:, None], adjoint)[0, :, 0]
+        grid = self._out_grid(y.size)
+        return HVector(grid, y / np.sqrt(grid.weights))
 
     def admissible(self, t: float) -> bool:
-        raise NotImplementedError
+        try:
+            self._evolve(np.array([t], dtype=float), np.zeros((self.grid.size, 0)), False)
+        except InadmissibleTimeError:
+            return False
+        return True
 
     @property
     def grid(self) -> WeightedGrid:
@@ -122,10 +163,6 @@ class SemigroupModel:
         parts disagree on their time step or act on a longer component grid
         than their own."""
         return None
-
-    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
-        """Matrix of T(h) in weighted coordinates of `grid`, truncated to it."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -150,16 +187,8 @@ class MultiplicationGroup(SemigroupModel):
     def grid(self) -> WeightedGrid:
         return self._grid
 
-    def admissible(self, t: float) -> bool:
-        return True
-
-    def apply(self, t: float, x: HVector) -> HVector:
-        if not x.grid.same_as(self._grid):
-            raise GridMismatchError("vector does not live on the model's grid")
-        return HVector(self._grid, np.exp(1j * t * self.symbol) * x.coeffs)
-
-    def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        return self.apply(-t, x)
+    def _evolve(self, times, X, adjoint):
+        return _phases(-times if adjoint else times, self.symbol)[:, :, None] * X
 
     def max_frequency(self) -> float:
         return float(np.abs(self.symbol).max())
@@ -167,14 +196,28 @@ class MultiplicationGroup(SemigroupModel):
     def spectral_form(self) -> tuple[np.ndarray, None]:
         return self.symbol, None
 
-    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
-        if not grid.same_as(self._grid):
-            raise GridMismatchError("vector does not live on the model's grid")
-        return np.diag(np.exp(1j * h * self.symbol))
+
+class _CellModel(SemigroupModel):
+    """The two shifts: they act on cell-major payloads of any length whose
+    entries all weigh `step`, and their times are multiples of `step`."""
+
+    @property
+    def time_step(self) -> float:
+        return self.step
+
+    def _check_grid(self, grid: WeightedGrid) -> None:
+        # the weights are finite (WeightedGrid checks), so one max over
+        # |w - step| gives the same answer as np.allclose(w, step)
+        w = grid.weights
+        if w.size % self.fiber_dim or np.abs(w - self.step).max() > 1e-8 + 1e-5 * self.step:
+            raise GridMismatchError("payload grid is not shift-compatible")
+
+    def _out_grid(self, rows: int) -> WeightedGrid:
+        return shift_grid(rows // self.fiber_dim, self.step, self.fiber_dim)
 
 
 @dataclass(frozen=True)
-class ShiftSemigroup(SemigroupModel):
+class ShiftSemigroup(_CellModel):
     """Truncated right shift on cell-major payloads; isometric, not unitary.
 
     `cells` is the nominal payload size; apply accepts any payload whose
@@ -196,54 +239,22 @@ class ShiftSemigroup(SemigroupModel):
     def grid(self) -> WeightedGrid:
         return shift_grid(self.cells, self.step, self.fiber_dim)
 
-    @property
-    def time_step(self) -> float:
-        return self.step
-
-    def admissible(self, t: float) -> bool:
-        if t < -1e-12:
-            return False
-        try:
-            _shift_steps(t, self.step)
-        except InadmissibleTimeError:
-            return False
-        return True
-
-    def apply(self, t: float, x: HVector) -> HVector:
-        if t < -1e-12:
+    def _evolve(self, times, X, adjoint):
+        if times.min() < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
-        ell = _shift_steps(t, self.step)
-        n = _shift_payload_cells(x.grid, self.step, self.fiber_dim)
-        m = self.fiber_dim
-        out = np.zeros((n + ell) * m, dtype=complex)
-        out[ell * m :] = x.coeffs
-        return HVector(shift_grid(n + ell, self.step, m), out)
-
-    def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        if t < -1e-12:
-            raise InadmissibleTimeError("right shift only admits t >= 0")
-        ell = _shift_steps(t, self.step)
-        n = _shift_payload_cells(x.grid, self.step, self.fiber_dim)
-        m = self.fiber_dim
-        out = np.zeros(n * m, dtype=complex)
-        if ell < n:
-            out[: (n - ell) * m] = x.coeffs[ell * m :]
-        return HVector(shift_grid(n, self.step, m), out)
-
-    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
-        if h < -1e-12:
-            raise InadmissibleTimeError("right shift only admits t >= 0")
-        ell = _shift_steps(h, self.step)
-        k = _shift_payload_cells(grid, self.step, self.fiber_dim) * self.fiber_dim
-        return np.eye(k, k=-ell * self.fiber_dim, dtype=complex)
+        d = _steps(times, self.step) * self.fiber_dim
+        k, extra = X.shape[0], int(d.max())
+        if adjoint:  # left shift; the payload keeps its length
+            return _rows(X, np.arange(k) + d, extra)
+        return _rows(X, np.arange(k + extra) - d, extra)
 
 
 @dataclass(frozen=True)
-class PeriodicShiftGroup(SemigroupModel):
+class PeriodicShiftGroup(_CellModel):
     """Circular shift on the first `period_cells` cells, identity above.
 
     Unitary with period period_cells * step; a group, so negative times are
-    admissible.
+    admissible.  A payload shorter than the period is zero-padded to it.
     """
 
     period_cells: int
@@ -264,44 +275,14 @@ class PeriodicShiftGroup(SemigroupModel):
     def grid(self) -> WeightedGrid:
         return shift_grid(self.period_cells, self.step, self.fiber_dim)
 
-    @property
-    def time_step(self) -> float:
-        return self.step
-
-    def admissible(self, t: float) -> bool:
-        try:
-            _shift_steps(t, self.step)
-        except InadmissibleTimeError:
-            return False
-        return True
-
-    def apply(self, t: float, x: HVector) -> HVector:
-        ell = _shift_steps(t, self.step)
-        m = self.fiber_dim
-        n = _shift_payload_cells(x.grid, self.step, m)
-        nc = self.period_cells
-        if n < nc:
-            c = np.zeros(nc * m, dtype=complex)
-            c[: x.grid.size] = x.coeffs
-            n = nc
-        else:
-            c = x.coeffs.copy()
-        cells = c[: nc * m].reshape(nc, m)
-        c[: nc * m] = np.roll(cells, ell % nc, axis=0).reshape(-1)
-        return HVector(shift_grid(n, self.step, m), c)
-
-    def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        return self.apply(-t, x)
-
-    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
-        # roll the first nc cells, identity above them; a payload grid
-        # shorter than the period sees the truncation of that map
-        ell = _shift_steps(h, self.step)
-        m, nc = self.fiber_dim, self.period_cells
-        k = _shift_payload_cells(grid, self.step, m) * m
-        W = np.eye(max(k, nc * m), dtype=complex)
-        W[: nc * m, : nc * m] = np.kron(np.roll(np.eye(nc), ell % nc, axis=0), np.eye(m))
-        return W[:k, :k]
+    def _evolve(self, times, X, adjoint):
+        ell = _steps(times, self.step) * (-1 if adjoint else 1)
+        m, p = self.fiber_dim, self.period_cells * self.fiber_dim
+        r = np.arange(max(X.shape[0], p))
+        # a row of the first period_cells cells reads the same slot of the
+        # cell ell before it, mod the period; the rows above stay
+        src = np.where(r < p, (r // m - ell) % self.period_cells * m + r % m, r)
+        return _rows(X, src, r.size - X.shape[0])
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
         return _dft_form(self.period_cells, self.step, self.fiber_dim)
@@ -361,19 +342,18 @@ class DirectSumSemigroup(SemigroupModel):
             raise ValueError("parts with different time steps are not supported")
         return steps.pop()
 
-    def admissible(self, t: float) -> bool:
-        return all(p.admissible(t) for p in self.parts)
-
     def max_frequency(self):
         freqs = [p.max_frequency() for p in self.parts]
         known = [f for f in freqs if f is not None]
         return max(known) if known else None
 
-    def apply(self, t: float, x: HVector) -> HVector:
-        return self._blockwise(t, x, adjoint=False)
-
-    def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        return self._blockwise(t, x, adjoint=True)
+    def _evolve(self, times, X, adjoint):
+        out = np.empty((times.size, *X.shape), dtype=complex)
+        for b, (part, g) in enumerate(zip(self.parts, self.space.components)):
+            part._check_grid(g)
+            sl = self.space.block_slice(b)
+            out[:, sl] = part._evolve(times, X[sl], adjoint)[:, : g.size]
+        return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
         """Block-diagonal form; None unless every part has one on its own
@@ -393,26 +373,6 @@ class DirectSumSemigroup(SemigroupModel):
             sl = self.space.block_slice(i)
             basis[sl, sl] = np.eye(f.size) if b is None else b
         return freqs, basis
-
-    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
-        if not grid.same_as(self.space.combined):
-            raise GridMismatchError("vector does not live on the sum space")
-        W = np.zeros((grid.size, grid.size), dtype=complex)
-        for b, (part, g) in enumerate(zip(self.parts, self.space.components)):
-            sl = self.space.block_slice(b)
-            W[sl, sl] = part._one_step(h, g)
-        return W
-
-    def _blockwise(self, t: float, x: HVector, adjoint: bool) -> HVector:
-        if not x.grid.same_as(self.space.combined):
-            raise GridMismatchError("vector does not live on the sum space")
-        out = np.zeros(self.space.dimension, dtype=complex)
-        for b, part in enumerate(self.parts):
-            xb = self.space.restrict(b, x)
-            yb = part.adjoint_apply(t, xb) if adjoint else part.apply(t, xb)
-            size = self.space.components[b].size
-            out[self.space.block_slice(b)] = yb.coeffs[:size]
-        return HVector(self.space.combined, out)
 
 
 @dataclass(frozen=True)
@@ -457,11 +417,11 @@ class ConjugatedGroup(SemigroupModel):
     def time_step(self):
         return self.inner.time_step
 
-    def admissible(self, t: float) -> bool:
-        return self.inner.admissible(t)
-
     def max_frequency(self):
         return self.inner.max_frequency()
+
+    def _evolve(self, times, X, adjoint):
+        return self.basis.conj().T @ self.inner._evolve(times, self.basis @ X, adjoint)
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
         form = self.inner.spectral_form()
@@ -470,33 +430,11 @@ class ConjugatedGroup(SemigroupModel):
         freqs, inner_basis = form
         return freqs, self.basis if inner_basis is None else inner_basis @ self.basis
 
-    def _conjugate(self, t: float, x: HVector, adjoint: bool) -> HVector:
-        if not x.grid.same_as(self._grid):
-            raise GridMismatchError("vector does not live on the model's grid")
-        sw_out = np.sqrt(self._grid.weights)
-        sw_in = np.sqrt(self.inner.grid.weights)
-        z = self.basis @ (sw_out * x.coeffs)
-        xi = HVector(self.inner.grid, z / sw_in)
-        yi = self.inner.adjoint_apply(t, xi) if adjoint else self.inner.apply(t, xi)
-        zo = self.basis.conj().T @ (sw_in * yi.coeffs)
-        return HVector(self._grid, zo / sw_out)
 
-    def _one_step(self, h: float, grid: WeightedGrid) -> np.ndarray:
-        if not grid.same_as(self._grid):
-            raise GridMismatchError("vector does not live on the model's grid")
-        return self.basis.conj().T @ self.inner._one_step(h, self.inner.grid) @ self.basis
+# --- batched kernels ---------------------------------------------------------
 
-    def apply(self, t: float, x: HVector) -> HVector:
-        return self._conjugate(t, x, adjoint=False)
-
-    def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        return self._conjugate(t, x, adjoint=True)
-
-
-# --- spectral kernels --------------------------------------------------------
-
-# Entries (times x frequencies x columns) evaluated at once by the kernels
-# below; it bounds their blocked working memory at a few MB.
+# Entries (times x frequencies or rows x columns) evaluated at once by the
+# kernels below; it bounds their blocked working memory at a few MB.
 _PHASE_BLOCK = 1 << 16
 
 
@@ -511,12 +449,17 @@ def _check_times(T: SemigroupModel, times: np.ndarray) -> None:
             f"t={times[off].flat[0]} is not an integer multiple of step {h}")
 
 
-def _spectral_coords(basis, grid: WeightedGrid, vectors) -> np.ndarray | None:
-    """Columns B (sqrt(mu) x), one per vector; None when a vector is off grid."""
+def _columns(T: SemigroupModel, vectors) -> np.ndarray:
+    """Weighted coordinates sqrt(mu) x, one column per vector.
+
+    Raises GridMismatchError unless the vectors share one grid that T acts
+    on: T's own grid, or for a shift any shift-compatible payload grid.
+    """
+    grid = vectors[0].grid
     if not all(v.grid.same_as(grid) for v in vectors):
-        return None
-    Z = np.sqrt(grid.weights)[:, None] * np.column_stack([v.coeffs for v in vectors])
-    return Z if basis is None else basis @ Z
+        raise GridMismatchError("vectors do not share one grid")
+    T._check_grid(grid)
+    return np.sqrt(grid.weights)[:, None] * np.column_stack([v.coeffs for v in vectors])
 
 
 def _time_blocks(n_times: int, row_size: int):
@@ -594,6 +537,33 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
     return out
 
 
+def _diff_norms(S: SemigroupModel, T: SemigroupModel, Z: np.ndarray,
+                times: np.ndarray) -> np.ndarray:
+    """||S(t)z - T(t)z|| per (time, column of Z), one `_evolve` per model and
+    time block; a shift's longer output meets zeros of the other."""
+    out = np.empty((times.size, Z.shape[1]))
+    for sl in _time_blocks(times.size, Z.size):
+        a, b = S._evolve(times[sl], Z, False), T._evolve(times[sl], Z, False)
+        if a.shape[1] < b.shape[1]:
+            a, b = b, a
+        a[:, : b.shape[1]] -= b
+        out[sl] = np.sqrt((np.abs(a) ** 2).sum(axis=1))
+    return out
+
+
+def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """G[t, j, i] = <T(t) z_i, z_j> for the weighted columns z of Z.
+
+    One `_evolve` per time block, reduced by a matrix product; the cells a
+    shift extends its payload by meet zeros of z_j.
+    """
+    k = Z.shape[0]
+    G = np.empty((times.size, Z.shape[1], Z.shape[1]), dtype=complex)
+    for sl in _time_blocks(times.size, Z.size):
+        G[sl] = Z.conj().T @ T._evolve(times[sl], Z, False)[:, :k]
+    return G
+
+
 def check_semigroup_law(
     T: SemigroupModel, t: float, s: float, x: HVector, tol: float
 ) -> bool:
@@ -625,11 +595,11 @@ def check_unitarity(T: SemigroupModel, t: float, sample, tol: float) -> bool:
 def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:
     """Matrix of T(h) in weighted coordinates on the model's nominal grid.
 
-    Built from the model's structure, with no `apply` call.  Overflow of
-    extending shifts is truncated, so the result always has the nominal
-    dimension.
+    One `_evolve` on the identity.  Overflow of extending shifts is
+    truncated, so the result always has the nominal dimension.
     """
-    return T._one_step(h, T.grid)
+    k = T.grid.size
+    return T._evolve(np.array([h], dtype=float), np.eye(k, dtype=complex), False)[0, :k]
 
 
 # --- serialization (CLI round-tripping) -------------------------------------

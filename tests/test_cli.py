@@ -85,6 +85,20 @@ class TestConfig:
         ("near_identity_sweep", {"dimension": 0}),
         ("near_identity_sweep", {"t_samples": 0}),
         ("near_identity_sweep", {"t_samples": None}),
+        ("shift_periodization_check", {"period_cells": 1}),
+        ("shift_periodization_check", {"cells": 0}),
+        ("shift_periodization_check", {"trials": 0}),
+        ("wold_benchmark", {"trials": -1}),
+        ("wold_benchmark", {"min_unitary_dim": 5, "max_unitary_dim": 4}),
+        ("wold_benchmark", {"min_shift_cells": 9, "max_shift_cells": 8}),
+        ("wold_benchmark", {"min_shift_cells": 0}),
+        ("category_escape", {"witnesses": 0}),
+        ("category_escape", {"copies": 1}),
+        ("category_escape", {"eps": 0.0}),
+        ("category_escape", {"n_values": [64, 0]}),
+        ("metric_tables", {"J": 0}),
+        ("metric_tables", {"samples_per_block": 1}),
+        ("metric_tables", {"n_values": []}),
     ])
     def test_sweep_values_rejected(self, tmp_path, scenario, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
@@ -112,6 +126,10 @@ class TestMain:
 
     @pytest.mark.parametrize("bad", [
         {"n_values": [0]}, {"n_values": []}, {"n_values": [8.5]}, {"dimension": 0},
+        {"scenario": "metric_tables", "J": 0},
+        {"scenario": "category_escape", "witnesses": 0},
+        {"scenario": "shift_periodization_check", "period_cells": 1},
+        {"scenario": "wold_benchmark", "trials": -1},
     ])
     def test_bad_sweep_value_exits_2(self, tmp_path, bad):
         cfgp = _write(tmp_path, "bad.json", {"scenario": "quantization_sweep", **bad})
@@ -217,7 +235,7 @@ def _reference_quantization_sweep(cfg):
         max_err[n] = max(max_err[n], measured)
         rows.append({"n": n, "t": t, "measured_dist": measured, "bound": bound,
                      "ratio": measured / bound if bound > 0 else 0.0})
-    fit_ns = [n for n in n_values if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
+    fit_ns = [n for n in max_err if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
     slope = (float(np.polyfit(np.log(fit_ns), np.log([max_err[n] for n in fit_ns]), 1)[0])
              if len(fit_ns) >= 2 else float("nan"))
     summary = {"violations": violations, "slope": slope, "fit_n_values": fit_ns,
@@ -237,6 +255,8 @@ class TestBatchedSweeps:
         {"trials": 300},
         {"trials": 50, "n_values": [8]},
         {"trials": 200, "dimension": 5, "t_max": 3.0, "n_values": [64, 8, 64, 512, 8]},
+        # one distinct level below the cap leaves no rate to fit
+        {"trials": 60, "seed": 0, "n_values": [16, 16, 64, 3, 64]},
     ])
     def test_quantization_sweep_matches_per_trial_loop(self, overrides):
         cfg = {**SCENARIOS["quantization_sweep"][1], "seed": 11, **overrides}
@@ -247,6 +267,7 @@ class TestBatchedSweeps:
         assert slope == want_slope or (math.isnan(slope) and math.isnan(want_slope))
         assert summary == want_summary
         assert ok == (want_summary["violations"] == 0)
+        assert len(set(summary["fit_n_values"])) == len(summary["fit_n_values"])
 
     def test_near_identity_sweep_matches_per_time_loop(self):
         cfg = {"dimension": 7, "n_values": [1, 4, 64], "t_samples": 25}
@@ -259,7 +280,7 @@ class TestBatchedSweeps:
             for t in np.linspace(0.0, np.pi * n, 25):
                 want.append({"n": n, "t": float(t),
                              "measured_dist": float(np.abs(np.exp(1j * t * U.symbol) - 1.0).max()),
-                             "bound": 2.0 * t / n})
+                             "bound": float(2.0 * t / n)})
         _same_rows(rows, want)
         assert ok and summary == {"violations": 0}
 
@@ -287,6 +308,7 @@ def test_write_outputs_matches_dictwriter(tmp_path, scenario):
         kinds = {type(v) for v in rows[-1].values()}
         assert {bool, str, int, float} <= kinds and math.isnan(rows[-1]["metric_to_base"])
     csv_path, _ = write_outputs(cfg, rows, summary, ok, tmp_path, quiet=True)
+    assert b"np." not in csv_path.read_bytes()  # every value is a plain Python number
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")

@@ -12,7 +12,6 @@ from stablesemi.hilbert import (
     difference_norm,
     direct_sum_embed,
     inner_product,
-    inner_product_aligned,
     pad_to_grid,
 )
 
@@ -54,6 +53,11 @@ class TestWeightedGrid:
 
 
 class TestHVector:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HVector(WeightedGrid.uniform(3), np.array([1.0, bad, 0.0]))
+
     def test_norm_uniform(self):
         g = WeightedGrid.uniform(4, 0.25)
         x = HVector(g, np.ones(4))
@@ -104,12 +108,13 @@ class TestSumSpace:
         assert emb.norm() == pytest.approx(x.norm(), abs=1e-14)
         assert space.dimension == 8
 
-    def test_restrict_inverts_embed(self):
+    def test_block_slice_inverts_embed(self):
         g1, g2 = WeightedGrid.uniform(3), WeightedGrid.uniform(5)
         space = SumSpace((g1, g2))
         x = _vec(g2, 5)
-        back = space.restrict(1, direct_sum_embed(space, 1, x))
-        np.testing.assert_allclose(back.coeffs, x.coeffs)
+        emb = direct_sum_embed(space, 1, x)
+        np.testing.assert_array_equal(emb.coeffs[space.block_slice(1)], x.coeffs)
+        np.testing.assert_array_equal(emb.coeffs[space.block_slice(0)], 0.0)
 
     def test_pythagoras_across_blocks(self):
         g1, g2 = WeightedGrid.uniform(3, 0.7), WeightedGrid.uniform(4, 0.1)
@@ -142,7 +147,7 @@ class TestAlignment:
         x = HVector(g, np.array([1.0, 2.0, 0.0, 0.0]))
         y = HVector(gx, np.array([1.0, 0.0, 0.0, 0.0, 3.0, 0.0]))
         assert difference_norm(x, y) == pytest.approx(np.sqrt(4.0 + 9.0))
-        assert inner_product_aligned(x, y) == pytest.approx(1.0)
+        assert inner_product(*align(x, y)) == pytest.approx(1.0)
 
 
 class TestDenseSequence:

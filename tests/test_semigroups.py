@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablesemi.hilbert import (
-    GridMismatchError, HVector, SumSpace, WeightedGrid, inner_product_aligned)
+    GridMismatchError, HVector, SumSpace, WeightedGrid, align, inner_product)
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -19,6 +19,8 @@ from stablesemi.semigroups import (
     one_step_matrix,
     shift_grid,
 )
+
+from reference import operator_matrix
 
 
 def _rvec(grid, seed=0):
@@ -87,9 +89,9 @@ class TestShiftSemigroup:
         f = _rvec(R.grid, 6)
         big = shift_grid(12 + 3, 1.0)
         g = _rvec(big, 7)
-        lhs = inner_product_aligned(R.apply(3.0, f), g)
+        lhs = inner_product(*align(R.apply(3.0, f), g))
         gm = HVector(R.grid, g.coeffs[3: 3 + 12])
-        rhs = inner_product_aligned(f, gm)
+        rhs = inner_product(f, gm)
         # adjoint_apply left-shifts the payload by the same number of cells
         gshift = R.adjoint_apply(3.0, HVector(R.grid, g.coeffs[:12]))
         np.testing.assert_allclose(gshift.coeffs[: 12 - 3], g.coeffs[3:12], atol=1e-14)
@@ -234,27 +236,79 @@ def _zoo(kind, seed):
     return ConjugatedGroup(outer, q * (np.diag(r) / np.abs(np.diag(r))), dsum)
 
 
-def _one_step_reference(T, h):
-    """T(h) one weighted basis column at a time through apply."""
-    g = T.grid
-    sw = np.sqrt(g.weights)
-    W = np.zeros((g.size, g.size), dtype=complex)
-    for j in range(g.size):
-        e = np.zeros(g.size, dtype=complex)
-        e[j] = 1.0 / sw[j]
-        y = T.apply(h, HVector(g, e))
-        W[:, j] = (np.sqrt(y.grid.weights) * y.coeffs)[: g.size]
-    return W
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(1, 3))
-def test_one_step_matrix_matches_apply_columns(kind, seed, steps):
+def test_one_step_matrix_matches_construction_data(kind, seed, steps):
     T = _zoo(kind, seed)
     h = steps * ZOO_STEP
     W = one_step_matrix(T, h)
-    assert W.shape == (T.grid.size,) * 2
-    assert np.abs(W - _one_step_reference(T, h)).max() <= 1e-13
+    k = T.grid.size
+    assert W.shape == (k, k)
+    assert np.abs(W - operator_matrix(T, h)[:k, :k]).max() <= 1e-13
+
+
+def _random_matrix(rng, rows, cols=3):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _pad(Y, rows):
+    return np.concatenate([Y, np.zeros((rows - Y.shape[0], Y.shape[1]))])
+
+
+zoo_cases = given(st.sampled_from(ZOO), st.integers(0, 10 ** 6),
+                  st.lists(st.integers(0, 6), min_size=1, max_size=5))
+
+
+@settings(max_examples=40, deadline=None)
+@zoo_cases
+def test_evolve_matches_construction_data(kind, seed, steps):
+    T = _zoo(kind, seed)
+    X = _random_matrix(np.random.default_rng(seed), T.grid.size)
+    times = ZOO_STEP * np.array(steps, dtype=float)
+    Y = T._evolve(times, X, False)
+    for t, y in zip(times, Y):
+        want = operator_matrix(T, t) @ X
+        assert np.abs(_pad(want, y.shape[0]) - y).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@zoo_cases
+def test_evolve_over_many_times_stacks_single_times(kind, seed, steps):
+    T = _zoo(kind, seed)
+    X = _random_matrix(np.random.default_rng(seed), T.grid.size)
+    times = ZOO_STEP * np.array(steps, dtype=float)
+    Y = T._evolve(times, X, False)
+    for i, t in enumerate(times):
+        one = T._evolve(times[i : i + 1], X, False)[0]
+        np.testing.assert_array_equal(_pad(one, Y.shape[1]), Y[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(0, 6), st.integers(0, 6))
+def test_evolve_obeys_the_semigroup_law_on_the_step_lattice(kind, seed, a, b):
+    T = _zoo(kind, seed)
+    X = _random_matrix(np.random.default_rng(seed), T.grid.size)
+    ta, tb = a * ZOO_STEP, b * ZOO_STEP
+    both = T._evolve(np.array([ta + tb]), X, False)[0]
+    stepwise = T._evolve(np.array([ta]), T._evolve(np.array([tb]), X, False)[0], False)[0]
+    assert np.abs(both - stepwise).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(0, 6))
+def test_evolve_adjoint_is_the_adjoint(kind, seed, steps):
+    # <T(t)x, y> = <x, T(t)* y>, y on the space T(t)x lives on
+    T = _zoo(kind, seed)
+    rng = np.random.default_rng(seed)
+    k = T.grid.size
+    X = _random_matrix(rng, k)
+    t = np.array([steps * ZOO_STEP])
+    TX = T._evolve(t, X, False)[0]
+    Y = _random_matrix(rng, TX.shape[0])
+    TsY = T._evolve(t, Y, True)[0]
+    assert TsY.shape == Y.shape
+    np.testing.assert_allclose(Y.conj().T @ TX, TsY[:k].conj().T @ X, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(TsY[k:], 0.0)
 
 
 @pytest.mark.parametrize("kind", ["shift", "dsum_shift", "conj_dsum"])

@@ -1,5 +1,7 @@
-"""The spectral path of correlation, classify and the strong metrics, checked
-against plain apply loops over a zoo of unitary models."""
+"""The spectral path of correlation, classify and the strong metrics over a
+zoo of unitary models, and the `_evolve` path they take otherwise over
+shift and Wold-sum pairs, checked against per-time loops over reference
+matrices built from construction data."""
 
 import math
 import tracemalloc
@@ -9,21 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablesemi.constructions import cantor_group, quantize_symbol
-from stablesemi.diagnostics import ClassifyParams, classify, correlation, detect_atoms
+from stablesemi.diagnostics import (
+    ClassifyParams, classify, correlation, detect_atoms, mt_membership, wjkt_membership)
 from stablesemi.hilbert import (
-    DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid, difference_norm,
-    inner_product)
-from stablesemi.metrics import MetricConfig, metric_isometric, metric_unitary
+    DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
+from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
     InadmissibleTimeError,
     MultiplicationGroup,
     PeriodicShiftGroup,
+    ShiftSemigroup,
     _dft_form,
     _phase_sums,
     _time_split,
 )
+
+from reference import operator_matrix, weighted
 
 KINDS = ("mult", "periodic", "dsum", "conj_mult", "conj_dsum")
 TOL = 1e-12
@@ -85,7 +90,10 @@ def _times(T, rng, count=25):
 
 
 def _corr_reference(T, x, y, times):
-    return np.array([inner_product(T.apply(t, x), y) for t in times])
+    # a shift's extension cells meet zeros of y
+    k = y.grid.size
+    return np.array([np.vdot(weighted(y), (operator_matrix(T, t) @ weighted(x))[:k])
+                     for t in times])
 
 
 cases = given(st.sampled_from(KINDS), st.integers(0, 10 ** 6))
@@ -167,19 +175,101 @@ def test_classify_matches_apply_loop(kind, seed):
         assert rep.wiener_closed_form is None and rep.atoms == ()
 
 
-def _metric_reference(S, T, cfg):
+def _metric_times(S, T, cfg, lo):
     h = S.time_step or T.time_step
-    N, J = cfg.N, cfg.J
     if h is None:
-        times = np.arange(-N * cfg.samples_per_block, N * cfg.samples_per_block + 1) / cfg.samples_per_block
-    else:
-        times = np.arange(np.ceil(-N / h - 1e-12), np.floor(N / h + 1e-12) + 1) * h
+        spb = cfg.samples_per_block
+        return np.arange(lo * spb, cfg.N * spb + 1) / spb
+    return np.arange(np.ceil(lo / h - 1e-12), np.floor(cfg.N / h + 1e-12) + 1) * h
+
+
+def _images(S, T, t, x):
+    """S(t)x and T(t)x in weighted coordinates, the shorter zero-padded."""
+    a, b = (operator_matrix(M, t) @ weighted(x) for M in (S, T))
+    rows = max(a.size, b.size)
+    return np.pad(a, (0, rows - a.size)), np.pad(b, (0, rows - b.size))
+
+
+def _metric_reference(S, T, cfg, forward=False):
+    N, J = cfg.N, cfg.J
+    times = _metric_times(S, T, cfg, 0 if forward else -N)
     value = 0.0
     for j, x in enumerate(cfg.dense_seq.vectors[:J], start=1):
-        diffs = np.array([difference_norm(S.apply(t, x), T.apply(t, x)) for t in times])
+        diffs = np.array([np.linalg.norm(np.subtract(*_images(S, T, t, x))) for t in times])
         for n in range(1, N + 1):
             value += 2.0 ** -(n + j) * diffs[np.abs(times) <= n + 1e-12].max() / x.norm()
     return value
+
+
+def _contractive_reference(S, T, cfg):
+    N, wit = cfg.N, cfg.dense_seq.vectors[: cfg.J]
+    times = _metric_times(S, T, cfg, 0)
+    value = 0.0
+    for i, x in enumerate(wit, start=1):
+        for j, y in enumerate(wit, start=1):
+            diffs = []
+            for t in times:
+                a, b = _images(S, T, t, x)
+                wy = np.pad(weighted(y), (0, a.size - y.grid.size))
+                diffs.append(abs(np.vdot(wy, a) - np.vdot(wy, b)))
+            diffs = np.array(diffs)
+            for n in range(1, N + 1):
+                value += (2.0 ** -(i + j + n) * diffs[times <= n + 1e-12].max()
+                          / (x.norm() * y.norm()))
+    return value
+
+
+def _evolve_pair(name, seed):
+    """Model pairs off the spectral path: a truncated shift against its
+    periodization, and a conjugated Wold sum (Mult (+) Shift) against a
+    conjugated multiplication group in another basis."""
+    rng = np.random.default_rng(seed)
+    if name == "shift_periodization":
+        return ShiftSemigroup(0.5, 5, fiber_dim=2), PeriodicShiftGroup(5, 0.5, fiber_dim=2)
+    mult = MultiplicationGroup(WeightedGrid.uniform(3), rng.uniform(-2.0, 2.0, 3))
+    shift = ShiftSemigroup(1.0, 4)
+    inner = DirectSumSemigroup(SumSpace((mult.grid, shift.grid)), (mult, shift))
+    outer = _grid(rng, 7)
+    other = MultiplicationGroup(WeightedGrid.uniform(7), rng.uniform(-2.0, 2.0, 7))
+    return (ConjugatedGroup(outer, _unitary(rng, 7), inner),
+            ConjugatedGroup(outer, _unitary(rng, 7), other))
+
+
+evolve_pairs = given(st.sampled_from(["shift_periodization", "wold_sum"]), st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=10, deadline=None)
+@evolve_pairs
+def test_diagnostics_off_the_spectral_path_match_reference(name, seed):
+    T, _ = _evolve_pair(name, seed)
+    wit = DenseSequence.gaussian(T.grid, 3, seed=seed)
+    x, y = wit[0], wit[1]
+    times = np.arange(12) * T.time_step
+    want = _corr_reference(T, x, y, times)
+    assert np.abs(correlation(T, x, y, times).values - want).max() <= TOL * x.norm() * y.norm()
+    p = ClassifyParams(horizon=8.0, eps=0.2)
+    rep = classify(T, wit, p)
+    ref, selfs = _classify_reference(T, wit, p)
+    for key, want in ref.items():
+        if key == "density_est" and any(np.any(np.abs(c - p.eps) < 1e-9) for c in selfs):
+            continue  # a value on the threshold may fall either side
+        assert getattr(rep, key) == pytest.approx(want, rel=TOL, abs=TOL), key
+    u, t = x.normalized(), 3 * T.time_step
+    value = abs(_corr_reference(T, u, u, [t])[0])
+    assert mt_membership(T, u, t) == (value <= 0.5)
+    assert wjkt_membership(T, u, 2, t) == (value < 0.5)
+
+
+@settings(max_examples=10, deadline=None)
+@evolve_pairs
+def test_metrics_off_the_spectral_path_match_reference(name, seed):
+    S, T = _evolve_pair(name, seed)
+    cfg = MetricConfig(DenseSequence.gaussian(S.grid, 3, seed=seed), J=3, N=3)
+    assert S.spectral_form() is None
+    got = metric_isometric(S, T, cfg).value
+    assert got == pytest.approx(_metric_reference(S, T, cfg, forward=True), rel=TOL, abs=TOL)
+    got = metric_contractive(S, T, cfg).value
+    assert got == pytest.approx(_contractive_reference(S, T, cfg), rel=TOL, abs=TOL)
 
 
 @few
