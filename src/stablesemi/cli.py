@@ -363,7 +363,8 @@ _VALUE_RULES = {
     # one trial draws its period from [1, period_cells)
     "shift_periodization_check": (
         {"cells": 1, "period_cells": 2, "trials": 1, "fiber_dim": 1}, (), False),
-    "wold_benchmark": ({"trials": 1, "min_unitary_dim": 0, "max_unitary_dim": 0,
+    # a trial builds a unitary block of at least one point
+    "wold_benchmark": ({"trials": 1, "min_unitary_dim": 1, "max_unitary_dim": 1,
                         "min_shift_cells": 1, "max_shift_cells": 1}, (), False),
     "category_escape": ({"dimension": 1, "base_level": 1, "multiples": 1, "witnesses": 1,
                          "k_max": 1, "copies": 2}, ("eps", "t0"), True),

@@ -402,7 +402,7 @@ def periodization_error_identity(
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = periodize_shift(R, n_c)
-    lhs = _diff_norms(U, R, _columns(R, [f]), np.array([t], dtype=float))[0, 0] ** 2
+    lhs = _diff_norms(U, R, _columns(R, [f])[1], np.array([t], dtype=float))[0, 0] ** 2
     if ell == 0:
         return float(lhs), 0.0, 0.0
 

@@ -14,8 +14,9 @@ any of them): the spectral sum sum_m exp(i t f_m) a_m conj(b_m) with
 a = B sqrt(mu) x.  The kernel factors the phases on arithmetic time grids
 (linspace, j*h; any other grid is summed row by row), so T times cost about
 2 sqrt(T) phase rows, not T.  Every other model (truncated shifts and
-anything containing one): one batched `_evolve` of all the vectors per
-block of times, reduced by a matrix product.  `correlation` evaluates one
+anything containing one): <T(t)x, y> = <x, T(t)* y>, one batched adjoint
+evolution of all the vectors per block of times, reduced by a matrix
+product; the adjoint keeps a shift's payload length.  `correlation` evaluates one
 pair, `classify` all witness pairs in one call, and the membership
 predicates one time.
 """
@@ -64,9 +65,9 @@ def _correlations(T: SemigroupModel, vectors, rows, cols, times):
     """(<T(t) v_r, v_c> for each (r, c) pair, one column each; coordinates of
     the vectors: in T's spectral basis on the spectral path, weighted
     otherwise)."""
-    Z = _columns(T, vectors)
+    grid, Z = _columns(T, vectors)
     form = T.spectral_form()
-    if form is None or not vectors[0].grid.same_as(T.grid):
+    if form is None or not grid.same_as(T.grid):
         return _gram(T, times, Z)[:, cols, rows], Z
     _check_times(T, times)
     A = Z if form[1] is None else form[1] @ Z
@@ -281,7 +282,7 @@ def classify(
 
 
 def _autocorrelation(U: SemigroupModel, x: HVector, t: float) -> complex:
-    return complex(_gram(U, np.array([t], dtype=float), _columns(U, [x]))[0, 0, 0])
+    return complex(_gram(U, np.array([t], dtype=float), _columns(U, [x])[1])[0, 0, 0])
 
 
 def mt_membership(U: SemigroupModel, x: HVector, t: float) -> bool:

@@ -56,7 +56,8 @@ class WeightedGrid:
 
     def same_as(self, other: "WeightedGrid") -> bool:
         return self is other or (
-            np.array_equal(self.points, other.points)
+            self.size == other.size
+            and np.array_equal(self.points, other.points)
             and np.array_equal(self.weights, other.weights)
         )
 
@@ -114,22 +115,28 @@ def inner_product(x: HVector, y: HVector) -> complex:
 
 
 def _is_prefix_grid(short: WeightedGrid, long: WeightedGrid) -> bool:
+    # equal bytes are equal entries; only a signed zero needs the slower check
     k = short.size
-    return (
-        long.size >= k
-        and np.array_equal(long.points[:k], short.points)
-        and np.array_equal(long.weights[:k], short.weights)
-    )
+    return long.size >= k and all(
+        a[:k].tobytes() == b.tobytes() or np.array_equal(a[:k], b)
+        for a, b in ((long.points, short.points), (long.weights, short.weights)))
 
 
-def pad_to_grid(x: HVector, grid: WeightedGrid) -> HVector:
-    """Zero-extend x onto a grid that has x.grid as a prefix."""
-    if x.grid.same_as(grid):
+def pad_to_grid(x, grid: WeightedGrid, source: WeightedGrid | None = None):
+    """Zero-extend x onto a grid that has x's grid as a prefix.  x is an
+    HVector, or with `source` an array over `source` along axis 1 (times x
+    rows x columns, as the models evolve a batch); it comes back as such."""
+    src = x.grid if source is None else source
+    if src.same_as(grid):
         return x
-    if not _is_prefix_grid(x.grid, grid):
+    if not _is_prefix_grid(src, grid):
         raise GridMismatchError("target grid does not extend the vector's grid")
+    if source is not None:
+        c = np.zeros((x.shape[0], grid.size, *x.shape[2:]), dtype=complex)
+        c[:, : src.size] = x
+        return c
     c = np.zeros(grid.size, dtype=complex)
-    c[: x.grid.size] = x.coeffs
+    c[: src.size] = x.coeffs
     return HVector(grid, c)
 
 

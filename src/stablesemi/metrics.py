@@ -125,19 +125,20 @@ def _spectral_diffs(S, T, grid, Z: np.ndarray, times: np.ndarray) -> np.ndarray 
 
 
 def _witness_columns(S, T, cfg: MetricConfig):
-    """(witness norms, weighted witness columns) after checking that both
-    models act on the witnesses' grid."""
+    """(witness norms, their grid, weighted witness columns) after checking
+    that both models act on that grid."""
     witnesses = cfg.dense_seq.vectors[: cfg.J]
-    T._check_grid(witnesses[0].grid)
-    return np.array([x.norm() for x in witnesses]), _columns(S, witnesses)
+    grid, Z = _columns(S, witnesses)
+    T._check_grid(grid)
+    return np.array([x.norm() for x in witnesses]), grid, Z
 
 
 def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
     step = _resolve_step(S, T)
     lo = 0.0 if forward else -float(cfg.N)
     times = _times(cfg, step, lo, float(cfg.N))
-    norms, Z = _witness_columns(S, T, cfg)
-    diffs = _spectral_diffs(S, T, cfg.dense_seq[0].grid, Z, times)
+    norms, grid, Z = _witness_columns(S, T, cfg)
+    diffs = _spectral_diffs(S, T, grid, Z, times)
     if diffs is None:
         diffs = _diff_norms(S, T, Z, times)
     sups = _block_sups(diffs, times, cfg, forward)
@@ -164,7 +165,7 @@ def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) 
     """Weak metric on contractions: triple-truncated sum over witness pairs."""
     step = _resolve_step(S, T)
     times = _times(cfg, step, 0.0, float(cfg.N))
-    norms, Z = _witness_columns(S, T, cfg)
+    norms, _, Z = _witness_columns(S, T, cfg)
     J = cfg.J
     # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|
     diffs = np.abs(_gram(S, times, Z) - _gram(T, times, Z)).transpose(0, 2, 1)

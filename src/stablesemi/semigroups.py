@@ -13,16 +13,17 @@ coordinates sqrt(mu) x.  It is a phase for a multiplication group, an index
 shift of cells for a truncated shift, a roll of the first period cells for
 a periodic shift, blocks truncated to each component for a direct sum, and
 B* inner B for a conjugation.  `apply` and `adjoint_apply` are its
-one-column case, `one_step_matrix` is its value at one time on the
-identity, and a time is admissible when `_evolve` accepts it.
+one-column case, and a time is admissible when `_evolve` accepts it.
+`_compressed` is `_evolve` cut to the rows of X; `one_step_matrix` is its
+value at one time on the identity.
 
 Shift conventions: admissible times are integer multiples of the cell step h;
 applying a truncated right shift EXTENDS the payload grid by the shifted
 cells instead of dropping mass, so isometry is exact.  Inside a direct sum
-the ambient space is fixed, so there the overflow of a shift block is
-truncated (that truncated one-step map is exactly what the Wold analysis
-needs).  Shift grids are memoized, so equal grids are one object and compare
-by identity.
+the ambient space is fixed, so there a shift block is compressed: its
+overflow is dropped, and never built (that truncated one-step map is
+exactly what the Wold analysis needs).  Shift grids are memoized, so equal
+grids are one object and compare by identity.
 
 Unitary models also have a spectral form: frequencies and a basis (a
 periodic shift's DFT basis is memoized by shape, like shift grids).  The
@@ -47,6 +48,7 @@ from .hilbert import (
     SumSpace,
     WeightedGrid,
     difference_norm,
+    pad_to_grid,
 )
 
 
@@ -58,26 +60,31 @@ class InadmissibleTimeError(ValueError):
 _STEP_RTOL = 1e-9
 
 
-def _shift_steps(t: float, h: float) -> int:
-    ell = int(round(t / h))
-    if abs(t - ell * h) > _STEP_RTOL * max(1.0, abs(t)):
-        raise InadmissibleTimeError(f"t={t} is not an integer multiple of step {h}")
-    return ell
-
-
 def _steps(times: np.ndarray, h: float) -> np.ndarray:
     """Integer step counts of `times` on the lattice h Z, as a column.
 
-    Checked one time at a time: an evolution takes few times (`apply` one),
-    where numpy's per-call cost would dominate; `_check_times` applies the
-    same rule vectorized to the long grids of the spectral path.
+    One time (an `apply`) is checked in plain Python, where numpy's per-call
+    cost would dominate; a time grid in one vectorized pass.
     """
-    return np.array([_shift_steps(t, h) for t in times.tolist()], dtype=int)[:, None]
+    if times.size == 1:
+        t = float(times[0])
+        ell = round(t / h)
+        if abs(t - ell * h) > _STEP_RTOL * max(1.0, abs(t)):
+            raise InadmissibleTimeError(f"t={t} is not an integer multiple of step {h}")
+        return np.array([[ell]])
+    ell = np.round(times / h)
+    off = np.abs(times - ell * h) > _STEP_RTOL * np.maximum(1.0, np.abs(times))
+    if off.any():
+        raise InadmissibleTimeError(
+            f"t={times[off][0]} is not an integer multiple of step {h}")
+    return ell.astype(int)[:, None]
 
 
 def _rows(X: np.ndarray, src: np.ndarray, extra: int) -> np.ndarray:
     """Rows `src` (times x rows) of X with `extra` zero rows appended; an
     index in [-extra, 0) counts from the end, so it reads a zero row too."""
+    if not extra:
+        return X[src]
     padded = np.zeros((X.shape[0] + extra, X.shape[1]), dtype=complex)
     padded[: X.shape[0]] = X
     return padded[src]
@@ -113,6 +120,12 @@ class SemigroupModel:
         admissible set.
         """
         raise NotImplementedError
+
+    def _compressed(self, times: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
+        """`_evolve` cut to the rows of X: T(t) compressed to the payload it
+        acts on, which is how a direct sum and a one-step matrix keep their
+        space fixed."""
+        return self._evolve(times, X, adjoint)[:, : X.shape[0]]
 
     def _check_grid(self, grid: WeightedGrid) -> None:
         """Raise GridMismatchError unless the model acts on vectors over grid."""
@@ -209,7 +222,8 @@ class _CellModel(SemigroupModel):
         # the weights are finite (WeightedGrid checks), so one max over
         # |w - step| gives the same answer as np.allclose(w, step)
         w = grid.weights
-        if w.size % self.fiber_dim or np.abs(w - self.step).max() > 1e-8 + 1e-5 * self.step:
+        if grid is not self.grid and (
+                w.size % self.fiber_dim or np.abs(w - self.step).max() > 1e-8 + 1e-5 * self.step):
             raise GridMismatchError("payload grid is not shift-compatible")
 
     def _out_grid(self, rows: int) -> WeightedGrid:
@@ -239,14 +253,18 @@ class ShiftSemigroup(_CellModel):
     def grid(self) -> WeightedGrid:
         return shift_grid(self.cells, self.step, self.fiber_dim)
 
-    def _evolve(self, times, X, adjoint):
+    def _evolve(self, times, X, adjoint, extend=True):
         if times.min() < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
         d = _steps(times, self.step) * self.fiber_dim
         k, extra = X.shape[0], int(d.max())
         if adjoint:  # left shift; the payload keeps its length
             return _rows(X, np.arange(k) + d, extra)
-        return _rows(X, np.arange(k + extra) - d, extra)
+        return _rows(X, np.arange(k + extra * extend) - d, extra)
+
+    def _compressed(self, times, X, adjoint):
+        # never builds the overflow cells only to drop them
+        return self._evolve(times, X, adjoint, extend=False)
 
 
 @dataclass(frozen=True)
@@ -277,11 +295,13 @@ class PeriodicShiftGroup(_CellModel):
 
     def _evolve(self, times, X, adjoint):
         ell = _steps(times, self.step) * (-1 if adjoint else 1)
-        m, p = self.fiber_dim, self.period_cells * self.fiber_dim
+        p = self.period_cells * self.fiber_dim
         r = np.arange(max(X.shape[0], p))
         # a row of the first period_cells cells reads the same slot of the
         # cell ell before it, mod the period; the rows above stay
-        src = np.where(r < p, (r // m - ell) % self.period_cells * m + r % m, r)
+        src = r - self.fiber_dim * ell
+        src[:, :p] %= p
+        src[:, p:] = r[p:]
         return _rows(X, src, r.size - X.shape[0])
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +372,7 @@ class DirectSumSemigroup(SemigroupModel):
         for b, (part, g) in enumerate(zip(self.parts, self.space.components)):
             part._check_grid(g)
             sl = self.space.block_slice(b)
-            out[:, sl] = part._evolve(times, X[sl], adjoint)[:, : g.size]
+            out[:, sl] = part._compressed(times, X[sl], adjoint)
         return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -439,27 +459,23 @@ _PHASE_BLOCK = 1 << 16
 
 
 def _check_times(T: SemigroupModel, times: np.ndarray) -> None:
-    """Vectorized admissibility: every time on T's step lattice, if it has one."""
-    h = T.time_step
-    if h is None:
-        return
-    off = np.abs(times - np.round(times / h) * h) > _STEP_RTOL * np.maximum(1.0, np.abs(times))
-    if off.any():
-        raise InadmissibleTimeError(
-            f"t={times[off].flat[0]} is not an integer multiple of step {h}")
+    """Admissibility: every time on T's step lattice, if it has one."""
+    if T.time_step is not None:
+        _steps(times, T.time_step)
 
 
-def _columns(T: SemigroupModel, vectors) -> np.ndarray:
-    """Weighted coordinates sqrt(mu) x, one column per vector.
+def _columns(T: SemigroupModel, vectors) -> tuple[WeightedGrid, np.ndarray]:
+    """(grid, weighted coordinates sqrt(mu) x over it, one column per vector).
 
-    Raises GridMismatchError unless the vectors share one grid that T acts
-    on: T's own grid, or for a shift any shift-compatible payload grid.
+    Vectors on different grids are zero-padded onto the longest, as `align`
+    pads a pair: a shift's extended payload and its nominal grid, say.
+    Raises GridMismatchError unless that grid extends every other one and
+    T acts on it (T's own grid, or for a shift any shift-compatible one).
     """
-    grid = vectors[0].grid
-    if not all(v.grid.same_as(grid) for v in vectors):
-        raise GridMismatchError("vectors do not share one grid")
+    grid = max((v.grid for v in vectors), key=lambda g: g.size)
+    vectors = [v if v.grid.same_as(grid) else pad_to_grid(v, grid) for v in vectors]
     T._check_grid(grid)
-    return np.sqrt(grid.weights)[:, None] * np.column_stack([v.coeffs for v in vectors])
+    return grid, np.sqrt(grid.weights)[:, None] * np.column_stack([v.coeffs for v in vectors])
 
 
 def _time_blocks(n_times: int, row_size: int):
@@ -540,27 +556,33 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
 def _diff_norms(S: SemigroupModel, T: SemigroupModel, Z: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
     """||S(t)z - T(t)z|| per (time, column of Z), one `_evolve` per model and
-    time block; a shift's longer output meets zeros of the other."""
+    time block.  Outputs on different grids (a shift extends its payload)
+    meet on the longer one, which must extend the shorter (`pad_to_grid`).
+    Blocks are sized by the longest output, at the largest |t|."""
     out = np.empty((times.size, Z.shape[1]))
-    for sl in _time_blocks(times.size, Z.size):
+    rows = Z.shape[0]
+    if times.size > 1:  # one time is one block, however long its output
+        far = times[[np.abs(times).argmax()]]
+        rows = max(M._evolve(far, Z[:, :0], False).shape[1] for M in (S, T))
+    for sl in _time_blocks(times.size, rows * Z.shape[1]):
         a, b = S._evolve(times[sl], Z, False), T._evolve(times[sl], Z, False)
-        if a.shape[1] < b.shape[1]:
-            a, b = b, a
-        a[:, : b.shape[1]] -= b
-        out[sl] = np.sqrt((np.abs(a) ** 2).sum(axis=1))
+        ga, gb = S._out_grid(a.shape[1]), T._out_grid(b.shape[1])
+        if ga.size < gb.size:
+            a = pad_to_grid(a, gb, ga)
+        elif not ga.same_as(gb):
+            b = pad_to_grid(b, ga, gb)
+        out[sl] = np.sqrt((np.abs(a - b) ** 2).sum(axis=1))
     return out
 
 
 def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """G[t, j, i] = <T(t) z_i, z_j> for the weighted columns z of Z.
-
-    One `_evolve` per time block, reduced by a matrix product; the cells a
-    shift extends its payload by meet zeros of z_j.
-    """
-    k = Z.shape[0]
+    """G[t, j, i] = <T(t) z_i, z_j> = <z_i, T(t)* z_j> for the weighted
+    columns z of Z: one adjoint evolution per time block, reduced by a
+    matrix product.  The adjoint keeps a shift's payload length, so no
+    block builds the cells a forward shift would extend it by."""
     G = np.empty((times.size, Z.shape[1], Z.shape[1]), dtype=complex)
     for sl in _time_blocks(times.size, Z.size):
-        G[sl] = Z.conj().T @ T._evolve(times[sl], Z, False)[:, :k]
+        G[sl] = T._compressed(times[sl], Z, True).conj().transpose(0, 2, 1) @ Z
     return G
 
 
@@ -595,11 +617,11 @@ def check_unitarity(T: SemigroupModel, t: float, sample, tol: float) -> bool:
 def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:
     """Matrix of T(h) in weighted coordinates on the model's nominal grid.
 
-    One `_evolve` on the identity.  Overflow of extending shifts is
-    truncated, so the result always has the nominal dimension.
+    One compressed evolution of the identity: the overflow of extending
+    shifts is dropped, so the result always has the nominal dimension.
     """
     k = T.grid.size
-    return T._evolve(np.array([h], dtype=float), np.eye(k, dtype=complex), False)[0, :k]
+    return T._compressed(np.array([h], dtype=float), np.eye(k, dtype=complex), False)[0]
 
 
 # --- serialization (CLI round-tripping) -------------------------------------

@@ -92,6 +92,7 @@ class TestConfig:
         ("wold_benchmark", {"min_unitary_dim": 5, "max_unitary_dim": 4}),
         ("wold_benchmark", {"min_shift_cells": 9, "max_shift_cells": 8}),
         ("wold_benchmark", {"min_shift_cells": 0}),
+        ("wold_benchmark", {"min_unitary_dim": 0}),
         ("category_escape", {"witnesses": 0}),
         ("category_escape", {"copies": 1}),
         ("category_escape", {"eps": 0.0}),

@@ -284,6 +284,22 @@ def test_evolve_over_many_times_stacks_single_times(kind, seed, steps):
 
 
 @settings(max_examples=40, deadline=None)
+@zoo_cases
+def test_compressed_evolution_cuts_evolve_to_the_payload(kind, seed, steps):
+    T = _zoo(kind, seed)
+    rng = np.random.default_rng(seed)
+    times = ZOO_STEP * np.array(steps, dtype=float)
+    payloads = [T.grid.size]
+    if isinstance(T, (ShiftSemigroup, PeriodicShiftGroup)):
+        payloads.append(T.grid.size + 4 * T.fiber_dim)  # extended by 4 cells
+    for rows in payloads:
+        X = _random_matrix(rng, rows)
+        for adjoint in (False, True):
+            full = T._evolve(times, X, adjoint)
+            np.testing.assert_array_equal(T._compressed(times, X, adjoint), full[:, :rows])
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(0, 6), st.integers(0, 6))
 def test_evolve_obeys_the_semigroup_law_on_the_step_lattice(kind, seed, a, b):
     T = _zoo(kind, seed)

@@ -26,6 +26,7 @@ from stablesemi.semigroups import (
     _dft_form,
     _phase_sums,
     _time_split,
+    shift_grid,
 )
 
 from reference import operator_matrix, weighted
@@ -362,6 +363,63 @@ def test_correlation_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_shift_evolution_memory_is_blocked():
+    # a shift's payload grows by a cell per step: unblocked, the 1201 times
+    # of this horizon would evolve 3 witnesses onto up to 1210 rows at once
+    # (> 60 MB)
+    S, P = ShiftSemigroup(0.05, 10), PeriodicShiftGroup(10, 0.05)
+    wit = DenseSequence.gaussian(S.grid, 3, seed=3)
+    # inside a direct sum the shift's overflow is dropped, and must not be
+    # built first either
+    mult = MultiplicationGroup(WeightedGrid.uniform(2, 0.05), np.array([0.5, -1.0]))
+    space = SumSpace((mult.grid, S.grid))
+    wold, unitary = (DirectSumSemigroup(space, (mult, M)) for M in (S, P))
+    sum_wit = DenseSequence.gaussian(space.combined, 3, seed=4)
+    tracemalloc.start()
+    try:
+        classify(S, wit, ClassifyParams(horizon=60.0))
+        metric_isometric(S, P, MetricConfig(wit, J=3, N=60))
+        metric_isometric(wold, unitary, MetricConfig(sum_wit, J=3, N=60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("T", [ShiftSemigroup(0.5, 4, fiber_dim=2),
+                               PeriodicShiftGroup(4, 0.5, fiber_dim=2)], ids=["shift", "periodic"])
+def test_vectors_on_an_extended_payload_are_zero_padded(T):
+    rng = np.random.default_rng(17)
+    x, y = _vec(T.grid, rng), _vec(shift_grid(7, 0.5, 2), rng)  # y: 3 more cells
+    wx, wy = np.pad(weighted(x), (0, 6)), weighted(y)
+    times = np.arange(6) * 0.5
+    for a, b, wa, wb in ((x, y, wx, wy), (y, x, wy, wx)):
+        want = [np.vdot(wb, (operator_matrix(T, t, rows=14) @ wa)[:14]) for t in times]
+        got = correlation(T, a, b, times).values
+        assert np.abs(got - want).max() <= TOL * x.norm() * y.norm()
+    # padding by hand changes nothing
+    px = HVector(y.grid, np.pad(x.coeffs, (0, 6)))
+    p = ClassifyParams(horizon=5.0, eps=0.2)
+    assert classify(T, DenseSequence((x, y)), p) == classify(T, DenseSequence((px, y)), p)
+    P = PeriodicShiftGroup(4, 0.5, fiber_dim=2)
+    got, want = (metric_isometric(T, P, MetricConfig(DenseSequence(w), J=2, N=2)).value
+                 for w in ((x, y), (px, y)))
+    assert got == want
+
+
+@pytest.mark.parametrize("S", [ShiftSemigroup(1.0, 4), PeriodicShiftGroup(4, 1.0)],
+                         ids=["shift", "periodic"])
+def test_outputs_on_unrelated_grids_are_rejected(S):
+    # the witnesses weigh like shift cells, but the multiplication group's
+    # points are not the cells', so neither output grid extends the other
+    # (for the periodic shift they have the same size at every time)
+    g = WeightedGrid(np.arange(4) + 0.5, np.ones(4))
+    M = MultiplicationGroup(g, np.linspace(-1.0, 1.0, 4))
+    cfg = MetricConfig(DenseSequence.gaussian(g, 2, seed=1), J=2, N=2)
+    with pytest.raises(GridMismatchError):
+        metric_isometric(S, M, cfg)
 
 
 def _dense_phase_sums(times, freqs, V):
