@@ -174,7 +174,7 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
         # ground truth: H0 is the image of the unitary block under Q*
         truth = Q.conj().T[:, :du]
         if rec == du and du > 0:
-            B0 = np.column_stack([v.coeffs for v in wr.unitary_basis])
+            B0 = wr.basis_matrix_unitary / np.sqrt(outer.weights)[:, None]
             angle = float(np.max(scipy.linalg.subspace_angles(B0, truth)))
         elif rec == du:
             angle = 0.0

@@ -12,7 +12,8 @@ Implements, on the discretized spectral model:
 * periodization of the truncated right shift (circular wrap on the first
   n_c cells);
 * the two composed density pipelines (isometry -> periodic unitary,
-  isometry -> almost weakly stable);
+  isometry -> almost weakly stable); on a mixed model V = U (+) S, each
+  wandering chain of S is wrapped cyclically and diagonalized by a DFT;
 * the Cantor-measure witness: the depth-d multiplication group and the
   product-formula oracle for its Fourier-Stieltjes transform.
 """
@@ -237,8 +238,6 @@ def inflate_and_perturb(
 
 @dataclass(frozen=True)
 class WoldResult:
-    unitary_basis: tuple[HVector, ...]
-    shift_basis: tuple[HVector, ...]
     residual: float
     iterations: int  # squarings of the one-step map
     stabilized: bool
@@ -249,24 +248,16 @@ class WoldResult:
     one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
     shift_block: np.ndarray = field(repr=False)  # one-step compression to H1
-    basis_matrix_unitary: np.ndarray = field(repr=False)
+    basis_matrix_unitary: np.ndarray = field(repr=False)  # weighted coordinates
     basis_matrix_shift: np.ndarray = field(repr=False)
 
     @property
     def unitary_dim(self) -> int:
-        return len(self.unitary_basis)
+        return self.basis_matrix_unitary.shape[1]
 
     @property
     def shift_dim(self) -> int:
-        return len(self.shift_basis)
-
-
-def _orth_columns(A: np.ndarray, tol: float) -> np.ndarray:
-    if A.shape[1] == 0:
-        return A
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int((s > tol).sum())
-    return u[:, :rank]
+        return self.basis_matrix_shift.shape[1]
 
 
 def _stable_range(
@@ -306,6 +297,20 @@ def wold_decompose_matrix(
     return _stable_range(W, max_iter, tol)[:4]
 
 
+def _wold_split(V: SemigroupModel, max_iter: int, tol: float, step: float | None):
+    """(W, h, B0, B1, M0, M1, squarings, stabilized, rank_gap) of an isometric
+    model: its one-step map W = V(h), the bases of H0 and H1 from
+    `_stable_range`, and the blocks M0 = B0* W B0 and M1 = B1* W B1."""
+    if not V.is_isometric:
+        raise NotIsometricError("Wold decomposition needs an isometric model")
+    h = step if step is not None else _natural_step(V)
+    W = one_step_matrix(V, h)
+    B0, B1, iterations, stabilized, rank_gap = _stable_range(W, max_iter, tol)
+    M0 = B0.conj().T @ W @ B0
+    M1 = B1.conj().T @ W @ B1
+    return W, h, B0, B1, M0, M1, iterations, stabilized, rank_gap
+
+
 def wold_decompose(
     V: SemigroupModel,
     max_iter: int = 200,
@@ -318,14 +323,7 @@ def wold_decompose(
     model's nominal grid; shift overflow is truncated, which is exactly what
     makes the powers of the shift part vanish on the simulated horizon.
     """
-    if not V.is_isometric:
-        raise NotIsometricError("Wold decomposition needs an isometric model")
-    h = step if step is not None else _natural_step(V)
-    W = one_step_matrix(V, h)
-    B0, B1, iterations, stabilized, rank_gap = _stable_range(W, max_iter, tol)
-
-    M0 = B0.conj().T @ W @ B0
-    M1 = B1.conj().T @ W @ B1
+    W, h, B0, B1, M0, M1, iterations, stabilized, rank_gap = _wold_split(V, max_iter, tol, step)
     defects = []
     if B0.shape[1]:
         P0 = B0 @ B0.conj().T
@@ -337,23 +335,9 @@ def wold_decompose(
     if not stabilized:
         residual = max(residual, 1.0)  # dimensions never settled; flag loudly
 
-    g = V.grid
-    sw = np.sqrt(g.weights)
-    to_vec = lambda col: HVector(g, col / sw)
     return WoldResult(
-        unitary_basis=tuple(to_vec(B0[:, j]) for j in range(B0.shape[1])),
-        shift_basis=tuple(to_vec(B1[:, j]) for j in range(B1.shape[1])),
-        residual=residual,
-        iterations=iterations,
-        stabilized=stabilized,
-        rank_gap=rank_gap,
-        step=h,
-        one_step=W,
-        unitary_block=M0,
-        shift_block=M1,
-        basis_matrix_unitary=B0,
-        basis_matrix_shift=B1,
-    )
+        residual, iterations, stabilized, rank_gap, step=h, one_step=W, unitary_block=M0,
+        shift_block=M1, basis_matrix_unitary=B0, basis_matrix_shift=B1)
 
 
 def _natural_step(V: SemigroupModel) -> float:
@@ -364,17 +348,6 @@ def _natural_step(V: SemigroupModel) -> float:
         return 1.0
     # keep |q| * h < pi so one-step eigenvalue angles recover frequencies
     return min(1.0, float(np.pi / (2.0 * f)))
-
-
-def wandering_subspace(wr: WoldResult, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of H1 minus W(H1), in weighted coordinates."""
-    B1, W = wr.basis_matrix_shift, wr.one_step
-    if B1.shape[1] == 0:
-        return B1
-    WB1 = _orth_columns(W @ B1, tol)
-    # component of H1 orthogonal to W(H1)
-    resid = B1 - WB1 @ (WB1.conj().T @ B1) if WB1.shape[1] else B1
-    return _orth_columns(resid, tol)
 
 
 # --- shift periodization -----------------------------------------
@@ -426,6 +399,39 @@ def _diagonalize_unitary(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
     return np.angle(np.diag(T)) / h, Z
 
 
+def _periodize_chains(M1: np.ndarray, h: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, Z) of the cyclic wrap of a truncated shift M1.
+
+    The chain starts S span range(I - M1 M1*), whose eigenvalues are 0 or 1.
+    The chain lengths l are the eigenvalues of G = sum_j (M1^j S)* (M1^j S),
+    and its eigenvectors align S with the chains.  The length-l DFT of a
+    chain diagonalizes its wrap, with frequencies 2*pi*r/(l*h), r in
+    (-l/2, l/2].  Raises ValueError unless the lengths are integers >= 1
+    (within tol) that sum to dim M1.
+    """
+    d1 = M1.shape[0]
+    if d1 == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=complex)
+    vals, vecs = np.linalg.eigh(np.eye(d1) - M1 @ M1.conj().T)
+    chains = [vecs[:, vals > 0.5]]
+    while len(chains) < d1 and np.linalg.norm(nxt := M1 @ chains[-1]) >= 0.5:
+        chains.append(nxt)
+    Y = np.stack(chains)  # Y[j] = M1^j S
+    lengths, E = np.linalg.eigh(np.einsum("jar,jas->rs", Y.conj(), Y))
+    ell = np.round(lengths).astype(int)
+    if ell.size == 0 or ell.min() < 1 or np.abs(lengths - ell).max() > tol or ell.sum() != d1:
+        raise ValueError(f"shift block is not a sum of shift chains: lengths {lengths}")
+    Y = Y @ E
+    freqs, Z = [], []
+    for length in np.unique(ell):
+        C = Y[:length, :, ell == length]
+        Z.append(np.fft.fft(C, axis=0).transpose(1, 0, 2).reshape(d1, -1) / math.sqrt(length))
+        r = np.arange(length)
+        r = np.where(2 * r > length, r - length, r)
+        freqs.append(np.repeat(2.0 * np.pi * r / (length * h), C.shape[2]))
+    return np.concatenate(freqs), np.concatenate(Z, axis=1)
+
+
 def approximate_isometry_by_periodic(
     V: SemigroupModel,
     n: int,
@@ -435,9 +441,11 @@ def approximate_isometry_by_periodic(
     """Replace an isometric model by a nearby periodic unitary one.
 
     Structural models are handled directly (quantize the symbol, wrap the
-    shift); mixed models go through the Wold decomposition, with the shift
-    compression completed to a unitary by its polar factor and everything
-    quantized at level n.
+    shift).  Mixed models go through the Wold split V = U (+) S: U is
+    diagonalized by a Schur form, each chain of the shift part S is wrapped
+    cyclically and diagonalized by a DFT (`_periodize_chains`), and every
+    frequency is quantized at level n.  Raises ValueError when the split does
+    not stabilize within max_iter squarings.
     """
     if not V.is_isometric:
         raise NotIsometricError("input must be isometric")
@@ -463,24 +471,15 @@ def approximate_isometry_by_periodic(
             grids += [WeightedGrid(g.points[:k], g.weights[:k]), tail]
         return DirectSumSemigroup(SumSpace(tuple(grids)), tuple(parts))
 
-    wr = wold_decompose(V, max_iter=max_iter, tol=tol)
-    freqs0, Z0 = _diagonalize_unitary(wr.unitary_block, wr.step)
-    if wr.shift_dim:
-        uc, _ = scipy.linalg.polar(wr.shift_block)  # unitary completion of the
-        freqs1, Z1 = _diagonalize_unitary(uc, wr.step)  # truncated shift block
-    else:
-        freqs1, Z1 = np.zeros(0), np.zeros((0, 0), dtype=complex)
-    freqs = np.concatenate([freqs0, freqs1])
-    k = V.grid.size
-    to_diag = np.zeros((k, k), dtype=complex)
-    d0 = wr.unitary_dim
-    if d0:
-        to_diag[:d0, :] = Z0.conj().T @ wr.basis_matrix_unitary.conj().T
-    if wr.shift_dim:
-        to_diag[d0:, :] = Z1.conj().T @ wr.basis_matrix_shift.conj().T
-    diag_group = MultiplicationGroup(WeightedGrid.uniform(k), freqs)
-    quantized = quantize_symbol(diag_group, n).approximant
-    return ConjugatedGroup(V.grid, to_diag, quantized)
+    _, h, B0, B1, M0, M1, _, stabilized, _ = _wold_split(V, max_iter, tol, None)
+    if not stabilized:
+        raise ValueError("the Wold split did not stabilize; raise max_iter")
+    freqs0, Z0 = _diagonalize_unitary(M0, h)
+    freqs1, Z1 = _periodize_chains(M1, h, tol)
+    to_diag = np.concatenate([Z0.conj().T @ B0.conj().T, Z1.conj().T @ B1.conj().T])
+    diag_group = MultiplicationGroup(WeightedGrid.uniform(to_diag.shape[0]),
+                                     np.concatenate([freqs0, freqs1]))
+    return ConjugatedGroup(V.grid, to_diag, quantize_symbol(diag_group, n).approximant)
 
 
 def approximate_isometry_by_aws(

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stablesemi.constructions import (
     NotIsometricError,
+    _periodize_chains,
     _phase_distance,
     _snap_down,
     NotPeriodicError,
@@ -17,7 +19,6 @@ from stablesemi.constructions import (
     periodize_shift,
     quantization_distance,
     quantize_symbol,
-    wandering_subspace,
     wold_decompose,
     wold_decompose_matrix,
 )
@@ -193,13 +194,17 @@ class TestWold:
     def test_mixed_dims_and_wandering(self):
         wr = wold_decompose(_mixed(), step=1.0)
         assert wr.unitary_dim == 3 and wr.shift_dim == 6
-        L = wandering_subspace(wr)
-        assert L.shape[1] == 1  # one-dimensional wandering generator
-        # the wandering vector and its images under W stay orthogonal
-        W = wr.one_step
-        v = L[:, 0]
-        for k in range(1, 5):
-            assert abs(np.vdot(np.linalg.matrix_power(W, k) @ v, v)) < 1e-10
+        M1 = wr.shift_block
+        freqs, Z = _periodize_chains(M1, 1.0, 1e-10)
+        # one chain of length 6: the sixth roots of unity, each once
+        np.testing.assert_allclose(np.sort(freqs), 2 * np.pi * np.arange(-2, 4) / 6, atol=1e-15)
+        # its start (the inverse DFT at 0) spans the wandering subspace
+        start = Z.sum(axis=1) / np.sqrt(6)
+        assert abs(np.linalg.norm(start) - 1.0) < 1e-12
+        assert np.linalg.norm(M1.conj().T @ start) < 1e-12
+        for k in range(1, 6):
+            assert abs(np.vdot(np.linalg.matrix_power(M1, k) @ start, start)) < 1e-10
+        assert np.linalg.norm(np.linalg.matrix_power(M1, 6) @ start) < 1e-12
 
     def test_iterations_count_squarings(self):
         wr = wold_decompose(_mixed(), step=1.0)
@@ -314,6 +319,66 @@ class TestPeriodicApproximation:
         # plus the rank-one defect of completing the truncated shift
         d = difference_norm(V.apply(1.0, x), P.apply(1.0, x))
         assert d < 1.5
+
+    @pytest.mark.parametrize("du, cells, fiber, seed", [
+        (4, (7,), 1, 41), (3, (5, 9), 1, 42), (2, (6,), 2, 43)])
+    def test_generic_branch_matches_construction_data(self, du, cells, fiber, seed):
+        # Q*(quantized Mult (+) quantized cyclic wrap of each chain)Q, built
+        # from the frequencies, Q and DFT matrices alone
+        n = 64
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(-np.pi / 2, np.pi / 2, du)
+        gu = WeightedGrid.uniform(du)
+        shifts = [ShiftSemigroup(1.0, c, fiber_dim=fiber) for c in cells]
+        inner = DirectSumSemigroup(
+            SumSpace((gu, *(s.grid for s in shifts))), (MultiplicationGroup(gu, f), *shifts))
+        k = inner.grid.size
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        V = ConjugatedGroup(
+            WeightedGrid(np.arange(k, dtype=float), rng.uniform(0.5, 1.5, k)), q, inner)
+        cell = 2 * np.pi / n
+        blocks = [np.diag(np.exp(1j * cell * np.floor(f / cell)))]
+        for c in cells:
+            r = np.arange(c)
+            r = np.where(2 * r > c, r - c, r)  # the wrap's eigenvalues exp(2 pi i r / c)
+            F = np.exp(-2j * np.pi * np.outer(np.arange(c), r) / c) / np.sqrt(c)
+            wrap = F @ np.diag(np.exp(1j * cell * ((n * r) // c))) @ F.conj().T
+            blocks.append(np.kron(wrap, np.eye(fiber)))
+        want = q.conj().T @ scipy.linalg.block_diag(*blocks) @ q
+        P = approximate_isometry_by_periodic(V, n)
+        assert np.abs(one_step_matrix(P, 1.0) - want).max() <= 1e-12
+
+    def test_unstabilized_split_raises(self):
+        V, _ = _conjugated_mixed(4, 12, seed=44)
+        with pytest.raises(ValueError, match="did not stabilize"):
+            approximate_isometry_by_periodic(V, 64, max_iter=1)
+
+
+class TestPeriodizeChains:
+    def test_unequal_chains_under_rotation(self):
+        # the starts of a 2- and a 3-chain, mixed by a random unitary
+        rng = np.random.default_rng(45)
+        shift = scipy.linalg.block_diag(np.eye(2, k=-1), np.eye(3, k=-1))
+        u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        freqs, Z = _periodize_chains(u @ shift @ u.conj().T, 0.5, 1e-10)
+        want = np.concatenate([2 * np.pi * np.array([0, 1]) / (2 * 0.5),
+                               2 * np.pi * np.array([0, 1, -1]) / (3 * 0.5)])
+        np.testing.assert_array_equal(freqs, want)
+        wrap = scipy.linalg.block_diag(np.roll(np.eye(2), 1, axis=0), np.roll(np.eye(3), 1, axis=0))
+        got = Z @ np.diag(np.exp(0.5j * freqs)) @ Z.conj().T
+        np.testing.assert_allclose(got, u @ wrap @ u.conj().T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("M1", [
+        0.7 * np.eye(2, k=-1),  # a contraction, not a partial isometry
+        np.eye(2),  # unitary: no chain starts
+    ])
+    def test_rejects_non_shift_blocks(self, M1):
+        with pytest.raises(ValueError, match="not a sum of shift chains"):
+            _periodize_chains(M1, 1.0, 1e-10)
+
+    def test_empty_block(self):
+        freqs, Z = _periodize_chains(np.zeros((0, 0)), 1.0, 1e-10)
+        assert freqs.shape == (0,) and Z.shape == (0, 0)
 
 
 class TestAwsPipeline:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablesemi.constructions import approximate_isometry_by_aws
 from stablesemi.hilbert import (
     GridMismatchError, HVector, SumSpace, WeightedGrid, align, inner_product)
 from stablesemi.semigroups import (
@@ -327,6 +330,48 @@ def test_evolve_adjoint_is_the_adjoint(kind, seed, steps):
     np.testing.assert_array_equal(TsY[k:], 0.0)
 
 
+def _dropped_mass(T, X, steps):
+    """Per column of X (weighted coordinates), the squared norm that T's
+    truncated shift blocks push off their component within `steps` steps;
+    zero for every model that keeps or extends its payload."""
+    if isinstance(T, ConjugatedGroup):
+        return _dropped_mass(T.inner, T.basis @ X, steps)
+    mass = np.zeros(X.shape[1])
+    if isinstance(T, DirectSumSemigroup):
+        for b, part in enumerate(T.parts):
+            if isinstance(part, ShiftSemigroup):
+                Xb = X[T.space.block_slice(b)]
+                cut = Xb.shape[0] - min(steps, part.cells) * part.fiber_dim
+                mass += (np.abs(Xb[cut:]) ** 2).sum(axis=0)
+    return mass
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(0, 6))
+def test_evolve_is_isometric(kind, seed, steps):
+    # ||T(t)x||^2 = ||x||^2, less what a truncated shift block drops
+    T = _zoo(kind, seed)
+    assert T.is_isometric
+    X = _random_matrix(np.random.default_rng(seed), T.grid.size)
+    Y = T._evolve(np.array([steps * ZOO_STEP]), X, False)[0]
+    kept = (np.abs(X) ** 2).sum(axis=0) - _dropped_mass(T, X, steps)
+    np.testing.assert_allclose((np.abs(Y) ** 2).sum(axis=0), kept, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([k for k in ZOO if _zoo(k, 0).is_unitary]),
+       st.integers(0, 10 ** 6), st.integers(0, 6))
+def test_evolve_is_unitary_for_unitary_models(kind, seed, steps):
+    T = _zoo(kind, seed)
+    X = _random_matrix(np.random.default_rng(seed), T.grid.size)
+    t = np.array([steps * ZOO_STEP])
+    TX = T._evolve(t, X, False)[0]
+    TsX = T._evolve(t, X, True)[0]
+    assert TX.shape == TsX.shape == X.shape
+    np.testing.assert_allclose(T._evolve(t, TX, True)[0], X, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(T._evolve(t, TsX, False)[0], X, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["shift", "dsum_shift", "conj_dsum"])
 def test_one_step_matrix_rejects_inadmissible_times(kind):
     T = _zoo(kind, 0)
@@ -392,3 +437,18 @@ class TestSerialization:
         V2 = model_from_dict(model_to_dict(V))
         x = _rvec(V.grid, 34)
         np.testing.assert_allclose(V.apply(0.8, x).coeffs, V2.apply(0.8, x).coeffs, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@zoo_cases
+def test_json_round_trip_evolves_bit_identically(kind, seed, steps):
+    T = _zoo(kind, seed)
+    models = [T]
+    if kind == "conj_dsum":  # and its almost weakly stable approximant
+        models.append(approximate_isometry_by_aws(T, 0.25, 2.0, n=16, copies=2))
+    times = ZOO_STEP * np.array(steps, dtype=float)
+    for M in models:
+        M2 = model_from_dict(json.loads(json.dumps(model_to_dict(M))))
+        assert type(M2) is type(M)
+        X = _random_matrix(np.random.default_rng(seed), M.grid.size)
+        np.testing.assert_array_equal(M2._evolve(times, X, False), M._evolve(times, X, False))
