@@ -8,7 +8,8 @@ Implements, on the discretized spectral model:
   stable in the model sense (no repeated frequency), with the bound 2t/n;
 * eigenspace inflation and injective frequency perturbation of a periodic
   group, keeping embedded anchors within eps over a fixed time horizon;
-* Wold decomposition of an isometric one-step map by repeated squaring;
+* Wold decomposition of an isometric one-step map W by its wandering
+  chains W^j s, s in range(I - W W*);
 * periodization of the truncated right shift (circular wrap on the first
   n_c cells);
 * the two composed density pipelines (isometry -> periodic unitary,
@@ -239,17 +240,17 @@ def inflate_and_perturb(
 @dataclass(frozen=True)
 class WoldResult:
     residual: float
-    iterations: int  # squarings of the one-step map
+    iterations: int  # chain-walk steps: the longest chain length once stabilized
     stabilized: bool
-    # smallest kept over largest dropped singular value of W^K; None when
-    # either side is empty, inf when the dropped ones are exactly zero
+    # smallest kept over largest dropped |eigenvalue| of I - W W*, split at 0.5;
+    # None when either side is empty, inf when the dropped ones are exactly zero
     rank_gap: float | None
     step: float
     one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
-    shift_block: np.ndarray = field(repr=False)  # one-step compression to H1
+    shift_block: np.ndarray = field(repr=False)  # one-step map on H1: a shift matrix per chain
     basis_matrix_unitary: np.ndarray = field(repr=False)  # weighted coordinates
-    basis_matrix_shift: np.ndarray = field(repr=False)
+    basis_matrix_shift: np.ndarray = field(repr=False)  # chain vectors W^j s, chain by chain
 
     @property
     def unitary_dim(self) -> int:
@@ -260,60 +261,65 @@ class WoldResult:
         return self.basis_matrix_shift.shape[1]
 
 
-def _stable_range(
-    W: np.ndarray, max_iter: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, int, bool, float | None]:
-    """(B0, B1, squarings, stabilized, rank_gap) from one full SVD of W^K.
+def _wold_chains(W: np.ndarray, max_iter: int | None, tol: float):
+    """(B0, B1, lengths, iterations, stabilized, rank_gap): the Wold split of
+    the one-step map W by its wandering chains.
 
-    K = 2^squarings with squarings = min(ceil(log2 k), max_iter); range(W^j)
-    stops shrinking by j = k, and W is a contraction, so its powers stay
-    bounded.  stabilized says rank(W^2K) = rank(W^K) at tol, read off the
-    r x r core S_r Vh_r U_r S_r of W^K W^K.
+    The chain starts S span L = range(I - W W*), whose eigenvalues are 0 or 1
+    (split at 0.5).  The walk Y_j = W^j S runs until ||Y_j|| < 0.5, for at
+    most max_iter steps (None: k, as no chain is longer).  The chain lengths
+    are the eigenvalues of G = sum_j Y_j* Y_j, in ascending order, and its
+    eigenvectors align S with the chains.  B1 holds the chain vectors W^j s
+    chain by chain, spanning H1 = (+)_j W^j L, and B0 is an orthonormal basis
+    of their complement H0.  stabilized says the walk vanished and every
+    length is an integer >= 1 within tol; iterations counts the walk steps.
     """
     k = W.shape[0]
-    squarings = max(0, min((k - 1).bit_length(), max_iter))
-    P = W
-    for _ in range(squarings):
-        P = P @ P
-    u, s, vh = np.linalg.svd(P)
-    rank = int((s > tol).sum())
-    core = s[:rank, None] * (vh[:rank] @ u[:, :rank]) * s[:rank]
-    stabilized = int((np.linalg.svd(core, compute_uv=False) > tol).sum()) == rank
+    vals, vecs = np.linalg.eigh(np.eye(k) - W @ W.conj().T)
+    kept, dropped = vals[vals > 0.5], np.abs(vals[vals <= 0.5])
     rank_gap = None
-    if 0 < rank < k:
-        rank_gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else math.inf
-    return u[:, :rank], u[:, rank:], squarings, stabilized, rank_gap
+    if kept.size and dropped.size:
+        rank_gap = float(kept.min() / dropped.max()) if dropped.max() > 0 else math.inf
+    Y = [vecs[:, vals > 0.5]]
+    while np.vdot(Y[-1], Y[-1]).real >= 0.25 and len(Y) <= (k if max_iter is None else max_iter):
+        Y.append(W @ Y[-1])
+    stabilized = np.vdot(Y[-1], Y[-1]).real < 0.25
+    Y = np.stack(Y)
+    lengths, E = np.linalg.eigh(np.einsum("jar,jas->rs", Y.conj(), Y))
+    ell = np.round(lengths).astype(int)
+    stabilized = bool(stabilized and ell.min(initial=1) >= 1
+                      and np.abs(lengths - ell).max(initial=0.0) <= tol)
+    B1 = (Y @ E).transpose(1, 2, 0)[:, np.arange(len(Y)) < ell[:, None]]
+    B0 = np.linalg.qr(B1, mode="complete")[0][:, B1.shape[1]:]
+    return B0, B1, ell, len(Y) - 1, stabilized, rank_gap
 
 
 def wold_decompose_matrix(
-    W: np.ndarray, max_iter: int = 200, tol: float = 1e-10
+    W: np.ndarray, max_iter: int | None = None, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Stable range of W by repeated squaring: B0 spans range(W^K), K >= k.
+    """(B0, B1, iterations, stabilized) of `_wold_chains`: bases of H0 and of
+    the wandering chains of W, the walk steps, and whether the split settled.
 
-    Returns (B0, B1, iterations, stabilized): B0 and B1 are the left singular
-    vectors of W^K above and below tol, so B1 is an orthonormal basis of the
-    complement; iterations counts squarings, capped by max_iter.
+    A thin wrapper, kept only because perfbench/kernel_ladder.py calls it
+    with max_iter=k + 5; it goes with the next change to the benchmark.
     """
-    return _stable_range(W, max_iter, tol)[:4]
+    B0, B1, _, iterations, stabilized, _ = _wold_chains(W, max_iter, tol)
+    return B0, B1, iterations, stabilized
 
 
-def _wold_split(V: SemigroupModel, max_iter: int, tol: float, step: float | None):
-    """(W, h, B0, B1, M0, M1, squarings, stabilized, rank_gap) of an isometric
-    model: its one-step map W = V(h), the bases of H0 and H1 from
-    `_stable_range`, and the blocks M0 = B0* W B0 and M1 = B1* W B1."""
+def _wold_split(V: SemigroupModel, max_iter: int | None, tol: float, step: float | None):
+    """(W, h, B0, B1, lengths, iterations, stabilized, rank_gap) of an
+    isometric model: its one-step map W = V(h) and `_wold_chains` of W."""
     if not V.is_isometric:
         raise NotIsometricError("Wold decomposition needs an isometric model")
     h = step if step is not None else _natural_step(V)
     W = one_step_matrix(V, h)
-    B0, B1, iterations, stabilized, rank_gap = _stable_range(W, max_iter, tol)
-    M0 = B0.conj().T @ W @ B0
-    M1 = B1.conj().T @ W @ B1
-    return W, h, B0, B1, M0, M1, iterations, stabilized, rank_gap
+    return (W, h, *_wold_chains(W, max_iter, tol))
 
 
 def wold_decompose(
     V: SemigroupModel,
-    max_iter: int = 200,
+    max_iter: int | None = None,
     tol: float = 1e-10,
     step: float | None = None,
 ) -> WoldResult:
@@ -322,15 +328,18 @@ def wold_decompose(
     Operates on the one-step map W = V(h) in weighted coordinates on the
     model's nominal grid; shift overflow is truncated, which is exactly what
     makes the powers of the shift part vanish on the simulated horizon.
+    max_iter caps the steps of the chain walk (None: the dimension), and tol
+    is the integer check on the chain lengths (`_wold_chains`).
     """
-    W, h, B0, B1, M0, M1, iterations, stabilized, rank_gap = _wold_split(V, max_iter, tol, step)
+    W, h, B0, B1, _, iterations, stabilized, rank_gap = _wold_split(V, max_iter, tol, step)
+    WB0, WB1 = W @ B0, W @ B1
+    M0, M1 = B0.conj().T @ WB0, B1.conj().T @ WB1
     defects = []
     if B0.shape[1]:
-        P0 = B0 @ B0.conj().T
-        defects.append(np.linalg.norm(W @ B0 - P0 @ (W @ B0), 2))  # H0 invariance
+        defects.append(np.linalg.norm(WB0 - B0 @ M0, 2))  # H0 invariance
         defects.append(np.linalg.norm(M0.conj().T @ M0 - np.eye(B0.shape[1]), 2))
     if B1.shape[1] and B0.shape[1]:
-        defects.append(np.linalg.norm(B0.conj().T @ (W @ B1), 2))  # H1 invariance
+        defects.append(np.linalg.norm(B0.conj().T @ WB1, 2))  # H1 invariance
     residual = float(max(defects)) if defects else 0.0
     if not stabilized:
         residual = max(residual, 1.0)  # dimensions never settled; flag loudly
@@ -399,53 +408,37 @@ def _diagonalize_unitary(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
     return np.angle(np.diag(T)) / h, Z
 
 
-def _periodize_chains(M1: np.ndarray, h: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies, Z) of the cyclic wrap of a truncated shift M1.
+def _periodize_chains(B1: np.ndarray, lengths, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, Z) of the cyclic wrap of the chains in B1 (`_wold_chains`).
 
-    The chain starts S span range(I - M1 M1*), whose eigenvalues are 0 or 1.
-    The chain lengths l are the eigenvalues of G = sum_j (M1^j S)* (M1^j S),
-    and its eigenvectors align S with the chains.  The length-l DFT of a
-    chain diagonalizes its wrap, with frequencies 2*pi*r/(l*h), r in
-    (-l/2, l/2].  Raises ValueError unless the lengths are integers >= 1
-    (within tol) that sum to dim M1.
+    The length-l DFT of a chain diagonalizes its wrap, with frequencies
+    2*pi*r/(l*h), r in (-l/2, l/2]; Z's columns are these DFT vectors, in the
+    coordinates of B1's rows.
     """
-    d1 = M1.shape[0]
-    if d1 == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    vals, vecs = np.linalg.eigh(np.eye(d1) - M1 @ M1.conj().T)
-    chains = [vecs[:, vals > 0.5]]
-    while len(chains) < d1 and np.linalg.norm(nxt := M1 @ chains[-1]) >= 0.5:
-        chains.append(nxt)
-    Y = np.stack(chains)  # Y[j] = M1^j S
-    lengths, E = np.linalg.eigh(np.einsum("jar,jas->rs", Y.conj(), Y))
-    ell = np.round(lengths).astype(int)
-    if ell.size == 0 or ell.min() < 1 or np.abs(lengths - ell).max() > tol or ell.sum() != d1:
-        raise ValueError(f"shift block is not a sum of shift chains: lengths {lengths}")
-    Y = Y @ E
-    freqs, Z = [], []
-    for length in np.unique(ell):
-        C = Y[:length, :, ell == length]
-        Z.append(np.fft.fft(C, axis=0).transpose(1, 0, 2).reshape(d1, -1) / math.sqrt(length))
+    freqs, Z = [np.zeros(0)], [B1[:, :0]]
+    for end, length in zip(np.cumsum(lengths), lengths):
+        Z.append(np.fft.fft(B1[:, end - length : end], axis=1) / math.sqrt(length))
         r = np.arange(length)
-        r = np.where(2 * r > length, r - length, r)
-        freqs.append(np.repeat(2.0 * np.pi * r / (length * h), C.shape[2]))
+        freqs.append(2.0 * np.pi * np.where(2 * r > length, r - length, r) / (length * h))
     return np.concatenate(freqs), np.concatenate(Z, axis=1)
 
 
 def approximate_isometry_by_periodic(
     V: SemigroupModel,
     n: int,
-    max_iter: int = 200,
+    max_iter: int | None = None,
     tol: float = 1e-10,
 ) -> SemigroupModel:
     """Replace an isometric model by a nearby periodic unitary one.
 
     Structural models are handled directly (quantize the symbol, wrap the
-    shift).  Mixed models go through the Wold split V = U (+) S: U is
-    diagonalized by a Schur form, each chain of the shift part S is wrapped
-    cyclically and diagonalized by a DFT (`_periodize_chains`), and every
-    frequency is quantized at level n.  Raises ValueError when the split does
-    not stabilize within max_iter squarings.
+    shift; inside a direct sum a shift shorter than the new period wraps at
+    its own length, so the sum keeps V's space).  Mixed models go through the
+    Wold split V = U (+) S: U is diagonalized by a Schur form, each wandering
+    chain of S is wrapped cyclically and diagonalized by a DFT
+    (`_periodize_chains`), and every frequency is quantized at level n.
+    Raises ValueError when the split does not stabilize within max_iter walk
+    steps (`wold_decompose`).
     """
     if not V.is_isometric:
         raise NotIsometricError("input must be isometric")
@@ -458,25 +451,27 @@ def approximate_isometry_by_periodic(
         parts, grids = [], []
         for p, g in zip(V.parts, V.space.components):
             q = approximate_isometry_by_periodic(p, n, max_iter, tol)
+            if q.grid.size > g.size:
+                q = periodize_shift(p, g.size // p.fiber_dim)
             k = q.grid.size
-            if g.size <= k:
-                parts.append(q)
-                grids.append(g if g.size == k else q.grid)
+            parts.append(q)
+            if g.size == k:
+                grids.append(g)
                 continue
             # a shift block longer than the new period: the periodic part is
             # the identity above it, kept as a zero-frequency block of its own
             # so the sum stays diagonalizable on V's ambient space
             tail = WeightedGrid(g.points[k:], g.weights[k:])
-            parts += [q, MultiplicationGroup(tail, np.zeros(tail.size))]
+            parts.append(MultiplicationGroup(tail, np.zeros(tail.size)))
             grids += [WeightedGrid(g.points[:k], g.weights[:k]), tail]
         return DirectSumSemigroup(SumSpace(tuple(grids)), tuple(parts))
 
-    _, h, B0, B1, M0, M1, _, stabilized, _ = _wold_split(V, max_iter, tol, None)
+    W, h, B0, B1, lengths, _, stabilized, _ = _wold_split(V, max_iter, tol, None)
     if not stabilized:
         raise ValueError("the Wold split did not stabilize; raise max_iter")
-    freqs0, Z0 = _diagonalize_unitary(M0, h)
-    freqs1, Z1 = _periodize_chains(M1, h, tol)
-    to_diag = np.concatenate([Z0.conj().T @ B0.conj().T, Z1.conj().T @ B1.conj().T])
+    freqs0, Z0 = _diagonalize_unitary(B0.conj().T @ W @ B0, h)
+    freqs1, Z1 = _periodize_chains(B1, lengths, h)
+    to_diag = np.concatenate([Z0.conj().T @ B0.conj().T, Z1.conj().T])
     diag_group = MultiplicationGroup(WeightedGrid.uniform(to_diag.shape[0]),
                                      np.concatenate([freqs0, freqs1]))
     return ConjugatedGroup(V.grid, to_diag, quantize_symbol(diag_group, n).approximant)
@@ -488,7 +483,7 @@ def approximate_isometry_by_aws(
     t0: float,
     n: int = 64,
     copies: int = 8,
-    max_iter: int = 200,
+    max_iter: int | None = None,
     tol: float = 1e-10,
 ) -> SemigroupModel:
     """Replace an isometric model by an almost weakly stable unitary one.

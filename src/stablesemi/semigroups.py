@@ -149,13 +149,6 @@ class SemigroupModel:
         grid = self._out_grid(y.size)
         return HVector(grid, y / np.sqrt(grid.weights))
 
-    def admissible(self, t: float) -> bool:
-        try:
-            self._evolve(np.array([t], dtype=float), np.zeros((self.grid.size, 0)), False)
-        except InadmissibleTimeError:
-            return False
-        return True
-
     @property
     def grid(self) -> WeightedGrid:
         raise NotImplementedError

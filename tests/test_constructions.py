@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +5,7 @@ import scipy.linalg
 from stablesemi.constructions import (
     NotIsometricError,
     _periodize_chains,
+    _wold_chains,
     _phase_distance,
     _snap_down,
     NotPeriodicError,
@@ -22,7 +21,8 @@ from stablesemi.constructions import (
     wold_decompose,
     wold_decompose_matrix,
 )
-from stablesemi.hilbert import HVector, SumSpace, WeightedGrid, difference_norm
+from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid, difference_norm
+from stablesemi.metrics import MetricConfig, metric_isometric
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -194,24 +194,41 @@ class TestWold:
     def test_mixed_dims_and_wandering(self):
         wr = wold_decompose(_mixed(), step=1.0)
         assert wr.unitary_dim == 3 and wr.shift_dim == 6
-        M1 = wr.shift_block
-        freqs, Z = _periodize_chains(M1, 1.0, 1e-10)
+        W = wr.one_step
+        _, B1, lengths, _, _, _ = _wold_chains(W, None, 1e-10)
+        freqs, Z = _periodize_chains(B1, lengths, 1.0)
         # one chain of length 6: the sixth roots of unity, each once
         np.testing.assert_allclose(np.sort(freqs), 2 * np.pi * np.arange(-2, 4) / 6, atol=1e-15)
         # its start (the inverse DFT at 0) spans the wandering subspace
         start = Z.sum(axis=1) / np.sqrt(6)
         assert abs(np.linalg.norm(start) - 1.0) < 1e-12
-        assert np.linalg.norm(M1.conj().T @ start) < 1e-12
+        assert np.linalg.norm(W.conj().T @ start) < 1e-12
         for k in range(1, 6):
-            assert abs(np.vdot(np.linalg.matrix_power(M1, k) @ start, start)) < 1e-10
-        assert np.linalg.norm(np.linalg.matrix_power(M1, 6) @ start) < 1e-12
+            assert abs(np.vdot(np.linalg.matrix_power(W, k) @ start, start)) < 1e-10
+        assert np.linalg.norm(np.linalg.matrix_power(W, 6) @ start) < 1e-12
 
-    def test_iterations_count_squarings(self):
+    def test_iterations_count_chain_steps(self):
         wr = wold_decompose(_mixed(), step=1.0)
-        assert wr.iterations == math.ceil(math.log2(9))  # W^16 for k = 9
+        assert wr.iterations == 6  # the walk W^j s vanishes at the chain length
+
+    @pytest.mark.parametrize("du, cells, seed", [(4, (8,), 22), (2, (3, 5), 25)])
+    def test_shift_block_is_a_shift_matrix_per_chain(self, du, cells, seed):
+        # B1 is the chain basis W^j s, so B1* W B1 is the truncated shift of
+        # each chain, shortest first
+        rng = np.random.default_rng(seed)
+        gu = WeightedGrid.uniform(du)
+        shifts = [ShiftSemigroup(1.0, c) for c in cells]
+        inner = DirectSumSemigroup(
+            SumSpace((gu, *(r.grid for r in shifts))),
+            (MultiplicationGroup(gu, rng.uniform(-np.pi / 2, np.pi / 2, du)), *shifts))
+        k = inner.grid.size
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        wr = wold_decompose(ConjugatedGroup(WeightedGrid.uniform(k), q, inner), step=1.0)
+        want = scipy.linalg.block_diag(*(np.eye(c, k=-1) for c in cells))
+        assert np.abs(wr.shift_block - want).max() <= 1e-12
 
     def test_squaring_cap_reports_unstabilized(self):
-        # W^4 of a 9-cell shift still has rank 5, W^8 rank 1
+        # two walk steps from the start of a 9-cell shift do not reach its end
         R = ShiftSemigroup(1.0, 9)
         T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (R,))
         wr = wold_decompose(T, max_iter=2, step=1.0)
@@ -360,7 +377,9 @@ class TestPeriodizeChains:
         rng = np.random.default_rng(45)
         shift = scipy.linalg.block_diag(np.eye(2, k=-1), np.eye(3, k=-1))
         u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        freqs, Z = _periodize_chains(u @ shift @ u.conj().T, 0.5, 1e-10)
+        B0, B1, lengths, _, stabilized, _ = _wold_chains(u @ shift @ u.conj().T, None, 1e-10)
+        assert B0.shape[1] == 0 and stabilized
+        freqs, Z = _periodize_chains(B1, lengths, 0.5)
         want = np.concatenate([2 * np.pi * np.array([0, 1]) / (2 * 0.5),
                                2 * np.pi * np.array([0, 1, -1]) / (3 * 0.5)])
         np.testing.assert_array_equal(freqs, want)
@@ -373,11 +392,18 @@ class TestPeriodizeChains:
         np.eye(2),  # unitary: no chain starts
     ])
     def test_rejects_non_shift_blocks(self, M1):
-        with pytest.raises(ValueError, match="not a sum of shift chains"):
-            _periodize_chains(M1, 1.0, 1e-10)
+        # the contraction's chain length 1.49 is no integer, so its split
+        # does not settle; the unitary block is a valid split, all of it H0
+        B0, B1, _, _, stabilized, _ = _wold_chains(M1, None, 1e-10)
+        unitary = np.allclose(M1.conj().T @ M1, np.eye(2))
+        assert stabilized is unitary
+        if unitary:
+            assert B0.shape[1] == 2 and B1.shape[1] == 0
 
     def test_empty_block(self):
-        freqs, Z = _periodize_chains(np.zeros((0, 0)), 1.0, 1e-10)
+        B0, B1, lengths, iterations, stabilized, _ = _wold_chains(np.zeros((0, 0)), None, 1e-10)
+        assert B0.shape == B1.shape == (0, 0) and lengths.size == iterations == 0 and stabilized
+        freqs, Z = _periodize_chains(B1, lengths, 1.0)
         assert freqs.shape == (0,) and Z.shape == (0, 0)
 
 
@@ -398,6 +424,19 @@ class TestAwsPipeline:
         A = approximate_isometry_by_aws(R, 0.2, 2.0, n=32)
         assert distinct_frequency_certificate(A)
         assert A.grid.size == 32  # acts on the periodization's ambient space
+
+    def test_direct_sum_with_shift_block_shorter_than_period(self):
+        # the 40-cell shift block is shorter than the new 64-cell period: it
+        # wraps at its own length, so both outputs act on V's 43 points
+        gu = WeightedGrid.uniform(3)
+        V = DirectSumSemigroup(
+            SumSpace((gu, shift_grid(40, 1.0))),
+            (MultiplicationGroup(gu, np.array([0.2, 0.7, 1.1])), ShiftSemigroup(1.0, 40)))
+        P = approximate_isometry_by_periodic(V, 64)
+        A = approximate_isometry_by_aws(V, 0.25, 5.0, n=64)
+        assert P.grid.same_as(V.grid) and A.grid.same_as(V.grid)
+        wit = DenseSequence.gaussian(V.grid, 3, seed=24)
+        assert np.isfinite(metric_isometric(V, P, MetricConfig(wit, J=3, N=8)).value)
 
     def test_direct_sum_with_shift_block_longer_than_period(self):
         # the 40-cell shift block outlasts the new 32-cell period
