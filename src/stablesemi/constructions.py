@@ -148,16 +148,16 @@ def _commensurable_base(freqs: np.ndarray, tol: float = 1e-9) -> float:
 @dataclass(frozen=True)
 class InflationResult:
     group: MultiplicationGroup
-    space: SumSpace
+    grid: WeightedGrid
     copies: int
     scale_per_level: float  # perturbation magnitudes lie in (0, scale_per_level)
     level_m: int
-    embed_index: np.ndarray  # combined-grid position of each original point
+    embed_index: np.ndarray  # position in `grid` of each original point
 
     def embed(self, x: HVector) -> HVector:
-        c = np.zeros(self.space.dimension, dtype=complex)
+        c = np.zeros(self.grid.size, dtype=complex)
         c[self.embed_index] = x.coeffs
-        return HVector(self.space.combined, c)
+        return HVector(self.grid, c)
 
     @property
     def frequencies_distinct(self) -> bool:
@@ -187,11 +187,13 @@ def inflate_and_perturb(
     """Perturb a periodic group into one with pairwise-distinct frequencies.
 
     Grid indices are grouped by exact frequency (the eigenspaces of the
-    generator); each group is inflated to `copies` copies, and every inflated
-    point gets its constant frequency replaced by frequency + delta with the
-    deltas injective and bounded by 1/m, m the smallest integer with
-    2*t0/m <= eps.  Embedded anchors then stay within eps * ||anchor|| of
-    their original orbit for |t| <= t0.
+    generator).  Each group is inflated to `copies` copies of its points in
+    one contiguous block, copy-major, the blocks in ascending frequency order;
+    copy 0 holds the original points.  Every inflated point gets its constant
+    frequency replaced by frequency + delta with the deltas injective and
+    bounded by 1/m, m the smallest integer with 2*t0/m <= eps.  Embedded
+    anchors then stay within eps * ||anchor|| of their original orbit for
+    |t| <= t0.
     """
     if eps <= 0 or t0 <= 0:
         raise ValueError("need eps > 0 and t0 > 0")
@@ -203,31 +205,32 @@ def inflate_and_perturb(
     _commensurable_base(periodic.symbol, commensurability_tol)
 
     m = max(1, math.ceil(2.0 * t0 / eps))
-    distinct = np.unique(periodic.symbol)
-    gaps = np.diff(distinct)
+    q = periodic.symbol
+    order = np.argsort(q, kind="stable")
+    q_sorted = q[order]
+    starts = np.flatnonzero(np.r_[True, q_sorted[1:] != q_sorted[:-1]])
+    sizes = np.diff(np.r_[starts, q.size])
     scale = 1.0 / m
-    if gaps.size:
-        scale = min(scale, float(gaps.min()) / 4.0)
+    if starts.size > 1:
+        scale = min(scale, float(np.diff(q_sorted[starts]).min()) / 4.0)
 
-    grids, symbols, embed_index = [], [], np.empty(periodic.grid.size, dtype=int)
-    offset = 0
-    for lam in distinct:
-        idx = np.flatnonzero(periodic.symbol == lam)
-        block_pts = np.tile(periodic.grid.points[idx], copies)
-        block_wts = np.tile(periodic.grid.weights[idx], copies)
-        grids.append(WeightedGrid(block_pts, block_wts))
-        symbols.append(np.full(idx.size * copies, lam))
-        embed_index[idx] = offset + np.arange(idx.size)  # copy 0 holds the original
-        offset += idx.size * copies
+    # group g fills copies*size_g slots from copies*start_g, copy-major: copy c
+    # of sorted position i goes to copies*start_g + c*size_g + (i - start_g)
+    group_of = np.repeat(np.arange(starts.size), sizes)
+    dest = ((copies - 1) * starts[group_of] + np.arange(q.size)
+            + np.arange(copies)[:, None] * sizes[group_of])
+    source = np.empty(dest.size, dtype=int)
+    source[dest] = order
+    embed_index = np.empty(q.size, dtype=int)
+    embed_index[order] = dest[0]
 
-    space = SumSpace(tuple(grids))
-    lam_full = np.concatenate(symbols)
-    p = lam_full.size
+    grid = WeightedGrid(periodic.grid.points[source], periodic.grid.weights[source])
+    p = source.size
     deltas = scale * np.arange(1, p + 1) / (p + 1.0)
-    group = MultiplicationGroup(space.combined, lam_full + deltas)
+    group = MultiplicationGroup(grid, q[source] + deltas)
     return InflationResult(
         group=group,
-        space=space,
+        grid=grid,
         copies=copies,
         scale_per_level=scale,
         level_m=m,
@@ -246,6 +249,7 @@ class WoldResult:
     # None when either side is empty, inf when the dropped ones are exactly zero
     rank_gap: float | None
     step: float
+    # one_step and both bases are read-only: a repeated split shares them
     one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
     shift_block: np.ndarray = field(repr=False)  # one-step map on H1: a shift matrix per chain
@@ -307,14 +311,29 @@ def wold_decompose_matrix(
     return B0, B1, iterations, stabilized
 
 
+# (W, (max_iter, tol), _wold_chains output) of the last split: one slot, so
+# the pipelines that follow wold_decompose on the same V do not split it again
+_last_split = None
+
+
 def _wold_split(V: SemigroupModel, max_iter: int | None, tol: float, step: float | None):
     """(W, h, B0, B1, lengths, iterations, stabilized, rank_gap) of an
-    isometric model: its one-step map W = V(h) and `_wold_chains` of W."""
+    isometric model: its one-step map W = V(h) and `_wold_chains` of W,
+    reused from the last call when W and (max_iter, tol) are exactly equal."""
+    global _last_split
     if not V.is_isometric:
         raise NotIsometricError("Wold decomposition needs an isometric model")
     h = step if step is not None else _natural_step(V)
     W = one_step_matrix(V, h)
-    return (W, h, *_wold_chains(W, max_iter, tol))
+    W.setflags(write=False)
+    last = _last_split
+    if last is not None and last[1] == (max_iter, tol) and np.array_equal(last[0], W):
+        return (W, h, *last[2])
+    chains = _wold_chains(W, max_iter, tol)
+    for a in chains[:3]:
+        a.setflags(write=False)
+    _last_split = (W, (max_iter, tol), chains)
+    return (W, h, *chains)
 
 
 def wold_decompose(

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from stablesemi import constructions
 from stablesemi.constructions import (
     NotIsometricError,
     _periodize_chains,
@@ -154,6 +158,31 @@ class TestInflation:
         with pytest.raises(NotPeriodicError):
             inflate_and_perturb(U, [], 0.1, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.integers(2, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_layout_matches_per_frequency_loop(self, n, copies, levels, seed):
+        # repeated, unsorted lattice frequencies on a grid with distinct weights
+        rng = np.random.default_rng(seed)
+        q = 2 * np.pi / levels * rng.integers(-levels, levels, n)
+        grid = WeightedGrid(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
+        res = inflate_and_perturb(MultiplicationGroup(grid, q), [], 0.25, 5.0, copies=copies)
+        # the definition: per distinct frequency, ascending, its points tiled
+        # `copies` times, copy 0 holding the originals
+        pts, wts, lam, embed, offset = [], [], [], np.empty(n, dtype=int), 0
+        for f in np.unique(q):
+            idx = np.flatnonzero(q == f)
+            embed[idx] = offset + np.arange(idx.size)
+            pts.append(np.tile(grid.points[idx], copies))
+            wts.append(np.tile(grid.weights[idx], copies))
+            lam.append(np.full(idx.size * copies, f))
+            offset += idx.size * copies
+        deltas = res.scale_per_level * np.arange(1, offset + 1) / (offset + 1.0)
+        assert np.array_equal(res.group.symbol, np.concatenate(lam) + deltas)
+        assert np.array_equal(res.embed_index, embed)
+        assert np.array_equal(res.grid.points, np.concatenate(pts))
+        assert np.array_equal(res.grid.weights, np.concatenate(wts))
+        assert res.group.grid is res.grid
+
 
 def _mixed():
     gu = WeightedGrid.uniform(3)
@@ -272,6 +301,57 @@ class TestWold:
 
         with pytest.raises(NotIsometricError):
             wold_decompose(NotIso(g, np.zeros(3)))
+
+
+class TestWoldSplitReuse:
+    def test_one_split_per_model(self, monkeypatch):
+        calls = []
+        chains = constructions._wold_chains
+
+        def counted(*args):
+            calls.append(1)
+            return chains(*args)
+
+        monkeypatch.setattr(constructions, "_wold_chains", counted)
+        V, _ = _conjugated_mixed(5, 11, seed=31)
+        wold_decompose(V, step=1.0)
+        approximate_isometry_by_periodic(V, 64)
+        approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)
+        assert len(calls) == 1
+
+    def test_walk_cap_is_part_of_the_key(self):
+        T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (ShiftSemigroup(1.0, 9),))
+        assert wold_decompose(T, step=1.0).stabilized
+        wr = wold_decompose(T, max_iter=2, step=1.0)
+        assert wr.stabilized is False and wr.iterations == 2
+
+    def test_shared_arrays_are_read_only(self):
+        wr = wold_decompose(_conjugated_mixed(3, 6, seed=32)[0], step=1.0)
+        with pytest.raises(ValueError):
+            wr.basis_matrix_unitary[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            wr.one_step[0, 0] = 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from([(2, 5, 33), (4, 7, 34), (2, 5, 35)]), min_size=2, max_size=8))
+    def test_reuse_is_invisible(self, sequence):
+        # interleaved models, with repeats: every call matches a fresh split
+        # and the result of a call made with nothing stored
+        fresh = {}
+        for model in set(sequence):
+            constructions._last_split = None
+            fresh[model] = wold_decompose(_conjugated_mixed(*model)[0], step=1.0)
+        for model in sequence:
+            V, _ = _conjugated_mixed(*model)
+            wr = wold_decompose(V, step=1.0)
+            W = one_step_matrix(V, 1.0)
+            B0, B1, _, iterations, stabilized, rank_gap = _wold_chains(W, None, 1e-10)
+            assert np.array_equal(wr.one_step, W)
+            assert np.array_equal(wr.basis_matrix_unitary, B0)
+            assert np.array_equal(wr.basis_matrix_shift, B1)
+            assert (wr.iterations, wr.stabilized, wr.rank_gap) == (iterations, stabilized, rank_gap)
+            for f in dataclasses.fields(wr):
+                assert np.array_equal(getattr(wr, f.name), getattr(fresh[model], f.name)), f.name
 
 
 class TestPeriodization:
