@@ -39,7 +39,6 @@ from .semigroups import (
     _columns,
     _diff_norms,
     one_step_matrix,
-    shift_grid,
 )
 
 
@@ -98,12 +97,6 @@ def quantize_symbol(U: MultiplicationGroup, n: int) -> QuantizationResult:
         level=n,
         guaranteed_bound=lambda t: 2.0 * np.pi * abs(t) / n,
     )
-
-
-def quantization_distance(U: MultiplicationGroup, V: MultiplicationGroup, t: float) -> float:
-    """Exact operator distance sup_k |exp(itq_k) - exp(itq'_k)| on the grid
-    (see `_phase_distance`)."""
-    return float(_phase_distance(U.symbol, V.symbol, t))
 
 
 # --- near-identity almost weakly stable groups -------------------
@@ -311,29 +304,32 @@ def wold_decompose_matrix(
     return B0, B1, iterations, stabilized
 
 
-# (W, (max_iter, tol), _wold_chains output) of the last split: one slot, so
-# the pipelines that follow wold_decompose on the same V do not split it again
+# (V, (h, max_iter, tol), _wold_split output) of the last split: one
+# slot, so the pipelines that follow wold_decompose on the same V neither
+# build W nor split it again.  Models are frozen and their arrays read-only,
+# so the same model object has the same W.
 _last_split = None
 
 
 def _wold_split(V: SemigroupModel, max_iter: int | None, tol: float, step: float | None):
     """(W, h, B0, B1, lengths, iterations, stabilized, rank_gap) of an
     isometric model: its one-step map W = V(h) and `_wold_chains` of W,
-    reused from the last call when W and (max_iter, tol) are exactly equal."""
+    reused from the last call on the same model with the same (h, max_iter,
+    tol)."""
     global _last_split
     if not V.is_isometric:
         raise NotIsometricError("Wold decomposition needs an isometric model")
     h = step if step is not None else _natural_step(V)
-    W = one_step_matrix(V, h)
-    W.setflags(write=False)
+    key = (h, max_iter, tol)
     last = _last_split
-    if last is not None and last[1] == (max_iter, tol) and np.array_equal(last[0], W):
-        return (W, h, *last[2])
+    if last is not None and last[0] is V and last[1] == key:
+        return last[2]
+    W = one_step_matrix(V, h)
     chains = _wold_chains(W, max_iter, tol)
-    for a in chains[:3]:
+    for a in (W, *chains[:3]):
         a.setflags(write=False)
-    _last_split = (W, (max_iter, tol), chains)
-    return (W, h, *chains)
+    _last_split = (V, key, (W, h, *chains))
+    return _last_split[2]
 
 
 def wold_decompose(

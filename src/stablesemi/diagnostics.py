@@ -1,6 +1,6 @@
 """Stability diagnostics: correlation traces, Cesaro/Wiener functionals,
-density-one estimation, atom detection, the reversible/stable split, and the
-membership predicates used by the category-escape demonstration.
+density-one estimation, atom detection, and the membership predicates used
+by the category-escape demonstration.
 
 All asymptotic notions become finite-horizon estimates; every verdict is
 labeled "evidence", never a proof.  On finite grids all spectral measures
@@ -23,6 +23,7 @@ predicates one time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,19 +142,6 @@ def detect_atoms(U: MultiplicationGroup, mass_threshold: float) -> list[tuple[fl
     return atoms
 
 
-def jgl_split(
-    U: MultiplicationGroup, mass_threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(reversible indices, stable indices) in the diagonal model.
-
-    Reversible = indices inside detected atom groups (generator eigenvectors
-    with non-negligible mass); stable = the complement.
-    """
-    atom_freqs = {f for f, _ in detect_atoms(U, mass_threshold)}
-    mask = np.isin(U.symbol, list(atom_freqs)) if atom_freqs else np.zeros(U.grid.size, bool)
-    return np.flatnonzero(mask), np.flatnonzero(~mask)
-
-
 VERDICTS = (
     "WeaklyStableEvidence",
     "AlmostWeaklyStableEvidence",
@@ -171,6 +159,17 @@ class ClassifyParams:
     mass_threshold: float = 0.1
     samples: int = 2000
 
+    def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and > 0")
+        if (isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer))
+                or self.samples < 2):
+            raise ValueError("samples must be an integer >= 2")
+        if not (self.eps > 0 and self.delta_wiener >= 0 and 0 <= self.delta_density <= 1
+                and self.mass_threshold >= 0):
+            raise ValueError("need eps > 0, delta_wiener >= 0, 0 <= delta_density <= 1"
+                             " and mass_threshold >= 0")
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -187,19 +186,6 @@ class StabilityReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if not 0.0 <= self.density_est <= 1.0 + 1e-12:
             raise ValueError("density estimate must lie in [0, 1]")
-
-    def to_record(self) -> dict:
-        rec = {
-            "cesaro_abs": self.cesaro_abs,
-            "cesaro_abs2": self.cesaro_abs2,
-            "wiener_closed_form": self.wiener_closed_form,
-            "density_est": self.density_est,
-            "num_atoms": len(self.atoms),
-            "largest_atom_mass": self.atoms[0][1] if self.atoms else 0.0,
-            "tail_sup": self.tail_sup,
-            "verdict": self.verdict,
-        }
-        return rec
 
 
 def _time_grid(T: SemigroupModel, horizon: float, samples: int) -> np.ndarray:

@@ -6,8 +6,8 @@ vectors over a grid carry the weighted inner product
 
     <x, y> = sum_k mu_k x_k conj(y_k).
 
-Direct sums of grids, isometric block embeddings, and the fixed witness
-sequence used by the semigroup metrics live here as well.
+Zero-padding onto an extending grid, direct sums of grids, and the fixed
+witness sequence used by the semigroup metrics live here as well.
 """
 
 from __future__ import annotations
@@ -123,9 +123,11 @@ def _is_prefix_grid(short: WeightedGrid, long: WeightedGrid) -> bool:
 
 
 def pad_to_grid(x, grid: WeightedGrid, source: WeightedGrid | None = None):
-    """Zero-extend x onto a grid that has x's grid as a prefix.  x is an
-    HVector, or with `source` an array over `source` along axis 1 (times x
-    rows x columns, as the models evolve a batch); it comes back as such."""
+    """Zero-extend x onto a grid that has x's grid as a prefix (a truncated
+    shift's output R(t)x lives on its payload grid extended by trailing
+    cells).  x is an HVector, or with `source` an array over `source` along
+    axis 1 (times x rows x columns, as the models evolve a batch); it comes
+    back as such."""
     src = x.grid if source is None else source
     if src.same_as(grid):
         return x
@@ -138,25 +140,6 @@ def pad_to_grid(x, grid: WeightedGrid, source: WeightedGrid | None = None):
     c = np.zeros(grid.size, dtype=complex)
     c[: src.size] = x.coeffs
     return HVector(grid, c)
-
-
-def align(x: HVector, y: HVector) -> tuple[HVector, HVector]:
-    """Bring two vectors onto a common grid, zero-padding the shorter one.
-
-    Needed because shift semigroups extend their payload: R(t)x lives on a
-    grid with extra trailing cells.  Raises GridMismatchError when neither
-    grid is a prefix of the other.
-    """
-    if x.grid.same_as(y.grid):
-        return x, y
-    if x.grid.size <= y.grid.size:
-        return pad_to_grid(x, y.grid), y
-    return x, pad_to_grid(y, x.grid)
-
-
-def difference_norm(x: HVector, y: HVector) -> float:
-    xa, ya = align(x, y)
-    return (xa - ya).norm()
 
 
 @dataclass(frozen=True)
@@ -195,16 +178,6 @@ class SumSpace:
             raise IndexError(f"block index {block} out of range")
         start = self.offsets[block]
         return slice(start, start + self.components[block].size)
-
-
-def direct_sum_embed(space: SumSpace, block: int, x: HVector) -> HVector:
-    """Isometric embedding of a component vector into the sum space."""
-    sl = space.block_slice(block)
-    if not x.grid.same_as(space.components[block]):
-        raise GridMismatchError("vector does not live on the block's grid")
-    c = np.zeros(space.dimension, dtype=complex)
-    c[sl] = x.coeffs
-    return HVector(space.combined, c)
 
 
 @dataclass(frozen=True)

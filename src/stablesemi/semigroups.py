@@ -47,7 +47,6 @@ from .hilbert import (
     HVector,
     SumSpace,
     WeightedGrid,
-    difference_norm,
     pad_to_grid,
 )
 
@@ -460,8 +459,8 @@ def _check_times(T: SemigroupModel, times: np.ndarray) -> None:
 def _columns(T: SemigroupModel, vectors) -> tuple[WeightedGrid, np.ndarray]:
     """(grid, weighted coordinates sqrt(mu) x over it, one column per vector).
 
-    Vectors on different grids are zero-padded onto the longest, as `align`
-    pads a pair: a shift's extended payload and its nominal grid, say.
+    Vectors on different grids are zero-padded onto the longest by
+    `pad_to_grid`: a shift's extended payload and its nominal grid, say.
     Raises GridMismatchError unless that grid extends every other one and
     T acts on it (T's own grid, or for a shift any shift-compatible one).
     """
@@ -577,34 +576,6 @@ def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
     for sl in _time_blocks(times.size, Z.size):
         G[sl] = T._compressed(times[sl], Z, True).conj().transpose(0, 2, 1) @ Z
     return G
-
-
-def check_semigroup_law(
-    T: SemigroupModel, t: float, s: float, x: HVector, tol: float
-) -> bool:
-    """||T(t+s)x - T(t)T(s)x|| <= tol * ||x||."""
-    lhs = T.apply(t + s, x)
-    rhs = T.apply(t, T.apply(s, x))
-    return difference_norm(lhs, rhs) <= tol * x.norm()
-
-
-def check_isometry(T: SemigroupModel, t: float, sample, tol: float) -> bool:
-    return all(abs(T.apply(t, x).norm() - x.norm()) <= tol * max(x.norm(), 1.0) for x in sample)
-
-
-def check_unitarity(T: SemigroupModel, t: float, sample, tol: float) -> bool:
-    if not check_isometry(T, t, sample, tol):
-        return False
-    for x in sample:
-        scale = tol * max(x.norm(), 1.0)
-        y = T.apply(t, x)
-        if y.grid.size != x.grid.size:
-            return False
-        if difference_norm(T.adjoint_apply(t, y), x) > scale:
-            return False
-        if difference_norm(T.apply(t, T.adjoint_apply(t, x)), x) > scale:
-            return False
-    return True
 
 
 def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:

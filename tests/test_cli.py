@@ -18,7 +18,7 @@ from stablesemi.cli import (
     run_quantization_sweep,
     write_outputs,
 )
-from stablesemi.constructions import near_identity_aws, quantization_distance, quantize_symbol
+from stablesemi.constructions import near_identity_aws, quantize_symbol
 from stablesemi.hilbert import WeightedGrid
 from stablesemi.semigroups import MultiplicationGroup
 
@@ -230,7 +230,8 @@ def _reference_quantization_sweep(cfg):
         n = int(rng.choice(n_values))
         t = float(rng.uniform(-t_max, t_max))
         U = MultiplicationGroup(grid, rng.uniform(0.0, 2.0 * np.pi, dim))
-        measured = quantization_distance(U, quantize_symbol(U, n).approximant, t)
+        qn = quantize_symbol(U, n).approximant.symbol
+        measured = float(np.abs(np.exp(1j * t * U.symbol) - np.exp(1j * t * qn)).max())
         bound = 2.0 * np.pi * abs(t) / n
         violations += measured > bound * (1.0 + 1e-12)
         max_err[n] = max(max_err[n], measured)

@@ -20,12 +20,11 @@ from stablesemi.constructions import (
     near_identity_aws,
     periodization_error_identity,
     periodize_shift,
-    quantization_distance,
     quantize_symbol,
     wold_decompose,
     wold_decompose_matrix,
 )
-from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid, difference_norm
+from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
 from stablesemi.metrics import MetricConfig, metric_isometric
 from stablesemi.semigroups import (
     ConjugatedGroup,
@@ -33,7 +32,6 @@ from stablesemi.semigroups import (
     MultiplicationGroup,
     PeriodicShiftGroup,
     ShiftSemigroup,
-    check_unitarity,
     one_step_matrix,
     shift_grid,
 )
@@ -43,6 +41,12 @@ def _mult(dim, seed, hi=2 * np.pi):
     rng = np.random.default_rng(seed)
     g = WeightedGrid.uniform(dim, 1.0 / dim)
     return MultiplicationGroup(g, rng.uniform(0.0, hi, dim))
+
+
+def _sup_phase_gap(U, V, t):
+    """Operator distance of two multiplication groups at t: the sup over the
+    grid of |exp(itq) - exp(itq')|, written out independently of the kernels."""
+    return float(np.abs(np.exp(1j * t * U.symbol) - np.exp(1j * t * V.symbol)).max())
 
 
 def _rvec(grid, seed=0):
@@ -70,14 +74,14 @@ class TestQuantization:
     def test_distance_bound(self, n, t):
         U = _mult(30, seed=n)
         V = quantize_symbol(U, n).approximant
-        assert quantization_distance(U, V, t) <= 2 * np.pi * abs(t) / n + 1e-12
+        assert _sup_phase_gap(U, V, t) <= 2 * np.pi * abs(t) / n + 1e-12
 
     def test_distance_is_exact_sup(self):
         g = WeightedGrid.uniform(2)
         U = MultiplicationGroup(g, np.array([0.0, 1.0]))
         V = MultiplicationGroup(g, np.array([0.0, 0.0]))
         # sup over the grid of |e^{it q} - e^{it q'}| = |e^{it} - 1|
-        assert quantization_distance(U, V, 1.0) == pytest.approx(abs(np.exp(1j) - 1))
+        assert _sup_phase_gap(U, V, 1.0) == pytest.approx(abs(np.exp(1j) - 1))
 
 
     def test_snap_down_stack_keeps_each_rows_lattice(self):
@@ -99,7 +103,7 @@ class TestQuantization:
             U = MultiplicationGroup(grid, q)
             V = quantize_symbol(U, int(n)).approximant
             np.testing.assert_array_equal(got, V.symbol)
-            assert d == quantization_distance(U, V, float(t))
+            assert d == _sup_phase_gap(U, V, float(t))
 
     def test_snap_down_rejects_level_below_one(self):
         with pytest.raises(ValueError, match="level"):
@@ -306,18 +310,23 @@ class TestWold:
 class TestWoldSplitReuse:
     def test_one_split_per_model(self, monkeypatch):
         calls = []
-        chains = constructions._wold_chains
 
-        def counted(*args):
-            calls.append(1)
-            return chains(*args)
+        def counted(name):
+            fn = getattr(constructions, name)
 
-        monkeypatch.setattr(constructions, "_wold_chains", counted)
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(constructions, name, wrapper)
+
+        counted("_wold_chains")
+        counted("one_step_matrix")
         V, _ = _conjugated_mixed(5, 11, seed=31)
         wold_decompose(V, step=1.0)
         approximate_isometry_by_periodic(V, 64)
         approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)
-        assert len(calls) == 1
+        # the slot is keyed on the model, so W is built once, not per call
+        assert sorted(calls) == ["_wold_chains", "one_step_matrix"]
 
     def test_walk_cap_is_part_of_the_key(self):
         T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (ShiftSemigroup(1.0, 9),))
@@ -411,10 +420,11 @@ class TestPeriodicApproximation:
         V = ConjugatedGroup(WeightedGrid.uniform(8), q, inner)
         P = approximate_isometry_by_periodic(V, 256)
         x = _rvec(V.grid, 18).normalized()
-        assert check_unitarity(P, 1.0, [x], 1e-10)
+        M = one_step_matrix(P, 1.0)
+        np.testing.assert_allclose(M.conj().T @ M, np.eye(8), atol=1e-10)
         # at one step the approximant tracks V up to the quantization scale
         # plus the rank-one defect of completing the truncated shift
-        d = difference_norm(V.apply(1.0, x), P.apply(1.0, x))
+        d = (V.apply(1.0, x) - P.apply(1.0, x)).norm()
         assert d < 1.5
 
     @pytest.mark.parametrize("du, cells, fiber, seed", [
@@ -496,7 +506,7 @@ class TestAwsPipeline:
         x = _rvec(U.grid, 20).normalized()
         # pipeline distance <= quantization error + perturbation guarantee
         for t in np.linspace(-t0, t0, 7):
-            d = difference_norm(U.apply(t, x), A.apply(t, x))
+            d = (U.apply(t, x) - A.apply(t, x)).norm()
             assert d <= 2 * np.pi * abs(t) / 256 + eps + 1e-10
 
     def test_shift_input(self):
@@ -538,4 +548,4 @@ class TestAwsPipeline:
                 z = basis.conj().T @ (np.exp(1j * t * freqs) * (basis @ (sw * x.coeffs)))
                 y = A.apply(float(t), x)
                 np.testing.assert_allclose(z / sw, y.coeffs, rtol=0, atol=1e-12)
-                assert difference_norm(y, P.apply(float(t), x)) <= eps + 1e-10
+                assert (y - P.apply(float(t), x)).norm() <= eps + 1e-10

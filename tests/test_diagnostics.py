@@ -11,7 +11,6 @@ from stablesemi.diagnostics import (
     correlation,
     density_estimate,
     detect_atoms,
-    jgl_split,
     mt_membership,
     wiener_limit,
     wjkt_membership,
@@ -90,15 +89,23 @@ class TestDensityAtoms:
         atoms = detect_atoms(U, 0.25)
         assert atoms == [(5.0, pytest.approx(0.5)), (6.0, pytest.approx(0.3))]
 
-    def test_jgl_split_partitions(self):
-        g = WeightedGrid(np.arange(4.0), np.array([0.4, 0.4, 0.1, 0.1]))
-        U = MultiplicationGroup(g, np.array([1.0, 1.0, 2.0, 3.0]))
-        rev, stab = jgl_split(U, 0.3)
-        assert set(rev) == {0, 1} and set(stab) == {2, 3}
-        assert len(rev) + len(stab) == 4
-
 
 class TestClassify:
+    @pytest.mark.parametrize("bad", [
+        {"horizon": 0.0}, {"horizon": -3.0}, {"horizon": float("inf")}, {"horizon": float("nan")},
+        {"samples": 1}, {"samples": 2.5}, {"samples": 200.0}, {"samples": True},
+        {"eps": 0.0}, {"eps": float("nan")}, {"delta_wiener": -1e-3},
+        {"delta_density": -0.1}, {"delta_density": 1.5}, {"mass_threshold": -0.1},
+    ])
+    def test_params_reject_bad_values(self, bad):
+        with pytest.raises(ValueError):
+            ClassifyParams(**bad)
+
+    def test_params_accept_the_edges(self):
+        ClassifyParams(horizon=1e-3, samples=np.int64(2), delta_wiener=0.0, delta_density=0.0,
+                       mass_threshold=0.0)
+        ClassifyParams(delta_density=1.0)
+
     def test_point_spectrum_detected(self):
         U = _two_atom()
         seq = DenseSequence.gaussian(U.grid, 3, seed=0)

@@ -8,9 +8,6 @@ from stablesemi.hilbert import (
     HVector,
     SumSpace,
     WeightedGrid,
-    align,
-    difference_norm,
-    direct_sum_embed,
     inner_product,
     pad_to_grid,
 )
@@ -99,34 +96,44 @@ class TestHVector:
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, rhs))
 
 
+def _embed(space, block, x):
+    """x on the block's grid, zero elsewhere in the sum space."""
+    c = np.zeros(space.dimension, dtype=complex)
+    c[space.block_slice(block)] = x.coeffs
+    return HVector(space.combined, c)
+
+
 class TestSumSpace:
     def test_embedding_is_isometric(self):
         g1, g2 = WeightedGrid.uniform(3, 0.5), WeightedGrid.uniform(5, 0.2)
         space = SumSpace((g1, g2))
         x = _vec(g1, 4)
-        emb = direct_sum_embed(space, 0, x)
+        emb = _embed(space, 0, x)
         assert emb.norm() == pytest.approx(x.norm(), abs=1e-14)
         assert space.dimension == 8
 
     def test_block_slice_inverts_embed(self):
-        g1, g2 = WeightedGrid.uniform(3), WeightedGrid.uniform(5)
+        g1, g2 = WeightedGrid.uniform(3), WeightedGrid(np.arange(5.0), np.linspace(0.1, 0.5, 5))
         space = SumSpace((g1, g2))
+        np.testing.assert_array_equal(space.combined.weights[space.block_slice(1)], g2.weights)
+        np.testing.assert_array_equal(space.combined.points[space.block_slice(0)], g1.points)
         x = _vec(g2, 5)
-        emb = direct_sum_embed(space, 1, x)
+        emb = _embed(space, 1, x)
         np.testing.assert_array_equal(emb.coeffs[space.block_slice(1)], x.coeffs)
         np.testing.assert_array_equal(emb.coeffs[space.block_slice(0)], 0.0)
+        with pytest.raises(IndexError):
+            space.block_slice(2)
 
     def test_pythagoras_across_blocks(self):
         g1, g2 = WeightedGrid.uniform(3, 0.7), WeightedGrid.uniform(4, 0.1)
         space = SumSpace((g1, g2))
         a, b = _vec(g1, 6), _vec(g2, 7)
-        s = direct_sum_embed(space, 0, a) + direct_sum_embed(space, 1, b)
+        s = _embed(space, 0, a) + _embed(space, 1, b)
         assert s.norm() ** 2 == pytest.approx(a.norm() ** 2 + b.norm() ** 2)
 
 
 class TestAlignment:
     def test_pad_preserves_norm(self):
-        small = WeightedGrid.uniform(4, 0.5)
         big = WeightedGrid(np.arange(7, dtype=float), np.full(7, 0.5))
         # prefix grids: padding appends zeros
         small = WeightedGrid(np.arange(4, dtype=float), np.full(4, 0.5))
@@ -139,15 +146,19 @@ class TestAlignment:
         x = _vec(WeightedGrid(np.array([0.0, 1.0]), np.ones(2)), 0)
         y = _vec(WeightedGrid(np.array([0.0, 2.0]), np.ones(2)), 1)
         with pytest.raises(GridMismatchError):
-            align(x, y)
+            pad_to_grid(x, y.grid)
+        with pytest.raises(GridMismatchError):
+            pad_to_grid(y, x.grid)
 
     def test_difference_norm_across_extension(self):
         g = WeightedGrid(np.arange(4, dtype=float), np.ones(4))
         gx = WeightedGrid(np.arange(6, dtype=float), np.ones(6))
         x = HVector(g, np.array([1.0, 2.0, 0.0, 0.0]))
         y = HVector(gx, np.array([1.0, 0.0, 0.0, 0.0, 3.0, 0.0]))
-        assert difference_norm(x, y) == pytest.approx(np.sqrt(4.0 + 9.0))
-        assert inner_product(*align(x, y)) == pytest.approx(1.0)
+        assert (pad_to_grid(x, gx) - y).norm() == pytest.approx(np.sqrt(4.0 + 9.0))
+        assert inner_product(pad_to_grid(x, gx), y) == pytest.approx(1.0)
+        with pytest.raises(GridMismatchError):
+            pad_to_grid(y, g)
 
 
 class TestDenseSequence:
