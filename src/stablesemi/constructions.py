@@ -38,6 +38,7 @@ from .semigroups import (
     ShiftSemigroup,
     _columns,
     _diff_norms,
+    _frequency_groups,
     one_step_matrix,
 )
 
@@ -155,7 +156,7 @@ class InflationResult:
     @property
     def frequencies_distinct(self) -> bool:
         f = self.group.symbol
-        return np.unique(f).size == f.size
+        return _frequency_groups(f)[0].size == f.size
 
     def compressed(self) -> MultiplicationGroup:
         """Restriction to the embedded copy of the original space."""
@@ -528,7 +529,7 @@ def distinct_frequency_certificate(model: SemigroupModel) -> bool:
     if isinstance(model, ConjugatedGroup):
         return distinct_frequency_certificate(model.inner)
     if isinstance(model, MultiplicationGroup):
-        return bool(np.unique(model.symbol).size == model.symbol.size)
+        return bool(_frequency_groups(model.symbol)[0].size == model.symbol.size)
     raise TypeError("certificate requires a (conjugated) multiplication group")
 
 

@@ -12,8 +12,8 @@ spectral form and the vectors lie on T's grid.  Spectral path (multiplication
 groups, periodic shifts, unitary direct sums of these, and conjugations of
 any of them): the spectral sum sum_m exp(i t f_m) a_m conj(b_m) with
 a = B sqrt(mu) x.  The kernel factors the phases on arithmetic time grids
-(linspace, j*h; any other grid is summed row by row), so T times cost about
-2 sqrt(T) phase rows, not T.  Every other model (truncated shifts and
+(linspace, j*h; any other grid is summed row by row) into powers, so T
+times cost 3 phase rows, not T.  Every other model (truncated shifts and
 anything containing one): <T(t)x, y> = <x, T(t)* y>, one batched adjoint
 evolution of all the vectors per block of times, reduced by a matrix
 product; the adjoint keeps a shift's payload length.  `correlation` evaluates one
@@ -35,6 +35,7 @@ from .semigroups import (
     SemigroupModel,
     _check_times,
     _columns,
+    _frequency_groups,
     _gram,
     _phase_sums,
 )
@@ -103,13 +104,12 @@ def wiener_limit(U: MultiplicationGroup, x: HVector) -> float:
     """Closed-form limit of the Cesaro mean for the diagonal model (y = x).
 
     Equal to the sum of squared atom masses of the spectral measure of x:
-    frequencies are grouped by exact equality.
+    frequencies are grouped by exact equality (`_frequency_groups`).
     """
-    return _atom_mass_squares(U.symbol, U.grid.weights * np.abs(x.coeffs) ** 2)
+    return _atom_mass_squares(_frequency_groups(U.symbol)[1], U.grid.weights * abs(x.coeffs) ** 2)
 
 
-def _atom_mass_squares(freqs: np.ndarray, masses: np.ndarray) -> float:
-    _, group = np.unique(freqs, return_inverse=True)
+def _atom_mass_squares(group: np.ndarray, masses: np.ndarray) -> float:
     return float((np.bincount(group, weights=masses) ** 2).sum())
 
 
@@ -132,14 +132,14 @@ def detect_atoms(U: MultiplicationGroup, mass_threshold: float) -> list[tuple[fl
     """
     if mass_threshold < 0:
         raise ValueError("mass threshold must be >= 0")
-    total = U.grid.total_mass
-    atoms = []
-    for lam in np.unique(U.symbol):
-        mass = float(U.grid.weights[U.symbol == lam].sum()) / total
-        if mass > mass_threshold:
-            atoms.append((float(lam), mass))
-    atoms.sort(key=lambda fm: -fm[1])
-    return atoms
+    return _atoms(U, *_frequency_groups(U.symbol), mass_threshold)
+
+
+def _atoms(U: MultiplicationGroup, lams, group, threshold: float) -> list[tuple[float, float]]:
+    """`detect_atoms` on a grouping of U.symbol; equal masses keep their order."""
+    masses = np.bincount(group, weights=U.grid.weights) / U.grid.total_mass
+    return [(float(lams[i]), float(masses[i]))
+            for i in np.argsort(-masses, kind="stable") if masses[i] > threshold]
 
 
 VERDICTS = (
@@ -215,7 +215,6 @@ def classify(
     # atoms and the Wiener limit: multiplication groups and their conjugates
     diag = T.inner if isinstance(T, ConjugatedGroup) else T
     diag = diag if isinstance(diag, MultiplicationGroup) else None
-    atoms = tuple(detect_atoms(diag, params.mass_threshold)) if diag is not None else ()
 
     # every pair i <= j in one call; the diagonal pairs are the
     # autocorrelations
@@ -223,25 +222,20 @@ def classify(
     values, coords = _correlations(T, normed, rows, cols, times)
 
     w = _trapezoid_weights(times)
-    worst_cesaro = 0.0
-    worst_cesaro_abs = 0.0
-    worst_density = 1.0
-    revival = False
-    for v in values[:, rows == cols].T:
-        tr = CorrelationTrace(times, v)
-        absv = np.abs(v)
-        if np.any(absv[revival_window] > 1.0 - params.eps):
-            revival = True
-        worst_cesaro = max(worst_cesaro, cesaro_mean_abs2(tr))
-        worst_cesaro_abs = max(worst_cesaro_abs, float((w * absv).sum() / w.sum()))
-        worst_density = min(worst_density, density_estimate(tr, params.eps))
+    autos = values[:, rows == cols]
+    traces = [CorrelationTrace(times, v) for v in autos.T]
+    revival = bool(np.any(np.abs(autos[revival_window]) > 1.0 - params.eps))
+    worst_cesaro = max(cesaro_mean_abs2(tr) for tr in traces)
+    worst_cesaro_abs = max(float((w * np.abs(v)).sum() / w.sum()) for v in autos.T)
+    worst_density = min(density_estimate(tr, params.eps) for tr in traces)
     worst_tail = float(np.abs(values[tail]).max())
     # witnesses off a multiplication group's grid are rejected, so here it
     # took the spectral path, where |coordinate|^2 is the spectral mass
-    worst_wiener = None
+    worst_wiener, atoms = None, ()
     if diag is not None:
-        worst_wiener = max(
-            _atom_mass_squares(diag.symbol, np.abs(a) ** 2) for a in coords.T)
+        groups = _frequency_groups(diag.symbol)
+        atoms = tuple(_atoms(diag, *groups, params.mass_threshold))
+        worst_wiener = max(_atom_mass_squares(groups[1], np.abs(a) ** 2) for a in coords.T)
 
     if atoms or revival:
         verdict = "PointSpectrumDetected"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablesemi.constructions import cantor_group, cantor_transform_abs
 from stablesemi.diagnostics import (
@@ -88,6 +89,39 @@ class TestDensityAtoms:
         U = MultiplicationGroup(g, np.array([4.0, 5.0, 6.0]))
         atoms = detect_atoms(U, 0.25)
         assert atoms == [(5.0, pytest.approx(0.5)), (6.0, pytest.approx(0.3))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=24),
+        weights=st.one_of(
+            st.just(None),  # equal weights: equal-size groups tie in mass
+            st.lists(st.floats(0.01, 10.0), min_size=24, max_size=24)),
+        # an integer k puts the threshold on the mass of entry k's group
+        threshold=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(0, 23)),
+    )
+    def test_detect_atoms_matches_per_frequency_loop(self, pool, picks, weights, threshold):
+        symbol = np.array([pool[i % len(pool)] for i in picks])
+        w = np.ones(symbol.size) if weights is None else np.array(weights[: symbol.size])
+        U = MultiplicationGroup(WeightedGrid(np.arange(float(symbol.size)), w), symbol)
+        # the docstring, one frequency at a time: each distinct frequency's
+        # weight over the total, kept above the threshold, heaviest first
+        # (a stable sort, so equal masses stay in frequency order)
+        masses = {}
+        for lam in sorted(set(symbol.tolist())):
+            mass = 0.0
+            for q, wq in zip(symbol, w):
+                if q == lam:
+                    mass += wq
+            masses[lam] = mass / U.grid.total_mass
+        if isinstance(threshold, int):
+            threshold = masses[symbol[threshold % symbol.size]]
+        want = sorted(((lam, m) for lam, m in masses.items() if m > threshold),
+                      key=lambda fm: -fm[1])
+        got = detect_atoms(U, threshold)
+        assert [f for f, _ in got] == [f for f, _ in want]
+        np.testing.assert_array_max_ulp(
+            np.array([m for _, m in got]), np.array([m for _, m in want]), maxulp=4)
 
 
 class TestClassify:

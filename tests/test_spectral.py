@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablesemi.constructions import cantor_group, quantize_symbol
 from stablesemi.diagnostics import (
@@ -16,7 +16,9 @@ from stablesemi.diagnostics import (
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
+from stablesemi import diagnostics, semigroups
 from stablesemi.semigroups import (
+    _PHASE_BLOCK,
     ConjugatedGroup,
     DirectSumSemigroup,
     InadmissibleTimeError,
@@ -174,6 +176,19 @@ def test_classify_matches_apply_loop(kind, seed):
         assert rep.atoms == tuple(detect_atoms(diag, p.mass_threshold))
     else:
         assert rep.wiener_closed_form is None and rep.atoms == ()
+
+
+def test_classify_groups_the_spectrum_once(monkeypatch):
+    calls = []
+    groups = diagnostics._frequency_groups
+    monkeypatch.setattr(diagnostics, "_frequency_groups",
+                        lambda f: calls.append(f.size) or groups(f))
+    T = _model("conj_mult", 5)
+    p = ClassifyParams(horizon=40.0, samples=120, mass_threshold=0.2)
+    rep = classify(T, DenseSequence.gaussian(T.grid, 4, seed=5), p)
+    # atoms and every witness's Wiener mass share one grouping
+    assert calls == [T.inner.symbol.size]
+    assert rep.wiener_closed_form is not None
 
 
 def _metric_times(S, T, cfg, lo):
@@ -432,27 +447,66 @@ def _kernel_inputs(rng, m, cols):
     return freqs, V
 
 
-def _assert_phase_sums(times, freqs, V):
-    err = np.abs(_phase_sums(times, freqs, V) - _dense_phase_sums(times, freqs, V))
-    assert err.shape == (times.size, V.shape[1])
+def _assert_phase_sums(times, freqs, V, rows=slice(None)):
+    got = _phase_sums(times, freqs, V)
+    assert got.shape == (times.size, V.shape[1])
+    err = np.abs(got[rows] - _dense_phase_sums(times[rows], freqs, V))
     assert np.all(err <= TOL * np.abs(V).sum(axis=0))
+
+
+def _coarse_blocks(times, m, cols):
+    rows = max(1, _PHASE_BLOCK // (m * cols))
+    return -(-_time_split(times)[0].size // rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.sampled_from([1, 2, 3, 97, 143, 144, 145, 1023, 1024, 1025]),
+    n=st.sampled_from([1, 2, 3, 97, 143, 144, 145, 1023, 1024, 1025, 20001, 200001]),
     t0=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)),
     dt=st.one_of(st.floats(-0.1, -1e-3), st.floats(1e-3, 0.1)),
-    m=st.integers(1, 40),
+    m=st.one_of(st.integers(1, 40), st.just(300)),
     cols=st.sampled_from([1, 3, 6]),
     seed=st.integers(0, 10 ** 6),
 )
+# the coarse rows of these span 3 and 4 blocks, so the power carried from
+# one block to the next is checked on every run
+@example(n=200001, t0=-17.5, dt=-0.08, m=300, cols=1, seed=1)
+@example(n=20001, t0=3.25, dt=0.05, m=300, cols=6, seed=2)
 def test_phase_sums_on_arithmetic_grids(n, t0, dt, m, cols, seed):
+    # the horizon stays that of the 1025-time grids: the float64 rounding of
+    # t * f, which any evaluation shares, then stays far below TOL and the
+    # check measures the kernel's own error, which grows with sqrt(n)
+    dt *= min(1.0, 1024 / n)
     times = t0 + dt * np.arange(n)
-    freqs, V = _kernel_inputs(np.random.default_rng(seed), m, cols)
+    rng = np.random.default_rng(seed)
+    freqs, V = _kernel_inputs(rng, m, cols)
     # the grid is recognized: b = ceil(sqrt(T)) fine offsets once T > 2
     assert _time_split(times)[1].size == (math.isqrt(n - 1) + 1 if n > 2 else 1)
-    _assert_phase_sums(times, freqs, V)
+    # long grids are checked on a sample of rows, with both ends
+    rows = slice(None) if n <= 1025 else np.r_[0, np.sort(rng.integers(1, n - 1, 62)), n - 1]
+    _assert_phase_sums(times, freqs, V, rows)
+
+
+def test_arithmetic_grids_take_three_phase_rows(monkeypatch):
+    pairs = []
+    phases = semigroups._phases
+
+    def counted(a, b):
+        pairs.append(a.size * b.size)
+        return phases(a, b)
+
+    monkeypatch.setattr(semigroups, "_phases", counted)
+    rng = np.random.default_rng(21)
+    freqs, V = _kernel_inputs(rng, 300, 1)
+    for n in (3, 2000, 200001):
+        times = -4.0 + 0.0005 * np.arange(n)
+        pairs.clear()
+        got = _phase_sums(times, freqs, V)
+        assert sum(pairs) <= 3 * freqs.size
+        rows = np.r_[0, rng.integers(1, n, 30), n - 1]
+        err = np.abs(got[rows] - _dense_phase_sums(times[rows], freqs, V))
+        assert np.all(err <= TOL * np.abs(V).sum(axis=0))
+    assert _coarse_blocks(times, freqs.size, 1) >= 3
 
 
 @settings(max_examples=40, deadline=None)
