@@ -38,7 +38,7 @@ from .constructions import (
     _snap_down,
 )
 from .diagnostics import cesaro_mean_abs2, correlation, mt_membership, wjkt_membership
-from .hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
+from .hilbert import DenseSequence, HVector, SumSpace, WeightedGrid, _is_integer
 from .metrics import MetricConfig, metric_unitary
 from .semigroups import (
     ConjugatedGroup,
@@ -372,14 +372,10 @@ _VALUE_RULES = {
 }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_values(cfg: dict, int_lows: dict, positive: tuple, levels: bool) -> None:
     """Reject values the scenario cannot run with, before it runs."""
     for key, low in int_lows.items():
-        if not _is_int(cfg[key]) or cfg[key] < low:
+        if not _is_integer(cfg[key]) or cfg[key] < low:
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     for key in int_lows:  # a min_* bound may not exceed its max_*
         top = "max_" + key[4:]
@@ -391,7 +387,7 @@ def _check_values(cfg: dict, int_lows: dict, positive: tuple, levels: bool) -> N
             raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
     ns = cfg.get("n_values")
     if levels and (not isinstance(ns, list) or not ns
-                   or not all(_is_int(n) and n >= 1 for n in ns)):
+                   or not all(_is_integer(n) and n >= 1 for n in ns)):
         raise ConfigError(f"n_values must be a non-empty list of integers >= 1, got {ns!r}")
 
 

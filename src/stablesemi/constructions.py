@@ -236,6 +236,12 @@ def inflate_and_perturb(
 
 @dataclass(frozen=True)
 class WoldResult:
+    """The Wold split of an isometric model's one-step map W = V(step).
+
+    A repeated `wold_decompose` of the same model with the same arguments
+    returns this same object, so every array is read-only.
+    """
+
     residual: float
     iterations: int  # chain-walk steps: the longest chain length once stabilized
     stabilized: bool
@@ -243,12 +249,12 @@ class WoldResult:
     # None when either side is empty, inf when the dropped ones are exactly zero
     rank_gap: float | None
     step: float
-    # one_step and both bases are read-only: a repeated split shares them
     one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
     shift_block: np.ndarray = field(repr=False)  # one-step map on H1: a shift matrix per chain
     basis_matrix_unitary: np.ndarray = field(repr=False)  # weighted coordinates
     basis_matrix_shift: np.ndarray = field(repr=False)  # chain vectors W^j s, chain by chain
+    chain_lengths: np.ndarray  # one per wandering chain, ascending, in basis_matrix_shift's order
 
     @property
     def unitary_dim(self) -> int:
@@ -305,32 +311,11 @@ def wold_decompose_matrix(
     return B0, B1, iterations, stabilized
 
 
-# (V, (h, max_iter, tol), _wold_split output) of the last split: one
-# slot, so the pipelines that follow wold_decompose on the same V neither
-# build W nor split it again.  Models are frozen and their arrays read-only,
-# so the same model object has the same W.
+# (V, (h, max_iter, tol), WoldResult) of the last call: one slot, so the
+# pipelines that follow wold_decompose on the same V neither build W nor
+# split it again.  Models are frozen and their arrays read-only, so the same
+# model object has the same W.
 _last_split = None
-
-
-def _wold_split(V: SemigroupModel, max_iter: int | None, tol: float, step: float | None):
-    """(W, h, B0, B1, lengths, iterations, stabilized, rank_gap) of an
-    isometric model: its one-step map W = V(h) and `_wold_chains` of W,
-    reused from the last call on the same model with the same (h, max_iter,
-    tol)."""
-    global _last_split
-    if not V.is_isometric:
-        raise NotIsometricError("Wold decomposition needs an isometric model")
-    h = step if step is not None else _natural_step(V)
-    key = (h, max_iter, tol)
-    last = _last_split
-    if last is not None and last[0] is V and last[1] == key:
-        return last[2]
-    W = one_step_matrix(V, h)
-    chains = _wold_chains(W, max_iter, tol)
-    for a in (W, *chains[:3]):
-        a.setflags(write=False)
-    _last_split = (V, key, (W, h, *chains))
-    return _last_split[2]
 
 
 def wold_decompose(
@@ -345,9 +330,19 @@ def wold_decompose(
     model's nominal grid; shift overflow is truncated, which is exactly what
     makes the powers of the shift part vanish on the simulated horizon.
     max_iter caps the steps of the chain walk (None: the dimension), and tol
-    is the integer check on the chain lengths (`_wold_chains`).
+    is the integer check on the chain lengths (`_wold_chains`).  A repeated
+    call on the same model object with the same (h, max_iter, tol) returns
+    the same result, whose arrays are all read-only.
     """
-    W, h, B0, B1, _, iterations, stabilized, rank_gap = _wold_split(V, max_iter, tol, step)
+    global _last_split
+    if not V.is_isometric:
+        raise NotIsometricError("Wold decomposition needs an isometric model")
+    h = step if step is not None else _natural_step(V)
+    key = (h, max_iter, tol)
+    if _last_split is not None and _last_split[0] is V and _last_split[1] == key:
+        return _last_split[2]
+    W = one_step_matrix(V, h)
+    B0, B1, lengths, iterations, stabilized, rank_gap = _wold_chains(W, max_iter, tol)
     WB0, WB1 = W @ B0, W @ B1
     M0, M1 = B0.conj().T @ WB0, B1.conj().T @ WB1
     defects = []
@@ -359,10 +354,13 @@ def wold_decompose(
     residual = float(max(defects)) if defects else 0.0
     if not stabilized:
         residual = max(residual, 1.0)  # dimensions never settled; flag loudly
-
-    return WoldResult(
+    for a in (W, M0, M1, B0, B1, lengths):
+        a.setflags(write=False)
+    result = WoldResult(
         residual, iterations, stabilized, rank_gap, step=h, one_step=W, unitary_block=M0,
-        shift_block=M1, basis_matrix_unitary=B0, basis_matrix_shift=B1)
+        shift_block=M1, basis_matrix_unitary=B0, basis_matrix_shift=B1, chain_lengths=lengths)
+    _last_split = (V, key, result)
+    return result
 
 
 def _natural_step(V: SemigroupModel) -> float:
@@ -482,12 +480,12 @@ def approximate_isometry_by_periodic(
             grids += [WeightedGrid(g.points[:k], g.weights[:k]), tail]
         return DirectSumSemigroup(SumSpace(tuple(grids)), tuple(parts))
 
-    W, h, B0, B1, lengths, _, stabilized, _ = _wold_split(V, max_iter, tol, None)
-    if not stabilized:
+    wr = wold_decompose(V, max_iter, tol)
+    if not wr.stabilized:
         raise ValueError("the Wold split did not stabilize; raise max_iter")
-    freqs0, Z0 = _diagonalize_unitary(B0.conj().T @ W @ B0, h)
-    freqs1, Z1 = _periodize_chains(B1, lengths, h)
-    to_diag = np.concatenate([Z0.conj().T @ B0.conj().T, Z1.conj().T])
+    freqs0, Z0 = _diagonalize_unitary(wr.unitary_block, wr.step)
+    freqs1, Z1 = _periodize_chains(wr.basis_matrix_shift, wr.chain_lengths, wr.step)
+    to_diag = np.concatenate([Z0.conj().T @ wr.basis_matrix_unitary.conj().T, Z1.conj().T])
     diag_group = MultiplicationGroup(WeightedGrid.uniform(to_diag.shape[0]),
                                      np.concatenate([freqs0, freqs1]))
     return ConjugatedGroup(V.grid, to_diag, quantize_symbol(diag_group, n).approximant)

@@ -21,6 +21,11 @@ class GridMismatchError(ValueError):
     """Two vectors do not live on the same (or a compatible) grid."""
 
 
+def _is_integer(v) -> bool:
+    """A Python or NumPy integer; bools are not counts."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class WeightedGrid:
     """K real grid points with strictly positive masses."""

@@ -2,11 +2,13 @@
 isometric semigroups, weak on contractions.
 
 Each is a doubly (or triply) truncated weighted series over a fixed witness
-sequence; the discarded tail is certified in closed form (every numerator is
-bounded by 2 times the witness norms), and the sup over continuous time is
-sampled, with a Lipschitz slack reported whenever a frequency bound for both
-models is available.  For models with discrete admissible times the sup runs
-over exactly the admissible multiples of the step, so no slack is needed.
+sequence, and all three go through one assembly: a table of per-block sups
+(`_block_sups`) weighed by 2^-(n + j...) / (||x_j||...) (`_assemble`).  The
+discarded tail is certified in closed form (every numerator is bounded by 2
+times the witness norms), and the sup over continuous time is sampled, with
+a Lipschitz slack reported whenever a frequency bound for both models is
+available.  For models with discrete admissible times the sup runs over
+exactly the admissible multiples of the step, so no slack is needed.
 
 The strong metrics take a closed form when both models have a spectral form
 on one grid with the same basis (the same array or an equal one), as a model
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence
+from .hilbert import DenseSequence, _is_integer
 from .semigroups import SemigroupModel, _columns, _diff_norms, _gram, _phase_gaps
 
 
@@ -35,6 +37,8 @@ class MetricConfig:
     samples_per_block: int = 64
 
     def __post_init__(self):
+        if not all(_is_integer(v) for v in (self.J, self.N, self.samples_per_block)):
+            raise ValueError("J, N and samples_per_block must be integers")
         if not 1 <= self.J <= len(self.dense_seq):
             raise ValueError("J must satisfy 1 <= J <= len(dense_seq)")
         if self.N < 1 or self.samples_per_block < 2:
@@ -51,13 +55,10 @@ class MetricValue:
         return self.value
 
 
-def _tail_bound_double(J: int, N: int) -> float:
-    # sum over (n > N or j > J) of 2 * 2^(-n-j)
-    return 2.0 * (1.0 - (1.0 - 2.0 ** -J) * (1.0 - 2.0 ** -N))
-
-
-def _tail_bound_triple(J: int, N: int) -> float:
-    return 2.0 * (1.0 - (1.0 - 2.0 ** -J) ** 2 * (1.0 - 2.0 ** -N))
+def _tail_bound(J: int, N: int, axes: int) -> float:
+    # sum over (n > N or some witness index > J) of 2 * 2^-(n + j...), with
+    # `axes` witness indices
+    return 2.0 * (1.0 - (1.0 - 2.0 ** -J) ** axes * (1.0 - 2.0 ** -N))
 
 
 def _resolve_step(S: SemigroupModel, T: SemigroupModel) -> float | None:
@@ -88,24 +89,27 @@ def _lipschitz_slack(S: SemigroupModel, T: SemigroupModel, dt: float) -> float |
 
 
 def _block_sups(diffs: np.ndarray, times: np.ndarray, cfg: MetricConfig, forward: bool):
-    """Per-(n, j) sampled sup of the difference table diffs[time, witness]."""
-    sups = np.zeros((cfg.N, cfg.J))
-    for n in range(1, cfg.N + 1):
-        mask = (times <= n + 1e-12) if forward else (np.abs(times) <= n + 1e-12)
-        sups[n - 1] = diffs[mask].max(axis=0)
-    return sups
+    """Per-n sampled sup of the difference table diffs[time, witness...]:
+    an (N, *witness axes) table."""
+    reach = times if forward else np.abs(times)
+    return np.stack([diffs[reach <= n + 1e-12].max(axis=0) for n in range(1, cfg.N + 1)])
 
 
 def _assemble(sups: np.ndarray, norms: np.ndarray, cfg: MetricConfig,
-              tail: float, slack: float | None) -> MetricValue:
-    n_idx = np.arange(1, cfg.N + 1)[:, None]
-    j_idx = np.arange(1, cfg.J + 1)[None, :]
-    weights = 2.0 ** (-(n_idx + j_idx))
-    value = float((sups / norms[None, :] * weights).sum())
+              slack: float | None) -> MetricValue:
+    """The series over an (N, J) or (N, J, J) sup table: each entry weighs
+    2^-(n + j...) / (||x_j||...), and the truncation bound and sampling
+    slack follow from the same weights."""
+    axes = sups.ndim - 1
+    # the indices are 0-based, so adding ndim gives n + j (+ i) from 1
+    weights = 2.0 ** -(np.indices(sups.shape).sum(axis=0) + sups.ndim)
+    norms = norms if axes == 1 else np.multiply.outer(norms, norms)
+    value = float((sups / norms * weights).sum())
     total_slack = None
     if slack is not None:
         total_slack = float(min(slack, 2.0) * weights.sum())
-    return MetricValue(value=value, truncation_bound=tail, sampling_slack=total_slack)
+    return MetricValue(value=value, truncation_bound=_tail_bound(cfg.J, cfg.N, axes),
+                       sampling_slack=total_slack)
 
 
 def _same_basis(a, b) -> bool:
@@ -141,9 +145,8 @@ def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
     diffs = _spectral_diffs(S, T, grid, Z, times)
     if diffs is None:
         diffs = _diff_norms(S, T, Z, times)
-    sups = _block_sups(diffs, times, cfg, forward)
     slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
-    return _assemble(sups, norms, cfg, _tail_bound_double(cfg.J, cfg.N), slack)
+    return _assemble(_block_sups(diffs, times, cfg, forward), norms, cfg, slack)
 
 
 def metric_unitary(U: SemigroupModel, V: SemigroupModel, cfg: MetricConfig) -> MetricValue:
@@ -166,27 +169,8 @@ def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) 
     step = _resolve_step(S, T)
     times = _times(cfg, step, 0.0, float(cfg.N))
     norms, _, Z = _witness_columns(S, T, cfg)
-    J = cfg.J
     # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|
     diffs = np.abs(_gram(S, times, Z) - _gram(T, times, Z)).transpose(0, 2, 1)
-    value = 0.0
-    for n in range(1, cfg.N + 1):
-        sup_n = diffs[times <= n + 1e-12].max(axis=0)
-        i_idx = np.arange(1, J + 1)[:, None]
-        j_idx = np.arange(1, J + 1)[None, :]
-        w = 2.0 ** (-(i_idx + j_idx + n))
-        value += float((sup_n / (norms[:, None] * norms[None, :]) * w).sum())
     slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
-    total_slack = None
-    if slack is not None:
-        i_idx = np.arange(1, J + 1)[:, None]
-        j_idx = np.arange(1, J + 1)[None, :]
-        wsum = sum(
-            (2.0 ** (-(i_idx + j_idx + n))).sum() for n in range(1, cfg.N + 1)
-        )
-        total_slack = float(min(2.0 * slack, 2.0) * wsum)
-    return MetricValue(
-        value=value,
-        truncation_bound=_tail_bound_triple(cfg.J, cfg.N),
-        sampling_slack=total_slack,
-    )
+    return _assemble(_block_sups(diffs, times, cfg, forward=True), norms, cfg,
+                     None if slack is None else 2.0 * slack)

@@ -47,6 +47,7 @@ from .hilbert import (
     HVector,
     SumSpace,
     WeightedGrid,
+    _is_integer,
     pad_to_grid,
 )
 
@@ -206,6 +207,12 @@ class _CellModel(SemigroupModel):
     """The two shifts: they act on cell-major payloads of any length whose
     entries all weigh `step`, and their times are multiples of `step`."""
 
+    def _validate(self, cells, name: str) -> None:
+        if not all(_is_integer(v) and v >= 1 for v in (cells, self.fiber_dim)):
+            raise ValueError(f"{name} and fiber_dim must be integers >= 1")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be finite and > 0")
+
     @property
     def time_step(self) -> float:
         return self.step
@@ -238,8 +245,7 @@ class ShiftSemigroup(_CellModel):
     is_isometric: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        if self.step <= 0 or self.cells < 1 or self.fiber_dim < 1:
-            raise ValueError("need step > 0, cells >= 1, fiber_dim >= 1")
+        self._validate(self.cells, "cells")
 
     @property
     def grid(self) -> WeightedGrid:
@@ -274,8 +280,7 @@ class PeriodicShiftGroup(_CellModel):
     is_isometric: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        if self.step <= 0 or self.period_cells < 1 or self.fiber_dim < 1:
-            raise ValueError("need step > 0, period_cells >= 1, fiber_dim >= 1")
+        self._validate(self.period_cells, "period_cells")
 
     @property
     def period(self) -> float:
@@ -331,6 +336,8 @@ class DirectSumSemigroup(SemigroupModel):
         parts = tuple(self.parts)
         if len(parts) != len(self.space.components):
             raise ValueError("one part per component grid required")
+        for part, g in zip(parts, self.space.components):
+            part._check_grid(g)
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -361,8 +368,7 @@ class DirectSumSemigroup(SemigroupModel):
 
     def _evolve(self, times, X, adjoint):
         out = np.empty((times.size, *X.shape), dtype=complex)
-        for b, (part, g) in enumerate(zip(self.parts, self.space.components)):
-            part._check_grid(g)
+        for b, part in enumerate(self.parts):
             sl = self.space.block_slice(b)
             out[:, sl] = part._compressed(times, X[sl], adjoint)
         return out

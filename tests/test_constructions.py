@@ -256,9 +256,13 @@ class TestWold:
             (MultiplicationGroup(gu, rng.uniform(-np.pi / 2, np.pi / 2, du)), *shifts))
         k = inner.grid.size
         q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-        wr = wold_decompose(ConjugatedGroup(WeightedGrid.uniform(k), q, inner), step=1.0)
+        V = ConjugatedGroup(WeightedGrid.uniform(k), q, inner)
+        wr = wold_decompose(V, step=1.0)
         want = scipy.linalg.block_diag(*(np.eye(c, k=-1) for c in cells))
         assert np.abs(wr.shift_block - want).max() <= 1e-12
+        # one chain per shift block, as long as its cell count
+        assert wr.chain_lengths.tolist() == sorted(cells)
+        assert wold_decompose(V, step=1.0) is wr
 
     def test_squaring_cap_reports_unstabilized(self):
         # two walk steps from the start of a 9-cell shift do not reach its end

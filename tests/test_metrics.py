@@ -32,6 +32,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             MetricConfig(seq, J=2, N=0)
 
+    @pytest.mark.parametrize("key", ["J", "N", "samples_per_block"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_sizes_must_be_integers(self, key, bad):
+        seq = DenseSequence.gaussian(WeightedGrid.uniform(4), 4, seed=0)
+        with pytest.raises(ValueError):
+            MetricConfig(seq, **{"J": 2, key: bad})
+        # NumPy integers are counts too
+        assert MetricConfig(seq, **{"J": 2, key: np.int64(3)})
+
     def test_float_conversion(self):
         assert float(MetricValue(0.25, 0.1, None)) == 0.25
 
@@ -81,6 +90,18 @@ class TestClosedFormTerm:
         assert got.truncation_bound == pytest.approx(2.0 * (1.0 - 0.25))
         # Lipschitz slack: (0 + 1) * dt / 2 summed against the weights
         assert got.sampling_slack == pytest.approx((1.0 / 64.0) / 2.0 * 0.25)
+
+    @pytest.mark.parametrize("J, N, spb", [(3, 4, 16), (2, 5, 2), (1, 1, 64)])
+    def test_contractive_bound_and_slack_closed_forms(self, J, N, spb):
+        # max frequencies 2.5 and 1.5; at spb = 2 the doubled slack caps at 2
+        U = _mult([0.0, 1.0, 2.5])
+        V = _mult([0.5, 1.0, -1.5])
+        mv = metric_contractive(U, V, _cfg(U.grid, J=J, N=N, spb=spb))
+        assert mv.truncation_bound == 2.0 * (1.0 - (1.0 - 2.0 ** -J) ** 2 * (1.0 - 2.0 ** -N))
+        slack = (2.5 + 1.5) * (1.0 / spb) / 2.0
+        weights = sum(2.0 ** -(i + j + n) for n in range(1, N + 1)
+                      for i in range(1, J + 1) for j in range(1, J + 1))
+        assert mv.sampling_slack == pytest.approx(min(2.0 * slack, 2.0) * weights, rel=1e-15)
 
 
 class TestOrderingAndRefinement:

@@ -156,6 +156,28 @@ class TestPeriodicShiftGroup:
             _assert_unitary(P, t, [f])
 
 
+@pytest.mark.parametrize("cls, args", [
+    (ShiftSemigroup, (1.0, 2.5)),
+    (ShiftSemigroup, (1.0, True)),
+    (ShiftSemigroup, (1.0, 4, 1.5)),
+    (ShiftSemigroup, (float("inf"), 4)),
+    (ShiftSemigroup, (0.0, 4)),
+    (PeriodicShiftGroup, (2.5, 1.0)),
+    (PeriodicShiftGroup, (3, float("nan"))),
+    (PeriodicShiftGroup, (3, -1.0)),
+    (PeriodicShiftGroup, (3, 1.0, np.float64(2.0))),
+    (PeriodicShiftGroup, (0, 1.0)),
+])
+def test_shift_models_reject_bad_sizes_and_steps_at_construction(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+def test_shift_models_take_numpy_integer_sizes():
+    assert ShiftSemigroup(1.0, np.int64(3), np.int32(2)).grid.size == 6
+    assert PeriodicShiftGroup(np.int64(3), 1.0, np.int32(2)).grid.size == 6
+
+
 class TestDirectSum:
     def _model(self):
         gu = WeightedGrid.uniform(4)
@@ -380,13 +402,14 @@ def test_one_step_matrix_rejects_inadmissible_times(kind):
 
 
 def test_one_step_matrix_rejects_mismatched_grids():
+    # a part off its component grid is rejected when the sum is built, so no
+    # one-step matrix (or any other evolution) can start from one
     mult = _mult(4, seed=1)
-    off_grid = DirectSumSemigroup(SumSpace((WeightedGrid.uniform(4, 0.5),)), (mult,))
-    not_shift = DirectSumSemigroup(
-        SumSpace((WeightedGrid.uniform(6, 0.3),)), (ShiftSemigroup(ZOO_STEP, 3, 2),))
-    for T in (off_grid, not_shift):
-        with pytest.raises(GridMismatchError):
-            one_step_matrix(T, ZOO_STEP)
+    with pytest.raises(GridMismatchError):
+        DirectSumSemigroup(SumSpace((WeightedGrid.uniform(4, 0.5),)), (mult,))
+    with pytest.raises(GridMismatchError):
+        DirectSumSemigroup(
+            SumSpace((WeightedGrid.uniform(6, 0.3),)), (ShiftSemigroup(ZOO_STEP, 3, 2),))
 
 
 @pytest.mark.parametrize("kind", ZOO)

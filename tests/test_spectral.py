@@ -191,6 +191,18 @@ def test_classify_groups_the_spectrum_once(monkeypatch):
     assert rep.wiener_closed_form is not None
 
 
+def test_classify_weighs_the_time_grid_once(monkeypatch):
+    calls = []
+    weights = diagnostics._trapezoid_weights
+    monkeypatch.setattr(diagnostics, "_trapezoid_weights",
+                        lambda t: calls.append(t.size) or weights(t))
+    T = _model("conj_mult", 6)
+    p = ClassifyParams(horizon=40.0, samples=120)
+    classify(T, DenseSequence.gaussian(T.grid, 2, seed=6), p)
+    # cesaro_abs, cesaro_abs2 and the density of every witness share one grid
+    assert calls == [120]
+
+
 def _metric_times(S, T, cfg, lo):
     h = S.time_step or T.time_step
     if h is None:
