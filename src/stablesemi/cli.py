@@ -392,8 +392,10 @@ def _check_values(cfg: dict, int_lows: dict, positive: tuple, levels: bool) -> N
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    """A CSV cell: the shortest round-trip repr of a float, NumPy's included
+    (repr(np.float64) names its type), else str."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 

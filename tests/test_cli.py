@@ -318,3 +318,18 @@ def test_write_outputs_matches_dictwriter(tmp_path, scenario):
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
     assert csv_path.read_bytes() == ref.read_bytes()
+
+
+def test_numpy_scalars_write_the_bytes_of_python_scalars(tmp_path):
+    py = {"f": 0.1, "tiny": 1.7331959548696512e-15, "half": 0.5, "nan": math.nan,
+          "inf": -math.inf, "i": 3, "b": True}
+    npy = {"f": np.float64(0.1), "tiny": np.float64(1.7331959548696512e-15),
+           "half": np.float32(0.5), "nan": np.float64(math.nan), "inf": np.float64(-math.inf),
+           "i": np.int64(3), "b": np.bool_(True)}
+    paths = []
+    for name, row in (("py", py), ("np", npy)):
+        cfg = {"scenario": "wold_benchmark", "seed": 0, "csv_name": f"{name}.csv",
+               "json_name": f"{name}.json"}
+        paths.append(write_outputs(cfg, [row, row], {}, True, tmp_path, quiet=True)[0])
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+    assert b"np." not in paths[1].read_bytes()

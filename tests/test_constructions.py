@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stablesemi import constructions
 from stablesemi.constructions import (
     NotIsometricError,
+    _norm2,
     _periodize_chains,
     _wold_chains,
     _phase_distance,
@@ -228,7 +229,7 @@ class TestWold:
         wr = wold_decompose(_mixed(), step=1.0)
         assert wr.unitary_dim == 3 and wr.shift_dim == 6
         W = wr.one_step
-        _, B1, lengths, _, _, _ = _wold_chains(W, None, 1e-10)
+        _, B1, _, lengths, _, _, _ = _wold_chains(W, None, 1e-10)
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
         # one chain of length 6: the sixth roots of unity, each once
         np.testing.assert_allclose(np.sort(freqs), 2 * np.pi * np.arange(-2, 4) / 6, atol=1e-15)
@@ -332,6 +333,41 @@ class TestWoldSplitReuse:
         # the slot is keyed on the model, so W is built once, not per call
         assert sorted(calls) == ["_wold_chains", "one_step_matrix"]
 
+    def test_one_schur_per_split(self, monkeypatch):
+        calls = []
+        schur = constructions.scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return schur(*args, **kwargs)
+        monkeypatch.setattr(constructions.scipy.linalg, "schur", counted)
+        V, _ = _conjugated_mixed(5, 11, seed=36)
+        wr = wold_decompose(V, step=1.0)
+        approximate_isometry_by_periodic(V, 64)
+        approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)
+        # the split holds its diagonalization, so the unitary block is
+        # factored once for both pipelines
+        assert calls == [(5, 5)]
+        freqs, to_diag = wr.diagonal_form
+        assert wr.diagonal_form[1] is to_diag
+        with pytest.raises(ValueError):
+            to_diag[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            freqs[0] = 1.0
+
+    def test_shared_diagonalization_is_invisible(self):
+        V, _ = _conjugated_mixed(5, 11, seed=37)
+        wold_decompose(V, step=1.0)
+        chained = [approximate_isometry_by_periodic(V, 64),
+                   approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)]
+        constructions._last_split = None
+        periodic = approximate_isometry_by_periodic(V, 64)
+        constructions._last_split = None
+        aws = approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)
+        for got, want in zip(chained, (periodic, aws)):
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.inner.symbol, want.inner.symbol)
+
     def test_walk_cap_is_part_of_the_key(self):
         T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (ShiftSemigroup(1.0, 9),))
         assert wold_decompose(T, step=1.0).stabilized
@@ -358,13 +394,50 @@ class TestWoldSplitReuse:
             V, _ = _conjugated_mixed(*model)
             wr = wold_decompose(V, step=1.0)
             W = one_step_matrix(V, 1.0)
-            B0, B1, _, iterations, stabilized, rank_gap = _wold_chains(W, None, 1e-10)
+            B0, B1, _, _, iterations, stabilized, rank_gap = _wold_chains(W, None, 1e-10)
             assert np.array_equal(wr.one_step, W)
             assert np.array_equal(wr.basis_matrix_unitary, B0)
             assert np.array_equal(wr.basis_matrix_shift, B1)
             assert (wr.iterations, wr.stabilized, wr.rank_gap) == (iterations, stabilized, rank_gap)
             for f in dataclasses.fields(wr):
                 assert np.array_equal(getattr(wr, f.name), getattr(fresh[model], f.name)), f.name
+
+
+class TestSplitByproducts:
+    @pytest.mark.parametrize("du, nc, seed, max_iter", [
+        (4, 8, 46, None), (10, 30, 47, None), (3, 12, 48, 4)])
+    def test_walk_gives_w_b1(self, du, nc, seed, max_iter):
+        V, _ = _conjugated_mixed(du, nc, seed=seed)
+        W = one_step_matrix(V, 1.0)
+        _, B1, WB1, lengths, iterations, stabilized, _ = _wold_chains(W, max_iter, 1e-10)
+        assert stabilized is (max_iter is None) and B1.shape[1] > 0
+        if max_iter is not None:
+            # the capped walk's chain reaches its last slab, so its last
+            # vector's image is the step past the walk
+            assert lengths.max() == iterations + 1
+        assert np.abs(WB1 - W @ B1).max() <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (13, 13), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-15])
+    def test_gram_norm_matches_svd(self, shape, scale):
+        # residual-sized entries (1e-15) too: their Grams stay far from underflow
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        X = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert _norm2(X) == pytest.approx(np.linalg.norm(X, 2), rel=1e-12)
+        H = X.conj().T @ X - 2.0 * scale ** 2 * np.eye(shape[1])  # indefinite when small
+        for A in (H, -H):
+            assert _norm2(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    def test_residual_is_the_largest_defect(self):
+        # the three defects, written out with SVD norms
+        wr = wold_decompose(_conjugated_mixed(6, 14, seed=49)[0], step=1.0)
+        W, B0, B1 = wr.one_step, wr.basis_matrix_unitary, wr.basis_matrix_shift
+        M0 = wr.unitary_block
+        want = max(np.linalg.norm(W @ B0 - B0 @ M0, 2),
+                   np.linalg.norm(M0.conj().T @ M0 - np.eye(6), 2),
+                   np.linalg.norm(B0.conj().T @ W @ B1, 2))
+        assert 0 < wr.residual <= 1e-13
+        assert wr.residual == pytest.approx(want, rel=0.5)
 
 
 class TestPeriodization:
@@ -471,7 +544,7 @@ class TestPeriodizeChains:
         rng = np.random.default_rng(45)
         shift = scipy.linalg.block_diag(np.eye(2, k=-1), np.eye(3, k=-1))
         u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        B0, B1, lengths, _, stabilized, _ = _wold_chains(u @ shift @ u.conj().T, None, 1e-10)
+        B0, B1, _, lengths, _, stabilized, _ = _wold_chains(u @ shift @ u.conj().T, None, 1e-10)
         assert B0.shape[1] == 0 and stabilized
         freqs, Z = _periodize_chains(B1, lengths, 0.5)
         want = np.concatenate([2 * np.pi * np.array([0, 1]) / (2 * 0.5),
@@ -488,15 +561,16 @@ class TestPeriodizeChains:
     def test_rejects_non_shift_blocks(self, M1):
         # the contraction's chain length 1.49 is no integer, so its split
         # does not settle; the unitary block is a valid split, all of it H0
-        B0, B1, _, _, stabilized, _ = _wold_chains(M1, None, 1e-10)
+        B0, B1, _, _, _, stabilized, _ = _wold_chains(M1, None, 1e-10)
         unitary = np.allclose(M1.conj().T @ M1, np.eye(2))
         assert stabilized is unitary
         if unitary:
             assert B0.shape[1] == 2 and B1.shape[1] == 0
 
     def test_empty_block(self):
-        B0, B1, lengths, iterations, stabilized, _ = _wold_chains(np.zeros((0, 0)), None, 1e-10)
-        assert B0.shape == B1.shape == (0, 0) and lengths.size == iterations == 0 and stabilized
+        B0, B1, WB1, lengths, iterations, stabilized, _ = _wold_chains(
+            np.zeros((0, 0)), None, 1e-10)
+        assert B0.shape == B1.shape == WB1.shape == (0, 0) and lengths.size == iterations == 0 and stabilized
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
         assert freqs.shape == (0,) and Z.shape == (0, 0)
 
