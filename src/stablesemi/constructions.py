@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -58,7 +58,6 @@ class NotPeriodicError(ValueError):
 class QuantizationResult:
     approximant: MultiplicationGroup
     level: int
-    guaranteed_bound: Callable[[float], float]
 
 
 def _snap_down(q: np.ndarray, n) -> np.ndarray:
@@ -97,7 +96,6 @@ def quantize_symbol(U: MultiplicationGroup, n: int) -> QuantizationResult:
     return QuantizationResult(
         approximant=MultiplicationGroup(U.grid, _snap_down(U.symbol, n)),
         level=n,
-        guaranteed_bound=lambda t: 2.0 * np.pi * abs(t) / n,
     )
 
 
@@ -181,14 +179,14 @@ def inflate_and_perturb(
 ) -> InflationResult:
     """Perturb a periodic group into one with pairwise-distinct frequencies.
 
-    Grid indices are grouped by exact frequency (the eigenspaces of the
-    generator).  Each group is inflated to `copies` copies of its points in
-    one contiguous block, copy-major, the blocks in ascending frequency order;
-    copy 0 holds the original points.  Every inflated point gets its constant
-    frequency replaced by frequency + delta with the deltas injective and
-    bounded by 1/m, m the smallest integer with 2*t0/m <= eps.  Embedded
-    anchors then stay within eps * ||anchor|| of their original orbit for
-    |t| <= t0.
+    Grid indices are grouped by exact frequency (`_frequency_groups`; the
+    eigenspaces of the generator).  Each group is inflated to `copies`
+    copies of its points in one contiguous block, copy-major, the blocks in
+    ascending frequency order; copy 0 holds the original points.  Every
+    inflated point gets its constant frequency replaced by frequency +
+    delta with the deltas injective and bounded by 1/m, m the smallest
+    integer with 2*t0/m <= eps.  Embedded anchors then stay within
+    eps * ||anchor|| of their original orbit for |t| <= t0.
     """
     if eps <= 0 or t0 <= 0:
         raise ValueError("need eps > 0 and t0 > 0")
@@ -201,17 +199,17 @@ def inflate_and_perturb(
 
     m = max(1, math.ceil(2.0 * t0 / eps))
     q = periodic.symbol
-    order = np.argsort(q, kind="stable")
-    q_sorted = q[order]
-    starts = np.flatnonzero(np.r_[True, q_sorted[1:] != q_sorted[:-1]])
-    sizes = np.diff(np.r_[starts, q.size])
+    lams, group = _frequency_groups(q)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    starts = np.cumsum(sizes) - sizes
     scale = 1.0 / m
-    if starts.size > 1:
-        scale = min(scale, float(np.diff(q_sorted[starts]).min()) / 4.0)
+    if lams.size > 1:
+        scale = min(scale, float(np.diff(lams).min()) / 4.0)
 
     # group g fills copies*size_g slots from copies*start_g, copy-major: copy c
     # of sorted position i goes to copies*start_g + c*size_g + (i - start_g)
-    group_of = np.repeat(np.arange(starts.size), sizes)
+    group_of = group[order]
     dest = ((copies - 1) * starts[group_of] + np.arange(q.size)
             + np.arange(copies)[:, None] * sizes[group_of])
     source = np.empty(dest.size, dtype=int)

@@ -38,6 +38,7 @@ from .semigroups import (
     _frequency_groups,
     _gram,
     _phase_sums,
+    _step_times,
 )
 
 
@@ -196,8 +197,7 @@ def _time_grid(T: SemigroupModel, horizon: float, samples: int) -> np.ndarray:
     h = T.time_step
     if h is None:
         return np.linspace(0.0, horizon, samples)
-    steps = max(1, int(np.floor(horizon / h)))
-    return np.arange(0, steps + 1) * h
+    return _step_times(h, 0.0, max(horizon, h))  # at least one step
 
 
 def classify(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DenseSequence, _is_integer
-from .semigroups import SemigroupModel, _columns, _diff_norms, _gram, _phase_gaps
+from .semigroups import SemigroupModel, _columns, _diff_norms, _gram, _phase_gaps, _step_times
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,7 @@ def _resolve_step(S: SemigroupModel, T: SemigroupModel) -> float | None:
 
 def _times(cfg: MetricConfig, step: float | None, lo: float, hi: float) -> np.ndarray:
     if step is not None:
-        k0 = int(np.ceil(lo / step - 1e-12))
-        k1 = int(np.floor(hi / step + 1e-12))
-        return np.arange(k0, k1 + 1) * step
+        return _step_times(step, lo, hi)
     spb = cfg.samples_per_block
     # rational grid hits every integer block endpoint exactly
     return np.arange(round(lo * spb), round(hi * spb) + 1) / spb

@@ -80,6 +80,12 @@ def _steps(times: np.ndarray, h: float) -> np.ndarray:
     return ell.astype(int)[:, None]
 
 
+def _step_times(h: float, lo: float, hi: float) -> np.ndarray:
+    """The lattice h Z on [lo, hi], ends included up to a rounding margin: hi
+    = 0.7 keeps the seventh step of h = 0.1, though 0.7 / 0.1 < 7 in float64."""
+    return np.arange(math.ceil(lo / h - 1e-12), math.floor(hi / h + 1e-12) + 1) * h
+
+
 def _rows(X: np.ndarray, src: np.ndarray, extra: int) -> np.ndarray:
     """Rows `src` (times x rows) of X with `extra` zero rows appended; an
     index in [-extra, 0) counts from the end, so it reads a zero row too."""

@@ -14,12 +14,16 @@ from stablesemi.cli import (
     _fmt,
     load_config,
     main,
+    run_category_escape,
+    run_metric_tables,
     run_near_identity_sweep,
     run_quantization_sweep,
     write_outputs,
 )
-from stablesemi.constructions import near_identity_aws, quantize_symbol
-from stablesemi.hilbert import WeightedGrid
+from stablesemi.constructions import inflate_and_perturb, near_identity_aws, quantize_symbol
+from stablesemi.diagnostics import correlation, mt_membership, wjkt_membership
+from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
+from stablesemi.metrics import MetricConfig, metric_unitary
 from stablesemi.semigroups import MultiplicationGroup
 
 
@@ -245,11 +249,76 @@ def _reference_quantization_sweep(cfg):
     return rows, summary
 
 
+def _reference_category_escape(cfg):
+    """The scenario built by hand: a floor onto (2*pi/base_level)Z, then
+    inflation and compression for the almost weakly stable group; each
+    membership decided from the trace value and from the predicate."""
+    dim, base_level = cfg["dimension"], cfg["base_level"]
+    n_values, multiples = cfg["n_values"], cfg["multiples"]
+    j_count, k_max = cfg["witnesses"], cfg["k_max"]
+    rng = np.random.default_rng(cfg["seed"])
+    grid = WeightedGrid.uniform(dim, 1.0 / dim)
+    U = MultiplicationGroup(grid, rng.uniform(0.0, 2.0 * np.pi, dim))
+    x = HVector(grid, np.ones(dim))
+    seq = DenseSequence.gaussian(grid, max(j_count, 6), seed=int(rng.integers(2 ** 31)))
+    mcfg = MetricConfig(seq, J=min(6, j_count), N=6, samples_per_block=32)
+    rows, ok, prev = [], True, None
+    for n in n_values:
+        Vn = quantize_symbol(U, n).approximant
+        d = metric_unitary(U, Vn, mcfg).value
+        revivals = np.abs(correlation(Vn, x, x, n * np.arange(1, multiples + 1)).values)
+        for m, val in enumerate(revivals.tolist(), start=1):
+            escaped = not mt_membership(Vn, x, m * n)
+            ok = ok and escaped and val > 0.5
+            rows.append({"table": "escape", "n": n, "t": m * n, "witness": -1,
+                         "value": val, "escaped": escaped, "metric_to_base": d})
+        if prev is not None and d > prev + 1e-9:
+            ok = False
+        prev = d
+    jcell = 2.0 * np.pi / base_level
+    base = MultiplicationGroup(grid, jcell * np.floor(U.symbol / jcell))
+    infl = inflate_and_perturb(base, [], cfg["eps"], cfg["t0"], copies=cfg["copies"])
+    aws = MultiplicationGroup(grid, infl.compressed().symbol)
+    t_sweep = np.unique(np.concatenate([
+        np.linspace(1.0, 200.0, 200), np.exp(rng.uniform(np.log(10.0), np.log(1e5), 400))]))
+    for j in range(j_count):
+        xj = seq[j]
+        vals = np.abs(correlation(aws, xj, xj, t_sweep).values) / xj.norm() ** 2
+        best_t = float(t_sweep[int(np.argmin(vals))])
+        entered = bool(vals.min() < 1.0 / k_max) and wjkt_membership(
+            aws, xj.normalized(), k_max, best_t)
+        ok = ok and entered
+        rows.append({"table": "aws", "n": base_level, "t": best_t, "witness": j,
+                     "value": float(vals.min()), "escaped": entered,
+                     "metric_to_base": float("nan")})
+    return rows, {"all_escaped_and_entered": ok,
+                  "frequencies_distinct": infl.frequencies_distinct}, ok
+
+
+def _reference_metric_tables(cfg):
+    dim, n_values = cfg["dimension"], cfg["n_values"]
+    rng = np.random.default_rng(cfg["seed"])
+    grid = WeightedGrid.uniform(dim, 1.0 / dim)
+    U = MultiplicationGroup(grid, rng.uniform(0.0, 2.0 * np.pi, dim))
+    seq = DenseSequence.gaussian(grid, cfg["J"], seed=int(rng.integers(2 ** 31)))
+    mcfg = MetricConfig(seq, J=cfg["J"], N=cfg["N"], samples_per_block=cfg["samples_per_block"])
+    rows, ok, prev = [], True, None
+    for n in n_values:
+        mv = metric_unitary(U, quantize_symbol(U, n).approximant, mcfg)
+        if prev is not None and mv.value > prev + 1e-9:
+            ok = False
+        prev = mv.value
+        rows.append({"n": n, "metric_value": mv.value, "truncation_bound": mv.truncation_bound,
+                     "sampling_slack": mv.sampling_slack})
+    return rows, {"monotone": ok}, ok
+
+
 def _same_rows(rows, want):
-    assert rows == want
-    # the CSV text depends on each value's type, not only on its value
-    assert [[type(v) for v in r.values()] for r in rows] == \
-        [[type(v) for v in r.values()] for r in want]
+    # each cell as the CSV writes it: its value, NaN included, and its type,
+    # which the CSV text depends on too
+    def cells(rs):
+        return [[(k, type(v), _fmt(v)) for k, v in r.items()] for r in rs]
+    assert cells(rows) == cells(want)
 
 
 class TestBatchedSweeps:
@@ -285,6 +354,38 @@ class TestBatchedSweeps:
                              "bound": float(2.0 * t / n)})
         _same_rows(rows, want)
         assert ok and summary == {"violations": 0}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("overrides", [{}, {"copies": 5, "base_level": 16, "witnesses": 3}])
+    def test_category_escape_matches_hand_built_pipeline(self, overrides, seed):
+        cfg = {**SCENARIOS["category_escape"][1], "seed": seed, **overrides}
+        rows, summary, ok = run_category_escape(cfg, np.random.default_rng(seed))
+        want_rows, want_summary, want_ok = _reference_category_escape(cfg)
+        _same_rows(rows, want_rows)
+        assert summary == want_summary and ok == want_ok
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("overrides", [{}, {"J": 3, "N": 2, "n_values": [512, 64, 64, 8]}])
+    def test_metric_tables_matches_per_level_loop(self, overrides, seed):
+        cfg = {**SCENARIOS["metric_tables"][1], "seed": seed, **overrides}
+        rows, summary, ok = run_metric_tables(cfg, np.random.default_rng(seed))
+        want_rows, want_summary, want_ok = _reference_metric_tables(cfg)
+        _same_rows(rows, want_rows)
+        assert summary == want_summary and ok == want_ok
+
+
+@pytest.mark.parametrize("scenario,flag", [
+    ("metric_tables", "monotone"), ("category_escape", "all_escaped_and_entered")])
+def test_metric_rising_along_the_ladder_fails_the_run(tmp_path, scenario, flag):
+    # level 8 lies farther from U than level 512, so the metric rises
+    cfgp = _write(tmp_path, "c.json", {"scenario": scenario, "n_values": [512, 8]})
+    assert main(["run", str(cfgp), "--out", str(tmp_path), "--quiet"]) == 1
+    doc = json.loads((tmp_path / f"{scenario}_summary.json").read_text())
+    assert doc["bounds_ok"] is False and doc["metrics"][flag] is False
+    with open(tmp_path / f"{scenario}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # every escape and entry held: the rise alone fails category_escape
+    assert all(r.get("escaped", "True") == "True" for r in rows)
 
 
 # every scenario at a size small enough for a unit test

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablesemi import constructions
 from stablesemi.constructions import (
@@ -165,10 +165,13 @@ class TestInflation:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 200), st.integers(2, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    @example(n=6, copies=3, levels=1, seed=5)  # zeros at 0, 1, 3 and 5
     def test_layout_matches_per_frequency_loop(self, n, copies, levels, seed):
-        # repeated, unsorted lattice frequencies on a grid with distinct weights
+        # repeated, unsorted lattice frequencies on a grid with distinct
+        # weights; the zeros at odd positions are -0.0, one frequency with 0.0
         rng = np.random.default_rng(seed)
         q = 2 * np.pi / levels * rng.integers(-levels, levels, n)
+        q[(q == 0) & (np.arange(n) % 2 == 1)] = -0.0
         grid = WeightedGrid(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
         res = inflate_and_perturb(MultiplicationGroup(grid, q), [], 0.25, 5.0, copies=copies)
         # the definition: per distinct frequency, ascending, its points tiled

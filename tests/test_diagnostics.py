@@ -7,6 +7,7 @@ from stablesemi.diagnostics import (
     ClassifyParams,
     CorrelationTrace,
     StabilityReport,
+    _time_grid,
     cesaro_mean_abs2,
     classify,
     correlation,
@@ -17,7 +18,8 @@ from stablesemi.diagnostics import (
     wjkt_membership,
 )
 from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
-from stablesemi.semigroups import MultiplicationGroup, ShiftSemigroup
+from stablesemi.metrics import _times
+from stablesemi.semigroups import MultiplicationGroup, PeriodicShiftGroup, ShiftSemigroup
 
 
 def _two_atom():
@@ -139,6 +141,19 @@ class TestClassify:
         ClassifyParams(horizon=1e-3, samples=np.int64(2), delta_wiener=0.0, delta_density=0.0,
                        mass_threshold=0.0)
         ClassifyParams(delta_density=1.0)
+
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 1.1, 1.3, 2.1])
+    def test_step_grid_keeps_the_last_admissible_time(self, h):
+        # horizon k*h written in decimals: for about one k in six, horizon / h
+        # rounds to just below k
+        for k in range(1, 28):
+            horizon = round(k * h, 10)
+            times = _time_grid(PeriodicShiftGroup(7, h), horizon, 10)
+            assert times.size == k + 1 and times[-1] == pytest.approx(horizon, rel=1e-12)
+            # the metrics' lattice over the same span (their step branch reads no config)
+            np.testing.assert_array_equal(times, _times(None, h, 0.0, horizon))
+        # a horizon shorter than the step still gets one step
+        np.testing.assert_array_equal(_time_grid(PeriodicShiftGroup(7, h), h / 2, 10), [0.0, h])
 
     def test_point_spectrum_detected(self):
         U = _two_atom()

@@ -135,7 +135,7 @@ def test_correlation_matches_apply_loop(kind, seed):
 def _classify_reference(T, witnesses, p):
     h = T.time_step
     times = (np.linspace(0.0, p.horizon, p.samples) if h is None
-             else np.arange(0, max(1, int(np.floor(p.horizon / h))) + 1) * h)
+             else np.arange(0, max(1, int(np.floor(p.horizon / h + 1e-12))) + 1) * h)
     normed = [x.normalized() for x in witnesses]
     w = np.zeros(times.size)
     w[:-1] += np.diff(times) / 2.0
