@@ -152,11 +152,6 @@ class InflationResult:
         c[self.embed_index] = x.coeffs
         return HVector(self.grid, c)
 
-    @property
-    def frequencies_distinct(self) -> bool:
-        f = self.group.symbol
-        return _frequency_groups(f)[0].size == f.size
-
     def compressed(self) -> MultiplicationGroup:
         """Restriction to the embedded copy of the original space."""
         base = self.group
@@ -436,7 +431,7 @@ def periodization_error_identity(
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = periodize_shift(R, n_c)
-    lhs = _diff_norms(U, R, _columns(R, [f])[1], np.array([t], dtype=float))[0, 0] ** 2
+    lhs = _diff_norms(U, R, *_columns(R, [f]), np.array([t], dtype=float))[0, 0] ** 2
     if ell == 0:
         return float(lhs), 0.0, 0.0
 

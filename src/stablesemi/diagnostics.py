@@ -7,16 +7,8 @@ labeled "evidence", never a proof.  On finite grids all spectral measures
 are atomic, so almost weak stability is certified by the combination of a
 simple spectrum (no repeated frequency) and a small Wiener limit.
 
-Two paths compute every correlation <T(t)x, y>, chosen by whether T has a
-spectral form and the vectors lie on T's grid.  Spectral path (multiplication
-groups, periodic shifts, unitary direct sums of these, and conjugations of
-any of them): the spectral sum sum_m exp(i t f_m) a_m conj(b_m) with
-a = B sqrt(mu) x.  The kernel factors the phases on arithmetic time grids
-(linspace, j*h; any other grid is summed row by row) into powers, so T
-times cost 3 phase rows, not T.  Every other model (truncated shifts and
-anything containing one): <T(t)x, y> = <x, T(t)* y>, one batched adjoint
-evolution of all the vectors per block of times, reduced by a matrix
-product; the adjoint keeps a shift's payload length.  `correlation` evaluates one
+Every correlation goes through `semigroups._correlations`, whose module
+docstring states the rule that picks its path: `correlation` evaluates one
 pair, `classify` all witness pairs in one call, and the membership
 predicates one time.
 """
@@ -33,11 +25,9 @@ from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
     SemigroupModel,
-    _check_times,
     _columns,
+    _correlations,
     _frequency_groups,
-    _gram,
-    _phase_sums,
     _step_times,
 )
 
@@ -64,22 +54,9 @@ class CorrelationTrace:
         return float(self.times[-1])
 
 
-def _correlations(T: SemigroupModel, vectors, rows, cols, times):
-    """(<T(t) v_r, v_c> for each (r, c) pair, one column each; coordinates of
-    the vectors: in T's spectral basis on the spectral path, weighted
-    otherwise)."""
-    grid, Z = _columns(T, vectors)
-    form = T.spectral_form()
-    if form is None or not grid.same_as(T.grid):
-        return _gram(T, times, Z)[:, cols, rows], Z
-    _check_times(T, times)
-    A = Z if form[1] is None else form[1] @ Z
-    return _phase_sums(times, form[0], A[:, rows] * A[:, cols].conj()), A
-
-
 def correlation(T: SemigroupModel, x: HVector, y: HVector, time_grid) -> CorrelationTrace:
     times = np.asarray(time_grid, dtype=float)
-    return CorrelationTrace(times, _correlations(T, (x, y), [0], [1], times)[0][:, 0])
+    return CorrelationTrace(times, _correlations(T, *_columns(T, (x, y)), [0], [1], times)[0][:, 0])
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -223,7 +200,7 @@ def classify(
     # every pair i <= j in one call; the diagonal pairs are the
     # autocorrelations
     rows, cols = np.triu_indices(len(normed))
-    values, coords = _correlations(T, normed, rows, cols, times)
+    values, coords = _correlations(T, *_columns(T, normed), rows, cols, times)
 
     # |autocorrelation|, one contiguous row per witness, reduced row by row
     # exactly as cesaro_mean_abs2 and density_estimate reduce one trace
@@ -266,19 +243,22 @@ def classify(
     )
 
 
-def _autocorrelation(U: SemigroupModel, x: HVector, t: float) -> complex:
-    return complex(_gram(U, np.array([t], dtype=float), _columns(U, [x])[1])[0, 0, 0])
+def _modulus(U: SemigroupModel, x: HVector, t: float) -> float:
+    """|<U(t)x, x>| at one time, as a Python float: the predicates then
+    return a bool, which a summary's JSON writes as `true`."""
+    values = _correlations(U, *_columns(U, [x]), [0], [0], np.array([t], dtype=float))[0]
+    return abs(complex(values[0, 0]))
 
 
 def mt_membership(U: SemigroupModel, x: HVector, t: float) -> bool:
     """|<U(t)x, x>| <= 1/2 for a unit vector x."""
     if abs(x.norm() - 1.0) > 1e-12:
         raise ValueError("membership in M_t is defined for unit vectors")
-    return abs(_autocorrelation(U, x, t)) <= 0.5
+    return _modulus(U, x, t) <= 0.5
 
 
 def wjkt_membership(U: SemigroupModel, x_j: HVector, k: int, t: float) -> bool:
     """|<U(t)x_j, x_j>| < 1/k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return abs(_autocorrelation(U, x_j, t)) < 1.0 / k
+    return _modulus(U, x_j, t) < 1.0 / k

@@ -10,13 +10,10 @@ a Lipschitz slack reported whenever a frequency bound for both models is
 available.  For models with discrete admissible times the sup runs over
 exactly the admissible multiples of the step, so no slack is needed.
 
-The strong metrics take a closed form when both models have a spectral form
-on one grid with the same basis (the same array or an equal one), as a model
-and its quantized approximant do: ||S(t)x - T(t)x||^2 is then
-|exp(i t f_S) - exp(i t f_T)|^2 @ |a|^2 with a = B sqrt(mu) x, evaluated in
-time blocks of bounded memory.  Every other pair (shifts, different bases)
-and the weak metric take one batched `_evolve` of all witnesses per model
-and block of times, reduced by a norm or a matrix product.
+The strong metrics evaluate every difference ||S(t)x - T(t)x|| through
+`semigroups._diff_norms`, and the weak metric every correlation through
+`semigroups._correlations`; the `semigroups` module docstring states the
+rule that picks their spectral or `_evolve` path.
 """
 
 from __future__ import annotations
@@ -26,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DenseSequence, _is_integer
-from .semigroups import SemigroupModel, _columns, _diff_norms, _gram, _phase_gaps, _step_times
+from .semigroups import (
+    SemigroupModel, _columns, _correlations, _diff_norms, _shared_step, _step_times)
 
 
 @dataclass(frozen=True)
@@ -59,15 +57,6 @@ def _tail_bound(J: int, N: int, axes: int) -> float:
     # sum over (n > N or some witness index > J) of 2 * 2^-(n + j...), with
     # `axes` witness indices
     return 2.0 * (1.0 - (1.0 - 2.0 ** -J) ** axes * (1.0 - 2.0 ** -N))
-
-
-def _resolve_step(S: SemigroupModel, T: SemigroupModel) -> float | None:
-    steps = {m.time_step for m in (S, T) if m.time_step is not None}
-    if not steps:
-        return None
-    if len(steps) > 1:
-        raise ValueError("models have incompatible time steps")
-    return steps.pop()
 
 
 def _times(cfg: MetricConfig, step: float | None, lo: float, hi: float) -> np.ndarray:
@@ -110,40 +99,22 @@ def _assemble(sups: np.ndarray, norms: np.ndarray, cfg: MetricConfig,
                        sampling_slack=total_slack)
 
 
-def _same_basis(a, b) -> bool:
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
-
-
-def _spectral_diffs(S, T, grid, Z: np.ndarray, times: np.ndarray) -> np.ndarray | None:
-    """||S(t)x - T(t)x|| = sqrt(|e^{itf_S} - e^{itf_T}|^2 @ |a|^2) per (time,
-    witness) when S, T and the witnesses share one grid and S and T one
-    spectral basis; else None."""
-    fs, ft = S.spectral_form(), T.spectral_form()
-    if (fs is None or ft is None or not grid.same_as(S.grid) or not S.grid.same_as(T.grid)
-            or not _same_basis(fs[1], ft[1])):
-        return None
-    A = Z if fs[1] is None else fs[1] @ Z
-    return np.sqrt(_phase_gaps(times, fs[0] - ft[0], np.abs(A) ** 2))
-
-
-def _witness_columns(S, T, cfg: MetricConfig):
-    """(witness norms, their grid, weighted witness columns) after checking
-    that both models act on that grid."""
+def _metric_inputs(S, T, cfg: MetricConfig, lo: float):
+    """(sample times on [lo, N], their Lipschitz slack or None, witness norms,
+    their grid, weighted witness columns) after checking that both models
+    share a step and act on that grid."""
+    step = _shared_step((S, T))
+    times = _times(cfg, step, lo, float(cfg.N))
     witnesses = cfg.dense_seq.vectors[: cfg.J]
     grid, Z = _columns(S, witnesses)
     T._check_grid(grid)
-    return np.array([x.norm() for x in witnesses]), grid, Z
+    slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
+    return times, slack, np.array([x.norm() for x in witnesses]), grid, Z
 
 
 def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
-    step = _resolve_step(S, T)
-    lo = 0.0 if forward else -float(cfg.N)
-    times = _times(cfg, step, lo, float(cfg.N))
-    norms, grid, Z = _witness_columns(S, T, cfg)
-    diffs = _spectral_diffs(S, T, grid, Z, times)
-    if diffs is None:
-        diffs = _diff_norms(S, T, Z, times)
-    slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
+    times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, 0.0 if forward else -float(cfg.N))
+    diffs = _diff_norms(S, T, grid, Z, times)
     return _assemble(_block_sups(diffs, times, cfg, forward), norms, cfg, slack)
 
 
@@ -164,11 +135,10 @@ def metric_isometric(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) ->
 
 def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) -> MetricValue:
     """Weak metric on contractions: triple-truncated sum over witness pairs."""
-    step = _resolve_step(S, T)
-    times = _times(cfg, step, 0.0, float(cfg.N))
-    norms, _, Z = _witness_columns(S, T, cfg)
-    # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|
-    diffs = np.abs(_gram(S, times, Z) - _gram(T, times, Z)).transpose(0, 2, 1)
-    slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
+    times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, 0.0)
+    # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|, over all J^2 pairs
+    i, j = np.indices((cfg.J, cfg.J)).reshape(2, -1)
+    S_ij, T_ij = (_correlations(M, grid, Z, i, j, times)[0] for M in (S, T))
+    diffs = np.abs(S_ij - T_ij).reshape(times.size, cfg.J, cfg.J)
     return _assemble(_block_sups(diffs, times, cfg, forward=True), norms, cfg,
                      None if slack is None else 2.0 * slack)

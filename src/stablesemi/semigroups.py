@@ -26,8 +26,17 @@ exactly what the Wold analysis needs).  Shift grids are memoized, so equal
 grids are one object and compare by identity.
 
 Unitary models also have a spectral form: frequencies and a basis (a
-periodic shift's DFT basis is memoized by shape, like shift grids).  The
-spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
+periodic shift's DFT basis is memoized by shape, like shift grids).
+
+Every correlation <T(t) z_r, z_c> of weighted columns Z goes through
+`_correlations`, and every difference ||S(t)z - T(t)z|| through
+`_diff_norms`.  One test (`_spectral`) picks their path: spectral when Z
+lies on each model's own grid, where it has a spectral form, and the forms
+share one basis B, so A = B Z meets phases only; otherwise `_evolve`, one
+batched evolution per model and block of times (the adjoint for a
+correlation), reduced by a matrix product or a norm.
+
+The spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
 grid.  On an arithmetic grid t0 + j dt, which is every grid the library
 builds, it factors each phase as exp(i t_{ab} f) exp(i c dt f), reduces by
 matrix products and builds both factor tables as powers of exp(i dt f) and
@@ -78,6 +87,15 @@ def _steps(times: np.ndarray, h: float) -> np.ndarray:
         raise InadmissibleTimeError(
             f"t={times[off][0]} is not an integer multiple of step {h}")
     return ell.astype(int)[:, None]
+
+
+def _shared_step(models) -> float | None:
+    """The step of the models that have one (None if none has); ValueError
+    if two differ."""
+    steps = {m.time_step for m in models} - {None}
+    if len(steps) > 1:
+        raise ValueError("models have incompatible time steps")
+    return steps.pop() if steps else None
 
 
 def _step_times(h: float, lo: float, hi: float) -> np.ndarray:
@@ -360,12 +378,7 @@ class DirectSumSemigroup(SemigroupModel):
 
     @property
     def time_step(self):
-        steps = {p.time_step for p in self.parts if p.time_step is not None}
-        if not steps:
-            return None
-        if len(steps) > 1:
-            raise ValueError("parts with different time steps are not supported")
-        return steps.pop()
+        return _shared_step(self.parts)
 
     def max_frequency(self):
         freqs = [p.max_frequency() for p in self.parts]
@@ -384,10 +397,13 @@ class DirectSumSemigroup(SemigroupModel):
         component grid (a part acting on a longer component falls back) and
         the parts share their time step."""
         forms = [p.spectral_form() for p in self.parts]
-        steps = {p.time_step for p in self.parts} - {None}
-        if len(steps) > 1 or any(f is None for f in forms) or not all(
+        if any(f is None for f in forms) or not all(
             p.grid.same_as(g) for p, g in zip(self.parts, self.space.components)
         ):
+            return None
+        try:
+            _shared_step(self.parts)
+        except ValueError:  # no common time lattice
             return None
         freqs = np.concatenate([f for f, _ in forms])
         if all(b is None for _, b in forms):
@@ -466,12 +482,6 @@ def _frequency_groups(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Entries (times x frequencies or rows x columns) evaluated at once by the
 # kernels below; it bounds their blocked working memory at a few MB.
 _PHASE_BLOCK = 1 << 16
-
-
-def _check_times(T: SemigroupModel, times: np.ndarray) -> None:
-    """Admissibility: every time on T's step lattice, if it has one."""
-    if T.time_step is not None:
-        _steps(times, T.time_step)
 
 
 def _columns(T: SemigroupModel, vectors) -> tuple[WeightedGrid, np.ndarray]:
@@ -582,12 +592,56 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
     return out
 
 
-def _diff_norms(S: SemigroupModel, T: SemigroupModel, Z: np.ndarray,
+def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """G[t, j, i] = <T(t) z_i, z_j> = <z_i, T(t)* z_j> for the weighted
+    columns z of Z: one adjoint evolution per time block, reduced by a
+    matrix product.  The adjoint keeps a shift's payload length, so no
+    block builds the cells a forward shift would extend it by."""
+    G = np.empty((times.size, Z.shape[1], Z.shape[1]), dtype=complex)
+    for sl in _time_blocks(times.size, Z.size):
+        G[sl] = T._compressed(times[sl], Z, True).conj().transpose(0, 2, 1) @ Z
+    return G
+
+
+def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
+    """(each model's frequencies, A = B Z) if columns Z over `grid` take the
+    spectral path: every model has a spectral form on that grid, all with one
+    basis B (the same array or an equal one).  Else None.  Checks the times
+    as `_evolve` would."""
+    if not all(grid.same_as(M.grid) for M in models):
+        return None
+    forms = [M.spectral_form() for M in models]
+    if any(f is None for f in forms):
+        return None
+    B = forms[0][1]
+    if any(b is not B and (b is None or B is None or not np.array_equal(b, B)) for _, b in forms):
+        return None
+    h = _shared_step(models)
+    if h is not None:
+        _steps(times, h)
+    return [f for f, _ in forms], (Z if B is None else B @ Z)
+
+
+def _correlations(T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray, rows, cols, times):
+    """(<T(t) z_r, z_c> per time and (r, c) pair, one column per pair; the
+    coordinates: A = B Z on the spectral path, Z on the other)."""
+    spectral = _spectral((T,), grid, Z, times)
+    if spectral is None:
+        return _gram(T, times, Z)[:, cols, rows], Z
+    (freqs,), A = spectral
+    return _phase_sums(times, freqs, A[:, rows] * A[:, cols].conj()), A
+
+
+def _diff_norms(S: SemigroupModel, T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """||S(t)z - T(t)z|| per (time, column of Z), one `_evolve` per model and
-    time block.  Outputs on different grids (a shift extends its payload)
-    meet on the longer one, which must extend the shorter (`pad_to_grid`).
-    Blocks are sized by the longest output, at the largest |t|."""
+    """||S(t)z - T(t)z|| per (time, column of Z).  On the `_evolve` path,
+    outputs on different grids (a shift extends its payload) meet on the
+    longer one, which must extend the shorter (`pad_to_grid`), and blocks
+    are sized by the longest output, at the largest |t|."""
+    spectral = _spectral((S, T), grid, Z, times)
+    if spectral is not None:
+        (fs, ft), A = spectral
+        return np.sqrt(_phase_gaps(times, fs - ft, np.abs(A) ** 2))
     out = np.empty((times.size, Z.shape[1]))
     rows = Z.shape[0]
     if times.size > 1:  # one time is one block, however long its output
@@ -602,17 +656,6 @@ def _diff_norms(S: SemigroupModel, T: SemigroupModel, Z: np.ndarray,
             b = pad_to_grid(b, ga, gb)
         out[sl] = np.sqrt((np.abs(a - b) ** 2).sum(axis=1))
     return out
-
-
-def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """G[t, j, i] = <T(t) z_i, z_j> = <z_i, T(t)* z_j> for the weighted
-    columns z of Z: one adjoint evolution per time block, reduced by a
-    matrix product.  The adjoint keeps a shift's payload length, so no
-    block builds the cells a forward shift would extend it by."""
-    G = np.empty((times.size, Z.shape[1], Z.shape[1]), dtype=complex)
-    for sl in _time_blocks(times.size, Z.size):
-        G[sl] = T._compressed(times[sl], Z, True).conj().transpose(0, 2, 1) @ Z
-    return G
 
 
 def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:

@@ -20,7 +20,8 @@ from stablesemi.cli import (
     run_quantization_sweep,
     write_outputs,
 )
-from stablesemi.constructions import inflate_and_perturb, near_identity_aws, quantize_symbol
+from stablesemi.constructions import (
+    distinct_frequency_certificate, inflate_and_perturb, near_identity_aws, quantize_symbol)
 from stablesemi.diagnostics import correlation, mt_membership, wjkt_membership
 from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
 from stablesemi.metrics import MetricConfig, metric_unitary
@@ -104,6 +105,10 @@ class TestConfig:
         ("metric_tables", {"J": 0}),
         ("metric_tables", {"samples_per_block": 1}),
         ("metric_tables", {"n_values": []}),
+        ("cantor_demo", {"seed": -1}),
+        ("cantor_demo", {"seed": 1.5}),
+        ("cantor_demo", {"seed": "7"}),
+        ("metric_tables", {"seed": True}),
     ])
     def test_sweep_values_rejected(self, tmp_path, scenario, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
@@ -127,6 +132,8 @@ class TestMain:
     def test_out_of_range_value_exits_2(self, tmp_path):
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "depth": 0})
         assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        ok = _write(tmp_path, "ok.json", SMALL)
+        assert main(["run", str(ok), "--out", str(tmp_path / "o"), "--seed", "-3", "--quiet"]) == 2
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bad", [
@@ -135,6 +142,7 @@ class TestMain:
         {"scenario": "category_escape", "witnesses": 0},
         {"scenario": "shift_periodization_check", "period_cells": 1},
         {"scenario": "wold_benchmark", "trials": -1},
+        {"seed": -1}, {"seed": 1.5}, {"seed": "7"}, {"seed": True},
     ])
     def test_bad_sweep_value_exits_2(self, tmp_path, bad):
         cfgp = _write(tmp_path, "bad.json", {"scenario": "quantization_sweep", **bad})
@@ -292,7 +300,7 @@ def _reference_category_escape(cfg):
                      "value": float(vals.min()), "escaped": entered,
                      "metric_to_base": float("nan")})
     return rows, {"all_escaped_and_entered": ok,
-                  "frequencies_distinct": infl.frequencies_distinct}, ok
+                  "frequencies_distinct": distinct_frequency_certificate(infl.group)}, ok
 
 
 def _reference_metric_tables(cfg):

@@ -138,7 +138,7 @@ class TestInflation:
         anchors = [_rvec(base.grid, 7).normalized()]
         res = inflate_and_perturb(base, anchors, eps, t0, copies=3)
         assert res.level_m == 20000
-        assert res.frequencies_distinct
+        assert distinct_frequency_certificate(res.group)
         a = anchors[0]
         emb = res.embed(a)
         assert emb.norm() == pytest.approx(a.norm(), abs=1e-14)

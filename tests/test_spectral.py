@@ -1,7 +1,7 @@
-"""The spectral path of correlation, classify and the strong metrics over a
-zoo of unitary models, and the `_evolve` path they take otherwise over
-shift and Wold-sum pairs, checked against per-time loops over reference
-matrices built from construction data."""
+"""The spectral path of correlation, classify, the membership predicates and
+the metrics over a zoo of unitary models, and the `_evolve` path they take
+otherwise over shift and Wold-sum pairs, checked against per-time loops over
+reference matrices built from construction data."""
 
 import math
 import tracemalloc
@@ -16,7 +16,7 @@ from stablesemi.diagnostics import (
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
-from stablesemi import diagnostics, semigroups
+from stablesemi import diagnostics, metrics, semigroups
 from stablesemi.semigroups import (
     _PHASE_BLOCK,
     ConjugatedGroup,
@@ -314,6 +314,8 @@ def test_metric_unitary_matches_apply_loop(kind, seed):
     for T in (_approximant(S), other_basis):
         got = metric_unitary(S, T, cfg).value
         assert got == pytest.approx(_metric_reference(S, T, cfg), rel=TOL, abs=TOL)
+        got = metric_contractive(S, T, cfg).value
+        assert got == pytest.approx(_contractive_reference(S, T, cfg), rel=TOL, abs=TOL)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -332,6 +334,25 @@ def test_spectral_path_makes_no_apply_calls(kind, monkeypatch):
     classify(S, wit, ClassifyParams(horizon=20.0, samples=50))
     metric_unitary(S, T, cfg)
     metric_isometric(S, T, cfg)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectral_path_builds_no_gram(kind, monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("_gram called on the spectral path")
+
+    # in every module that could hold the name, so no caller keeps a route
+    # of its own
+    for module in (semigroups, diagnostics, metrics):
+        monkeypatch.setattr(module, "_gram", no_gram, raising=False)
+    S = _model(kind, 9)
+    wit = DenseSequence.gaussian(S.grid, 3, seed=9)
+    u, t = wit[0].normalized(), 3.0 * (S.time_step or 1.0)
+    correlation(S, wit[0], wit[1], _times(S, np.random.default_rng(9)))
+    classify(S, wit, ClassifyParams(horizon=20.0, samples=50))
+    mt_membership(S, u, t)
+    wjkt_membership(S, u, 3, t)
+    metric_contractive(S, _approximant(S), MetricConfig(wit, J=3, N=2, samples_per_block=4))
 
 
 @pytest.mark.parametrize("kind", KINDS)
