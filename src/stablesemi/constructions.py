@@ -122,15 +122,18 @@ def near_identity_aws(grid: WeightedGrid, n: int) -> MultiplicationGroup:
 
 # --- inflation and injective perturbation ------------------------
 
-def _commensurable_base(freqs: np.ndarray, tol: float = 1e-9) -> float:
-    """Largest g (within tol) with every frequency an integer multiple of g."""
-    vals = np.abs(freqs[np.abs(freqs) > tol])
+_COMMENSURABLE_TOL = 1e-9  # frequencies and Euclid remainders up to it count as 0
+
+
+def _commensurable_base(freqs: np.ndarray) -> float:
+    """Largest g (within _COMMENSURABLE_TOL) with every frequency an integer multiple of g."""
+    vals = np.abs(freqs[np.abs(freqs) > _COMMENSURABLE_TOL])
     if vals.size == 0:
         return 2.0 * np.pi  # zero symbol: any period works
     g = vals[0]
     for v in vals[1:]:
         a, b = max(g, v), min(g, v)
-        while b > tol:
+        while b > _COMMENSURABLE_TOL:
             a, b = b, a % b
         g = a
     if np.abs(freqs / g - np.round(freqs / g)).max() > 1e-6:
@@ -141,59 +144,31 @@ def _commensurable_base(freqs: np.ndarray, tol: float = 1e-9) -> float:
 @dataclass(frozen=True)
 class InflationResult:
     group: MultiplicationGroup
-    grid: WeightedGrid
-    copies: int
     scale_per_level: float  # perturbation magnitudes lie in (0, scale_per_level)
     level_m: int
-    embed_index: np.ndarray  # position in `grid` of each original point
+    embed_index: np.ndarray  # position in `group.grid` of each original point
 
     def embed(self, x: HVector) -> HVector:
-        c = np.zeros(self.grid.size, dtype=complex)
+        c = np.zeros(self.group.grid.size, dtype=complex)
         c[self.embed_index] = x.coeffs
-        return HVector(self.grid, c)
+        return HVector(self.group.grid, c)
 
     def compressed(self) -> MultiplicationGroup:
         """Restriction to the embedded copy of the original space."""
-        base = self.group
-        return MultiplicationGroup(
-            WeightedGrid(
-                base.grid.points[self.embed_index],
-                base.grid.weights[self.embed_index],
-            ),
-            base.symbol[self.embed_index],
-        )
+        g, i = self.group.grid, self.embed_index
+        return MultiplicationGroup(WeightedGrid(g.points[i], g.weights[i]), self.group.symbol[i])
 
 
-def inflate_and_perturb(
-    periodic: MultiplicationGroup,
-    anchors: Sequence[HVector],
-    eps: float,
-    t0: float,
-    copies: int = 8,
-    commensurability_tol: float = 1e-9,
-) -> InflationResult:
-    """Perturb a periodic group into one with pairwise-distinct frequencies.
-
-    Grid indices are grouped by exact frequency (`_frequency_groups`; the
-    eigenspaces of the generator).  Each group is inflated to `copies`
-    copies of its points in one contiguous block, copy-major, the blocks in
-    ascending frequency order; copy 0 holds the original points.  Every
-    inflated point gets its constant frequency replaced by frequency +
-    delta with the deltas injective and bounded by 1/m, m the smallest
-    integer with 2*t0/m <= eps.  Embedded anchors then stay within
-    eps * ||anchor|| of their original orbit for |t| <= t0.
-    """
+def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
+    """(scale, m, source, embed_index) of `inflate_and_perturb` for the symbol
+    q: inflated slot i copies index source[i], and index j sits at slot
+    embed_index[j], in copy 0."""
     if eps <= 0 or t0 <= 0:
         raise ValueError("need eps > 0 and t0 > 0")
     if copies < 2:
         raise ValueError("need at least 2 copies")
-    for a in anchors:
-        if not a.grid.same_as(periodic.grid):
-            raise ValueError("anchors must live on the periodic group's grid")
-    _commensurable_base(periodic.symbol, commensurability_tol)
-
+    _commensurable_base(q)
     m = max(1, math.ceil(2.0 * t0 / eps))
-    q = periodic.symbol
     lams, group = _frequency_groups(q)
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
@@ -211,19 +186,37 @@ def inflate_and_perturb(
     source[dest] = order
     embed_index = np.empty(q.size, dtype=int)
     embed_index[order] = dest[0]
+    return scale, m, source, embed_index
 
+
+def inflate_and_perturb(
+    periodic: MultiplicationGroup,
+    anchors: Sequence[HVector],
+    eps: float,
+    t0: float,
+    copies: int = 8,
+) -> InflationResult:
+    """Perturb a periodic group into one with pairwise-distinct frequencies.
+
+    Frequencies with no common base (`_commensurable_base`, to within the
+    module's `_COMMENSURABLE_TOL`) raise NotPeriodicError.  Grid indices are
+    grouped by exact frequency (`_frequency_groups`; the eigenspaces of the
+    generator).  Each group is inflated to `copies` copies of its points in
+    one contiguous block, copy-major, the blocks in ascending frequency
+    order; copy 0 holds the original points (`_inflation_layout`).  Every
+    inflated point gets its constant frequency replaced by frequency +
+    delta with the deltas injective and bounded by 1/m, m the smallest
+    integer with 2*t0/m <= eps.  Embedded anchors then stay within
+    eps * ||anchor|| of their original orbit for |t| <= t0.
+    """
+    for a in anchors:
+        if not a.grid.same_as(periodic.grid):
+            raise ValueError("anchors must live on the periodic group's grid")
+    q = periodic.symbol
+    scale, m, source, embed_index = _inflation_layout(q, eps, t0, copies)
     grid = WeightedGrid(periodic.grid.points[source], periodic.grid.weights[source])
-    p = source.size
-    deltas = scale * np.arange(1, p + 1) / (p + 1.0)
-    group = MultiplicationGroup(grid, q[source] + deltas)
-    return InflationResult(
-        group=group,
-        grid=grid,
-        copies=copies,
-        scale_per_level=scale,
-        level_m=m,
-        embed_index=embed_index,
-    )
+    deltas = scale * np.arange(1, source.size + 1) / (source.size + 1.0)
+    return InflationResult(MultiplicationGroup(grid, q[source] + deltas), scale, m, embed_index)
 
 
 # --- Wold decomposition -------------------------------------------
@@ -277,7 +270,14 @@ class WoldResult:
         return freqs, to_diag
 
 
-def _wold_chains(W: np.ndarray, max_iter: int | None, tol: float):
+# A chain length is an integer when within this many rounding errors per walk
+# step and dimension of one: the round-off of G = sum_j Y_j* Y_j grows with
+# both, and measured at most 1.5 of them on conjugated Mult (+) Shift models
+# up to k = 1500, so 16 keeps a tenfold margin (2.6e-13 at k = 8).
+_CHAIN_ULPS = 16
+
+
+def _wold_chains(W: np.ndarray, max_iter: int | None):
     """(B0, B1, WB1, lengths, iterations, stabilized, rank_gap): the Wold
     split of the one-step map W by its wandering chains.
 
@@ -289,7 +289,8 @@ def _wold_chains(W: np.ndarray, max_iter: int | None, tol: float):
     W^j s chain by chain, spanning H1 = (+)_j W^j L, and B0 is an orthonormal
     basis of their complement H0.  WB1 = W B1 is read off the walk itself, as
     W (Y_j E) = Y_{j+1} E, with one step past its last slab.  stabilized says
-    the walk vanished and every length is an integer >= 1 within tol;
+    the walk vanished and every length is an integer >= 1 to within
+    _CHAIN_ULPS * s * k rounding errors, s the slabs Y_j summed into G;
     iterations counts the walk steps.
     """
     k = W.shape[0]
@@ -307,6 +308,7 @@ def _wold_chains(W: np.ndarray, max_iter: int | None, tol: float):
     Y = np.stack(Y)
     lengths, E = np.linalg.eigh(np.einsum("jar,jas->rs", Y[:steps].conj(), Y[:steps]))
     ell = np.round(lengths).astype(int)
+    tol = _CHAIN_ULPS * steps * k * np.finfo(float).eps
     stabilized = bool(stabilized and ell.min(initial=1) >= 1
                       and np.abs(lengths - ell).max(initial=0.0) <= tol)
     chains = (Y @ E).transpose(1, 2, 0)
@@ -324,7 +326,7 @@ def _norm2(X: np.ndarray) -> float:
 
 
 def wold_decompose_matrix(
-    W: np.ndarray, max_iter: int | None = None, tol: float = 1e-10
+    W: np.ndarray, max_iter: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """(B0, B1, iterations, stabilized) of `_wold_chains`: bases of H0 and of
     the wandering chains of W, the walk steps, and whether the split settled.
@@ -332,48 +334,41 @@ def wold_decompose_matrix(
     A thin wrapper, kept only because perfbench/kernel_ladder.py calls it
     with max_iter=k + 5; it goes with the next change to the benchmark.
     """
-    B0, B1, _, _, iterations, stabilized, _ = _wold_chains(W, max_iter, tol)
+    B0, B1, _, _, iterations, stabilized, _ = _wold_chains(W, max_iter)
     return B0, B1, iterations, stabilized
 
 
-# (V, (h, max_iter, tol), WoldResult) of the last call: one slot, so the
-# pipelines that follow wold_decompose on the same V neither build W nor
-# split it again.  Models are frozen and their arrays read-only, so the same
-# model object has the same W.
+# (V, h, WoldResult) of the last call: one slot, so the pipelines that follow
+# wold_decompose on the same V neither build W nor split it again.  Models are
+# frozen and their arrays read-only, so the same model object has the same W.
 _last_split = None
 
 
-def wold_decompose(
-    V: SemigroupModel,
-    max_iter: int | None = None,
-    tol: float = 1e-10,
-    step: float | None = None,
-) -> WoldResult:
+def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     """Split an isometric model into its unitary and shift parts.
 
     Operates on the one-step map W = V(h) in weighted coordinates on the
     model's nominal grid; shift overflow is truncated, which is exactly what
     makes the powers of the shift part vanish on the simulated horizon.
-    max_iter caps the steps of the chain walk (None: the dimension), and tol
-    is the integer check on the chain lengths (`_wold_chains`, which also
-    reads W B1 off its walk).  The residual is the largest 2-norm defect of
+    The chain walk runs for at most k steps, k the dimension, which an
+    isometric W never needs; the chain lengths must be integers to within a
+    bound that grows with the walk and k (`_wold_chains`, which also reads
+    W B1 off its walk).  The residual is the largest 2-norm defect of
     the split: ||W B0 - B0 M0|| (H0 invariance), ||M0* M0 - I|| and
     ||B0* W B1|| (H1 invariance), each from the smallest Hermitian matrix at
     hand: the eigenvalues of the Hermitian M0* M0 - I, the smaller Gram
     matrix of the others (`_norm2`).  It is at least 1 when the walk did not
-    stabilize.  A
-    repeated call on the same model object with the same (h, max_iter, tol)
+    stabilize.  A repeated call on the same model object with the same h
     returns the same result, whose arrays are all read-only.
     """
     global _last_split
     if not V.is_isometric:
         raise NotIsometricError("Wold decomposition needs an isometric model")
     h = step if step is not None else _natural_step(V)
-    key = (h, max_iter, tol)
-    if _last_split is not None and _last_split[0] is V and _last_split[1] == key:
+    if _last_split is not None and _last_split[0] is V and _last_split[1] == h:
         return _last_split[2]
     W = one_step_matrix(V, h)
-    B0, B1, WB1, lengths, iterations, stabilized, rank_gap = _wold_chains(W, max_iter, tol)
+    B0, B1, WB1, lengths, iterations, stabilized, rank_gap = _wold_chains(W, None)
     WB0 = W @ B0
     M0, M1 = B0.conj().T @ WB0, B1.conj().T @ WB1
     defects = []
@@ -392,7 +387,7 @@ def wold_decompose(
     result = WoldResult(
         residual, iterations, stabilized, rank_gap, step=h, one_step=W, unitary_block=M0,
         shift_block=M1, basis_matrix_unitary=B0, basis_matrix_shift=B1, chain_lengths=lengths)
-    _last_split = (V, key, result)
+    _last_split = (V, h, result)
     return result
 
 
@@ -470,12 +465,7 @@ def _periodize_chains(B1: np.ndarray, lengths, h: float) -> tuple[np.ndarray, np
     return np.concatenate(freqs), np.concatenate(Z, axis=1)
 
 
-def approximate_isometry_by_periodic(
-    V: SemigroupModel,
-    n: int,
-    max_iter: int | None = None,
-    tol: float = 1e-10,
-) -> SemigroupModel:
+def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupModel:
     """Replace an isometric model by a nearby periodic unitary one.
 
     Structural models are handled directly (quantize the symbol, wrap the
@@ -485,8 +475,8 @@ def approximate_isometry_by_periodic(
     chain of S is wrapped cyclically and diagonalized by a DFT
     (`WoldResult.diagonal_form`, kept on the split), and every frequency is
     quantized at level n.
-    Raises ValueError when the split does not stabilize within max_iter walk
-    steps (`wold_decompose`).
+    Raises ValueError when the Wold split does not stabilize, that is when V
+    is not isometric to working precision (`wold_decompose`).
     """
     if not V.is_isometric:
         raise NotIsometricError("input must be isometric")
@@ -498,7 +488,7 @@ def approximate_isometry_by_periodic(
     if isinstance(V, DirectSumSemigroup):
         parts, grids = [], []
         for p, g in zip(V.parts, V.space.components):
-            q = approximate_isometry_by_periodic(p, n, max_iter, tol)
+            q = approximate_isometry_by_periodic(p, n)
             if q.grid.size > g.size:
                 q = periodize_shift(p, g.size // p.fiber_dim)
             k = q.grid.size
@@ -514,9 +504,9 @@ def approximate_isometry_by_periodic(
             grids += [WeightedGrid(g.points[:k], g.weights[:k]), tail]
         return DirectSumSemigroup(SumSpace(tuple(grids)), tuple(parts))
 
-    wr = wold_decompose(V, max_iter, tol)
+    wr = wold_decompose(V)
     if not wr.stabilized:
-        raise ValueError("the Wold split did not stabilize; raise max_iter")
+        raise ValueError("the Wold split did not stabilize")
     freqs, to_diag = wr.diagonal_form
     diag_group = MultiplicationGroup(WeightedGrid.uniform(freqs.size), freqs)
     return ConjugatedGroup(V.grid, to_diag, quantize_symbol(diag_group, n).approximant)
@@ -528,8 +518,6 @@ def approximate_isometry_by_aws(
     t0: float,
     n: int = 64,
     copies: int = 8,
-    max_iter: int | None = None,
-    tol: float = 1e-10,
 ) -> SemigroupModel:
     """Replace an isometric model by an almost weakly stable unitary one.
 
@@ -539,15 +527,15 @@ def approximate_isometry_by_aws(
     almost-weak-stability certificate); the distance to the periodic
     approximant is at most eps on |t| <= t0 for unit vectors.
     """
-    periodic = approximate_isometry_by_periodic(V, n, max_iter=max_iter, tol=tol)
+    periodic = approximate_isometry_by_periodic(V, n)
     form = periodic.spectral_form()
     if form is None:
         raise TypeError(f"cannot diagonalize {type(periodic).__name__}")
     freqs, basis = form
+    # the compressed symbol of `inflate_and_perturb`, without its inflated group
+    scale, _, _, embed_index = _inflation_layout(freqs, eps, t0, copies)
+    symbol = freqs + scale * (embed_index + 1) / (copies * freqs.size + 1.0)
     inner_grid = WeightedGrid.uniform(freqs.size)
-    inflation = inflate_and_perturb(
-        MultiplicationGroup(inner_grid, freqs), [], eps, t0, copies=copies)
-    symbol = inflation.compressed().symbol
     if basis is None:
         return MultiplicationGroup(periodic.grid, symbol)
     return ConjugatedGroup(periodic.grid, basis, MultiplicationGroup(inner_grid, symbol))
@@ -564,15 +552,18 @@ def distinct_frequency_certificate(model: SemigroupModel) -> bool:
 
 # --- Cantor measure witness -------------------------------------------------
 
-def cantor_transform_abs(t, factor_tol: float = 1e-14) -> np.ndarray:
+_CANTOR_FACTOR_TOL = 1e-14  # every factor the Cantor oracle drops is this close to 1
+
+
+def cantor_transform_abs(t) -> np.ndarray:
     """|Fourier-Stieltjes transform| of the middle-thirds Cantor measure.
 
     Product formula |gamma(t)| = prod_{k>=1} |cos(t / 3^k)|, truncated at the
-    depth where every remaining factor is within factor_tol of 1.
+    depth where every remaining factor is within _CANTOR_FACTOR_TOL of 1.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     tmax = max(float(np.abs(t).max()), 1.0)
-    depth = max(1, math.ceil(math.log(tmax / math.sqrt(2.0 * factor_tol)) / math.log(3.0)))
+    depth = max(1, math.ceil(math.log(tmax / math.sqrt(2.0 * _CANTOR_FACTOR_TOL)) / math.log(3.0)))
     out = np.ones_like(t)
     for k in range(1, depth + 1):
         out *= np.abs(np.cos(t / 3.0 ** k))

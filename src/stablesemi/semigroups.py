@@ -464,11 +464,18 @@ class ConjugatedGroup(SemigroupModel):
         return self.basis.conj().T @ self.inner._evolve(times, self.basis @ X, adjoint)
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self._spectral_form
+
+    @functools.cached_property
+    def _spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The inner form, its basis composed with `basis` once per model."""
         form = self.inner.spectral_form()
         if form is None:
             return None
         freqs, inner_basis = form
-        return freqs, self.basis if inner_basis is None else inner_basis @ self.basis
+        basis = self.basis if inner_basis is None else inner_basis @ self.basis
+        basis.setflags(write=False)
+        return freqs, basis
 
 
 def _frequency_groups(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

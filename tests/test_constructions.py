@@ -187,9 +187,8 @@ class TestInflation:
         deltas = res.scale_per_level * np.arange(1, offset + 1) / (offset + 1.0)
         assert np.array_equal(res.group.symbol, np.concatenate(lam) + deltas)
         assert np.array_equal(res.embed_index, embed)
-        assert np.array_equal(res.grid.points, np.concatenate(pts))
-        assert np.array_equal(res.grid.weights, np.concatenate(wts))
-        assert res.group.grid is res.grid
+        assert np.array_equal(res.group.grid.points, np.concatenate(pts))
+        assert np.array_equal(res.group.grid.weights, np.concatenate(wts))
 
 
 def _mixed():
@@ -213,6 +212,12 @@ def _conjugated_mixed(du, nc, seed):
     return ConjugatedGroup(WeightedGrid.uniform(k), q, inner), q.conj().T[:, :du]
 
 
+def _capped_walk(monkeypatch, cap):
+    """Cap the chain walk of every Wold split at `cap` steps."""
+    walk = constructions._wold_chains
+    monkeypatch.setattr(constructions, "_wold_chains", lambda W, max_iter: walk(W, cap))
+
+
 class TestWold:
     def test_pure_unitary(self):
         U = _mult(7, seed=9, hi=np.pi)
@@ -232,7 +237,7 @@ class TestWold:
         wr = wold_decompose(_mixed(), step=1.0)
         assert wr.unitary_dim == 3 and wr.shift_dim == 6
         W = wr.one_step
-        _, B1, _, lengths, _, _, _ = _wold_chains(W, None, 1e-10)
+        _, B1, _, lengths, _, _, _ = _wold_chains(W, None)
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
         # one chain of length 6: the sixth roots of unity, each once
         np.testing.assert_allclose(np.sort(freqs), 2 * np.pi * np.arange(-2, 4) / 6, atol=1e-15)
@@ -268,11 +273,12 @@ class TestWold:
         assert wr.chain_lengths.tolist() == sorted(cells)
         assert wold_decompose(V, step=1.0) is wr
 
-    def test_squaring_cap_reports_unstabilized(self):
+    def test_squaring_cap_reports_unstabilized(self, monkeypatch):
         # two walk steps from the start of a 9-cell shift do not reach its end
+        _capped_walk(monkeypatch, 2)
         R = ShiftSemigroup(1.0, 9)
         T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (R,))
-        wr = wold_decompose(T, max_iter=2, step=1.0)
+        wr = wold_decompose(T, step=1.0)
         assert wr.iterations == 2
         assert wr.stabilized is False
         assert wr.residual >= 1.0
@@ -302,7 +308,7 @@ class TestWold:
     def test_matrix_dims_nonincreasing(self):
         rng = np.random.default_rng(10)
         W = np.diag(np.exp(1j * rng.uniform(0, 2, 5)))
-        B0, B1, iters, stab = wold_decompose_matrix(W, 50, 1e-10)
+        B0, B1, iters, stab = wold_decompose_matrix(W, 50)
         assert B0.shape[1] == 5 and B1.shape[1] == 0 and stab
 
     def test_requires_isometric(self):
@@ -371,12 +377,6 @@ class TestWoldSplitReuse:
             assert np.array_equal(got.basis, want.basis)
             assert np.array_equal(got.inner.symbol, want.inner.symbol)
 
-    def test_walk_cap_is_part_of_the_key(self):
-        T = DirectSumSemigroup(SumSpace((shift_grid(9, 1.0),)), (ShiftSemigroup(1.0, 9),))
-        assert wold_decompose(T, step=1.0).stabilized
-        wr = wold_decompose(T, max_iter=2, step=1.0)
-        assert wr.stabilized is False and wr.iterations == 2
-
     def test_shared_arrays_are_read_only(self):
         wr = wold_decompose(_conjugated_mixed(3, 6, seed=32)[0], step=1.0)
         with pytest.raises(ValueError):
@@ -397,7 +397,7 @@ class TestWoldSplitReuse:
             V, _ = _conjugated_mixed(*model)
             wr = wold_decompose(V, step=1.0)
             W = one_step_matrix(V, 1.0)
-            B0, B1, _, _, iterations, stabilized, rank_gap = _wold_chains(W, None, 1e-10)
+            B0, B1, _, _, iterations, stabilized, rank_gap = _wold_chains(W, None)
             assert np.array_equal(wr.one_step, W)
             assert np.array_equal(wr.basis_matrix_unitary, B0)
             assert np.array_equal(wr.basis_matrix_shift, B1)
@@ -412,7 +412,7 @@ class TestSplitByproducts:
     def test_walk_gives_w_b1(self, du, nc, seed, max_iter):
         V, _ = _conjugated_mixed(du, nc, seed=seed)
         W = one_step_matrix(V, 1.0)
-        _, B1, WB1, lengths, iterations, stabilized, _ = _wold_chains(W, max_iter, 1e-10)
+        _, B1, WB1, lengths, iterations, stabilized, _ = _wold_chains(W, max_iter)
         assert stabilized is (max_iter is None) and B1.shape[1] > 0
         if max_iter is not None:
             # the capped walk's chain reaches its last slab, so its last
@@ -535,10 +535,11 @@ class TestPeriodicApproximation:
         P = approximate_isometry_by_periodic(V, n)
         assert np.abs(one_step_matrix(P, 1.0) - want).max() <= 1e-12
 
-    def test_unstabilized_split_raises(self):
+    def test_unstabilized_split_raises(self, monkeypatch):
+        _capped_walk(monkeypatch, 1)
         V, _ = _conjugated_mixed(4, 12, seed=44)
         with pytest.raises(ValueError, match="did not stabilize"):
-            approximate_isometry_by_periodic(V, 64, max_iter=1)
+            approximate_isometry_by_periodic(V, 64)
 
 
 class TestPeriodizeChains:
@@ -547,7 +548,7 @@ class TestPeriodizeChains:
         rng = np.random.default_rng(45)
         shift = scipy.linalg.block_diag(np.eye(2, k=-1), np.eye(3, k=-1))
         u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        B0, B1, _, lengths, _, stabilized, _ = _wold_chains(u @ shift @ u.conj().T, None, 1e-10)
+        B0, B1, _, lengths, _, stabilized, _ = _wold_chains(u @ shift @ u.conj().T, None)
         assert B0.shape[1] == 0 and stabilized
         freqs, Z = _periodize_chains(B1, lengths, 0.5)
         want = np.concatenate([2 * np.pi * np.array([0, 1]) / (2 * 0.5),
@@ -564,15 +565,28 @@ class TestPeriodizeChains:
     def test_rejects_non_shift_blocks(self, M1):
         # the contraction's chain length 1.49 is no integer, so its split
         # does not settle; the unitary block is a valid split, all of it H0
-        B0, B1, _, _, _, stabilized, _ = _wold_chains(M1, None, 1e-10)
+        B0, B1, _, _, _, stabilized, _ = _wold_chains(M1, None)
         unitary = np.allclose(M1.conj().T @ M1, np.eye(2))
         assert stabilized is unitary
         if unitary:
             assert B0.shape[1] == 2 and B1.shape[1] == 0
 
+    @pytest.mark.parametrize("k, offset, settles", [
+        (400, 2e-10, True), (400, 2e-8, False), (8, 0.0, True), (8, 1e-11, False)])
+    def test_chain_length_check_scales_with_walk(self, k, offset, settles):
+        # a k-cell truncated shift in a random basis, its last step scaled so
+        # that its one chain length is k + offset; a length counts as an
+        # integer within _CHAIN_ULPS rounding errors per walk step and
+        # dimension: 5.7e-10 at k = 400, 2.6e-13 at k = 8
+        rng = np.random.default_rng(k)
+        S = np.eye(k, k=-1)
+        S[k - 1, k - 2] = np.sqrt(1.0 + offset)
+        u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        _, _, _, lengths, _, stabilized, _ = _wold_chains(u @ S @ u.conj().T, None)
+        assert lengths.tolist() == [k] and stabilized is settles
+
     def test_empty_block(self):
-        B0, B1, WB1, lengths, iterations, stabilized, _ = _wold_chains(
-            np.zeros((0, 0)), None, 1e-10)
+        B0, B1, WB1, lengths, iterations, stabilized, _ = _wold_chains(np.zeros((0, 0)), None)
         assert B0.shape == B1.shape == WB1.shape == (0, 0) and lengths.size == iterations == 0 and stabilized
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
         assert freqs.shape == (0,) and Z.shape == (0, 0)

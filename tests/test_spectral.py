@@ -580,3 +580,13 @@ def test_periodic_basis_is_built_once_and_read_only(monkeypatch):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_conjugated_basis_is_composed_once_and_read_only():
+    # a conjugated direct sum holding a periodic shift: its spectral basis is
+    # the product of the sum's basis and the conjugation, formed once per model
+    T = _model("conj_dsum", 5)
+    freqs, basis = T.spectral_form()
+    assert T.spectral_form()[1] is basis
+    np.testing.assert_array_equal(basis, T.inner.spectral_form()[1] @ T.basis)
+    assert not basis.flags.writeable
