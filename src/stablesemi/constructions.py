@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .hilbert import HVector, SumSpace, WeightedGrid
+from .hilbert import HVector, WeightedGrid
 from .semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -469,8 +469,10 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     """Replace an isometric model by a nearby periodic unitary one.
 
     Structural models are handled directly (quantize the symbol, wrap the
-    shift; inside a direct sum a shift shorter than the new period wraps at
-    its own length, so the sum keeps V's space).  Mixed models go through the
+    shift).  A direct sum is approximated part by part on V's own space: a
+    shift shorter than the new period wraps at its own length, and a longer
+    one wraps at the period and stays the identity above it, where its
+    spectral form has zero frequencies.  Mixed models go through the
     Wold split V = U (+) S: U is diagonalized by a Schur form, each wandering
     chain of S is wrapped cyclically and diagonalized by a DFT
     (`WoldResult.diagonal_form`, kept on the split), and every frequency is
@@ -486,23 +488,13 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
         n_c = max(1, int(round(n / V.step)))
         return periodize_shift(V, n_c)
     if isinstance(V, DirectSumSemigroup):
-        parts, grids = [], []
+        parts = []
         for p, g in zip(V.parts, V.space.components):
             q = approximate_isometry_by_periodic(p, n)
             if q.grid.size > g.size:
                 q = periodize_shift(p, g.size // p.fiber_dim)
-            k = q.grid.size
             parts.append(q)
-            if g.size == k:
-                grids.append(g)
-                continue
-            # a shift block longer than the new period: the periodic part is
-            # the identity above it, kept as a zero-frequency block of its own
-            # so the sum stays diagonalizable on V's ambient space
-            tail = WeightedGrid(g.points[k:], g.weights[k:])
-            parts.append(MultiplicationGroup(tail, np.zeros(tail.size)))
-            grids += [WeightedGrid(g.points[:k], g.weights[:k]), tail]
-        return DirectSumSemigroup(SumSpace(tuple(grids)), tuple(parts))
+        return DirectSumSemigroup(V.space, tuple(parts))
 
     wr = wold_decompose(V)
     if not wr.stabilized:
@@ -528,10 +520,7 @@ def approximate_isometry_by_aws(
     approximant is at most eps on |t| <= t0 for unit vectors.
     """
     periodic = approximate_isometry_by_periodic(V, n)
-    form = periodic.spectral_form()
-    if form is None:
-        raise TypeError(f"cannot diagonalize {type(periodic).__name__}")
-    freqs, basis = form
+    freqs, basis = periodic.spectral_form()
     # the compressed symbol of `inflate_and_perturb`, without its inflated group
     scale, _, _, embed_index = _inflation_layout(freqs, eps, t0, copies)
     symbol = freqs + scale * (embed_index + 1) / (copies * freqs.size + 1.0)
@@ -542,12 +531,12 @@ def approximate_isometry_by_aws(
 
 
 def distinct_frequency_certificate(model: SemigroupModel) -> bool:
-    """True when the model's spectrum is simple (no repeated frequency)."""
-    if isinstance(model, ConjugatedGroup):
-        return distinct_frequency_certificate(model.inner)
-    if isinstance(model, MultiplicationGroup):
-        return bool(_frequency_groups(model.symbol)[0].size == model.symbol.size)
-    raise TypeError("certificate requires a (conjugated) multiplication group")
+    """True when the frequencies of the model's spectral form are pairwise
+    distinct (a simple spectrum); TypeError for a model that is not unitary."""
+    form = model.spectral_form()
+    if form is None:
+        raise TypeError("certificate requires a unitary model")
+    return bool(_frequency_groups(form[0])[0].size == form[0].size)
 
 
 # --- Cantor measure witness -------------------------------------------------

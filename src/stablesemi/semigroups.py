@@ -25,8 +25,9 @@ overflow is dropped, and never built (that truncated one-step map is
 exactly what the Wold analysis needs).  Shift grids are memoized, so equal
 grids are one object and compare by identity.
 
-Unitary models also have a spectral form: frequencies and a basis (a
-periodic shift's DFT basis is memoized by shape, like shift grids).
+A model has a spectral form, frequencies and a basis, exactly when it is
+unitary (a periodic shift's DFT basis is memoized by shape, like shift
+grids).
 
 Every correlation <T(t) z_r, z_c> of weighted columns Z goes through
 `_correlations`, and every difference ||S(t)z - T(t)z|| through
@@ -99,9 +100,14 @@ def _shared_step(models) -> float | None:
 
 
 def _step_times(h: float, lo: float, hi: float) -> np.ndarray:
-    """The lattice h Z on [lo, hi], ends included up to a rounding margin: hi
-    = 0.7 keeps the seventh step of h = 0.1, though 0.7 / 0.1 < 7 in float64."""
-    return np.arange(math.ceil(lo / h - 1e-12), math.floor(hi / h + 1e-12) + 1) * h
+    """The lattice h Z on [lo, hi], each end widened by the margin within which
+    `_steps` accepts a time: hi = 0.7 keeps the seventh step of h = 0.1, and
+    hi = 1.1e6 the millionth of h = 1.1, though both quotients round below.
+    The margin is at most half a step, so a step shorter than the margin
+    adds no lattice point outside [lo, hi]."""
+    lo -= min(_STEP_RTOL * max(1.0, abs(lo)), 0.5 * h)
+    hi += min(_STEP_RTOL * max(1.0, abs(hi)), 0.5 * h)
+    return np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h
 
 
 def _rows(X: np.ndarray, src: np.ndarray, extra: int) -> np.ndarray:
@@ -188,10 +194,8 @@ class SemigroupModel:
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
         """(freqs, basis) with T(t) = B* diag(exp(i t freqs)) B in weighted
-        coordinates of `grid`; basis None means the identity.  None for
-        models without one: every non-unitary model, and direct sums whose
-        parts disagree on their time step or act on a longer component grid
-        than their own."""
+        coordinates of `grid`; basis None means the identity.  None exactly
+        when the model is not unitary."""
         return None
 
 
@@ -350,7 +354,9 @@ class DirectSumSemigroup(SemigroupModel):
     """Blockwise action on a fixed sum space.
 
     Shift blocks keep the ambient space fixed: overflow cells are dropped, so
-    the one-step map of a shift block is the truncated shift matrix.
+    the one-step map of a shift block is the truncated shift matrix.  The
+    parts share one time step, or have none; a sum of parts with different
+    steps raises ValueError when it is built.
     """
 
     space: SumSpace
@@ -362,6 +368,7 @@ class DirectSumSemigroup(SemigroupModel):
             raise ValueError("one part per component grid required")
         for part, g in zip(parts, self.space.components):
             part._check_grid(g)
+        _shared_step(parts)
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -393,25 +400,26 @@ class DirectSumSemigroup(SemigroupModel):
         return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Block-diagonal form; None unless every part has one on its own
-        component grid (a part acting on a longer component falls back) and
-        the parts share their time step."""
+        """Block-diagonal form; None unless every part has one.  A periodic
+        part on a longer component is the identity above its period: zero
+        frequencies there, with an identity block."""
         forms = [p.spectral_form() for p in self.parts]
-        if any(f is None for f in forms) or not all(
-            p.grid.same_as(g) for p, g in zip(self.parts, self.space.components)
-        ):
+        if any(f is None for f in forms):
             return None
-        try:
-            _shared_step(self.parts)
-        except ValueError:  # no common time lattice
-            return None
-        freqs = np.concatenate([f for f, _ in forms])
-        if all(b is None for _, b in forms):
-            return freqs, None
-        basis = np.zeros((freqs.size, freqs.size), dtype=complex)
+        k = self.grid.size
+        freqs = np.zeros(k)
+        basis = None if all(b is None for _, b in forms) else np.zeros((k, k), dtype=complex)
         for i, (f, b) in enumerate(forms):
             sl = self.space.block_slice(i)
-            basis[sl, sl] = np.eye(f.size) if b is None else b
+            lo, mid = sl.start, sl.start + f.size
+            freqs[lo:mid] = f
+            if basis is None:
+                continue
+            if b is not None:
+                basis[lo:mid, lo:mid] = b
+                lo = mid
+            # the identity wherever no basis acts
+            np.fill_diagonal(basis[lo:sl.stop, lo:sl.stop], 1.0)
         return freqs, basis
 
 

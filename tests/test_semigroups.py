@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablesemi.constructions import approximate_isometry_by_aws
+from stablesemi.diagnostics import ClassifyParams, classify
 from stablesemi.hilbert import (
-    GridMismatchError, HVector, SumSpace, WeightedGrid, inner_product)
+    DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid, inner_product)
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -14,6 +15,8 @@ from stablesemi.semigroups import (
     MultiplicationGroup,
     PeriodicShiftGroup,
     ShiftSemigroup,
+    _step_times,
+    _steps,
     model_from_dict,
     model_to_dict,
     one_step_matrix,
@@ -434,6 +437,26 @@ def test_conjugating_a_truncated_shift_is_rejected_at_construction():
 def test_shift_grid_is_shared():
     assert shift_grid(7, 0.5, 2) is shift_grid(7, 0.5, 2)
     assert ShiftSemigroup(0.5, 7, 2).grid is PeriodicShiftGroup(7, 0.5, 2).grid
+
+
+@pytest.mark.parametrize("h, k", [(0.1, 20481), (0.7, 24576), (1.1, 10 ** 6)])
+def test_step_times_keep_both_ends(h, k):
+    # (k h) / h rounds below k by more than 1e-12 steps, but k h is on the
+    # lattice to within the margin of `_steps`, so both ends stay
+    end = k * h
+    times = _step_times(h, -end, end)
+    assert times.size == 2 * k + 1
+    assert times[0] == -end and times[-1] == end
+    np.testing.assert_array_equal(_steps(times[[0, -1]], h).ravel(), [-k, k])
+
+
+@pytest.mark.parametrize("h", [1e-9, 1e-10])
+def test_step_times_add_no_point_below_a_tiny_step(h):
+    # the lattice margin of `_steps` is wider than these steps; a time grid
+    # from 0 still starts at 0, so a right shift can be classified on it
+    np.testing.assert_array_equal(_step_times(h, 0.0, 4 * h), np.arange(5) * h)
+    S = ShiftSemigroup(h, 4)
+    classify(S, DenseSequence.gaussian(S.grid, 2, seed=0), ClassifyParams(horizon=8 * h))
 
 
 class TestSerialization:

@@ -33,7 +33,7 @@ from stablesemi.semigroups import (
 
 from reference import operator_matrix, weighted
 
-KINDS = ("mult", "periodic", "dsum", "conj_mult", "conj_dsum")
+KINDS = ("mult", "periodic", "dsum", "longer", "conj_mult", "conj_dsum", "conj_longer")
 TOL = 1e-12
 
 
@@ -51,21 +51,24 @@ def _mult(rng, k):
     return MultiplicationGroup(_grid(rng, k), rng.uniform(-3.0, 3.0, k))
 
 
-def _dsum(rng):
+def _dsum(rng, cells):
+    """A multiplication block beside a 3-cell periodic shift on a component
+    of `cells` cells: the shift is the identity above its period."""
     mult = _mult(rng, 4)
     periodic = PeriodicShiftGroup(3, 1.0)
-    return DirectSumSemigroup(SumSpace((mult.grid, periodic.grid)), (mult, periodic))
+    return DirectSumSemigroup(SumSpace((mult.grid, shift_grid(cells, 1.0))), (mult, periodic))
 
 
 def _model(kind, seed):
     rng = np.random.default_rng(seed)
+    cells = 5 if kind.endswith("longer") else 3
     if kind == "mult":
         return _mult(rng, 7)
     if kind == "periodic":
         return PeriodicShiftGroup(5, 0.5, fiber_dim=2)
-    if kind == "dsum":
-        return _dsum(rng)
-    inner = _mult(rng, 6) if kind == "conj_mult" else _dsum(rng)
+    if kind in ("dsum", "longer"):
+        return _dsum(rng, cells)
+    inner = _mult(rng, 6) if kind == "conj_mult" else _dsum(rng, cells)
     k = inner.grid.size
     return ConjugatedGroup(_grid(rng, k), _unitary(rng, k), inner)
 
@@ -372,7 +375,7 @@ def test_off_grid_vectors_are_rejected(kind):
         metric_unitary(T, _approximant(T), MetricConfig(DenseSequence((off,)), J=1, N=1))
 
 
-@pytest.mark.parametrize("kind", ["periodic", "dsum", "conj_dsum"])
+@pytest.mark.parametrize("kind", ["periodic", "dsum", "longer", "conj_dsum"])
 def test_off_lattice_times_are_rejected(kind):
     T = _model(kind, 11)
     x = _vec(T.grid, np.random.default_rng(11))
@@ -384,19 +387,18 @@ def test_off_lattice_times_are_rejected(kind):
     assert trace.values.size == 2
 
 
-def test_direct_sums_without_a_spectral_form_fall_back():
+def test_spectral_form_exactly_for_unitary_models():
+    wold_sum = _evolve_pair("wold_sum", 13)[0]
+    models = [_model(kind, 13) for kind in KINDS]
+    models += [*_evolve_pair("shift_periodization", 13), wold_sum, wold_sum.inner]
+    for T in models:
+        assert (T.spectral_form() is None) == (not T.is_unitary), T
+
+
+def test_direct_sums_of_different_steps_are_rejected():
     a, b = PeriodicShiftGroup(4, 1.0), PeriodicShiftGroup(3, 0.5)
-    mixed_steps = DirectSumSemigroup(SumSpace((a.grid, b.grid)), (a, b))
-    # a 3-cell period acting on a 5-cell component: identity above the period
-    longer = DirectSumSemigroup(
-        SumSpace((PeriodicShiftGroup(5, 1.0).grid,)), (PeriodicShiftGroup(3, 1.0),))
-    rng = np.random.default_rng(13)
-    for T in (mixed_steps, longer):
-        assert T.spectral_form() is None
-        x, y = _vec(T.grid, rng), _vec(T.grid, rng)
-        times = np.arange(6.0)
-        np.testing.assert_allclose(
-            correlation(T, x, y, times).values, _corr_reference(T, x, y, times), rtol=0, atol=TOL)
+    with pytest.raises(ValueError, match="incompatible time steps"):
+        DirectSumSemigroup(SumSpace((a.grid, b.grid)), (a, b))
 
 
 def test_correlation_memory_is_blocked():
