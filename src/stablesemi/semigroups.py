@@ -354,9 +354,9 @@ class DirectSumSemigroup(SemigroupModel):
     """Blockwise action on a fixed sum space.
 
     Shift blocks keep the ambient space fixed: overflow cells are dropped, so
-    the one-step map of a shift block is the truncated shift matrix.  The
-    parts share one time step, or have none; a sum of parts with different
-    steps raises ValueError when it is built.
+    the one-step map of a shift block is the truncated shift matrix.  Parts
+    with different steps (None aside), or with grids longer than their
+    components, raise ValueError when the sum is built.
     """
 
     space: SumSpace
@@ -368,6 +368,8 @@ class DirectSumSemigroup(SemigroupModel):
             raise ValueError("one part per component grid required")
         for part, g in zip(parts, self.space.components):
             part._check_grid(g)
+            if part.grid.size > g.size:
+                raise GridMismatchError("part's grid is longer than its component")
         _shared_step(parts)
         object.__setattr__(self, "parts", parts)
 

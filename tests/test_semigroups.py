@@ -415,6 +415,19 @@ def test_one_step_matrix_rejects_mismatched_grids():
             SumSpace((WeightedGrid.uniform(6, 0.3),)), (ShiftSemigroup(ZOO_STEP, 3, 2),))
 
 
+def test_direct_sum_rejects_a_period_longer_than_its_component():
+    # a 5-cell period cannot act unitarily on a 3-cell block; neither the
+    # constructor nor the JSON loader accepts it
+    mult = _mult(4, seed=2)
+    space = SumSpace((shift_grid(3, 1.0), mult.grid))
+    with pytest.raises(GridMismatchError, match="longer than its component"):
+        DirectSumSemigroup(space, (PeriodicShiftGroup(5, 1.0), mult))
+    d = model_to_dict(DirectSumSemigroup(space, (PeriodicShiftGroup(3, 1.0), mult)))
+    d["parts"][0]["period_cells"] = 5
+    with pytest.raises(GridMismatchError, match="longer than its component"):
+        model_from_dict(d)
+
+
 @pytest.mark.parametrize("kind", ZOO)
 def test_one_step_matrix_makes_no_apply_calls(kind, monkeypatch):
     T = _zoo(kind, 3)
