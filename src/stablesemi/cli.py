@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .constructions import (
     approximate_isometry_by_aws,
@@ -157,6 +156,7 @@ def run_shift_periodization_check(cfg: dict, rng: np.random.Generator):
 
 
 def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
+    import scipy.linalg  # local: ~0.3 s of start-up that only wold_benchmark needs
     trials = cfg["trials"]
     rows, ok = [], True
     for trial in range(trials):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import HVector, WeightedGrid
 from .semigroups import (
@@ -446,6 +445,7 @@ def _diagonalize_unitary(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
     """(frequencies, Z) with M = Z diag(exp(i h q)) Z* for unitary M."""
     if M.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
+    import scipy.linalg  # local: ~0.3 s of start-up that only the Wold/Schur path needs
     T, Z = scipy.linalg.schur(M, output="complex")
     return np.angle(np.diag(T)) / h, Z
 

@@ -344,12 +344,12 @@ class TestWoldSplitReuse:
 
     def test_one_schur_per_split(self, monkeypatch):
         calls = []
-        schur = constructions.scipy.linalg.schur
+        schur = scipy.linalg.schur
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return schur(*args, **kwargs)
-        monkeypatch.setattr(constructions.scipy.linalg, "schur", counted)
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
         V, _ = _conjugated_mixed(5, 11, seed=36)
         wr = wold_decompose(V, step=1.0)
         approximate_isometry_by_periodic(V, 64)
