@@ -130,13 +130,10 @@ def run_near_identity_sweep(cfg: dict, rng: np.random.Generator):
 
 def run_shift_periodization_check(cfg: dict, rng: np.random.Generator):
     cells, n_c, trials = cfg["cells"], cfg["period_cells"], cfg["trials"]
-    fiber = cfg["fiber_dim"]
-    R = ShiftSemigroup(step=1.0, cells=cells, fiber_dim=fiber)
-    grid = shift_grid(cells, 1.0, fiber)
+    R = ShiftSemigroup(step=1.0, cells=cells)
     rows, worst_gap, tail_violations = [], 0.0, 0
     for trial in range(trials):
-        c = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        f = HVector(grid, c)
+        f = HVector(R.grid, rng.standard_normal(cells) + 1j * rng.standard_normal(cells))
         ell = int(rng.integers(1, n_c))
         lhs, rhs, tail = periodization_error_identity(R, n_c, f, float(ell))
         gap = abs(lhs - rhs) / max(rhs, 1e-300)
@@ -306,7 +303,7 @@ SCENARIOS = {
     ),
     "shift_periodization_check": (
         run_shift_periodization_check,
-        {"cells": 48, "period_cells": 32, "trials": 200, "fiber_dim": 1},
+        {"cells": 48, "period_cells": 32, "trials": 200},
     ),
     "wold_benchmark": (
         run_wold_benchmark,
@@ -369,7 +366,7 @@ _VALUE_RULES = {
     "cantor_demo": ({"depth": 1, "num_samples": 2, "row_stride": 1}, ("horizon",), False),
     # one trial draws its period from [1, period_cells)
     "shift_periodization_check": (
-        {"cells": 1, "period_cells": 2, "trials": 1, "fiber_dim": 1}, (), False),
+        {"cells": 1, "period_cells": 2, "trials": 1}, (), False),
     # a trial builds a unitary block of at least one point
     "wold_benchmark": ({"trials": 1, "min_unitary_dim": 1, "max_unitary_dim": 1,
                         "min_shift_cells": 1, "max_shift_cells": 1}, (), False),

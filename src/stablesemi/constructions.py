@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import HVector, WeightedGrid
+from .hilbert import HVector, WeightedGrid, _is_integer
 from .semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -164,8 +164,8 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
     embed_index[j], in copy 0."""
     if eps <= 0 or t0 <= 0:
         raise ValueError("need eps > 0 and t0 > 0")
-    if copies < 2:
-        raise ValueError("need at least 2 copies")
+    if not _is_integer(copies) or copies < 2:
+        raise ValueError(f"copies must be an integer >= 2, got {copies!r}")
     _commensurable_base(q)
     m = max(1, math.ceil(2.0 * t0 / eps))
     lams, group = _frequency_groups(q)
@@ -402,37 +402,30 @@ def _natural_step(V: SemigroupModel) -> float:
 
 # --- shift periodization -----------------------------------------
 
-def periodize_shift(R: ShiftSemigroup, n_c: int) -> PeriodicShiftGroup:
-    """Circular wrap of the truncated shift on the first n_c cells."""
-    if n_c < 1:
-        raise ValueError("period cell count must be >= 1")
-    return PeriodicShiftGroup(period_cells=n_c, step=R.step, fiber_dim=R.fiber_dim)
-
-
 def periodization_error_identity(
     R: ShiftSemigroup, n_c: int, f: HVector, t: float
 ) -> tuple[float, float, float]:
     """(measured error^2, identity rhs, factor-2 tail bound) for t < n.
 
     The identity is exact in exact arithmetic:
-        error^2 = sum_{cells in [n-t, n)} h ||f||^2
-                + sum_{cells >= n} h ||f(s) - f(s-t)||^2.
-    The tail bound 2 * sum_{cells >= n-t} h ||f||^2 is the constant claimed
+        error^2 = sum_{cells in [n-t, n)} h |f|^2
+                + sum_{cells >= n} h |f(s) - f(s-t)|^2.
+    The tail bound 2 * sum_{cells >= n-t} h |f|^2 is the constant claimed
     alongside it; see the tests for how tight it actually is.
     """
-    h, m = R.step, R.fiber_dim
+    h = R.step
     ell = int(round(t / h))
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
-    U = periodize_shift(R, n_c)
+    U = PeriodicShiftGroup(n_c, h)
     lhs = _diff_norms(U, R, *_columns(R, [f]), np.array([t], dtype=float))[0, 0] ** 2
     if ell == 0:
         return float(lhs), 0.0, 0.0
 
-    n_cells = f.coeffs.size // m
+    n_cells = f.coeffs.size
     length = max(n_cells, n_c) + ell
-    c = np.zeros((length, m), dtype=complex)
-    c[:n_cells] = f.coeffs.reshape(-1, m)
+    c = np.zeros(length, dtype=complex)
+    c[:n_cells] = f.coeffs
     first = h * (np.abs(c[n_c - ell : n_c]) ** 2).sum()
     second = h * (np.abs(c[n_c:] - c[n_c - ell : length - ell]) ** 2).sum()
     tail = 2.0 * h * (np.abs(c[n_c - ell :]) ** 2).sum()
@@ -485,14 +478,13 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     if isinstance(V, MultiplicationGroup):
         return quantize_symbol(V, n).approximant
     if isinstance(V, ShiftSemigroup):
-        n_c = max(1, int(round(n / V.step)))
-        return periodize_shift(V, n_c)
+        return PeriodicShiftGroup(max(1, int(round(n / V.step))), V.step)
     if isinstance(V, DirectSumSemigroup):
         parts = []
         for p, g in zip(V.parts, V.space.components):
             q = approximate_isometry_by_periodic(p, n)
             if q.grid.size > g.size:
-                q = periodize_shift(p, g.size // p.fiber_dim)
+                q = PeriodicShiftGroup(g.size, p.step)
             parts.append(q)
         return DirectSumSemigroup(V.space, tuple(parts))
 

@@ -16,7 +16,7 @@ predicates one time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +84,13 @@ def cesaro_mean_abs2(trace: CorrelationTrace) -> float:
 
 
 def wiener_limit(U: MultiplicationGroup, x: HVector) -> float:
-    """Closed-form limit of the Cesaro mean for the diagonal model (y = x).
+    """Closed-form limit of the Cesaro mean for the diagonal model (y = x);
+    GridMismatchError unless x lies on U's grid.
 
     Equal to the sum of squared atom masses of the spectral measure of x:
     frequencies are grouped by exact equality (`_frequency_groups`).
     """
+    U._check_grid(x.grid)
     return _atom_mass_squares(_frequency_groups(U.symbol)[1], U.grid.weights * abs(x.coeffs) ** 2)
 
 
@@ -161,7 +163,7 @@ class StabilityReport:
     density_est: float
     atoms: tuple[tuple[float, float], ...]
     verdict: str
-    tail_sup: float = field(default=float("nan"))
+    tail_sup: float
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:

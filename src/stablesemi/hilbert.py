@@ -112,13 +112,6 @@ class HVector:
     __rmul__ = __mul__
 
 
-def inner_product(x: HVector, y: HVector) -> complex:
-    """Weighted inner product, linear in x and conjugate-linear in y."""
-    if not x.grid.same_as(y.grid):
-        raise GridMismatchError("inner product requires a shared grid")
-    return complex((x.grid.weights * x.coeffs * np.conj(y.coeffs)).sum())
-
-
 def _is_prefix_grid(short: WeightedGrid, long: WeightedGrid) -> bool:
     # equal bytes are equal entries; only a signed zero needs the slower check
     k = short.size

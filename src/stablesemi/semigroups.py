@@ -17,13 +17,15 @@ one-column case, and a time is admissible when `_evolve` accepts it.
 `_compressed` is `_evolve` cut to the rows of X; `one_step_matrix` is its
 value at one time on the identity.
 
-Shift conventions: admissible times are integer multiples of the cell step h;
-applying a truncated right shift EXTENDS the payload grid by the shifted
-cells instead of dropping mass, so isometry is exact.  Inside a direct sum
-the ambient space is fixed, so there a shift block is compressed: its
-overflow is dropped, and never built (that truncated one-step map is
-exactly what the Wold analysis needs).  Shift grids are memoized, so equal
-grids are one object and compare by identity.
+Shift conventions: a shift has one coefficient per cell (one of
+multiplicity m is a direct sum of m, one per wandering chain); admissible
+times are integer multiples of the cell step h; applying a truncated right
+shift EXTENDS the payload grid by the shifted cells instead of dropping
+mass, so isometry is exact.  Inside a direct sum the ambient space is
+fixed, so there a shift block is compressed: its overflow is dropped, and
+never built (that truncated one-step map is exactly what the Wold analysis
+needs).  Shift grids are memoized, so equal grids are one object and
+compare by identity.
 
 A model has a spectral form, frequencies and a basis, exactly when it is
 unitary (a periodic shift's DFT basis is memoized by shape, like shift
@@ -120,18 +122,17 @@ def _rows(X: np.ndarray, src: np.ndarray, extra: int) -> np.ndarray:
     return padded[src]
 
 
-def shift_grid(cells: int, step: float, fiber_dim: int = 1) -> WeightedGrid:
-    """Cell-major grid for L2([0, cells*h), C^m): weight h per entry.
+def shift_grid(cells: int, step: float) -> WeightedGrid:
+    """Grid for L2([0, cells*h)): one point of weight h per cell.
 
     Memoized: equal arguments give the same (frozen, read-only) instance.
     """
-    return _shift_grid(cells, step, fiber_dim)
+    return _shift_grid(cells, step)
 
 
 @functools.lru_cache(maxsize=64)
-def _shift_grid(cells: int, step: float, fiber_dim: int) -> WeightedGrid:
-    pts = np.repeat(np.arange(cells, dtype=float) * step, fiber_dim)
-    return WeightedGrid(pts, np.full(cells * fiber_dim, step))
+def _shift_grid(cells: int, step: float) -> WeightedGrid:
+    return WeightedGrid(np.arange(cells, dtype=float) * step, np.full(cells, step))
 
 
 class SemigroupModel:
@@ -232,12 +233,12 @@ class MultiplicationGroup(SemigroupModel):
 
 
 class _CellModel(SemigroupModel):
-    """The two shifts: they act on cell-major payloads of any length whose
-    entries all weigh `step`, and their times are multiples of `step`."""
+    """The two scalar shifts: they act on payloads of any number of cells,
+    each weighing `step`, and their times are multiples of `step`."""
 
     def _validate(self, cells, name: str) -> None:
-        if not all(_is_integer(v) and v >= 1 for v in (cells, self.fiber_dim)):
-            raise ValueError(f"{name} and fiber_dim must be integers >= 1")
+        if not (_is_integer(cells) and cells >= 1):
+            raise ValueError(f"{name} must be an integer >= 1")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError("step must be finite and > 0")
 
@@ -249,17 +250,16 @@ class _CellModel(SemigroupModel):
         # the weights are finite (WeightedGrid checks), so one max over
         # |w - step| gives the same answer as np.allclose(w, step)
         w = grid.weights
-        if grid is not self.grid and (
-                w.size % self.fiber_dim or np.abs(w - self.step).max() > 1e-8 + 1e-5 * self.step):
+        if grid is not self.grid and np.abs(w - self.step).max() > 1e-8 + 1e-5 * self.step:
             raise GridMismatchError("payload grid is not shift-compatible")
 
     def _out_grid(self, rows: int) -> WeightedGrid:
-        return shift_grid(rows // self.fiber_dim, self.step, self.fiber_dim)
+        return shift_grid(rows, self.step)
 
 
 @dataclass(frozen=True)
 class ShiftSemigroup(_CellModel):
-    """Truncated right shift on cell-major payloads; isometric, not unitary.
+    """Truncated right shift on cell payloads; isometric, not unitary.
 
     `cells` is the nominal payload size; apply accepts any payload whose
     grid extends the nominal one and returns a payload extended by the
@@ -268,7 +268,6 @@ class ShiftSemigroup(_CellModel):
 
     step: float
     cells: int
-    fiber_dim: int = 1
     is_unitary: bool = field(default=False, init=False)
     is_isometric: bool = field(default=True, init=False)
 
@@ -277,12 +276,12 @@ class ShiftSemigroup(_CellModel):
 
     @property
     def grid(self) -> WeightedGrid:
-        return shift_grid(self.cells, self.step, self.fiber_dim)
+        return shift_grid(self.cells, self.step)
 
     def _evolve(self, times, X, adjoint, extend=True):
         if times.min() < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
-        d = _steps(times, self.step) * self.fiber_dim
+        d = _steps(times, self.step)
         k, extra = X.shape[0], int(d.max())
         if adjoint:  # left shift; the payload keeps its length
             return _rows(X, np.arange(k) + d, extra)
@@ -303,7 +302,6 @@ class PeriodicShiftGroup(_CellModel):
 
     period_cells: int
     step: float
-    fiber_dim: int = 1
     is_unitary: bool = field(default=True, init=False)
     is_isometric: bool = field(default=True, init=False)
 
@@ -311,39 +309,33 @@ class PeriodicShiftGroup(_CellModel):
         self._validate(self.period_cells, "period_cells")
 
     @property
-    def period(self) -> float:
-        return self.period_cells * self.step
-
-    @property
     def grid(self) -> WeightedGrid:
-        return shift_grid(self.period_cells, self.step, self.fiber_dim)
+        return shift_grid(self.period_cells, self.step)
 
     def _evolve(self, times, X, adjoint):
         ell = _steps(times, self.step) * (-1 if adjoint else 1)
-        p = self.period_cells * self.fiber_dim
+        p = self.period_cells
         r = np.arange(max(X.shape[0], p))
-        # a row of the first period_cells cells reads the same slot of the
-        # cell ell before it, mod the period; the rows above stay
-        src = r - self.fiber_dim * ell
+        # a cell in the period reads the cell ell before it, mod the period;
+        # the cells above stay
+        src = r - ell
         src[:, :p] %= p
         src[:, p:] = r[p:]
         return _rows(X, src, r.size - X.shape[0])
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
-        return _dft_form(self.period_cells, self.step, self.fiber_dim)
+        return _dft_form(self.period_cells, self.step)
 
 
 # Memoized by shape, not per instance: a model that lives long (a pool of
-# cases, say) then holds no (nc m)^2 basis of its own, and few shapes are
+# cases, say) then holds no nc^2 basis of its own, and few shapes are
 # live at a time.
 @functools.lru_cache(maxsize=8)
-def _dft_form(nc: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only spectral form of a circular shift: the DFT basis of each
-    fiber slot."""
-    F = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
-    freqs = np.repeat(-2.0 * np.pi * np.arange(nc) / (nc * h), m)
+def _dft_form(nc: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only spectral form of a circular shift on nc cells: its DFT."""
+    basis = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
+    freqs = -2.0 * np.pi * np.arange(nc) / (nc * h)
     freqs = np.where(freqs <= -np.pi / h, freqs + 2.0 * np.pi / h, freqs)
-    basis = np.kron(F, np.eye(m))
     freqs.setflags(write=False)
     basis.setflags(write=False)
     return freqs, basis
@@ -684,67 +676,3 @@ def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:
     k = T.grid.size
     return T._compressed(np.array([h], dtype=float), np.eye(k, dtype=complex), False)[0]
 
-
-# --- serialization (CLI round-tripping) -------------------------------------
-
-def _grid_to_dict(g: WeightedGrid) -> dict:
-    return {"points": g.points.tolist(), "weights": g.weights.tolist()}
-
-
-def _grid_from_dict(d: dict) -> WeightedGrid:
-    return WeightedGrid(np.asarray(d["points"]), np.asarray(d["weights"]))
-
-
-def model_to_dict(T: SemigroupModel) -> dict:
-    if isinstance(T, MultiplicationGroup):
-        return {
-            "kind": "multiplication",
-            "grid": _grid_to_dict(T.grid),
-            "symbol": T.symbol.tolist(),
-        }
-    if isinstance(T, ShiftSemigroup):
-        return {
-            "kind": "shift",
-            "step": T.step,
-            "cells": T.cells,
-            "fiber_dim": T.fiber_dim,
-        }
-    if isinstance(T, PeriodicShiftGroup):
-        return {
-            "kind": "periodic_shift",
-            "period_cells": T.period_cells,
-            "step": T.step,
-            "fiber_dim": T.fiber_dim,
-        }
-    if isinstance(T, DirectSumSemigroup):
-        return {
-            "kind": "direct_sum",
-            "parts": [model_to_dict(p) for p in T.parts],
-            "grids": [_grid_to_dict(g) for g in T.space.components],
-        }
-    if isinstance(T, ConjugatedGroup):
-        return {
-            "kind": "conjugated",
-            "grid": _grid_to_dict(T.grid),
-            "basis_re": T.basis.real.tolist(),
-            "basis_im": T.basis.imag.tolist(),
-            "inner": model_to_dict(T.inner),
-        }
-    raise TypeError(f"cannot serialize {type(T).__name__}")
-
-
-def model_from_dict(d: dict) -> SemigroupModel:
-    kind = d["kind"]
-    if kind == "multiplication":
-        return MultiplicationGroup(_grid_from_dict(d["grid"]), np.asarray(d["symbol"]))
-    if kind == "shift":
-        return ShiftSemigroup(d["step"], d["cells"], d.get("fiber_dim", 1))
-    if kind == "periodic_shift":
-        return PeriodicShiftGroup(d["period_cells"], d["step"], d.get("fiber_dim", 1))
-    if kind == "direct_sum":
-        space = SumSpace(tuple(_grid_from_dict(g) for g in d["grids"]))
-        return DirectSumSemigroup(space, tuple(model_from_dict(p) for p in d["parts"]))
-    if kind == "conjugated":
-        basis = np.asarray(d["basis_re"]) + 1j * np.asarray(d["basis_im"])
-        return ConjugatedGroup(_grid_from_dict(d["grid"]), basis, model_from_dict(d["inner"]))
-    raise ValueError(f"unknown model kind {kind!r}")

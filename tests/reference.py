@@ -1,10 +1,12 @@
 """Reference matrices of the semigroup models, built from their construction
-data alone (phase diagonals, shifted identities, roll (x) I, block diagonals
-and B* M B), so that tests never check a model's evolution against itself."""
+data alone (phase diagonals, shifted identities, rolls, block diagonals and
+B* M B), so that tests never check a model's evolution against itself; and
+the weighted inner product of two vectors."""
 
 import numpy as np
 import scipy.linalg
 
+from stablesemi.hilbert import GridMismatchError
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -23,18 +25,25 @@ def operator_matrix(T, t, rows=None):
     if isinstance(T, MultiplicationGroup):
         return np.diag(np.exp(1j * t * T.symbol))
     if isinstance(T, ShiftSemigroup):
-        d = round(t / T.step) * T.fiber_dim
+        d = round(t / T.step)
         return np.eye(k + d, k, k=-d)
     if isinstance(T, PeriodicShiftGroup):
-        nc, m = T.period_cells, T.fiber_dim
-        roll = np.kron(np.roll(np.eye(nc), round(t / T.step), axis=0), np.eye(m))
-        return scipy.linalg.block_diag(roll, np.eye(max(k - nc * m, 0)))[:, :k]
+        nc = T.period_cells
+        roll = np.roll(np.eye(nc), round(t / T.step), axis=0)
+        return scipy.linalg.block_diag(roll, np.eye(max(k - nc, 0)))[:, :k]
     if isinstance(T, DirectSumSemigroup):
         return scipy.linalg.block_diag(*(
             operator_matrix(p, t, g.size)[: g.size] for p, g in zip(T.parts, T.space.components)))
     if isinstance(T, ConjugatedGroup):
         return T.basis.conj().T @ operator_matrix(T.inner, t) @ T.basis
     raise TypeError(f"no reference for {type(T).__name__}")
+
+
+def inner_product(x, y):
+    """Weighted inner product, linear in x and conjugate-linear in y."""
+    if not x.grid.same_as(y.grid):
+        raise GridMismatchError("inner product requires a shared grid")
+    return complex((x.grid.weights * x.coeffs * np.conj(y.coeffs)).sum())
 
 
 def weighted(x):

@@ -129,6 +129,13 @@ class TestMain:
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "zz": 1})
         assert main(["run", str(bad)]) == 2
 
+    def test_fiber_dim_is_an_unknown_key(self, tmp_path, capsys):
+        # shifts are scalar; a multiplicity is a direct sum of shifts
+        bad = _write(tmp_path, "bad.json", {"scenario": "shift_periodization_check", "fiber_dim": 1})
+        assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_out_of_range_value_exits_2(self, tmp_path):
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "depth": 0})
         assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2

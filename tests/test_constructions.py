@@ -20,7 +20,6 @@ from stablesemi.constructions import (
     inflate_and_perturb,
     near_identity_aws,
     periodization_error_identity,
-    periodize_shift,
     quantize_symbol,
     wold_decompose,
     wold_decompose_matrix,
@@ -162,6 +161,16 @@ class TestInflation:
         U = MultiplicationGroup(g, np.array([1.0, np.sqrt(2.0)]))
         with pytest.raises(NotPeriodicError):
             inflate_and_perturb(U, [], 0.1, 1.0)
+
+    def test_copies_must_be_an_integer(self):
+        base = quantize_symbol(_mult(6, seed=8), 8).approximant
+        with pytest.raises(ValueError, match="copies must be an integer"):
+            inflate_and_perturb(base, [], 0.5, 2.0, copies=2.5)
+        with pytest.raises(ValueError, match="copies must be an integer"):
+            approximate_isometry_by_aws(base, 0.5, 2.0, n=8, copies=2.5)
+        assert inflate_and_perturb(base, [], 0.5, 2.0, copies=np.int64(3)).group.grid.size == 18
+        aws = approximate_isometry_by_aws(base, 0.5, 2.0, n=8, copies=np.int64(3))
+        assert distinct_frequency_certificate(aws)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 200), st.integers(2, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
@@ -445,8 +454,7 @@ class TestSplitByproducts:
 
 class TestPeriodization:
     def test_period_is_identity(self):
-        R = ShiftSemigroup(0.5, 10)
-        P = periodize_shift(R, 8)
+        P = PeriodicShiftGroup(8, 0.5)
         f = _rvec(P.grid, 11)
         np.testing.assert_allclose(P.apply(8 * 0.5, f).coeffs, f.coeffs, atol=1e-14)
 
@@ -507,16 +515,16 @@ class TestPeriodicApproximation:
         d = (V.apply(1.0, x) - P.apply(1.0, x)).norm()
         assert d < 1.5
 
-    @pytest.mark.parametrize("du, cells, fiber, seed", [
-        (4, (7,), 1, 41), (3, (5, 9), 1, 42), (2, (6,), 2, 43)])
-    def test_generic_branch_matches_construction_data(self, du, cells, fiber, seed):
+    @pytest.mark.parametrize("du, cells, seed", [
+        (4, (7,), 41), (3, (5, 9), 42), (2, (6, 6), 43)])
+    def test_generic_branch_matches_construction_data(self, du, cells, seed):
         # Q*(quantized Mult (+) quantized cyclic wrap of each chain)Q, built
         # from the frequencies, Q and DFT matrices alone
         n = 64
         rng = np.random.default_rng(seed)
         f = rng.uniform(-np.pi / 2, np.pi / 2, du)
         gu = WeightedGrid.uniform(du)
-        shifts = [ShiftSemigroup(1.0, c, fiber_dim=fiber) for c in cells]
+        shifts = [ShiftSemigroup(1.0, c) for c in cells]
         inner = DirectSumSemigroup(
             SumSpace((gu, *(s.grid for s in shifts))), (MultiplicationGroup(gu, f), *shifts))
         k = inner.grid.size
@@ -530,7 +538,7 @@ class TestPeriodicApproximation:
             r = np.where(2 * r > c, r - c, r)  # the wrap's eigenvalues exp(2 pi i r / c)
             F = np.exp(-2j * np.pi * np.outer(np.arange(c), r) / c) / np.sqrt(c)
             wrap = F @ np.diag(np.exp(1j * cell * ((n * r) // c))) @ F.conj().T
-            blocks.append(np.kron(wrap, np.eye(fiber)))
+            blocks.append(wrap)
         want = q.conj().T @ scipy.linalg.block_diag(*blocks) @ q
         P = approximate_isometry_by_periodic(V, n)
         assert np.abs(one_step_matrix(P, 1.0) - want).max() <= 1e-12

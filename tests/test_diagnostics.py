@@ -17,7 +17,7 @@ from stablesemi.diagnostics import (
     wiener_limit,
     wjkt_membership,
 )
-from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
+from stablesemi.hilbert import DenseSequence, GridMismatchError, HVector, WeightedGrid
 from stablesemi.metrics import _times
 from stablesemi.semigroups import MultiplicationGroup, PeriodicShiftGroup, ShiftSemigroup
 
@@ -56,6 +56,16 @@ class TestCesaroWiener:
         x = HVector(g, np.ones(4))
         # masses: {1.0: 0.5, 2.0: 0.25, 3.0: 0.25} -> 0.25 + 0.0625 + 0.0625
         assert wiener_limit(U, x) == pytest.approx(0.375)
+
+    def test_wiener_rejects_a_vector_on_other_weights(self):
+        U = MultiplicationGroup(WeightedGrid.uniform(4), np.array([1.0, 1.0, 2.0, 3.0]))
+        with pytest.raises(GridMismatchError):
+            wiener_limit(U, HVector(WeightedGrid.uniform(4, 3.0), np.ones(4)))
+
+    def test_wiener_rejects_a_vector_of_another_size(self):
+        U = MultiplicationGroup(WeightedGrid.uniform(4), np.array([1.0, 1.0, 2.0, 3.0]))
+        with pytest.raises(GridMismatchError):
+            wiener_limit(U, HVector(WeightedGrid.uniform(5), np.ones(5)))
 
     def test_cesaro_matches_closed_form_oracle(self):
         # independent closed form: mean of |sum w_k e^{it q_k}|^2 over [0,T]
@@ -183,7 +193,7 @@ class TestClassify:
 
     def test_report_validates_verdict(self):
         with pytest.raises(ValueError):
-            StabilityReport(0.1, 0.1, None, 0.5, (), "NotAVerdict")
+            StabilityReport(0.1, 0.1, None, 0.5, (), "NotAVerdict", 0.0)
 
 
 class TestMembership:

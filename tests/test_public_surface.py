@@ -1,5 +1,5 @@
 """The package's public surface: every exported name resolves, and the
-per-vector checkers and helpers that no scenario used are gone."""
+per-vector checkers, helpers and serializers that no scenario used are gone."""
 
 import importlib
 import inspect
@@ -10,7 +10,8 @@ import stablesemi
 
 MODULES = ("hilbert", "semigroups", "constructions", "diagnostics", "metrics", "cli")
 DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
-           "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance")
+           "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance",
+           "model_to_dict", "model_from_dict", "inner_product", "periodize_shift")
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -27,6 +28,12 @@ def test_deleted_name_is_unreachable(name):
     assert name not in stablesemi.__all__
     for mod in (stablesemi, *(importlib.import_module(f"stablesemi.{m}") for m in MODULES)):
         assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+@pytest.mark.parametrize("name", ["ShiftSemigroup", "PeriodicShiftGroup", "shift_grid"])
+def test_shifts_take_no_fiber_dim(name):
+    # a shift of multiplicity m is a direct sum of m scalar shifts
+    assert "fiber_dim" not in inspect.signature(getattr(stablesemi, name)).parameters
 
 
 def test_stability_report_has_no_record_method():

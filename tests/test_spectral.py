@@ -65,7 +65,7 @@ def _model(kind, seed):
     if kind == "mult":
         return _mult(rng, 7)
     if kind == "periodic":
-        return PeriodicShiftGroup(5, 0.5, fiber_dim=2)
+        return PeriodicShiftGroup(10, 0.5)
     if kind in ("dsum", "longer"):
         return _dsum(rng, cells)
     inner = _mult(rng, 6) if kind == "conj_mult" else _dsum(rng, cells)
@@ -78,7 +78,7 @@ def _approximant(T):
     if isinstance(T, MultiplicationGroup):
         return quantize_symbol(T, 16).approximant
     if isinstance(T, PeriodicShiftGroup):
-        return PeriodicShiftGroup(T.period_cells, T.step, T.fiber_dim)
+        return PeriodicShiftGroup(T.period_cells, T.step)
     if isinstance(T, DirectSumSemigroup):
         return DirectSumSemigroup(T.space, tuple(_approximant(p) for p in T.parts))
     return ConjugatedGroup(T.grid, T.basis, _approximant(T.inner))
@@ -256,7 +256,7 @@ def _evolve_pair(name, seed):
     conjugated multiplication group in another basis."""
     rng = np.random.default_rng(seed)
     if name == "shift_periodization":
-        return ShiftSemigroup(0.5, 5, fiber_dim=2), PeriodicShiftGroup(5, 0.5, fiber_dim=2)
+        return ShiftSemigroup(0.5, 10), PeriodicShiftGroup(10, 0.5)
     mult = MultiplicationGroup(WeightedGrid.uniform(3), rng.uniform(-2.0, 2.0, 3))
     shift = ShiftSemigroup(1.0, 4)
     inner = DirectSumSemigroup(SumSpace((mult.grid, shift.grid)), (mult, shift))
@@ -438,11 +438,11 @@ def test_shift_evolution_memory_is_blocked():
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.parametrize("T", [ShiftSemigroup(0.5, 4, fiber_dim=2),
-                               PeriodicShiftGroup(4, 0.5, fiber_dim=2)], ids=["shift", "periodic"])
+@pytest.mark.parametrize("T", [ShiftSemigroup(0.5, 8), PeriodicShiftGroup(8, 0.5)],
+                         ids=["shift", "periodic"])
 def test_vectors_on_an_extended_payload_are_zero_padded(T):
     rng = np.random.default_rng(17)
-    x, y = _vec(T.grid, rng), _vec(shift_grid(7, 0.5, 2), rng)  # y: 3 more cells
+    x, y = _vec(T.grid, rng), _vec(shift_grid(14, 0.5), rng)  # y: 6 more cells
     wx, wy = np.pad(weighted(x), (0, 6)), weighted(y)
     times = np.arange(6) * 0.5
     for a, b, wa, wb in ((x, y, wx, wy), (y, x, wy, wx)):
@@ -453,7 +453,7 @@ def test_vectors_on_an_extended_payload_are_zero_padded(T):
     px = HVector(y.grid, np.pad(x.coeffs, (0, 6)))
     p = ClassifyParams(horizon=5.0, eps=0.2)
     assert classify(T, DenseSequence((x, y)), p) == classify(T, DenseSequence((px, y)), p)
-    P = PeriodicShiftGroup(4, 0.5, fiber_dim=2)
+    P = PeriodicShiftGroup(8, 0.5)
     got, want = (metric_isometric(T, P, MetricConfig(DenseSequence(w), J=2, N=2)).value
                  for w in ((x, y), (px, y)))
     assert got == want
@@ -570,12 +570,12 @@ def test_periodic_basis_is_built_once_and_read_only(monkeypatch):
     builds = []
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **k: builds.append(1) or fft(*a, **k))
-    T = PeriodicShiftGroup(6, 0.5, fiber_dim=2)
+    T = PeriodicShiftGroup(12, 0.5)
     x = _vec(T.grid, np.random.default_rng(3))
     freqs, basis = T.spectral_form()
     correlation(T, x, x, np.arange(8.0) * 0.5)
     classify(T, DenseSequence((x,)), ClassifyParams(horizon=10.0, samples=20))
-    again = PeriodicShiftGroup(6, 0.5, fiber_dim=2).spectral_form()
+    again = PeriodicShiftGroup(12, 0.5).spectral_form()
     assert len(builds) == 1
     assert again[0] is freqs and again[1] is basis
     for a in (freqs, basis):
