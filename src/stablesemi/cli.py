@@ -347,7 +347,7 @@ def load_config(path: Path) -> dict:
     cfg = dict(defaults)
     cfg.update(raw)
     cfg["seed"] = _checked_seed(cfg.get("seed", 0))
-    _check_values(cfg, *_VALUE_RULES[scenario])
+    _check_values(cfg, defaults)
     return cfg
 
 
@@ -358,41 +358,30 @@ def _checked_seed(seed):
     return seed
 
 
-# per scenario: integer keys with their minimum, keys that must be finite
-# numbers > 0, and whether n_values must be a non-empty list of levels >= 1
-_VALUE_RULES = {
-    "quantization_sweep": ({"dimension": 1, "trials": 1}, ("t_max",), True),
-    "near_identity_sweep": ({"dimension": 1, "t_samples": 1}, (), True),
-    "cantor_demo": ({"depth": 1, "num_samples": 2, "row_stride": 1}, ("horizon",), False),
-    # one trial draws its period from [1, period_cells)
-    "shift_periodization_check": (
-        {"cells": 1, "period_cells": 2, "trials": 1}, (), False),
-    # a trial builds a unitary block of at least one point
-    "wold_benchmark": ({"trials": 1, "min_unitary_dim": 1, "max_unitary_dim": 1,
-                        "min_shift_cells": 1, "max_shift_cells": 1}, (), False),
-    "category_escape": ({"dimension": 1, "base_level": 1, "multiples": 1, "witnesses": 1,
-                         "k_max": 1, "copies": 2}, ("eps", "t0"), True),
-    "metric_tables": ({"dimension": 1, "J": 1, "N": 1, "samples_per_block": 2}, (), True),
-}
+# counts that need two: a time grid needs two samples, a trial draws its period
+# from [1, period_cells), and a perturbed frequency needs a copy beside it
+_AT_LEAST_TWO = {"num_samples", "samples_per_block", "period_cells", "copies"}
 
 
-def _check_values(cfg: dict, int_lows: dict, positive: tuple, levels: bool) -> None:
-    """Reject values the scenario cannot run with, before it runs."""
-    for key, low in int_lows.items():
-        if not _is_integer(cfg[key]) or cfg[key] < low:
-            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
-    for key in int_lows:  # a min_* bound may not exceed its max_*
+def _check_values(cfg: dict, defaults: dict) -> None:
+    """Reject values the scenario cannot run with, before it runs, by the type
+    of each default: an int is a count >= 1 (>= 2 in _AT_LEAST_TWO), a float
+    a finite number > 0, a list a non-empty list of levels >= 1."""
+    for key, default in defaults.items():
+        v = cfg[key]
+        if isinstance(default, int):
+            low = 2 if key in _AT_LEAST_TWO else 1
+            if not _is_integer(v) or v < low:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {v!r}")
+        elif isinstance(default, float):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
+        elif not (isinstance(v, list) and v and all(_is_integer(n) and n >= 1 for n in v)):
+            raise ConfigError(f"{key} must be a non-empty list of integers >= 1, got {v!r}")
+    for key in defaults:  # a min_* bound may not exceed its max_*
         top = "max_" + key[4:]
         if key.startswith("min_") and cfg[key] > cfg[top]:
             raise ConfigError(f"{key} must be <= {top}, got {cfg[key]!r} > {cfg[top]!r}")
-    for key in positive:
-        v = cfg[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-            raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
-    ns = cfg.get("n_values")
-    if levels and (not isinstance(ns, list) or not ns
-                   or not all(_is_integer(n) and n >= 1 for n in ns)):
-        raise ConfigError(f"n_values must be a non-empty list of integers >= 1, got {ns!r}")
 
 
 def _fmt(v) -> str:

@@ -43,10 +43,6 @@ from .semigroups import (
 )
 
 
-class NotIsometricError(ValueError):
-    """The model is not isometric, so the operation does not apply."""
-
-
 class NotPeriodicError(ValueError):
     """The model's frequencies are not commensurable within tolerance."""
 
@@ -357,12 +353,11 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     ||B0* W B1|| (H1 invariance), each from the smallest Hermitian matrix at
     hand: the eigenvalues of the Hermitian M0* M0 - I, the smaller Gram
     matrix of the others (`_norm2`).  It is at least 1 when the walk did not
-    stabilize.  A repeated call on the same model object with the same h
-    returns the same result, whose arrays are all read-only.
+    stabilize, as for a one-step map that is not an isometry.  A repeated
+    call on the same model object with the same h returns the same result,
+    whose arrays are all read-only.
     """
     global _last_split
-    if not V.is_isometric:
-        raise NotIsometricError("Wold decomposition needs an isometric model")
     h = step if step is not None else _natural_step(V)
     if _last_split is not None and _last_split[0] is V and _last_split[1] == h:
         return _last_split[2]
@@ -393,8 +388,9 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
 def _natural_step(V: SemigroupModel) -> float:
     if V.time_step is not None:
         return float(V.time_step)
-    f = V.max_frequency()
-    if f is None or f == 0.0:
+    # a model without a step is unitary, so its frequencies bound the generator
+    f = float(np.abs(V.spectral_form()[0]).max())
+    if f == 0.0:
         return 1.0
     # keep |q| * h < pi so one-step eigenvalue angles recover frequencies
     return min(1.0, float(np.pi / (2.0 * f)))
@@ -458,25 +454,32 @@ def _periodize_chains(B1: np.ndarray, lengths, h: float) -> tuple[np.ndarray, np
     return np.concatenate(freqs), np.concatenate(Z, axis=1)
 
 
+def _from_form(grid: WeightedGrid, freqs: np.ndarray, basis: np.ndarray | None) -> SemigroupModel:
+    """The unitary group on grid with spectral form (freqs, basis): a
+    multiplication group when basis is None, else its conjugation by basis."""
+    if basis is None:
+        return MultiplicationGroup(grid, freqs)
+    return ConjugatedGroup(grid, basis, MultiplicationGroup(WeightedGrid.uniform(freqs.size), freqs))
+
+
 def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupModel:
     """Replace an isometric model by a nearby periodic unitary one.
 
-    Structural models are handled directly (quantize the symbol, wrap the
-    shift).  A direct sum is approximated part by part on V's own space: a
-    shift shorter than the new period wraps at its own length, and a longer
-    one wraps at the period and stays the identity above it, where its
-    spectral form has zero frequencies.  Mixed models go through the
-    Wold split V = U (+) S: U is diagonalized by a Schur form, each wandering
-    chain of S is wrapped cyclically and diagonalized by a DFT
-    (`WoldResult.diagonal_form`, kept on the split), and every frequency is
-    quantized at level n.
-    Raises ValueError when the Wold split does not stabilize, that is when V
-    is not isometric to working precision (`wold_decompose`).
+    A shift is wrapped at the period n.  A direct sum is approximated part
+    by part on V's own space: a shift shorter than the new period wraps at
+    its own length, and a longer one wraps at the period and stays the
+    identity above it, where its spectral form has zero frequencies.  Any
+    other model is quantized at level n (`_snap_down`) in a spectral form:
+    its own when it is unitary, else that of its Wold split V = U (+) S,
+    where U is diagonalized by a Schur form and each wandering chain of S is
+    wrapped cyclically and diagonalized by a DFT (`WoldResult.diagonal_form`,
+    kept on the split).
+    Raises ValueError for a level n < 1, and when the Wold split does not
+    stabilize, that is when V is not isometric to working precision
+    (`wold_decompose`).
     """
-    if not V.is_isometric:
-        raise NotIsometricError("input must be isometric")
-    if isinstance(V, MultiplicationGroup):
-        return quantize_symbol(V, n).approximant
+    if n < 1:
+        raise ValueError("quantization level must be >= 1")
     if isinstance(V, ShiftSemigroup):
         return PeriodicShiftGroup(max(1, int(round(n / V.step))), V.step)
     if isinstance(V, DirectSumSemigroup):
@@ -487,13 +490,14 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
                 q = PeriodicShiftGroup(g.size, p.step)
             parts.append(q)
         return DirectSumSemigroup(V.space, tuple(parts))
-
-    wr = wold_decompose(V)
-    if not wr.stabilized:
-        raise ValueError("the Wold split did not stabilize")
-    freqs, to_diag = wr.diagonal_form
-    diag_group = MultiplicationGroup(WeightedGrid.uniform(freqs.size), freqs)
-    return ConjugatedGroup(V.grid, to_diag, quantize_symbol(diag_group, n).approximant)
+    form = V.spectral_form()
+    if form is None:
+        wr = wold_decompose(V)
+        if not wr.stabilized:
+            raise ValueError("the Wold split did not stabilize")
+        form = wr.diagonal_form
+    freqs, basis = form
+    return _from_form(V.grid, _snap_down(freqs, n), basis)
 
 
 def approximate_isometry_by_aws(
@@ -505,9 +509,10 @@ def approximate_isometry_by_aws(
 ) -> SemigroupModel:
     """Replace an isometric model by an almost weakly stable unitary one.
 
-    Pipeline: Wold-based periodic approximation at level n, then injective
-    frequency perturbation of the resulting periodic group.  The output acts
-    on V's ambient space and has pairwise-distinct frequencies (the model's
+    Pipeline: periodic approximation at level n
+    (`approximate_isometry_by_periodic`), then injective frequency
+    perturbation of the resulting periodic group.  The output acts on V's
+    ambient space and has pairwise-distinct frequencies (the model's
     almost-weak-stability certificate); the distance to the periodic
     approximant is at most eps on |t| <= t0 for unit vectors.
     """
@@ -516,10 +521,7 @@ def approximate_isometry_by_aws(
     # the compressed symbol of `inflate_and_perturb`, without its inflated group
     scale, _, _, embed_index = _inflation_layout(freqs, eps, t0, copies)
     symbol = freqs + scale * (embed_index + 1) / (copies * freqs.size + 1.0)
-    inner_grid = WeightedGrid.uniform(freqs.size)
-    if basis is None:
-        return MultiplicationGroup(periodic.grid, symbol)
-    return ConjugatedGroup(periodic.grid, basis, MultiplicationGroup(inner_grid, symbol))
+    return _from_form(periodic.grid, symbol, basis)
 
 
 def distinct_frequency_certificate(model: SemigroupModel) -> bool:
@@ -558,8 +560,8 @@ def cantor_group(depth: int) -> MultiplicationGroup:
     weights; the symbol is the atom position, so the autocorrelation of the
     uniform unit vector is the depth-d truncated product formula.
     """
-    if depth < 1:
-        raise ValueError("cantor depth must be >= 1")
+    if not _is_integer(depth) or depth < 1:
+        raise ValueError(f"cantor depth must be an integer >= 1, got {depth!r}")
     bits = np.arange(2 ** depth)[:, None] >> np.arange(depth)[None, :] & 1
     pts = (bits * (2.0 / 3.0 ** np.arange(1, depth + 1))).sum(axis=1)
     grid = WeightedGrid(pts, np.full(2 ** depth, 2.0 ** -depth))

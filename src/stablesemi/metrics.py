@@ -6,9 +6,10 @@ sequence, and all three go through one assembly: a table of per-block sups
 (`_block_sups`) weighed by 2^-(n + j...) / (||x_j||...) (`_assemble`).  The
 discarded tail is certified in closed form (every numerator is bounded by 2
 times the witness norms), and the sup over continuous time is sampled, with
-a Lipschitz slack reported whenever a frequency bound for both models is
-available.  For models with discrete admissible times the sup runs over
-exactly the admissible multiples of the step, so no slack is needed.
+a Lipschitz slack from the largest |frequency| of each model's spectral form
+(a model without a time step is unitary, so it has one).  For models with
+discrete admissible times the sup runs over exactly the admissible multiples
+of the step, so no slack is needed.
 
 The strong metrics evaluate every difference ||S(t)x - T(t)x|| through
 `semigroups._diff_norms`, and the weak metric every correlation through
@@ -67,10 +68,8 @@ def _times(cfg: MetricConfig, step: float | None, lo: float, hi: float) -> np.nd
     return np.arange(round(lo * spb), round(hi * spb) + 1) / spb
 
 
-def _lipschitz_slack(S: SemigroupModel, T: SemigroupModel, dt: float) -> float | None:
-    fs, ft = S.max_frequency(), T.max_frequency()
-    if fs is None or ft is None:
-        return None
+def _lipschitz_slack(S: SemigroupModel, T: SemigroupModel, dt: float) -> float:
+    fs, ft = (float(np.abs(M.spectral_form()[0]).max()) for M in (S, T))
     # d/dt ||S(t)x - T(t)x|| <= (|q_S|_max + |q_T|_max) ||x||
     return (fs + ft) * dt / 2.0
 
@@ -127,9 +126,7 @@ def metric_unitary(U: SemigroupModel, V: SemigroupModel, cfg: MetricConfig) -> M
 
 
 def metric_isometric(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) -> MetricValue:
-    """Strong metric on isometric semigroups: forward times only."""
-    if not (S.is_isometric and T.is_isometric):
-        raise ValueError("metric_isometric requires isometric models")
+    """Strong metric on isometric semigroups (every model is one): forward times only."""
     return _strong_metric(S, T, cfg, forward=True)
 
 

@@ -136,10 +136,13 @@ def _shift_grid(cells: int, step: float) -> WeightedGrid:
 
 
 class SemigroupModel:
-    """Common interface; concrete models subclass this and define `_evolve`."""
+    """Common interface; concrete models subclass this and define `_evolve`.
+
+    Every model is an isometric semigroup, so no flag says so; `is_unitary`
+    (a unitary group) holds exactly when `spectral_form` is not None.
+    """
 
     is_unitary: bool = False
-    is_isometric: bool = False
 
     def _evolve(self, times: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
         """T(t) X, or T(t)* X when adjoint, for each of the 1-d `times`.
@@ -189,10 +192,6 @@ class SemigroupModel:
         """Smallest positive admissible step, or None if all reals admissible."""
         return None
 
-    def max_frequency(self):
-        """Upper bound on the generator's spectral radius, when available."""
-        return None
-
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
         """(freqs, basis) with T(t) = B* diag(exp(i t freqs)) B in weighted
         coordinates of `grid`; basis None means the identity.  None exactly
@@ -207,7 +206,6 @@ class MultiplicationGroup(SemigroupModel):
     _grid: WeightedGrid
     symbol: np.ndarray
     is_unitary: bool = field(default=True, init=False)
-    is_isometric: bool = field(default=True, init=False)
 
     def __post_init__(self):
         q = np.ascontiguousarray(np.asarray(self.symbol, dtype=float))
@@ -224,9 +222,6 @@ class MultiplicationGroup(SemigroupModel):
 
     def _evolve(self, times, X, adjoint):
         return _phases(-times if adjoint else times, self.symbol)[:, :, None] * X
-
-    def max_frequency(self) -> float:
-        return float(np.abs(self.symbol).max())
 
     def spectral_form(self) -> tuple[np.ndarray, None]:
         return self.symbol, None
@@ -269,7 +264,6 @@ class ShiftSemigroup(_CellModel):
     step: float
     cells: int
     is_unitary: bool = field(default=False, init=False)
-    is_isometric: bool = field(default=True, init=False)
 
     def __post_init__(self):
         self._validate(self.cells, "cells")
@@ -303,7 +297,6 @@ class PeriodicShiftGroup(_CellModel):
     period_cells: int
     step: float
     is_unitary: bool = field(default=True, init=False)
-    is_isometric: bool = field(default=True, init=False)
 
     def __post_init__(self):
         self._validate(self.period_cells, "period_cells")
@@ -370,21 +363,12 @@ class DirectSumSemigroup(SemigroupModel):
         return all(p.is_unitary for p in self.parts)
 
     @property
-    def is_isometric(self) -> bool:
-        return all(p.is_isometric for p in self.parts)
-
-    @property
     def grid(self) -> WeightedGrid:
         return self.space.combined
 
     @property
     def time_step(self):
         return _shared_step(self.parts)
-
-    def max_frequency(self):
-        freqs = [p.max_frequency() for p in self.parts]
-        known = [f for f in freqs if f is not None]
-        return max(known) if known else None
 
     def _evolve(self, times, X, adjoint):
         out = np.empty((times.size, *X.shape), dtype=complex)
@@ -448,19 +432,12 @@ class ConjugatedGroup(SemigroupModel):
         return self.inner.is_unitary
 
     @property
-    def is_isometric(self) -> bool:
-        return self.inner.is_isometric
-
-    @property
     def grid(self) -> WeightedGrid:
         return self._grid
 
     @property
     def time_step(self):
         return self.inner.time_step
-
-    def max_frequency(self):
-        return self.inner.max_frequency()
 
     def _evolve(self, times, X, adjoint):
         return self.basis.conj().T @ self.inner._evolve(times, self.basis @ X, adjoint)

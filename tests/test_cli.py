@@ -114,6 +114,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(bad))):
             load_config(_write(tmp_path, "c.json", {"scenario": scenario, **bad}))
 
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_default_has_a_checked_type(self, scenario):
+        # guard: the value rules are read from each default's type, so a
+        # default of any other type would go unchecked
+        _, defaults = SCENARIOS[scenario]
+        assert [k for k, v in defaults.items()
+                if isinstance(v, bool) or not isinstance(v, (int, float, list))] == []
+
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("[1, 2]")

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from stablesemi import constructions
 from stablesemi.constructions import (
-    NotIsometricError,
     _norm2,
     _periodize_chains,
     _wold_chains,
@@ -320,15 +319,6 @@ class TestWold:
         B0, B1, iters, stab = wold_decompose_matrix(W, 50)
         assert B0.shape[1] == 5 and B1.shape[1] == 0 and stab
 
-    def test_requires_isometric(self):
-        g = WeightedGrid.uniform(3)
-
-        class NotIso(MultiplicationGroup):
-            is_isometric = False
-
-        with pytest.raises(NotIsometricError):
-            wold_decompose(NotIso(g, np.zeros(3)))
-
 
 class TestWoldSplitReuse:
     def test_one_split_per_model(self, monkeypatch):
@@ -548,6 +538,45 @@ class TestPeriodicApproximation:
         V, _ = _conjugated_mixed(4, 12, seed=44)
         with pytest.raises(ValueError, match="did not stabilize"):
             approximate_isometry_by_periodic(V, 64)
+
+    def test_unitary_model_is_quantized_in_its_own_spectral_form(self, monkeypatch):
+        def no_split(*args):
+            raise AssertionError("a unitary model needs no Wold split")
+        monkeypatch.setattr(constructions, "_wold_chains", no_split)
+        rng = np.random.default_rng(49)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+        U = _mult(12, seed=49)
+        V = ConjugatedGroup(WeightedGrid.uniform(12), q, U)
+        P = approximate_isometry_by_periodic(V, 64)
+        assert np.array_equal(P.inner.symbol, _snap_down(U.symbol, 64))
+        assert P.basis is V.basis
+        A = approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)
+        assert A.basis is V.basis and distinct_frequency_certificate(A)
+
+    def test_periodic_shift_is_quantized_from_its_dft(self):
+        V = PeriodicShiftGroup(10, 1.0)
+        freqs, basis = V.spectral_form()
+        eps, t0 = 0.25, 5.0
+        P = approximate_isometry_by_periodic(V, 64)
+        A = approximate_isometry_by_aws(V, eps, t0, n=64, copies=2)
+        assert np.array_equal(P.inner.symbol, _snap_down(freqs, 64))
+        assert np.array_equal(P.basis, basis) and distinct_frequency_certificate(A)
+        for seed in (50, 51):
+            x = _rvec(V.grid, seed).normalized()
+            for t in range(-int(t0), int(t0) + 1):
+                assert (A.apply(float(t), x) - P.apply(float(t), x)).norm() <= eps + 1e-10
+
+    @pytest.mark.parametrize("n", [0, 0.3])
+    @pytest.mark.parametrize("shift_only_sum", [False, True])
+    def test_level_below_one_is_rejected(self, n, shift_only_sum):
+        V = ShiftSemigroup(1.0, 6)
+        if shift_only_sum:
+            V = DirectSumSemigroup(SumSpace((V.grid, shift_grid(4, 1.0))),
+                                   (V, ShiftSemigroup(1.0, 4)))
+        with pytest.raises(ValueError, match="quantization level must be >= 1"):
+            approximate_isometry_by_periodic(V, n)
+        with pytest.raises(ValueError, match="quantization level must be >= 1"):
+            approximate_isometry_by_aws(V, 0.25, 5.0, n=n)
 
 
 class TestPeriodizeChains:

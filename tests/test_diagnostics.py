@@ -253,3 +253,14 @@ class TestCantorOracle:
             U = cantor_group(depth)
             disc = np.abs(np.exp(1j * np.outer(ts, U.grid.points)) @ U.grid.weights)
             assert np.abs(disc - oracle).max() < tol
+
+    @pytest.mark.parametrize("depth", [2.5, True, 0])
+    def test_depth_must_be_an_integer_at_least_one(self, depth):
+        # 2.5 used to fail inside NumPy's right_shift, and True built a
+        # depth-1 group; 0 is a guard
+        with pytest.raises(ValueError, match="cantor depth"):
+            cantor_group(depth)
+
+    def test_depth_takes_numpy_integers(self):
+        # guard: the integer check accepts NumPy integers
+        assert cantor_group(np.int64(3)).grid.size == 8

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, and the
-per-vector checkers, helpers and serializers that no scenario used are gone."""
+per-vector checkers, helpers and serializers that no scenario used, and the
+members that restated a fact, are gone."""
 
 import importlib
 import inspect
@@ -11,7 +12,8 @@ import stablesemi
 MODULES = ("hilbert", "semigroups", "constructions", "diagnostics", "metrics", "cli")
 DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance",
-           "model_to_dict", "model_from_dict", "inner_product", "periodize_shift")
+           "model_to_dict", "model_from_dict", "inner_product", "periodize_shift",
+           "NotIsometricError")
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -34,6 +36,14 @@ def test_deleted_name_is_unreachable(name):
 def test_shifts_take_no_fiber_dim(name):
     # a shift of multiplicity m is a direct sum of m scalar shifts
     assert "fiber_dim" not in inspect.signature(getattr(stablesemi, name)).parameters
+
+
+@pytest.mark.parametrize("name", ["SemigroupModel", "MultiplicationGroup", "ShiftSemigroup",
+                                  "PeriodicShiftGroup", "DirectSumSemigroup", "ConjugatedGroup"])
+def test_models_state_no_isometry_flag_or_max_frequency(name):
+    # every model is an isometry, and its spectral form gives its frequencies
+    model = getattr(stablesemi, name)
+    assert not hasattr(model, "is_isometric") and not hasattr(model, "max_frequency")
 
 
 def test_stability_report_has_no_record_method():

@@ -1,6 +1,7 @@
 """Start-up cost: `scipy.linalg` is loaded only where a Schur form or a
 subspace angle is taken, so importing the package and running unitary-only
-paths never pays for it."""
+paths, the approximation pipelines on a unitary model included, never pays
+for it."""
 
 import json
 import os
@@ -18,8 +19,8 @@ import numpy as np
 
 import stablesemi, stablesemi.cli
 from stablesemi import (ClassifyParams, ConjugatedGroup, DenseSequence, DirectSumSemigroup,
-                        MultiplicationGroup, ShiftSemigroup, SumSpace, WeightedGrid, classify,
-                        shift_grid, wold_decompose)
+                        MultiplicationGroup, ShiftSemigroup, SumSpace, WeightedGrid,
+                        approximate_isometry_by_aws, classify, shift_grid, wold_decompose)
 from stablesemi.cli import run_scenario
 
 
@@ -36,6 +37,7 @@ q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6
 g = WeightedGrid.uniform(6)
 U = ConjugatedGroup(g, q, MultiplicationGroup(g, rng.uniform(-1.0, 1.0, 6)))
 classify(U, DenseSequence.gaussian(g, 2, seed=1), ClassifyParams(horizon=10.0, samples=20))
+approximate_isometry_by_aws(U, 0.25, 5.0, n=64, copies=2)
 states["unitary"] = loaded()
 gu = WeightedGrid.uniform(3)
 inner = DirectSumSemigroup(SumSpace((gu, shift_grid(4, 1.0))),
