@@ -173,14 +173,12 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
         rec = wr.unitary_dim
         # ground truth: H0 is the image of the unitary block under Q*
         truth = Q.conj().T[:, :du]
-        if rec == du and du > 0:
+        if rec == du:
             B0 = wr.basis_matrix_unitary / np.sqrt(outer.weights)[:, None]
             angle = float(np.max(scipy.linalg.subspace_angles(B0, truth)))
-        elif rec == du:
-            angle = 0.0
         else:
             angle = float("nan")
-        good = rec == du and (du == 0 or angle <= 1e-8)
+        good = rec == du and angle <= 1e-8
         ok = ok and good
         rows.append({
             "trial": trial, "true_dim_H0": du, "recovered_dim": rec,

@@ -31,7 +31,6 @@ import numpy as np
 from .hilbert import HVector, WeightedGrid, _is_integer
 from .semigroups import (
     ConjugatedGroup,
-    DirectSumSemigroup,
     MultiplicationGroup,
     PeriodicShiftGroup,
     SemigroupModel,
@@ -465,15 +464,14 @@ def _from_form(grid: WeightedGrid, freqs: np.ndarray, basis: np.ndarray | None) 
 def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupModel:
     """Replace an isometric model by a nearby periodic unitary one.
 
-    A shift is wrapped at the period n.  A direct sum is approximated part
-    by part on V's own space: a shift shorter than the new period wraps at
-    its own length, and a longer one wraps at the period and stays the
-    identity above it, where its spectral form has zero frequencies.  Any
-    other model is quantized at level n (`_snap_down`) in a spectral form:
-    its own when it is unitary, else that of its Wold split V = U (+) S,
-    where U is diagonalized by a Schur form and each wandering chain of S is
-    wrapped cyclically and diagonalized by a DFT (`WoldResult.diagonal_form`,
-    kept on the split).
+    A bare shift, whose payload grows, is wrapped at the period n: the
+    period's cells are its space.  Every other model lives on a fixed space,
+    V's grid, and is quantized there at level n (`_snap_down`) in a spectral
+    form: its own when it is unitary, else that of its Wold split
+    V = U (+) S, where U is diagonalized by a Schur form and each wandering
+    chain of S is wrapped cyclically and diagonalized by a DFT
+    (`WoldResult.diagonal_form`, kept on the split).  So a model and its
+    conjugation by a unitary Q get Q-conjugate approximants.
     Raises ValueError for a level n < 1, and when the Wold split does not
     stabilize, that is when V is not isometric to working precision
     (`wold_decompose`).
@@ -482,14 +480,6 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
         raise ValueError("quantization level must be >= 1")
     if isinstance(V, ShiftSemigroup):
         return PeriodicShiftGroup(max(1, int(round(n / V.step))), V.step)
-    if isinstance(V, DirectSumSemigroup):
-        parts = []
-        for p, g in zip(V.parts, V.space.components):
-            q = approximate_isometry_by_periodic(p, n)
-            if q.grid.size > g.size:
-                q = PeriodicShiftGroup(g.size, p.step)
-            parts.append(q)
-        return DirectSumSemigroup(V.space, tuple(parts))
     form = V.spectral_form()
     if form is None:
         wr = wold_decompose(V)
@@ -511,10 +501,13 @@ def approximate_isometry_by_aws(
 
     Pipeline: periodic approximation at level n
     (`approximate_isometry_by_periodic`), then injective frequency
-    perturbation of the resulting periodic group.  The output acts on V's
-    ambient space and has pairwise-distinct frequencies (the model's
-    almost-weak-stability certificate); the distance to the periodic
-    approximant is at most eps on |t| <= t0 for unit vectors.
+    perturbation of the resulting periodic group.  The output acts on the
+    periodic approximant's space and has pairwise-distinct frequencies (the
+    model's almost-weak-stability certificate); the distance to the
+    periodic approximant is at most eps on |t| <= t0 for unit vectors.
+    That space is V's grid, but a bare shift's is the period's n/h cells:
+    the metrics zero-pad V's witnesses onto them when n/h is at least V's
+    cell count, and below it they raise GridMismatchError.
     """
     periodic = approximate_isometry_by_periodic(V, n)
     freqs, basis = periodic.spectral_form()

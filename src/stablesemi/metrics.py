@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence, _is_integer
+from .hilbert import DenseSequence, _is_integer, _is_prefix_grid, pad_to_grid
 from .semigroups import (
     SemigroupModel, _columns, _correlations, _diff_norms, _shared_step, _step_times)
 
@@ -101,10 +101,14 @@ def _assemble(sups: np.ndarray, norms: np.ndarray, cfg: MetricConfig,
 def _metric_inputs(S, T, cfg: MetricConfig, lo: float):
     """(sample times on [lo, N], their Lipschitz slack or None, witness norms,
     their grid, weighted witness columns) after checking that both models
-    share a step and act on that grid."""
+    share a step and act on that grid, the witnesses zero-padded onto a
+    model grid that extends theirs (a bare shift's AWS approximant's)."""
     step = _shared_step((S, T))
     times = _times(cfg, step, lo, float(cfg.N))
     witnesses = cfg.dense_seq.vectors[: cfg.J]
+    longer = max((S.grid, T.grid), key=lambda g: g.size)
+    if all(x.grid.size < longer.size and _is_prefix_grid(x.grid, longer) for x in witnesses):
+        witnesses = [pad_to_grid(x, longer) for x in witnesses]
     grid, Z = _columns(S, witnesses)
     T._check_grid(grid)
     slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))

@@ -7,15 +7,15 @@ unitary basis change, which is how mixed/benchmark operators and the outputs
 of the Wold-based approximation pipeline are represented on their original
 ambient space.
 
-Each model defines one private `_evolve(times, X, adjoint)`: T(t) X (or
-T(t)* X) for every time at once, with the columns of X in weighted
-coordinates sqrt(mu) x.  It is a phase for a multiplication group, an index
-shift of cells for a truncated shift, a roll of the first period cells for
-a periodic shift, blocks truncated to each component for a direct sum, and
-B* inner B for a conjugation.  `apply` and `adjoint_apply` are its
-one-column case, and a time is admissible when `_evolve` accepts it.
-`_compressed` is `_evolve` cut to the rows of X; `one_step_matrix` is its
-value at one time on the identity.
+Each model defines one private `_evolve(times, X)`: T(t) X for every time
+at once, with the columns of X in weighted coordinates sqrt(mu) x.  It is a
+phase for a multiplication group, an index shift of cells for a truncated
+shift, a roll of the first period cells for a periodic shift, blocks
+truncated to each component for a direct sum, and B* inner B for a
+conjugation.  `apply` is its one-column case, and a time is admissible
+when `_evolve` accepts it.  Evolution runs forward only: a unitary group's
+adjoint T(t)* is T(-t).  `_compressed` is `_evolve` cut to the rows of X;
+`one_step_matrix` is its value at one time on the identity.
 
 Shift conventions: a shift has one coefficient per cell (one of
 multiplicity m is a direct sum of m, one per wandering chain); admissible
@@ -36,8 +36,8 @@ Every correlation <T(t) z_r, z_c> of weighted columns Z goes through
 `_diff_norms`.  One test (`_spectral`) picks their path: spectral when Z
 lies on each model's own grid, where it has a spectral form, and the forms
 share one basis B, so A = B Z meets phases only; otherwise `_evolve`, one
-batched evolution per model and block of times (the adjoint for a
-correlation), reduced by a matrix product or a norm.
+batched evolution per model and block of times (compressed to Z's rows for
+a correlation), reduced by a matrix product or a norm.
 
 The spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
 grid.  On an arithmetic grid t0 + j dt, which is every grid the library
@@ -144,8 +144,8 @@ class SemigroupModel:
 
     is_unitary: bool = False
 
-    def _evolve(self, times: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
-        """T(t) X, or T(t)* X when adjoint, for each of the 1-d `times`.
+    def _evolve(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """T(t) X for each of the 1-d `times`.
 
         X holds weighted coordinates, one column per vector, on a grid the
         model accepts (`_check_grid`).  The result is times x rows x
@@ -155,11 +155,11 @@ class SemigroupModel:
         """
         raise NotImplementedError
 
-    def _compressed(self, times: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
+    def _compressed(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
         """`_evolve` cut to the rows of X: T(t) compressed to the payload it
-        acts on, which is how a direct sum and a one-step matrix keep their
-        space fixed."""
-        return self._evolve(times, X, adjoint)[:, : X.shape[0]]
+        acts on, which is how a direct sum, a one-step matrix and `_gram`
+        keep their space fixed."""
+        return self._evolve(times, X)[:, : X.shape[0]]
 
     def _check_grid(self, grid: WeightedGrid) -> None:
         """Raise GridMismatchError unless the model acts on vectors over grid."""
@@ -171,15 +171,9 @@ class SemigroupModel:
         return self.grid
 
     def apply(self, t: float, x: HVector) -> HVector:
-        return self._act(t, x, adjoint=False)
-
-    def adjoint_apply(self, t: float, x: HVector) -> HVector:
-        return self._act(t, x, adjoint=True)
-
-    def _act(self, t: float, x: HVector, adjoint: bool) -> HVector:
         self._check_grid(x.grid)
         z = np.sqrt(x.grid.weights) * x.coeffs
-        y = self._evolve(np.array([t], dtype=float), z[:, None], adjoint)[0, :, 0]
+        y = self._evolve(np.array([t], dtype=float), z[:, None])[0, :, 0]
         grid = self._out_grid(y.size)
         return HVector(grid, y / np.sqrt(grid.weights))
 
@@ -220,8 +214,8 @@ class MultiplicationGroup(SemigroupModel):
     def grid(self) -> WeightedGrid:
         return self._grid
 
-    def _evolve(self, times, X, adjoint):
-        return _phases(-times if adjoint else times, self.symbol)[:, :, None] * X
+    def _evolve(self, times, X):
+        return _phases(times, self.symbol)[:, :, None] * X
 
     def spectral_form(self) -> tuple[np.ndarray, None]:
         return self.symbol, None
@@ -272,18 +266,16 @@ class ShiftSemigroup(_CellModel):
     def grid(self) -> WeightedGrid:
         return shift_grid(self.cells, self.step)
 
-    def _evolve(self, times, X, adjoint, extend=True):
+    def _evolve(self, times, X, extend=True):
         if times.min() < -1e-12:
             raise InadmissibleTimeError("right shift only admits t >= 0")
         d = _steps(times, self.step)
-        k, extra = X.shape[0], int(d.max())
-        if adjoint:  # left shift; the payload keeps its length
-            return _rows(X, np.arange(k) + d, extra)
-        return _rows(X, np.arange(k + extra * extend) - d, extra)
+        extra = int(d.max())
+        return _rows(X, np.arange(X.shape[0] + extra * extend) - d, extra)
 
-    def _compressed(self, times, X, adjoint):
+    def _compressed(self, times, X):
         # never builds the overflow cells only to drop them
-        return self._evolve(times, X, adjoint, extend=False)
+        return self._evolve(times, X, extend=False)
 
 
 @dataclass(frozen=True)
@@ -305,8 +297,8 @@ class PeriodicShiftGroup(_CellModel):
     def grid(self) -> WeightedGrid:
         return shift_grid(self.period_cells, self.step)
 
-    def _evolve(self, times, X, adjoint):
-        ell = _steps(times, self.step) * (-1 if adjoint else 1)
+    def _evolve(self, times, X):
+        ell = _steps(times, self.step)
         p = self.period_cells
         r = np.arange(max(X.shape[0], p))
         # a cell in the period reads the cell ell before it, mod the period;
@@ -370,11 +362,11 @@ class DirectSumSemigroup(SemigroupModel):
     def time_step(self):
         return _shared_step(self.parts)
 
-    def _evolve(self, times, X, adjoint):
+    def _evolve(self, times, X):
         out = np.empty((times.size, *X.shape), dtype=complex)
         for b, part in enumerate(self.parts):
             sl = self.space.block_slice(b)
-            out[:, sl] = part._compressed(times, X[sl], adjoint)
+            out[:, sl] = part._compressed(times, X[sl])
         return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -439,8 +431,8 @@ class ConjugatedGroup(SemigroupModel):
     def time_step(self):
         return self.inner.time_step
 
-    def _evolve(self, times, X, adjoint):
-        return self.basis.conj().T @ self.inner._evolve(times, self.basis @ X, adjoint)
+    def _evolve(self, times, X):
+        return self.basis.conj().T @ self.inner._evolve(times, self.basis @ X)
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self._spectral_form
@@ -579,13 +571,13 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
 
 
 def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """G[t, j, i] = <T(t) z_i, z_j> = <z_i, T(t)* z_j> for the weighted
-    columns z of Z: one adjoint evolution per time block, reduced by a
-    matrix product.  The adjoint keeps a shift's payload length, so no
-    block builds the cells a forward shift would extend it by."""
+    """G[t, j, i] = <T(t) z_i, z_j> = (Z* T(t) Z)[j, i] for the weighted
+    columns z of Z: one compressed evolution per time block, reduced by a
+    matrix product.  Each z_j is zero past Z's rows, so the cells a shift
+    extends its payload by add nothing and are never built."""
     G = np.empty((times.size, Z.shape[1], Z.shape[1]), dtype=complex)
     for sl in _time_blocks(times.size, Z.size):
-        G[sl] = T._compressed(times[sl], Z, True).conj().transpose(0, 2, 1) @ Z
+        G[sl] = Z.conj().T @ T._compressed(times[sl], Z)
     return G
 
 
@@ -632,9 +624,9 @@ def _diff_norms(S: SemigroupModel, T: SemigroupModel, grid: WeightedGrid, Z: np.
     rows = Z.shape[0]
     if times.size > 1:  # one time is one block, however long its output
         far = times[[np.abs(times).argmax()]]
-        rows = max(M._evolve(far, Z[:, :0], False).shape[1] for M in (S, T))
+        rows = max(M._evolve(far, Z[:, :0]).shape[1] for M in (S, T))
     for sl in _time_blocks(times.size, rows * Z.shape[1]):
-        a, b = S._evolve(times[sl], Z, False), T._evolve(times[sl], Z, False)
+        a, b = S._evolve(times[sl], Z), T._evolve(times[sl], Z)
         ga, gb = S._out_grid(a.shape[1]), T._out_grid(b.shape[1])
         if ga.size < gb.size:
             a = pad_to_grid(a, gb, ga)
@@ -651,5 +643,5 @@ def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:
     shifts is dropped, so the result always has the nominal dimension.
     """
     k = T.grid.size
-    return T._compressed(np.array([h], dtype=float), np.eye(k, dtype=complex), False)[0]
+    return T._compressed(np.array([h], dtype=float), np.eye(k, dtype=complex))[0]
 

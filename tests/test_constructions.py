@@ -24,7 +24,8 @@ from stablesemi.constructions import (
     wold_decompose_matrix,
 )
 from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
-from stablesemi.metrics import MetricConfig, metric_isometric
+from stablesemi.hilbert import GridMismatchError
+from stablesemi.metrics import MetricConfig, metric_isometric, metric_unitary
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -566,6 +567,37 @@ class TestPeriodicApproximation:
             for t in range(-int(t0), int(t0) + 1):
                 assert (A.apply(float(t), x) - P.apply(float(t), x)).norm() <= eps + 1e-10
 
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_one_approximant_in_every_basis(self, n):
+        # D = Mult (+) Shift(40) and C = Q* D Q: P_n(C) = Q* P_n(D) Q, below
+        # and above the shift's length
+        rng = np.random.default_rng(46)
+        gu = WeightedGrid.uniform(3)
+        D = DirectSumSemigroup(
+            SumSpace((gu, shift_grid(40, 1.0))),
+            (MultiplicationGroup(gu, rng.uniform(-np.pi / 2, np.pi / 2, 3)),
+             ShiftSemigroup(1.0, 40)))
+        k = D.grid.size
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        C = ConjugatedGroup(WeightedGrid.uniform(k), q, D)
+        want = q.conj().T @ one_step_matrix(approximate_isometry_by_periodic(D, n), 1.0) @ q
+        got = one_step_matrix(approximate_isometry_by_periodic(C, n), 1.0)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_periodic_part_shorter_than_its_component(self):
+        # a 4-cell period on an 8-cell component beside a multiplication
+        # block: both approximants act on V's 11 points
+        gu = WeightedGrid.uniform(3)
+        V = DirectSumSemigroup(
+            SumSpace((gu, shift_grid(8, 1.0))),
+            (MultiplicationGroup(gu, np.array([0.2, 0.7, 1.1])), PeriodicShiftGroup(4, 1.0)))
+        P = approximate_isometry_by_periodic(V, 64)
+        A = approximate_isometry_by_aws(V, 0.25, 5.0, n=64)
+        assert P.grid.same_as(V.grid) and A.grid.same_as(V.grid)
+        assert distinct_frequency_certificate(A)
+        wit = DenseSequence.gaussian(V.grid, 3, seed=47)
+        assert np.isfinite(metric_unitary(V, P, MetricConfig(wit, J=3, N=8)).value)
+
     @pytest.mark.parametrize("n", [0, 0.3])
     @pytest.mark.parametrize("shift_only_sum", [False, True])
     def test_level_below_one_is_rejected(self, n, shift_only_sum):
@@ -647,9 +679,20 @@ class TestAwsPipeline:
         assert distinct_frequency_certificate(A)
         assert A.grid.size == 32  # acts on the periodization's ambient space
 
+    def test_bare_shift_approximant_is_measured_on_the_period(self):
+        # the approximant acts on the 64 cells of the period, which extend
+        # the shift's 40; at n = 32 it acts on fewer cells than V
+        R = ShiftSemigroup(1.0, 40)
+        cfg = MetricConfig(DenseSequence.gaussian(R.grid, 8, seed=48), J=8, N=8)
+        A = approximate_isometry_by_aws(R, 0.25, 5.0, n=64)
+        assert A.grid.size == 64
+        assert np.isfinite(metric_isometric(R, A, cfg).value)
+        with pytest.raises(GridMismatchError):
+            metric_isometric(R, approximate_isometry_by_aws(R, 0.25, 5.0, n=32), cfg)
+
     def test_direct_sum_with_shift_block_shorter_than_period(self):
-        # the 40-cell shift block is shorter than the new 64-cell period: it
-        # wraps at its own length, so both outputs act on V's 43 points
+        # the 40-cell shift block is shorter than the new 64-cell period: V
+        # lives on a fixed space, so both outputs act on V's 43 points
         gu = WeightedGrid.uniform(3)
         V = DirectSumSemigroup(
             SumSpace((gu, shift_grid(40, 1.0))),

@@ -1,9 +1,12 @@
-"""The package's public surface: every exported name resolves, and the
-per-vector checkers, helpers and serializers that no scenario used, and the
-members that restated a fact, are gone."""
+"""The package's public surface: every exported name resolves, every name
+the benchmark's scripts read resolves, and the per-vector checkers, helpers
+and serializers that no scenario used, the members that restated a fact and
+the backward evolution are gone."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +41,11 @@ def test_shifts_take_no_fiber_dim(name):
     assert "fiber_dim" not in inspect.signature(getattr(stablesemi, name)).parameters
 
 
-@pytest.mark.parametrize("name", ["SemigroupModel", "MultiplicationGroup", "ShiftSemigroup",
-                                  "PeriodicShiftGroup", "DirectSumSemigroup", "ConjugatedGroup"])
+MODELS = ("SemigroupModel", "MultiplicationGroup", "ShiftSemigroup", "PeriodicShiftGroup",
+          "DirectSumSemigroup", "ConjugatedGroup")
+
+
+@pytest.mark.parametrize("name", MODELS)
 def test_models_state_no_isometry_flag_or_max_frequency(name):
     # every model is an isometry, and its spectral form gives its frequencies
     model = getattr(stablesemi, name)
@@ -61,3 +67,61 @@ def test_no_tolerance_knobs(name):
 def test_wold_matrix_keeps_only_its_walk_cap():
     params = inspect.signature(stablesemi.wold_decompose_matrix).parameters.values()
     assert [p.name for p in params if p.default is not p.empty] == ["max_iter"]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_models_evolve_forward_only(name):
+    # a unitary group's adjoint is apply(-t, x); no model evolves backwards
+    model = getattr(stablesemi, name)
+    assert not hasattr(model, "adjoint_apply")
+    for meth in ("_evolve", "_compressed"):
+        assert "adjoint" not in inspect.signature(getattr(model, meth)).parameters
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _import_roots(tree):
+    """Names that the import statements of a module bind to stablesemi,
+    one of its modules or one of its exports, with the object each names."""
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "stablesemi":
+                    bound = a.name if a.asname else "stablesemi"
+                    roots[a.asname or "stablesemi"] = importlib.import_module(bound)
+        elif isinstance(node, ast.ImportFrom) and node.module == "stablesemi":
+            for a in node.names:
+                try:
+                    obj = importlib.import_module(f"stablesemi.{a.name}")
+                except ModuleNotFoundError:
+                    obj = getattr(stablesemi, a.name)
+                roots[a.asname or a.name] = obj
+    return roots
+
+
+def test_benchmark_reads_only_names_that_resolve():
+    # the benchmark's scripts run in no test, so a deleted name they read
+    # would break them silently; every chain of attribute reads starting at
+    # an imported stablesemi name must resolve
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots = _import_roots(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if not (isinstance(base, ast.Name) and base.id in roots):
+                continue
+            obj = roots[base.id]
+            for attr in reversed(chain):
+                if not hasattr(obj, attr):
+                    missing.append(f"{path.name}:{node.lineno}: {base.id}.{'.'.join(reversed(chain))}")
+                    break
+                obj = getattr(obj, attr)
+    assert missing == []

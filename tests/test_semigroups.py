@@ -27,14 +27,14 @@ def _rvec(grid, seed=0):
 
 
 def _assert_unitary(T, t, xs):
-    """T(t) is the construction data's unitary matrix M, and `apply` and
-    `adjoint_apply` act on each x as M and M*."""
+    """T(t) is the construction data's unitary matrix M, and `apply` at t
+    and at -t acts on each x as M and M*."""
     M = one_step_matrix(T, t)
     np.testing.assert_allclose(M, operator_matrix(T, t), atol=1e-12)
     np.testing.assert_allclose(M.conj().T @ M, np.eye(M.shape[0]), atol=1e-12)
     for x in xs:
         np.testing.assert_allclose(weighted(T.apply(t, x)), M @ weighted(x), atol=1e-12)
-        np.testing.assert_allclose(weighted(T.adjoint_apply(t, x)), M.conj().T @ weighted(x),
+        np.testing.assert_allclose(weighted(T.apply(-t, x)), M.conj().T @ weighted(x),
                                    atol=1e-12)
 
 
@@ -68,7 +68,7 @@ class TestMultiplicationGroup:
     def test_adjoint_is_inverse(self):
         U = _mult(seed=3)
         x = _rvec(U.grid, 4)
-        back = U.adjoint_apply(1.1, U.apply(1.1, x))
+        back = U.apply(-1.1, U.apply(1.1, x))
         np.testing.assert_allclose(back.coeffs, x.coeffs, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -96,7 +96,8 @@ class TestShiftSemigroup:
             R.apply(-1.0, _rvec(R.grid))
 
     def test_adjoint_identity(self):
-        # <R(t)f, g> == <f, R(t)* g> on the shift-extended grid
+        # <R(t)f, g> == <f, R(t)* g> on the shift-extended grid, where R(t)*
+        # reads g three cells on
         R = ShiftSemigroup(step=1.0, cells=12)
         f = _rvec(R.grid, 6)
         big = shift_grid(12 + 3, 1.0)
@@ -104,9 +105,6 @@ class TestShiftSemigroup:
         lhs = inner_product(R.apply(3.0, f), g)
         gm = HVector(R.grid, g.coeffs[3: 3 + 12])
         rhs = inner_product(f, gm)
-        # adjoint_apply left-shifts the payload by the same number of cells
-        gshift = R.adjoint_apply(3.0, HVector(R.grid, g.coeffs[:12]))
-        np.testing.assert_allclose(gshift.coeffs[: 12 - 3], g.coeffs[3:12], atol=1e-14)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_semigroup_law(self):
@@ -281,7 +279,7 @@ def test_evolve_matches_construction_data(kind, seed, steps):
     T = _zoo(kind, seed)
     X = _random_matrix(np.random.default_rng(seed), T.grid.size)
     times = ZOO_STEP * np.array(steps, dtype=float)
-    Y = T._evolve(times, X, False)
+    Y = T._evolve(times, X)
     for t, y in zip(times, Y):
         want = operator_matrix(T, t) @ X
         assert np.abs(_pad(want, y.shape[0]) - y).max() <= 1e-12
@@ -293,9 +291,9 @@ def test_evolve_over_many_times_stacks_single_times(kind, seed, steps):
     T = _zoo(kind, seed)
     X = _random_matrix(np.random.default_rng(seed), T.grid.size)
     times = ZOO_STEP * np.array(steps, dtype=float)
-    Y = T._evolve(times, X, False)
+    Y = T._evolve(times, X)
     for i, t in enumerate(times):
-        one = T._evolve(times[i : i + 1], X, False)[0]
+        one = T._evolve(times[i : i + 1], X)[0]
         np.testing.assert_array_equal(_pad(one, Y.shape[1]), Y[i])
 
 
@@ -310,9 +308,7 @@ def test_compressed_evolution_cuts_evolve_to_the_payload(kind, seed, steps):
         payloads.append(T.grid.size + 4)  # extended by 4 cells
     for rows in payloads:
         X = _random_matrix(rng, rows)
-        for adjoint in (False, True):
-            full = T._evolve(times, X, adjoint)
-            np.testing.assert_array_equal(T._compressed(times, X, adjoint), full[:, :rows])
+        np.testing.assert_array_equal(T._compressed(times, X), T._evolve(times, X)[:, :rows])
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,26 +317,9 @@ def test_evolve_obeys_the_semigroup_law_on_the_step_lattice(kind, seed, a, b):
     T = _zoo(kind, seed)
     X = _random_matrix(np.random.default_rng(seed), T.grid.size)
     ta, tb = a * ZOO_STEP, b * ZOO_STEP
-    both = T._evolve(np.array([ta + tb]), X, False)[0]
-    stepwise = T._evolve(np.array([ta]), T._evolve(np.array([tb]), X, False)[0], False)[0]
+    both = T._evolve(np.array([ta + tb]), X)[0]
+    stepwise = T._evolve(np.array([ta]), T._evolve(np.array([tb]), X)[0])[0]
     assert np.abs(both - stepwise).max() <= 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(ZOO), st.integers(0, 10 ** 6), st.integers(0, 6))
-def test_evolve_adjoint_is_the_adjoint(kind, seed, steps):
-    # <T(t)x, y> = <x, T(t)* y>, y on the space T(t)x lives on
-    T = _zoo(kind, seed)
-    rng = np.random.default_rng(seed)
-    k = T.grid.size
-    X = _random_matrix(rng, k)
-    t = np.array([steps * ZOO_STEP])
-    TX = T._evolve(t, X, False)[0]
-    Y = _random_matrix(rng, TX.shape[0])
-    TsY = T._evolve(t, Y, True)[0]
-    assert TsY.shape == Y.shape
-    np.testing.assert_allclose(Y.conj().T @ TX, TsY[:k].conj().T @ X, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(TsY[k:], 0.0)
 
 
 def _dropped_mass(T, X, steps):
@@ -365,7 +344,7 @@ def test_evolve_is_isometric(kind, seed, steps):
     # ||T(t)x||^2 = ||x||^2, less what a truncated shift block drops
     T = _zoo(kind, seed)
     X = _random_matrix(np.random.default_rng(seed), T.grid.size)
-    Y = T._evolve(np.array([steps * ZOO_STEP]), X, False)[0]
+    Y = T._evolve(np.array([steps * ZOO_STEP]), X)[0]
     kept = (np.abs(X) ** 2).sum(axis=0) - _dropped_mass(T, X, steps)
     np.testing.assert_allclose((np.abs(Y) ** 2).sum(axis=0), kept, rtol=1e-12)
 
@@ -377,11 +356,11 @@ def test_evolve_is_unitary_for_unitary_models(kind, seed, steps):
     T = _zoo(kind, seed)
     X = _random_matrix(np.random.default_rng(seed), T.grid.size)
     t = np.array([steps * ZOO_STEP])
-    TX = T._evolve(t, X, False)[0]
-    TsX = T._evolve(t, X, True)[0]
+    TX = T._evolve(t, X)[0]
+    TsX = T._evolve(-t, X)[0]  # T(t)* = T(-t) on a group
     assert TX.shape == TsX.shape == X.shape
-    np.testing.assert_allclose(T._evolve(t, TX, True)[0], X, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(T._evolve(t, TsX, False)[0], X, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(T._evolve(-t, TX)[0], X, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(T._evolve(t, TsX)[0], X, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["shift", "dsum_shift", "conj_dsum"])
@@ -422,7 +401,6 @@ def test_one_step_matrix_makes_no_apply_calls(kind, monkeypatch):
     for cls in (MultiplicationGroup, ShiftSemigroup, PeriodicShiftGroup,
                 DirectSumSemigroup, ConjugatedGroup):
         monkeypatch.setattr(cls, "apply", no_apply)
-        monkeypatch.setattr(cls, "adjoint_apply", no_apply)
     one_step_matrix(T, 2 * ZOO_STEP)
 
 
