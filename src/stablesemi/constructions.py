@@ -235,7 +235,6 @@ class WoldResult:
     step: float
     one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
-    shift_block: np.ndarray = field(repr=False)  # one-step map on H1: a shift matrix per chain
     basis_matrix_unitary: np.ndarray = field(repr=False)  # weighted coordinates
     basis_matrix_shift: np.ndarray = field(repr=False)  # chain vectors W^j s, chain by chain
     chain_lengths: np.ndarray  # one per wandering chain, ascending, in basis_matrix_shift's order
@@ -363,7 +362,7 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     W = one_step_matrix(V, h)
     B0, B1, WB1, lengths, iterations, stabilized, rank_gap = _wold_chains(W, None)
     WB0 = W @ B0
-    M0, M1 = B0.conj().T @ WB0, B1.conj().T @ WB1
+    M0 = B0.conj().T @ WB0
     defects = []
     if B0.shape[1]:
         defects.append(_norm2(WB0 - B0 @ M0))  # H0 invariance
@@ -375,11 +374,11 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     residual = max(defects, default=0.0)
     if not stabilized:
         residual = max(residual, 1.0)  # dimensions never settled; flag loudly
-    for a in (W, M0, M1, B0, B1, lengths):
+    for a in (W, M0, B0, B1, lengths):
         a.setflags(write=False)
     result = WoldResult(
         residual, iterations, stabilized, rank_gap, step=h, one_step=W, unitary_block=M0,
-        shift_block=M1, basis_matrix_unitary=B0, basis_matrix_shift=B1, chain_lengths=lengths)
+        basis_matrix_unitary=B0, basis_matrix_shift=B1, chain_lengths=lengths)
     _last_split = (V, h, result)
     return result
 

@@ -49,10 +49,6 @@ class CorrelationTrace:
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", vs)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
 
 def correlation(T: SemigroupModel, x: HVector, y: HVector, time_grid) -> CorrelationTrace:
     times = np.asarray(time_grid, dtype=float)

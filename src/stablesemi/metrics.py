@@ -123,9 +123,9 @@ def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
 
 def metric_unitary(U: SemigroupModel, V: SemigroupModel, cfg: MetricConfig) -> MetricValue:
     """Strong* metric: sups over t in [-n, n] (adjoints come for free since
-    U(-t) = U(t)* for unitary groups)."""
-    if not (U.is_unitary and V.is_unitary):
-        raise ValueError("metric_unitary requires unitary models")
+    U(-t) = U(t)* for unitary groups).  A model that is not unitary holds a
+    truncated shift, which raises InadmissibleTimeError (a ValueError) at
+    the first negative time, before any value is formed."""
     return _strong_metric(U, V, cfg, forward=False)
 
 

@@ -18,17 +18,19 @@ adjoint T(t)* is T(-t).  `_compressed` is `_evolve` cut to the rows of X;
 `one_step_matrix` is its value at one time on the identity.
 
 Shift conventions: a shift has one coefficient per cell (one of
-multiplicity m is a direct sum of m, one per wandering chain); admissible
-times are integer multiples of the cell step h; applying a truncated right
-shift EXTENDS the payload grid by the shifted cells instead of dropping
-mass, so isometry is exact.  Inside a direct sum the ambient space is
-fixed, so there a shift block is compressed: its overflow is dropped, and
-never built (that truncated one-step map is exactly what the Wold analysis
-needs).  Shift grids are memoized, so equal grids are one object and
-compare by identity.
+multiplicity m is a direct sum of m, one per wandering chain); its payload
+is exactly a shift grid of its step h, the points jh of weight h, of any
+length; admissible times are integer multiples of h; applying a truncated
+right shift EXTENDS the payload grid by the shifted cells instead of
+dropping mass, so isometry is exact.  An evolved vector lives on its
+payload's grid unless a shift grew it, and then on the shift grid of its
+rows.  Inside a direct sum the ambient space is fixed, so there a shift
+block is compressed: its overflow is dropped, and never built (that
+truncated one-step map is exactly what the Wold analysis needs).  Shift
+grids are memoized, so equal grids are one object and compare by identity.
 
-A model has a spectral form, frequencies and a basis, exactly when it is
-unitary (a periodic shift's DFT basis is memoized by shape, like shift
+A model is unitary exactly when it has a spectral form, frequencies and a
+basis (a periodic shift's DFT basis is memoized by shape, like shift
 grids).
 
 Every correlation <T(t) z_r, z_c> of weighted columns Z goes through
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,27 +124,29 @@ def _rows(X: np.ndarray, src: np.ndarray, extra: int) -> np.ndarray:
     return padded[src]
 
 
+@functools.lru_cache(maxsize=64)
 def shift_grid(cells: int, step: float) -> WeightedGrid:
-    """Grid for L2([0, cells*h)): one point of weight h per cell.
+    """Grid for L2([0, cells*h)): the point jh of weight h per cell j.
 
     Memoized: equal arguments give the same (frozen, read-only) instance.
     """
-    return _shift_grid(cells, step)
-
-
-@functools.lru_cache(maxsize=64)
-def _shift_grid(cells: int, step: float) -> WeightedGrid:
     return WeightedGrid(np.arange(cells, dtype=float) * step, np.full(cells, step))
+
+
+def _evolved_grid(model: SemigroupModel, payload: WeightedGrid, rows: int) -> WeightedGrid:
+    """Grid of a vector over `payload` evolved by `model` to `rows` rows: only
+    a cell model grows a payload, and it grows it on its exact shift grid."""
+    return payload if rows == payload.size else shift_grid(rows, model.time_step)
 
 
 class SemigroupModel:
     """Common interface; concrete models subclass this and define `_evolve`.
 
-    Every model is an isometric semigroup, so no flag says so; `is_unitary`
-    (a unitary group) holds exactly when `spectral_form` is not None.
+    Every model is an isometric semigroup, and a unitary group exactly when
+    `spectral_form` is not None; no flag restates either.  A shift acts on
+    any exact shift grid of its step, every other model on its own grid
+    only (`_check_grid`).
     """
-
-    is_unitary: bool = False
 
     def _evolve(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
         """T(t) X for each of the 1-d `times`.
@@ -166,15 +170,11 @@ class SemigroupModel:
         if not grid.same_as(self.grid):
             raise GridMismatchError("vector does not live on the model's grid")
 
-    def _out_grid(self, rows: int) -> WeightedGrid:
-        """Grid of an evolved vector with `rows` coefficients."""
-        return self.grid
-
     def apply(self, t: float, x: HVector) -> HVector:
         self._check_grid(x.grid)
         z = np.sqrt(x.grid.weights) * x.coeffs
         y = self._evolve(np.array([t], dtype=float), z[:, None])[0, :, 0]
-        grid = self._out_grid(y.size)
+        grid = _evolved_grid(self, x.grid, y.size)
         return HVector(grid, y / np.sqrt(grid.weights))
 
     @property
@@ -199,7 +199,6 @@ class MultiplicationGroup(SemigroupModel):
 
     _grid: WeightedGrid
     symbol: np.ndarray
-    is_unitary: bool = field(default=True, init=False)
 
     def __post_init__(self):
         q = np.ascontiguousarray(np.asarray(self.symbol, dtype=float))
@@ -222,8 +221,9 @@ class MultiplicationGroup(SemigroupModel):
 
 
 class _CellModel(SemigroupModel):
-    """The two scalar shifts: they act on payloads of any number of cells,
-    each weighing `step`, and their times are multiples of `step`."""
+    """The two scalar shifts: they act on payloads that are exactly a shift
+    grid of `step`, of any number of cells, and their times are multiples
+    of `step`."""
 
     def _validate(self, cells, name: str) -> None:
         if not (_is_integer(cells) and cells >= 1):
@@ -236,28 +236,21 @@ class _CellModel(SemigroupModel):
         return self.step
 
     def _check_grid(self, grid: WeightedGrid) -> None:
-        # the weights are finite (WeightedGrid checks), so one max over
-        # |w - step| gives the same answer as np.allclose(w, step)
-        w = grid.weights
-        if grid is not self.grid and np.abs(w - self.step).max() > 1e-8 + 1e-5 * self.step:
-            raise GridMismatchError("payload grid is not shift-compatible")
-
-    def _out_grid(self, rows: int) -> WeightedGrid:
-        return shift_grid(rows, self.step)
+        if not grid.same_as(shift_grid(grid.size, self.step)):
+            raise GridMismatchError("payload is not a shift grid of the model's step")
 
 
 @dataclass(frozen=True)
 class ShiftSemigroup(_CellModel):
     """Truncated right shift on cell payloads; isometric, not unitary.
 
-    `cells` is the nominal payload size; apply accepts any payload whose
-    grid extends the nominal one and returns a payload extended by the
-    shifted cells.
+    `cells` is the nominal payload size; apply accepts a payload on a shift
+    grid of `step` of any length and returns it extended by the shifted
+    cells.
     """
 
     step: float
     cells: int
-    is_unitary: bool = field(default=False, init=False)
 
     def __post_init__(self):
         self._validate(self.cells, "cells")
@@ -288,7 +281,6 @@ class PeriodicShiftGroup(_CellModel):
 
     period_cells: int
     step: float
-    is_unitary: bool = field(default=True, init=False)
 
     def __post_init__(self):
         self._validate(self.period_cells, "period_cells")
@@ -349,10 +341,6 @@ class DirectSumSemigroup(SemigroupModel):
                 raise GridMismatchError("part's grid is longer than its component")
         _shared_step(parts)
         object.__setattr__(self, "parts", parts)
-
-    @property
-    def is_unitary(self) -> bool:
-        return all(p.is_unitary for p in self.parts)
 
     @property
     def grid(self) -> WeightedGrid:
@@ -420,10 +408,6 @@ class ConjugatedGroup(SemigroupModel):
         object.__setattr__(self, "basis", b)
 
     @property
-    def is_unitary(self) -> bool:
-        return self.inner.is_unitary
-
-    @property
     def grid(self) -> WeightedGrid:
         return self._grid
 
@@ -468,7 +452,8 @@ def _columns(T: SemigroupModel, vectors) -> tuple[WeightedGrid, np.ndarray]:
     Vectors on different grids are zero-padded onto the longest by
     `pad_to_grid`: a shift's extended payload and its nominal grid, say.
     Raises GridMismatchError unless that grid extends every other one and
-    T acts on it (T's own grid, or for a shift any shift-compatible one).
+    T acts on it (T's own grid, or for a shift an exact shift grid of its
+    step, of any length).
     """
     grid = max((v.grid for v in vectors), key=lambda g: g.size)
     vectors = [v if v.grid.same_as(grid) else pad_to_grid(v, grid) for v in vectors]
@@ -612,10 +597,11 @@ def _correlations(T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray, rows, co
 
 def _diff_norms(S: SemigroupModel, T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """||S(t)z - T(t)z|| per (time, column of Z).  On the `_evolve` path,
-    outputs on different grids (a shift extends its payload) meet on the
-    longer one, which must extend the shorter (`pad_to_grid`), and blocks
-    are sized by the longest output, at the largest |t|."""
+    """||S(t)z - T(t)z|| per (time, column of Z), both models acting on
+    `grid`.  On the `_evolve` path, outputs on different grids (a shift
+    grows its payload, `_evolved_grid`) meet on the longer one, which
+    extends the shorter (`pad_to_grid`), and blocks are sized by the longest
+    output, at the largest |t|."""
     spectral = _spectral((S, T), grid, Z, times)
     if spectral is not None:
         (fs, ft), A = spectral
@@ -627,7 +613,7 @@ def _diff_norms(S: SemigroupModel, T: SemigroupModel, grid: WeightedGrid, Z: np.
         rows = max(M._evolve(far, Z[:, :0]).shape[1] for M in (S, T))
     for sl in _time_blocks(times.size, rows * Z.shape[1]):
         a, b = S._evolve(times[sl], Z), T._evolve(times[sl], Z)
-        ga, gb = S._out_grid(a.shape[1]), T._out_grid(b.shape[1])
+        ga, gb = _evolved_grid(S, grid, a.shape[1]), _evolved_grid(T, grid, b.shape[1])
         if ga.size < gb.size:
             a = pad_to_grid(a, gb, ga)
         elif not ga.same_as(gb):

@@ -264,8 +264,8 @@ class TestWold:
 
     @pytest.mark.parametrize("du, cells, seed", [(4, (8,), 22), (2, (3, 5), 25)])
     def test_shift_block_is_a_shift_matrix_per_chain(self, du, cells, seed):
-        # B1 is the chain basis W^j s, so B1* W B1 is the truncated shift of
-        # each chain, shortest first
+        # B1 is the chain basis W^j s, so the shift block B1* W B1 is the
+        # truncated shift of each chain, shortest first
         rng = np.random.default_rng(seed)
         gu = WeightedGrid.uniform(du)
         shifts = [ShiftSemigroup(1.0, c) for c in cells]
@@ -277,7 +277,8 @@ class TestWold:
         V = ConjugatedGroup(WeightedGrid.uniform(k), q, inner)
         wr = wold_decompose(V, step=1.0)
         want = scipy.linalg.block_diag(*(np.eye(c, k=-1) for c in cells))
-        assert np.abs(wr.shift_block - want).max() <= 1e-12
+        B1 = wr.basis_matrix_shift
+        assert np.abs(B1.conj().T @ wr.one_step @ B1 - want).max() <= 1e-12
         # one chain per shift block, as long as its cell count
         assert wr.chain_lengths.tolist() == sorted(cells)
         assert wold_decompose(V, step=1.0) is wr

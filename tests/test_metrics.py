@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
+from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
 from stablesemi.metrics import (
     MetricConfig,
     MetricValue,
@@ -9,7 +9,9 @@ from stablesemi.metrics import (
     metric_isometric,
     metric_unitary,
 )
-from stablesemi.semigroups import MultiplicationGroup, ShiftSemigroup
+from stablesemi.semigroups import (
+    ConjugatedGroup, DirectSumSemigroup, InadmissibleTimeError, MultiplicationGroup,
+    ShiftSemigroup)
 
 
 def _mult(symbol):
@@ -156,6 +158,13 @@ class TestDiscreteTimes:
             metric_isometric(R1, R2, cfg)
 
     def test_requires_unitary_for_strong_star(self):
+        # a model that is not unitary holds a truncated shift, bare or inside
+        # Q*(Mult (+) Shift)Q, which rejects the first negative time
         R = ShiftSemigroup(1.0, 8)
-        with pytest.raises(ValueError):
-            metric_unitary(R, R, _cfg(R.grid, J=2, N=2))
+        M = _mult([0.3, -1.2, 2.0])
+        inner = DirectSumSemigroup(SumSpace((M.grid, R.grid)), (M, R))
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((11, 11)))
+        V = ConjugatedGroup(WeightedGrid.uniform(11), q, inner)
+        for T in (R, V):
+            with pytest.raises(InadmissibleTimeError):
+                metric_unitary(T, T, _cfg(T.grid, J=2, N=2))

@@ -1,11 +1,14 @@
 """The package's public surface: every exported name resolves, every name
-the benchmark's scripts read resolves, and the per-vector checkers, helpers
-and serializers that no scenario used, the members that restated a fact and
-the backward evolution are gone."""
+the benchmark's scripts read resolves, the kernel ladder runs its first
+rungs, the model protocol has seven members, and the per-vector checkers,
+helpers and serializers that no scenario used, the members that restated a
+fact and the backward evolution are gone."""
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ MODULES = ("hilbert", "semigroups", "constructions", "diagnostics", "metrics", "
 DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance",
            "model_to_dict", "model_from_dict", "inner_product", "periodize_shift",
-           "NotIsometricError")
+           "NotIsometricError", "_shift_grid")
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -47,9 +50,18 @@ MODELS = ("SemigroupModel", "MultiplicationGroup", "ShiftSemigroup", "PeriodicSh
 
 @pytest.mark.parametrize("name", MODELS)
 def test_models_state_no_isometry_flag_or_max_frequency(name):
-    # every model is an isometry, and its spectral form gives its frequencies
+    # every model is an isometry, its spectral form gives its frequencies and
+    # says whether it is unitary, and an evolved vector's grid follows from
+    # its rows
     model = getattr(stablesemi, name)
-    assert not hasattr(model, "is_isometric") and not hasattr(model, "max_frequency")
+    for member in ("is_isometric", "max_frequency", "is_unitary", "_out_grid"):
+        assert not hasattr(model, member), member
+
+
+def test_model_protocol_has_seven_members():
+    members = {n for n in vars(stablesemi.SemigroupModel) if not n.startswith("__")}
+    assert members == {"_evolve", "_compressed", "_check_grid", "apply", "grid",
+                       "time_step", "spectral_form"}
 
 
 def test_stability_report_has_no_record_method():
@@ -125,3 +137,36 @@ def test_benchmark_reads_only_names_that_resolve():
                     break
                 obj = getattr(obj, attr)
     assert missing == []
+
+
+# Calls the first rung of every library kernel of the ladder once; the
+# scenario rows, the numpy pair product and the dense Cantor rows are not
+# library kernels.  A subprocess, as the ladder sets BLAS threads and
+# sys.path when imported.
+LADDER_SMOKE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import kernel_ladder
+seen = []
+for kernel, size, work, need, make in kernel_ladder.rungs(Path(sys.argv[2])):
+    if kernel in seen or "numpy" in kernel or kernel.startswith(("scenario ", "dense ")):
+        continue
+    seen.append(kernel)
+    make()()
+print(",".join(seen))
+"""
+
+
+def test_kernel_ladder_runs_its_first_rungs(tmp_path):
+    # no workload runs the ladder, and the name check above cannot follow
+    # `T.apply` on a model the ladder builds itself
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", LADDER_SMOKE,
+         str(PERFBENCH), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split(",") == [
+        "apply (diagonal)", "apply (conjugated)", "correlation", "classify", "metric_unitary",
+        "metric_isometric", "metric_contractive", "one_step_matrix", "wold_decompose_matrix",
+        "inflate_and_perturb"]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablesemi.diagnostics import ClassifyParams, classify
+from stablesemi.diagnostics import ClassifyParams, classify, correlation
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
+from stablesemi.metrics import MetricConfig, metric_isometric
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -119,16 +120,37 @@ class TestShiftSemigroup:
         np.testing.assert_allclose(weighted(y), operator_matrix(R, 4.0) @ weighted(x))
         assert y.norm() == pytest.approx(x.norm(), rel=1e-12)
 
-    def test_payload_weights_checked_to_allclose_tolerance(self):
-        # accepted exactly when np.allclose(weights, step) holds
-        R = ShiftSemigroup(step=0.5, cells=4)
-        near = WeightedGrid(np.arange(4.0), np.full(4, 0.5 + 1e-8))
-        assert R.apply(0.5, HVector(near, np.ones(4))).grid.size == 5
-        far = WeightedGrid(np.arange(4.0), np.array([0.5, 0.5, 0.5 + 1e-4, 0.5]))
-        with pytest.raises(GridMismatchError):
-            R.apply(1.0, HVector(far, np.ones(4)))
-        with pytest.raises(GridMismatchError):
-            PeriodicShiftGroup(period_cells=4, step=0.5).apply(1.0, HVector(far, np.ones(4)))
+
+CELL_MODELS = pytest.mark.parametrize(
+    "T", [ShiftSemigroup(0.5, 4), PeriodicShiftGroup(4, 0.5)], ids=["shift", "periodic"])
+
+
+@CELL_MODELS
+@pytest.mark.parametrize("cells", [4, 6])
+def test_cell_models_act_as_the_identity_at_zero_on_exact_shift_grids(T, cells):
+    # the nominal payload and one extended by two cells; powers of two keep
+    # the weighting by sqrt(h) and back exact
+    x = HVector(shift_grid(cells, 0.5), np.array([1, -2, 0.5j, 4, -0.25j, 8])[:cells])
+    y = T.apply(0.0, x)
+    assert y.grid.same_as(x.grid)
+    np.testing.assert_array_equal(y.coeffs, x.coeffs)
+
+
+@CELL_MODELS
+@pytest.mark.parametrize("grid", [
+    WeightedGrid(np.arange(4) * 0.5, np.full(4, 0.5 + 1e-8)),
+    WeightedGrid(np.arange(4.0), np.full(4, 0.5)),
+], ids=["weights", "points"])
+def test_cell_models_reject_payloads_off_their_exact_shift_grid(T, grid):
+    # near weights or other points are rejected where the vector enters,
+    # not evolved as if they were the shift grid
+    x = HVector(grid, np.ones(4))
+    with pytest.raises(GridMismatchError):
+        T.apply(0.0, x)
+    with pytest.raises(GridMismatchError):
+        correlation(T, x, x, np.arange(3) * 0.5)
+    with pytest.raises(GridMismatchError):
+        metric_isometric(T, T, MetricConfig(DenseSequence((x,)), J=1, N=1))
 
 
 class TestPeriodicShiftGroup:
@@ -350,7 +372,7 @@ def test_evolve_is_isometric(kind, seed, steps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([k for k in ZOO if _zoo(k, 0).is_unitary]),
+@given(st.sampled_from([k for k in ZOO if _zoo(k, 0).spectral_form() is not None]),
        st.integers(0, 10 ** 6), st.integers(0, 6))
 def test_evolve_is_unitary_for_unitary_models(kind, seed, steps):
     T = _zoo(kind, seed)

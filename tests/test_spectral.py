@@ -388,11 +388,14 @@ def test_off_lattice_times_are_rejected(kind):
 
 
 def test_spectral_form_exactly_for_unitary_models():
+    # no form exactly for the models that hold a truncated shift: a bare one,
+    # Mult (+) Shift and its conjugation
+    shift, periodic = _evolve_pair("shift_periodization", 13)
     wold_sum = _evolve_pair("wold_sum", 13)[0]
-    models = [_model(kind, 13) for kind in KINDS]
-    models += [*_evolve_pair("shift_periodization", 13), wold_sum, wold_sum.inner]
-    for T in models:
-        assert (T.spectral_form() is None) == (not T.is_unitary), T
+    for T in (shift, wold_sum, wold_sum.inner):
+        assert T.spectral_form() is None, T
+    for T in (*(_model(kind, 13) for kind in KINDS), periodic):
+        assert T.spectral_form() is not None, T
 
 
 def test_direct_sums_of_different_steps_are_rejected():
@@ -462,9 +465,8 @@ def test_vectors_on_an_extended_payload_are_zero_padded(T):
 @pytest.mark.parametrize("S", [ShiftSemigroup(1.0, 4), PeriodicShiftGroup(4, 1.0)],
                          ids=["shift", "periodic"])
 def test_outputs_on_unrelated_grids_are_rejected(S):
-    # the witnesses weigh like shift cells, but the multiplication group's
-    # points are not the cells', so neither output grid extends the other
-    # (for the periodic shift they have the same size at every time)
+    # the witnesses weigh like shift cells, but their points are not the
+    # cells', so the shift rejects them where they enter
     g = WeightedGrid(np.arange(4) + 0.5, np.ones(4))
     M = MultiplicationGroup(g, np.linspace(-1.0, 1.0, 4))
     cfg = MetricConfig(DenseSequence.gaussian(g, 2, seed=1), J=2, N=2)
