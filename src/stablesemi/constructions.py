@@ -54,15 +54,22 @@ class QuantizationResult:
     level: int
 
 
+def _levels(n) -> np.ndarray:
+    """n as an array, ValueError unless every level in it is a finite
+    number >= 1 (a NaN fails `n >= 1`)."""
+    n = np.asarray(n)
+    if not ((n >= 1) & (n < np.inf)).all():
+        raise ValueError("quantization level must be >= 1 and finite")
+    return n
+
+
 def _snap_down(q: np.ndarray, n) -> np.ndarray:
     """Every entry of q snapped down onto the lattice (2*pi/n)Z.
 
     q's last axis holds one symbol; n is a level or an array of levels that
-    broadcasts over q's leading axes, one level per symbol.
+    broadcasts over q's leading axes, one level per symbol (`_levels`).
     """
-    n = np.asarray(n)
-    if n.min(initial=1) < 1:
-        raise ValueError("quantization level must be >= 1")
+    n = _levels(n)
     cell = 2.0 * np.pi / n[..., None]
     ratio = q / cell
     j = np.floor(ratio)
@@ -157,8 +164,8 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
     """(scale, m, source, embed_index) of `inflate_and_perturb` for the symbol
     q: inflated slot i copies index source[i], and index j sits at slot
     embed_index[j], in copy 0."""
-    if eps <= 0 or t0 <= 0:
-        raise ValueError("need eps > 0 and t0 > 0")
+    if not (0 < eps < math.inf and 0 < t0 < math.inf):
+        raise ValueError(f"need finite eps > 0 and t0 > 0, got eps={eps!r}, t0={t0!r}")
     if not _is_integer(copies) or copies < 2:
         raise ValueError(f"copies must be an integer >= 2, got {copies!r}")
     _commensurable_base(q)
@@ -351,11 +358,14 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     ||B0* W B1|| (H1 invariance), each from the smallest Hermitian matrix at
     hand: the eigenvalues of the Hermitian M0* M0 - I, the smaller Gram
     matrix of the others (`_norm2`).  It is at least 1 when the walk did not
-    stabilize, as for a one-step map that is not an isometry.  A repeated
-    call on the same model object with the same h returns the same result,
-    whose arrays are all read-only.
+    stabilize, as for a one-step map that is not an isometry.  A given step
+    must be finite and > 0 (ValueError).  A repeated call on the same model
+    object with the same h returns the same result, whose arrays are all
+    read-only.
     """
     global _last_split
+    if step is not None and not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
     h = step if step is not None else _natural_step(V)
     if _last_split is not None and _last_split[0] is V and _last_split[1] == h:
         return _last_split[2]
@@ -412,7 +422,7 @@ def periodization_error_identity(
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = PeriodicShiftGroup(n_c, h)
-    lhs = _diff_norms(U, R, *_columns(R, [f]), np.array([t], dtype=float))[0, 0] ** 2
+    lhs = _diff_norms(U, R, *_columns((U, R), (f,)), np.array([t], dtype=float))[0, 0] ** 2
     if ell == 0:
         return float(lhs), 0.0, 0.0
 
@@ -471,12 +481,11 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     chain of S is wrapped cyclically and diagonalized by a DFT
     (`WoldResult.diagonal_form`, kept on the split).  So a model and its
     conjugation by a unitary Q get Q-conjugate approximants.
-    Raises ValueError for a level n < 1, and when the Wold split does not
-    stabilize, that is when V is not isometric to working precision
-    (`wold_decompose`).
+    Raises ValueError for a level n that is not a finite number >= 1, and
+    when the Wold split does not stabilize, that is when V is not isometric
+    to working precision (`wold_decompose`).
     """
-    if n < 1:
-        raise ValueError("quantization level must be >= 1")
+    _levels(n)
     if isinstance(V, ShiftSemigroup):
         return PeriodicShiftGroup(max(1, int(round(n / V.step))), V.step)
     form = V.spectral_form()
@@ -504,9 +513,10 @@ def approximate_isometry_by_aws(
     periodic approximant's space and has pairwise-distinct frequencies (the
     model's almost-weak-stability certificate); the distance to the
     periodic approximant is at most eps on |t| <= t0 for unit vectors.
-    That space is V's grid, but a bare shift's is the period's n/h cells:
-    the metrics zero-pad V's witnesses onto them when n/h is at least V's
-    cell count, and below it they raise GridMismatchError.
+    That space is V's grid, but a bare shift's is the period's n/h cells.
+    A vector on V's grid meets the output as every vector meets a model
+    (`semigroups._columns`): zero-padded onto the period's cells when n/h is
+    at least V's cell count, and GridMismatchError below it.
     """
     periodic = approximate_isometry_by_periodic(V, n)
     freqs, basis = periodic.spectral_form()

@@ -7,10 +7,11 @@ labeled "evidence", never a proof.  On finite grids all spectral measures
 are atomic, so almost weak stability is certified by the combination of a
 simple spectrum (no repeated frequency) and a small Wiener limit.
 
-Every correlation goes through `semigroups._correlations`, whose module
-docstring states the rule that picks its path: `correlation` evaluates one
-pair, `classify` all witness pairs in one call, and the membership
-predicates one time.
+Every vector meets its model on the grid `semigroups._columns` picks (the
+longest of theirs, each vector zero-padded onto it), and every correlation
+goes through `semigroups._correlations`, whose module docstring states the
+rule that picks its path: `correlation` evaluates one pair, `classify` all
+witness pairs in one call, and the membership predicates one time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
     SemigroupModel,
+    _check_finite,
     _columns,
     _correlations,
     _frequency_groups,
@@ -40,19 +42,33 @@ class CorrelationTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
+        ts = _trace_times(self.times)
         vs = np.asarray(self.values, dtype=complex)
-        if ts.ndim != 1 or ts.size < 1 or ts.shape != vs.shape:
+        if ts.shape != vs.shape:
             raise ValueError("times and values must be equal-length 1-d arrays")
-        if ts.size > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", vs)
 
 
+def _trace_times(time_grid) -> np.ndarray:
+    """time_grid as a float array, checked before anything is evolved over
+    it: ValueError unless 1-d, nonempty and strictly increasing, and
+    InadmissibleTimeError for a time that is not finite."""
+    ts = np.asarray(time_grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise ValueError("times must be a nonempty 1-d array")
+    if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        _check_finite(ts)  # a NaN breaks the order too; name it as a time
+        raise ValueError("times must be strictly increasing")
+    if not (math.isfinite(ts[0]) and math.isfinite(ts[-1])):
+        _check_finite(ts)  # increasing times are finite when both ends are
+    return ts
+
+
 def correlation(T: SemigroupModel, x: HVector, y: HVector, time_grid) -> CorrelationTrace:
-    times = np.asarray(time_grid, dtype=float)
-    return CorrelationTrace(times, _correlations(T, *_columns(T, (x, y)), [0], [1], times)[0][:, 0])
+    times = _trace_times(time_grid)
+    values = _correlations(T, *_columns((T,), (x, y)), [0], [1], times)[0]
+    return CorrelationTrace(times, values[:, 0])
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -81,13 +97,14 @@ def cesaro_mean_abs2(trace: CorrelationTrace) -> float:
 
 def wiener_limit(U: MultiplicationGroup, x: HVector) -> float:
     """Closed-form limit of the Cesaro mean for the diagonal model (y = x);
-    GridMismatchError unless x lies on U's grid.
+    GridMismatchError unless x meets U's grid (`_columns`).
 
-    Equal to the sum of squared atom masses of the spectral measure of x:
-    frequencies are grouped by exact equality (`_frequency_groups`).
+    Equal to the sum of squared atom masses of the spectral measure of x,
+    the |z|^2 of its weighted coordinates z: frequencies are grouped by
+    exact equality (`_frequency_groups`).
     """
-    U._check_grid(x.grid)
-    return _atom_mass_squares(_frequency_groups(U.symbol)[1], U.grid.weights * abs(x.coeffs) ** 2)
+    z = _columns((U,), (x,))[1][:, 0]
+    return _atom_mass_squares(_frequency_groups(U.symbol)[1], np.abs(z) ** 2)
 
 
 def _atom_mass_squares(group: np.ndarray, masses: np.ndarray) -> float:
@@ -198,7 +215,7 @@ def classify(
     # every pair i <= j in one call; the diagonal pairs are the
     # autocorrelations
     rows, cols = np.triu_indices(len(normed))
-    values, coords = _correlations(T, *_columns(T, normed), rows, cols, times)
+    values, coords = _correlations(T, *_columns((T,), normed), rows, cols, times)
 
     # |autocorrelation|, one contiguous row per witness, reduced row by row
     # exactly as cesaro_mean_abs2 and density_estimate reduce one trace
@@ -209,8 +226,8 @@ def classify(
     worst_cesaro_abs = float(_trapezoid_mean(w, mags, w.sum()).max())
     worst_density = float(_trapezoid_mean(w, mags < params.eps, w.sum()).min())
     worst_tail = float(np.abs(values[tail]).max())
-    # witnesses off a multiplication group's grid are rejected, so here it
-    # took the spectral path, where |coordinate|^2 is the spectral mass
+    # the witnesses met a multiplication group on its own grid (`_columns`),
+    # so here it took the spectral path, where |coordinate|^2 is the mass
     worst_wiener, atoms = None, ()
     if diag is not None:
         groups = _frequency_groups(diag.symbol)
@@ -243,8 +260,9 @@ def classify(
 
 def _modulus(U: SemigroupModel, x: HVector, t: float) -> float:
     """|<U(t)x, x>| at one time, as a Python float: the predicates then
-    return a bool, which a summary's JSON writes as `true`."""
-    values = _correlations(U, *_columns(U, [x]), [0], [0], np.array([t], dtype=float))[0]
+    return a bool, which a summary's JSON writes as `true`.  A time that is
+    not finite raises InadmissibleTimeError (`_trace_times`)."""
+    values = _correlations(U, *_columns((U,), (x,)), [0], [0], _trace_times([t]))[0]
     return abs(complex(values[0, 0]))
 
 

@@ -11,7 +11,10 @@ a Lipschitz slack from the largest |frequency| of each model's spectral form
 discrete admissible times the sup runs over exactly the admissible multiples
 of the step, so no slack is needed.
 
-The strong metrics evaluate every difference ||S(t)x - T(t)x|| through
+The witnesses meet both models on the grid `semigroups._columns` picks,
+the rule every vector batch follows: the longest of the witnesses' and the
+models' grids, each witness zero-padded onto it.  The strong metrics
+evaluate every difference ||S(t)x - T(t)x|| through
 `semigroups._diff_norms`, and the weak metric every correlation through
 `semigroups._correlations`; the `semigroups` module docstring states the
 rule that picks their spectral or `_evolve` path.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence, _is_integer, _is_prefix_grid, pad_to_grid
+from .hilbert import DenseSequence, _is_integer
 from .semigroups import (
     SemigroupModel, _columns, _correlations, _diff_norms, _shared_step, _step_times)
 
@@ -101,16 +104,12 @@ def _assemble(sups: np.ndarray, norms: np.ndarray, cfg: MetricConfig,
 def _metric_inputs(S, T, cfg: MetricConfig, lo: float):
     """(sample times on [lo, N], their Lipschitz slack or None, witness norms,
     their grid, weighted witness columns) after checking that both models
-    share a step and act on that grid, the witnesses zero-padded onto a
-    model grid that extends theirs (a bare shift's AWS approximant's)."""
+    share a step; `_columns` decides the grid the witnesses meet both
+    models on."""
     step = _shared_step((S, T))
     times = _times(cfg, step, lo, float(cfg.N))
     witnesses = cfg.dense_seq.vectors[: cfg.J]
-    longer = max((S.grid, T.grid), key=lambda g: g.size)
-    if all(x.grid.size < longer.size and _is_prefix_grid(x.grid, longer) for x in witnesses):
-        witnesses = [pad_to_grid(x, longer) for x in witnesses]
-    grid, Z = _columns(S, witnesses)
-    T._check_grid(grid)
+    grid, Z = _columns((S, T), witnesses)
     slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
     return times, slack, np.array([x.norm() for x in witnesses]), grid, Z
 

@@ -33,6 +33,8 @@ A model is unitary exactly when it has a spectral form, frequencies and a
 basis (a periodic shift's DFT basis is memoized by shape, like shift
 grids).
 
+A batch of vectors becomes weighted columns Z in `_columns`, on the longest
+of its vectors' and its models' grids, the vectors zero-padded onto it.
 Every correlation <T(t) z_r, z_c> of weighted columns Z goes through
 `_correlations`, and every difference ||S(t)z - T(t)z|| through
 `_diff_norms`.  One test (`_spectral`) picks their path: spectral when Z
@@ -74,18 +76,30 @@ class InadmissibleTimeError(ValueError):
 _STEP_RTOL = 1e-9
 
 
+def _check_finite(times: np.ndarray) -> None:
+    """InadmissibleTimeError unless every time is finite: no model admits
+    a NaN or an infinite time."""
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise InadmissibleTimeError(f"t={times[bad][0]} is not finite")
+
+
 def _steps(times: np.ndarray, h: float) -> np.ndarray:
-    """Integer step counts of `times` on the lattice h Z, as a column.
+    """Integer step counts of `times` on the lattice h Z, as a column;
+    InadmissibleTimeError for a time that is not finite or is off the lattice.
 
     One time (an `apply`) is checked in plain Python, where numpy's per-call
     cost would dominate; a time grid in one vectorized pass.
     """
     if times.size == 1:
         t = float(times[0])
+        if not math.isfinite(t):
+            raise InadmissibleTimeError(f"t={t} is not finite")
         ell = round(t / h)
         if abs(t - ell * h) > _STEP_RTOL * max(1.0, abs(t)):
             raise InadmissibleTimeError(f"t={t} is not an integer multiple of step {h}")
         return np.array([[ell]])
+    _check_finite(times)
     ell = np.round(times / h)
     off = np.abs(times - ell * h) > _STEP_RTOL * np.maximum(1.0, np.abs(times))
     if off.any():
@@ -446,18 +460,21 @@ def _frequency_groups(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PHASE_BLOCK = 1 << 16
 
 
-def _columns(T: SemigroupModel, vectors) -> tuple[WeightedGrid, np.ndarray]:
+def _columns(models, vectors) -> tuple[WeightedGrid, np.ndarray]:
     """(grid, weighted coordinates sqrt(mu) x over it, one column per vector).
 
-    Vectors on different grids are zero-padded onto the longest by
-    `pad_to_grid`: a shift's extended payload and its nominal grid, say.
-    Raises GridMismatchError unless that grid extends every other one and
-    T acts on it (T's own grid, or for a shift an exact shift grid of its
-    step, of any length).
+    The one place a batch meets its models: the grid is the longest of the
+    vectors' and the models' grids, and every vector is zero-padded onto it
+    (`pad_to_grid`), so a vector on a prefix of a model's grid is that
+    model's vector, and a shift's extended payload meets its nominal grid.
+    Raises GridMismatchError unless that grid extends every vector's and
+    every model acts on it (its own grid, or for a shift an exact shift grid
+    of its step, of any length).
     """
-    grid = max((v.grid for v in vectors), key=lambda g: g.size)
+    grid = max([*(v.grid for v in vectors), *(M.grid for M in models)], key=lambda g: g.size)
     vectors = [v if v.grid.same_as(grid) else pad_to_grid(v, grid) for v in vectors]
-    T._check_grid(grid)
+    for M in models:
+        M._check_grid(grid)
     return grid, np.sqrt(grid.weights)[:, None] * np.column_stack([v.coeffs for v in vectors])
 
 

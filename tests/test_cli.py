@@ -158,17 +158,13 @@ class TestMain:
         {"scenario": "shift_periodization_check", "period_cells": 1},
         {"scenario": "wold_benchmark", "trials": -1},
         {"seed": -1}, {"seed": 1.5}, {"seed": "7"}, {"seed": True},
+        # the output names are the scenario's; --out picks the directory
+        {"csv_name": "other.csv"}, {"json_name": "other.json"},
     ])
     def test_bad_sweep_value_exits_2(self, tmp_path, bad):
         cfgp = _write(tmp_path, "bad.json", {"scenario": "quantization_sweep", **bad})
         assert main(["run", str(cfgp), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert not (tmp_path / "o").exists()
-
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
-        cfgp = _write(tmp_path, "ok.json", SMALL)
-        monkeypatch.setenv("STABLESEMI_OUT", str(tmp_path / "envout"))
-        assert main(["run", str(cfgp), "--quiet"]) == 0
-        assert (tmp_path / "envout" / "quantization_sweep.csv").exists()
 
     def test_seed_override_changes_rows(self, tmp_path):
         cfgp = _write(tmp_path, "ok.json", SMALL)
@@ -450,10 +446,8 @@ def test_numpy_scalars_write_the_bytes_of_python_scalars(tmp_path):
     npy = {"f": np.float64(0.1), "tiny": np.float64(1.7331959548696512e-15),
            "half": np.float32(0.5), "nan": np.float64(math.nan), "inf": np.float64(-math.inf),
            "i": np.int64(3), "b": np.bool_(True)}
-    paths = []
-    for name, row in (("py", py), ("np", npy)):
-        cfg = {"scenario": "wold_benchmark", "seed": 0, "csv_name": f"{name}.csv",
-               "json_name": f"{name}.json"}
-        paths.append(write_outputs(cfg, [row, row], {}, True, tmp_path, quiet=True)[0])
+    cfg = {"scenario": "wold_benchmark", "seed": 0}
+    paths = [write_outputs(cfg, [row, row], {}, True, tmp_path / name, quiet=True)[0]
+             for name, row in (("py", py), ("np", npy))]
     assert paths[1].read_bytes() == paths[0].read_bytes()
     assert b"np." not in paths[1].read_bytes()

@@ -111,6 +111,10 @@ class TestQuantization:
         with pytest.raises(ValueError, match="level"):
             quantize_symbol(_mult(3, seed=0), 0)
 
+    def test_nan_level_is_rejected(self):
+        with pytest.raises(ValueError, match="quantization level must be >= 1 and finite"):
+            quantize_symbol(_mult(3, seed=0), np.nan)
+
 
 class TestNearIdentity:
     def test_bound_and_unitarity(self):
@@ -161,6 +165,14 @@ class TestInflation:
         U = MultiplicationGroup(g, np.array([1.0, np.sqrt(2.0)]))
         with pytest.raises(NotPeriodicError):
             inflate_and_perturb(U, [], 0.1, 1.0)
+
+    @pytest.mark.parametrize("eps, t0", [(np.nan, 2.0), (0.5, np.inf)])
+    def test_eps_and_t0_must_be_finite(self, eps, t0):
+        base = quantize_symbol(_mult(6, seed=8), 8).approximant
+        with pytest.raises(ValueError, match="need finite eps > 0 and t0 > 0"):
+            inflate_and_perturb(base, [], eps, t0, copies=2)
+        with pytest.raises(ValueError, match="need finite eps > 0 and t0 > 0"):
+            approximate_isometry_by_aws(base, eps, t0, n=8, copies=2)
 
     def test_copies_must_be_an_integer(self):
         base = quantize_symbol(_mult(6, seed=8), 8).approximant
@@ -241,6 +253,11 @@ class TestWold:
         T = DirectSumSemigroup(space, (R,))
         wr = wold_decompose(T, step=1.0)
         assert wr.unitary_dim == 0 and wr.shift_dim == 9
+
+    @pytest.mark.parametrize("step", [0.0, np.nan, -1.0])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            wold_decompose(_mult(4, seed=9, hi=np.pi), step=step)
 
     def test_mixed_dims_and_wandering(self):
         wr = wold_decompose(_mixed(), step=1.0)
@@ -599,7 +616,7 @@ class TestPeriodicApproximation:
         wit = DenseSequence.gaussian(V.grid, 3, seed=47)
         assert np.isfinite(metric_unitary(V, P, MetricConfig(wit, J=3, N=8)).value)
 
-    @pytest.mark.parametrize("n", [0, 0.3])
+    @pytest.mark.parametrize("n", [0, 0.3, np.nan, np.inf])
     @pytest.mark.parametrize("shift_only_sum", [False, True])
     def test_level_below_one_is_rejected(self, n, shift_only_sum):
         V = ShiftSemigroup(1.0, 6)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablesemi.constructions import cantor_group, cantor_transform_abs
+from stablesemi import diagnostics
+from stablesemi.constructions import cantor_group, cantor_transform_abs, quantize_symbol
 from stablesemi.diagnostics import (
     ClassifyParams,
     CorrelationTrace,
@@ -18,8 +19,10 @@ from stablesemi.diagnostics import (
     wjkt_membership,
 )
 from stablesemi.hilbert import DenseSequence, GridMismatchError, HVector, WeightedGrid
-from stablesemi.metrics import _times
-from stablesemi.semigroups import MultiplicationGroup, PeriodicShiftGroup, ShiftSemigroup
+from stablesemi.metrics import (
+    MetricConfig, _times, metric_contractive, metric_isometric, metric_unitary)
+from stablesemi.semigroups import (
+    InadmissibleTimeError, MultiplicationGroup, PeriodicShiftGroup, ShiftSemigroup)
 
 
 def _two_atom():
@@ -31,6 +34,26 @@ class TestTrace:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
             CorrelationTrace(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
+    def test_non_finite_times_are_inadmissible(self, times):
+        R = ShiftSemigroup(1.0, 4)
+        x = HVector(R.grid, np.ones(4))
+        with pytest.raises(InadmissibleTimeError):
+            correlation(R, x, x, times)
+        with pytest.raises(InadmissibleTimeError):
+            CorrelationTrace(np.array(times), np.zeros(len(times)))
+
+    @pytest.mark.parametrize("times", [[0.0, np.inf], [1.0, 0.0], [[0.0, 1.0]], []])
+    def test_correlation_checks_its_times_before_evolving(self, times, monkeypatch):
+        def evolved(*args):
+            raise AssertionError("evolved before the time grid was checked")
+
+        monkeypatch.setattr(diagnostics, "_correlations", evolved)
+        U = _two_atom()
+        x = HVector(U.grid, np.ones(2))
+        with pytest.raises(ValueError):
+            correlation(U, x, x, times)
 
     def test_correlation_of_phases(self):
         U = _two_atom()
@@ -209,6 +232,15 @@ class TestMembership:
         assert mt_membership(U, x, np.pi)
         assert not mt_membership(U, x, 0.1)
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_times_are_inadmissible(self, t):
+        U = _two_atom()
+        x = HVector(U.grid, np.ones(2))
+        with pytest.raises(InadmissibleTimeError):
+            mt_membership(U, x, t)
+        with pytest.raises(InadmissibleTimeError):
+            wjkt_membership(U, x, 3, t)
+
     def test_wjkt_strict_inequality(self):
         U = _two_atom()
         x = HVector(U.grid, np.ones(2))
@@ -264,3 +296,54 @@ class TestCantorOracle:
     def test_depth_takes_numpy_integers(self):
         # guard: the integer check accepts NumPy integers
         assert cantor_group(np.int64(3)).grid.size == 8
+
+
+class TestGridRule:
+    """Every vector batch meets its models on one grid (`semigroups._columns`):
+    the longest of theirs, each vector zero-padded onto it."""
+
+    g = WeightedGrid(np.linspace(0.0, 1.0, 6), np.array([0.1, 0.3, 0.2, 0.15, 0.05, 0.2]))
+    prefix = WeightedGrid(g.points[:4], g.weights[:4])
+    other = WeightedGrid(g.points[1:5], g.weights[1:5])  # 4 points, not a prefix
+    U = MultiplicationGroup(g, np.random.default_rng(0).uniform(-3.0, 3.0, g.size))
+    V = quantize_symbol(U, 8).approximant
+    NAMES = ("correlation", "classify", "mt_membership", "wjkt_membership", "wiener_limit",
+             "metric_unitary", "metric_isometric", "metric_contractive")
+
+    def _pair(self, grid):
+        """Two vectors on grid and their copies zero-padded by hand onto g."""
+        rng = np.random.default_rng(1)
+        xs = [HVector(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+              for _ in range(2)]
+        pad = [HVector(self.g, np.concatenate([x.coeffs, np.zeros(self.g.size - grid.size)]))
+               for x in xs]
+        return xs, pad
+
+    def _calls(self, xs):
+        """Each function of NAMES on U (and V) and the vectors xs, uncalled."""
+        U, V = self.U, self.V
+        x, y = xs
+        u = x.normalized()
+        seq = DenseSequence(tuple(xs))
+        cfg = MetricConfig(seq, J=2, N=3, samples_per_block=8)
+        times = np.linspace(0.0, 20.0, 41)
+        return dict(zip(self.NAMES, (
+            lambda: correlation(U, x, y, times).values.tolist(),
+            lambda: classify(U, seq, ClassifyParams(horizon=20.0, samples=50)),
+            lambda: [mt_membership(U, u, t) for t in times],
+            lambda: [wjkt_membership(U, u, 2, t) for t in times],
+            lambda: wiener_limit(U, x),
+            lambda: metric_unitary(U, V, cfg),
+            lambda: metric_isometric(U, V, cfg),
+            lambda: metric_contractive(U, V, cfg),
+        )))
+
+    def test_a_prefix_vector_is_its_padded_copy(self):
+        xs, pad = self._pair(self.prefix)
+        got = {name: call() for name, call in self._calls(xs).items()}
+        assert got == {name: call() for name, call in self._calls(pad).items()}
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_grid_that_is_not_a_prefix_is_rejected(self, name):
+        with pytest.raises(GridMismatchError):
+            self._calls(self._pair(self.other)[0])[name]()

@@ -96,6 +96,13 @@ class TestShiftSemigroup:
         with pytest.raises(InadmissibleTimeError):
             R.apply(-1.0, _rvec(R.grid))
 
+    # one time takes the scalar branch of `_steps`, two the vectorized one
+    @pytest.mark.parametrize("times", [[np.nan], [np.inf], [-np.inf], [0.0, np.nan],
+                                       [0.0, np.inf]])
+    def test_non_finite_times_are_inadmissible(self, times):
+        with pytest.raises(InadmissibleTimeError, match="not finite"):
+            _steps(np.array(times), 0.5)
+
     def test_adjoint_identity(self):
         # <R(t)f, g> == <f, R(t)* g> on the shift-extended grid, where R(t)*
         # reads g three cells on

@@ -1,7 +1,7 @@
-"""Start-up cost: `scipy.linalg` is loaded only where a Schur form or a
-subspace angle is taken, so importing the package and running unitary-only
-paths, the approximation pipelines on a unitary model included, never pays
-for it."""
+"""Start-up cost: `scipy.linalg` is loaded only where a Schur form is taken,
+so importing the package, running unitary-only paths (the approximation
+pipelines on a unitary model included) and the `wold_benchmark` scenario
+never pays for it."""
 
 import json
 import os
@@ -39,6 +39,10 @@ U = ConjugatedGroup(g, q, MultiplicationGroup(g, rng.uniform(-1.0, 1.0, 6)))
 classify(U, DenseSequence.gaussian(g, 2, seed=1), ClassifyParams(horizon=10.0, samples=20))
 approximate_isometry_by_aws(U, 0.25, 5.0, n=64, copies=2)
 states["unitary"] = loaded()
+run_scenario({"scenario": "wold_benchmark", "seed": 3, "trials": 2, "min_unitary_dim": 1,
+              "max_unitary_dim": 3, "min_shift_cells": 2, "max_shift_cells": 5},
+             Path(sys.argv[1]), quiet=True)
+states["wold_benchmark"] = loaded()
 gu = WeightedGrid.uniform(3)
 inner = DirectSumSemigroup(SumSpace((gu, shift_grid(4, 1.0))),
                            (MultiplicationGroup(gu, rng.uniform(-1.0, 1.0, 3)),
@@ -56,5 +60,5 @@ def test_scipy_linalg_is_loaded_only_by_the_schur_path(tmp_path):
                           capture_output=True, text=True, env=env, check=True)
     states = json.loads(proc.stdout.strip().splitlines()[-1])
     none = {"scipy": False, "scipy.linalg": False}
-    assert (states["import"], states["unitary"]) == (none, none)
+    assert (states["import"], states["unitary"], states["wold_benchmark"]) == (none, none, none)
     assert states["schur"]["scipy.linalg"]
