@@ -38,12 +38,9 @@ from .semigroups import (
     _columns,
     _diff_norms,
     _frequency_groups,
+    _steps,
     one_step_matrix,
 )
-
-
-class NotPeriodicError(ValueError):
-    """The model's frequencies are not commensurable within tolerance."""
 
 
 # --- symbol quantization ----------------------------------------
@@ -107,10 +104,10 @@ def near_identity_aws(grid: WeightedGrid, n: int) -> MultiplicationGroup:
 
     The symbol is rank-based in the grid points (any strictly monotone map
     into (0,1) works), so duplicate points are rejected: injectivity would
-    fail.  Satisfies ||U_n(t) - I|| <= 2t/n for 0 <= t <= pi*n.
+    fail.  Satisfies ||U_n(t) - I|| <= 2t/n for 0 <= t <= pi*n.  ValueError
+    for a level n that is not a finite number >= 1 (`_levels`).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _levels(n)
     pts = grid.points
     if np.unique(pts).size != pts.size:
         raise ValueError("grid points must be distinct for an injective symbol")
@@ -122,25 +119,6 @@ def near_identity_aws(grid: WeightedGrid, n: int) -> MultiplicationGroup:
 
 
 # --- inflation and injective perturbation ------------------------
-
-_COMMENSURABLE_TOL = 1e-9  # frequencies and Euclid remainders up to it count as 0
-
-
-def _commensurable_base(freqs: np.ndarray) -> float:
-    """Largest g (within _COMMENSURABLE_TOL) with every frequency an integer multiple of g."""
-    vals = np.abs(freqs[np.abs(freqs) > _COMMENSURABLE_TOL])
-    if vals.size == 0:
-        return 2.0 * np.pi  # zero symbol: any period works
-    g = vals[0]
-    for v in vals[1:]:
-        a, b = max(g, v), min(g, v)
-        while b > _COMMENSURABLE_TOL:
-            a, b = b, a % b
-        g = a
-    if np.abs(freqs / g - np.round(freqs / g)).max() > 1e-6:
-        raise NotPeriodicError("frequencies are not commensurable within tolerance")
-    return float(g)
-
 
 @dataclass(frozen=True)
 class InflationResult:
@@ -168,7 +146,6 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
         raise ValueError(f"need finite eps > 0 and t0 > 0, got eps={eps!r}, t0={t0!r}")
     if not _is_integer(copies) or copies < 2:
         raise ValueError(f"copies must be an integer >= 2, got {copies!r}")
-    _commensurable_base(q)
     m = max(1, math.ceil(2.0 * t0 / eps))
     lams, group = _frequency_groups(q)
     order = np.argsort(group, kind="stable")
@@ -199,16 +176,16 @@ def inflate_and_perturb(
 ) -> InflationResult:
     """Perturb a periodic group into one with pairwise-distinct frequencies.
 
-    Frequencies with no common base (`_commensurable_base`, to within the
-    module's `_COMMENSURABLE_TOL`) raise NotPeriodicError.  Grid indices are
-    grouped by exact frequency (`_frequency_groups`; the eigenspaces of the
-    generator).  Each group is inflated to `copies` copies of its points in
-    one contiguous block, copy-major, the blocks in ascending frequency
-    order; copy 0 holds the original points (`_inflation_layout`).  Every
-    inflated point gets its constant frequency replaced by frequency +
-    delta with the deltas injective and bounded by 1/m, m the smallest
-    integer with 2*t0/m <= eps.  Embedded anchors then stay within
-    eps * ||anchor|| of their original orbit for |t| <= t0.
+    Grid indices are grouped by exact frequency (`_frequency_groups`; the
+    eigenspaces of the generator).  Each group is inflated to `copies`
+    copies of its points in one contiguous block, copy-major, the blocks in
+    ascending frequency order; copy 0 holds the original points
+    (`_inflation_layout`).  Every inflated point gets its frequency plus a
+    delta, the deltas injective and below 1/m, m the smallest integer with
+    2*t0/m <= eps, and below a quarter of the smallest frequency gap.  So
+    the frequencies are pairwise distinct, and embedded anchors stay within
+    eps * ||anchor|| of their original orbit for |t| <= t0, for any real
+    symbol: neither uses a common base of the frequencies.
     """
     for a in anchors:
         if not a.grid.same_as(periodic.grid):
@@ -418,7 +395,7 @@ def periodization_error_identity(
     alongside it; see the tests for how tight it actually is.
     """
     h = R.step
-    ell = int(round(t / h))
+    ell = int(_steps(np.array([t], dtype=float), h)[0, 0])  # R's lattice admits t
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = PeriodicShiftGroup(n_c, h)

@@ -26,11 +26,11 @@ from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
     SemigroupModel,
-    _check_finite,
     _columns,
     _correlations,
     _frequency_groups,
     _step_times,
+    _steps,
 )
 
 
@@ -52,16 +52,15 @@ class CorrelationTrace:
 
 def _trace_times(time_grid) -> np.ndarray:
     """time_grid as a float array, checked before anything is evolved over
-    it: ValueError unless 1-d, nonempty and strictly increasing, and
-    InadmissibleTimeError for a time that is not finite."""
+    it: ValueError unless 1-d and nonempty, InadmissibleTimeError for a time
+    that is not finite (`_steps`, so a NaN is named as a time), and
+    ValueError unless strictly increasing."""
     ts = np.asarray(time_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise ValueError("times must be a nonempty 1-d array")
+    _steps(ts, None)
     if ts.size > 1 and not np.all(np.diff(ts) > 0):
-        _check_finite(ts)  # a NaN breaks the order too; name it as a time
         raise ValueError("times must be strictly increasing")
-    if not (math.isfinite(ts[0]) and math.isfinite(ts[-1])):
-        _check_finite(ts)  # increasing times are finite when both ends are
     return ts
 
 
@@ -117,7 +116,7 @@ def density_estimate(trace: CorrelationTrace, eps: float) -> float:
     Uses the same trapezoid weights as cesaro_mean_abs2, so the Chebyshev
     relation density >= 1 - cesaro/eps^2 holds exactly on the grid.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     w = _trapezoid_weights(trace.times)
     return float(_trapezoid_mean(w, np.abs(trace.values) < eps, w.sum()))
@@ -128,7 +127,7 @@ def detect_atoms(U: MultiplicationGroup, mass_threshold: float) -> list[tuple[fl
 
     Masses are grid weights normalized by total mass; sorted descending.
     """
-    if mass_threshold < 0:
+    if not mass_threshold >= 0:
         raise ValueError("mass threshold must be >= 0")
     return _atoms(U, *_frequency_groups(U.symbol), mass_threshold)
 
@@ -260,9 +259,9 @@ def classify(
 
 def _modulus(U: SemigroupModel, x: HVector, t: float) -> float:
     """|<U(t)x, x>| at one time, as a Python float: the predicates then
-    return a bool, which a summary's JSON writes as `true`.  A time that is
-    not finite raises InadmissibleTimeError (`_trace_times`)."""
-    values = _correlations(U, *_columns((U,), (x,)), [0], [0], _trace_times([t]))[0]
+    return a bool, which a summary's JSON writes as `true`.  U admits t as
+    every evolution does (`_steps`)."""
+    values = _correlations(U, *_columns((U,), (x,)), [0], [0], np.array([t], dtype=float))[0]
     return abs(complex(values[0, 0]))
 
 
@@ -275,6 +274,6 @@ def mt_membership(U: SemigroupModel, x: HVector, t: float) -> bool:
 
 def wjkt_membership(U: SemigroupModel, x_j: HVector, k: int, t: float) -> bool:
     """|<U(t)x_j, x_j>| < 1/k."""
-    if k < 1:
+    if not (_is_integer(k) and k >= 1):
         raise ValueError("k must be a positive integer")
     return _modulus(U, x_j, t) < 1.0 / k

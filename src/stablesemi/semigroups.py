@@ -12,10 +12,11 @@ at once, with the columns of X in weighted coordinates sqrt(mu) x.  It is a
 phase for a multiplication group, an index shift of cells for a truncated
 shift, a roll of the first period cells for a periodic shift, blocks
 truncated to each component for a direct sum, and B* inner B for a
-conjugation.  `apply` is its one-column case, and a time is admissible
-when `_evolve` accepts it.  Evolution runs forward only: a unitary group's
-adjoint T(t)* is T(-t).  `_compressed` is `_evolve` cut to the rows of X;
-`one_step_matrix` is its value at one time on the identity.
+conjugation.  `apply` is its one-column case.  Every `_evolve` admits its
+times in `_steps`: finite, on the lattice of the model's step if it has
+one, and t >= 0 for a truncated shift.  Evolution runs forward only: a
+unitary group's adjoint T(t)* is T(-t).  `_compressed` is `_evolve` cut to
+the rows of X; `one_step_matrix` is its value at one time on the identity.
 
 Shift conventions: a shift has one coefficient per cell (one of
 multiplicity m is a direct sum of m, one per wandering chain); its payload
@@ -76,30 +77,30 @@ class InadmissibleTimeError(ValueError):
 _STEP_RTOL = 1e-9
 
 
-def _check_finite(times: np.ndarray) -> None:
-    """InadmissibleTimeError unless every time is finite: no model admits
-    a NaN or an infinite time."""
-    bad = ~np.isfinite(times)
-    if bad.any():
-        raise InadmissibleTimeError(f"t={times[bad][0]} is not finite")
+def _steps(times: np.ndarray, h: float | None) -> np.ndarray | None:
+    """Integer step counts of `times` on the lattice h Z, as a column (None
+    for h None, where every finite time is admissible); InadmissibleTimeError
+    for a time that is not finite or is off the lattice.
 
-
-def _steps(times: np.ndarray, h: float) -> np.ndarray:
-    """Integer step counts of `times` on the lattice h Z, as a column;
-    InadmissibleTimeError for a time that is not finite or is off the lattice.
-
-    One time (an `apply`) is checked in plain Python, where numpy's per-call
-    cost would dominate; a time grid in one vectorized pass.
+    The one place a model admits a time.  One time (a one-step matrix, a
+    membership predicate, a periodization identity) is checked in plain
+    Python, where numpy's per-call cost would dominate; a time grid in one
+    vectorized pass.
     """
     if times.size == 1:
         t = float(times[0])
         if not math.isfinite(t):
             raise InadmissibleTimeError(f"t={t} is not finite")
+        if h is None:
+            return None
         ell = round(t / h)
         if abs(t - ell * h) > _STEP_RTOL * max(1.0, abs(t)):
             raise InadmissibleTimeError(f"t={t} is not an integer multiple of step {h}")
         return np.array([[ell]])
-    _check_finite(times)
+    if not np.isfinite(times).all():
+        raise InadmissibleTimeError(f"t={times[~np.isfinite(times)][0]} is not finite")
+    if h is None:
+        return None
     ell = np.round(times / h)
     off = np.abs(times - ell * h) > _STEP_RTOL * np.maximum(1.0, np.abs(times))
     if off.any():
@@ -228,6 +229,7 @@ class MultiplicationGroup(SemigroupModel):
         return self._grid
 
     def _evolve(self, times, X):
+        _steps(times, None)
         return _phases(times, self.symbol)[:, :, None] * X
 
     def spectral_form(self) -> tuple[np.ndarray, None]:
@@ -274,9 +276,9 @@ class ShiftSemigroup(_CellModel):
         return shift_grid(self.cells, self.step)
 
     def _evolve(self, times, X, extend=True):
-        if times.min() < -1e-12:
-            raise InadmissibleTimeError("right shift only admits t >= 0")
         d = _steps(times, self.step)
+        if d.min() < 0:
+            raise InadmissibleTimeError("right shift only admits t >= 0")
         extra = int(d.max())
         return _rows(X, np.arange(X.shape[0] + extra * extend) - d, extra)
 
@@ -586,8 +588,9 @@ def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
     """(each model's frequencies, A = B Z) if columns Z over `grid` take the
     spectral path: every model has a spectral form on that grid, all with one
-    basis B (the same array or an equal one).  Else None.  Checks the times
-    as `_evolve` would."""
+    basis B (the same array or an equal one).  Else None.  The spectral path
+    evolves nothing, so it admits the times here (`_steps`), with the step
+    the models share."""
     if not all(grid.same_as(M.grid) for M in models):
         return None
     forms = [M.spectral_form() for M in models]
@@ -596,9 +599,7 @@ def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
     B = forms[0][1]
     if any(b is not B and (b is None or B is None or not np.array_equal(b, B)) for _, b in forms):
         return None
-    h = _shared_step(models)
-    if h is not None:
-        _steps(times, h)
+    _steps(times, _shared_step(models))
     return [f for f, _ in forms], (Z if B is None else B @ Z)
 
 

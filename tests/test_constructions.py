@@ -12,7 +12,6 @@ from stablesemi.constructions import (
     _wold_chains,
     _phase_distance,
     _snap_down,
-    NotPeriodicError,
     approximate_isometry_by_aws,
     approximate_isometry_by_periodic,
     distinct_frequency_certificate,
@@ -29,6 +28,7 @@ from stablesemi.metrics import MetricConfig, metric_isometric, metric_unitary
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
+    InadmissibleTimeError,
     MultiplicationGroup,
     PeriodicShiftGroup,
     ShiftSemigroup,
@@ -132,6 +132,13 @@ class TestNearIdentity:
         with pytest.raises(ValueError):
             near_identity_aws(g, 10)
 
+    @pytest.mark.parametrize("n", [np.inf, np.nan, 0.5])
+    def test_level_must_be_finite_and_at_least_one(self, n):
+        # an infinite level would give the identity, which is not almost
+        # weakly stable
+        with pytest.raises(ValueError, match="quantization level must be >= 1 and finite"):
+            near_identity_aws(WeightedGrid.uniform(3), n)
+
 
 class TestInflation:
     def test_guarantee_on_anchors(self):
@@ -160,11 +167,18 @@ class TestInflation:
         assert np.abs(comp.symbol - base.symbol).max() <= res.scale_per_level
         assert np.unique(comp.symbol).size == comp.symbol.size
 
-    def test_rejects_incommensurable(self):
-        g = WeightedGrid.uniform(2)
-        U = MultiplicationGroup(g, np.array([1.0, np.sqrt(2.0)]))
-        with pytest.raises(NotPeriodicError):
-            inflate_and_perturb(U, [], 0.1, 1.0)
+    def test_incommensurable_symbol_is_perturbed(self):
+        # the guarantee uses no common base of the frequencies
+        eps, t0 = 0.1, 1.0
+        U = MultiplicationGroup(WeightedGrid.uniform(2), np.array([1.0, np.sqrt(2.0)]))
+        a = HVector(U.grid, np.array([0.6, 0.8j]))
+        res = inflate_and_perturb(U, [a], eps, t0)
+        assert distinct_frequency_certificate(res.group)
+        emb = res.embed(a)
+        for t in np.linspace(-t0, t0, 21):
+            drift = (res.group.apply(t, emb).coeffs[res.embed_index]
+                     - U.apply(t, a).coeffs)
+            assert np.sqrt((U.grid.weights * np.abs(drift) ** 2).sum()) <= eps * a.norm()
 
     @pytest.mark.parametrize("eps, t0", [(np.nan, 2.0), (0.5, np.inf)])
     def test_eps_and_t0_must_be_finite(self, eps, t0):
@@ -474,6 +488,12 @@ class TestPeriodization:
         for ell in [1, 5, 14]:
             lhs, rhs, tail = periodization_error_identity(R, 15, f, float(ell))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_is_inadmissible(self, t):
+        R = ShiftSemigroup(1.0, 40)
+        with pytest.raises(InadmissibleTimeError, match="not finite"):
+            periodization_error_identity(R, 32, _rvec(R.grid, 16), t)
 
     def test_zero_time_zero_error(self):
         R = ShiftSemigroup(1.0, 10)

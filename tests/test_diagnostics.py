@@ -119,6 +119,16 @@ class TestDensityAtoms:
         ces = cesaro_mean_abs2(tr)
         assert dens >= 1.0 - ces / eps ** 2 - 1e-12
 
+    def test_density_rejects_a_nan_eps(self):
+        U = _two_atom()
+        x = HVector(U.grid, np.ones(2))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            density_estimate(correlation(U, x, x, np.linspace(0.0, 5.0, 11)), np.nan)
+
+    def test_detect_atoms_rejects_a_nan_threshold(self):
+        with pytest.raises(ValueError, match="mass threshold must be >= 0"):
+            detect_atoms(_two_atom(), np.nan)
+
     def test_detect_atoms_sorted(self):
         g = WeightedGrid(np.arange(3.0), np.array([0.2, 0.5, 0.3]))
         U = MultiplicationGroup(g, np.array([4.0, 5.0, 6.0]))
@@ -240,6 +250,12 @@ class TestMembership:
             mt_membership(U, x, t)
         with pytest.raises(InadmissibleTimeError):
             wjkt_membership(U, x, 3, t)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.nan])
+    def test_wjkt_k_must_be_a_positive_integer(self, k):
+        U = _two_atom()
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            wjkt_membership(U, HVector(U.grid, np.ones(2)), k, 1.0)
 
     def test_wjkt_strict_inequality(self):
         U = _two_atom()

@@ -19,7 +19,8 @@ MODULES = ("hilbert", "semigroups", "constructions", "diagnostics", "metrics", "
 DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance",
            "model_to_dict", "model_from_dict", "inner_product", "periodize_shift",
-           "NotIsometricError", "_shift_grid")
+           "NotIsometricError", "_shift_grid", "NotPeriodicError", "_commensurable_base",
+           "_COMMENSURABLE_TOL", "_check_finite")
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,17 @@ class TestMultiplicationGroup:
         back = U.apply(-1.1, U.apply(1.1, x))
         np.testing.assert_allclose(back.coeffs, x.coeffs, atol=1e-14)
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_times_are_inadmissible(self, t):
+        # admitted before any phase is taken, so cos/sin never see t
+        U = _mult(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InadmissibleTimeError, match="not finite"):
+                one_step_matrix(U, t)
+            with pytest.raises(InadmissibleTimeError, match="not finite"):
+                U.apply(t, _rvec(U.grid))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_symbol(self, bad):
         with pytest.raises(ValueError):
@@ -95,6 +108,12 @@ class TestShiftSemigroup:
         R = ShiftSemigroup(step=1.0, cells=4)
         with pytest.raises(InadmissibleTimeError):
             R.apply(-1.0, _rvec(R.grid))
+
+    def test_sign_is_judged_on_the_step_count(self):
+        # within the lattice margin of `_steps`, -1e-10 is the time 0
+        R = ShiftSemigroup(step=1.0, cells=4)
+        x = _rvec(R.grid)
+        np.testing.assert_array_equal(R.apply(-1e-10, x).coeffs, R.apply(0.0, x).coeffs)
 
     # one time takes the scalar branch of `_steps`, two the vectorized one
     @pytest.mark.parametrize("times", [[np.nan], [np.inf], [-np.inf], [0.0, np.nan],
