@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import HVector, WeightedGrid, _is_integer
+from .hilbert import HVector, WeightedGrid, _is_integer, pad_to_grid
 from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
@@ -40,6 +40,7 @@ from .semigroups import (
     _frequency_groups,
     _steps,
     one_step_matrix,
+    shift_grid,
 )
 
 
@@ -325,8 +326,9 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     """Split an isometric model into its unitary and shift parts.
 
     Operates on the one-step map W = V(h) in weighted coordinates on the
-    model's nominal grid; shift overflow is truncated, which is exactly what
-    makes the powers of the shift part vanish on the simulated horizon.
+    model's nominal grid; every model keeps its payload, so a shift block
+    drops its overflow, which is exactly what makes the powers of the shift
+    part vanish on the simulated horizon.
     The chain walk runs for at most k steps, k the dimension, which an
     isometric W never needs; the chain lengths must be integers to within a
     bound that grows with the walk and k (`_wold_chains`, which also reads
@@ -399,14 +401,14 @@ def periodization_error_identity(
     if ell >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = PeriodicShiftGroup(n_c, h)
+    # f with room for the period and the shift: R drops nothing, and both
+    # sides read the same coefficients
+    f = pad_to_grid(f, shift_grid(max(f.grid.size, n_c) + ell, h))
     lhs = _diff_norms(U, R, *_columns((U, R), (f,)), np.array([t], dtype=float))[0, 0] ** 2
     if ell == 0:
         return float(lhs), 0.0, 0.0
 
-    n_cells = f.coeffs.size
-    length = max(n_cells, n_c) + ell
-    c = np.zeros(length, dtype=complex)
-    c[:n_cells] = f.coeffs
+    c, length = f.coeffs, f.grid.size
     first = h * (np.abs(c[n_c - ell : n_c]) ** 2).sum()
     second = h * (np.abs(c[n_c:] - c[n_c - ell : length - ell]) ** 2).sum()
     tail = 2.0 * h * (np.abs(c[n_c - ell :]) ** 2).sum()
@@ -450,14 +452,15 @@ def _from_form(grid: WeightedGrid, freqs: np.ndarray, basis: np.ndarray | None) 
 def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupModel:
     """Replace an isometric model by a nearby periodic unitary one.
 
-    A bare shift, whose payload grows, is wrapped at the period n: the
-    period's cells are its space.  Every other model lives on a fixed space,
-    V's grid, and is quantized there at level n (`_snap_down`) in a spectral
-    form: its own when it is unitary, else that of its Wold split
-    V = U (+) S, where U is diagonalized by a Schur form and each wandering
-    chain of S is wrapped cyclically and diagonalized by a DFT
-    (`WoldResult.diagonal_form`, kept on the split).  So a model and its
-    conjugation by a unitary Q get Q-conjugate approximants.
+    A bare shift, an isometry only on a payload with room for its shift, is
+    wrapped at the period n: the period's cells are its space.  Every other
+    model lives on a fixed space, V's grid, and is quantized there at level
+    n (`_snap_down`) in a spectral form: its own when it is unitary, else
+    that of its Wold split V = U (+) S, where U is diagonalized by a Schur
+    form and each wandering chain of S is wrapped cyclically and
+    diagonalized by a DFT (`WoldResult.diagonal_form`, kept on the split).
+    So a model and its conjugation by a unitary Q get Q-conjugate
+    approximants.
     Raises ValueError for a level n that is not a finite number >= 1, and
     when the Wold split does not stabilize, that is when V is not isometric
     to working precision (`wold_decompose`).
@@ -493,7 +496,8 @@ def approximate_isometry_by_aws(
     That space is V's grid, but a bare shift's is the period's n/h cells.
     A vector on V's grid meets the output as every vector meets a model
     (`semigroups._columns`): zero-padded onto the period's cells when n/h is
-    at least V's cell count, and GridMismatchError below it.
+    at least V's cell count (plus N/h in a strong metric, which gives the
+    shift room for its steps), and GridMismatchError below it.
     """
     periodic = approximate_isometry_by_periodic(V, n)
     freqs, basis = periodic.spectral_form()

@@ -120,23 +120,15 @@ def _is_prefix_grid(short: WeightedGrid, long: WeightedGrid) -> bool:
         for a, b in ((long.points, short.points), (long.weights, short.weights)))
 
 
-def pad_to_grid(x, grid: WeightedGrid, source: WeightedGrid | None = None):
-    """Zero-extend x onto a grid that has x's grid as a prefix (a truncated
-    shift's output R(t)x lives on its payload grid extended by trailing
-    cells).  x is an HVector, or with `source` an array over `source` along
-    axis 1 (times x rows x columns, as the models evolve a batch); it comes
-    back as such."""
-    src = x.grid if source is None else source
-    if src.same_as(grid):
+def pad_to_grid(x: HVector, grid: WeightedGrid) -> HVector:
+    """Zero-extend x onto a grid that has x's grid as a prefix (a model's
+    longer grid, or the room a truncated shift needs for its shift)."""
+    if x.grid.same_as(grid):
         return x
-    if not _is_prefix_grid(src, grid):
+    if not _is_prefix_grid(x.grid, grid):
         raise GridMismatchError("target grid does not extend the vector's grid")
-    if source is not None:
-        c = np.zeros((x.shape[0], grid.size, *x.shape[2:]), dtype=complex)
-        c[:, : src.size] = x
-        return c
     c = np.zeros(grid.size, dtype=complex)
-    c[: src.size] = x.coeffs
+    c[: x.grid.size] = x.coeffs
     return HVector(grid, c)
 
 

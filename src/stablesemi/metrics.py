@@ -15,9 +15,12 @@ The witnesses meet both models on the grid `semigroups._columns` picks,
 the rule every vector batch follows: the longest of the witnesses' and the
 models' grids, each witness zero-padded onto it.  The strong metrics
 evaluate every difference ||S(t)x - T(t)x|| through
-`semigroups._diff_norms`, and the weak metric every correlation through
-`semigroups._correlations`; the `semigroups` module docstring states the
-rule that picks their spectral or `_evolve` path.
+`semigroups._diff_norms`, and give a bare truncated shift its room for the
+sampled times there: the grid then holds the witnesses' cells plus N/h, and
+a model on a shorter fixed grid raises GridMismatchError.  The weak metric
+reads every correlation through `semigroups._correlations`, which needs no
+room; the `semigroups` module docstring states the rule that picks their
+spectral or `_evolve` path.
 """
 
 from __future__ import annotations
@@ -101,21 +104,22 @@ def _assemble(sups: np.ndarray, norms: np.ndarray, cfg: MetricConfig,
                        sampling_slack=total_slack)
 
 
-def _metric_inputs(S, T, cfg: MetricConfig, lo: float):
+def _metric_inputs(S, T, cfg: MetricConfig, lo: float, room: bool):
     """(sample times on [lo, N], their Lipschitz slack or None, witness norms,
     their grid, weighted witness columns) after checking that both models
     share a step; `_columns` decides the grid the witnesses meet both
-    models on."""
+    models on, with a bare shift's room for the times if `room`."""
     step = _shared_step((S, T))
     times = _times(cfg, step, lo, float(cfg.N))
     witnesses = cfg.dense_seq.vectors[: cfg.J]
-    grid, Z = _columns((S, T), witnesses)
+    grid, Z = _columns((S, T), witnesses, times if room else None)
     slack = None if step is not None else _lipschitz_slack(S, T, float(times[1] - times[0]))
     return times, slack, np.array([x.norm() for x in witnesses]), grid, Z
 
 
 def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
-    times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, 0.0 if forward else -float(cfg.N))
+    lo = 0.0 if forward else -float(cfg.N)
+    times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, lo, room=True)
     diffs = _diff_norms(S, T, grid, Z, times)
     return _assemble(_block_sups(diffs, times, cfg, forward), norms, cfg, slack)
 
@@ -135,7 +139,7 @@ def metric_isometric(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) ->
 
 def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) -> MetricValue:
     """Weak metric on contractions: triple-truncated sum over witness pairs."""
-    times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, 0.0)
+    times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, 0.0, room=False)
     # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|, over all J^2 pairs
     i, j = np.indices((cfg.J, cfg.J)).reshape(2, -1)
     S_ij, T_ij = (_correlations(M, grid, Z, i, j, times)[0] for M in (S, T))

@@ -24,7 +24,8 @@ from stablesemi.constructions import (
 )
 from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
 from stablesemi.hilbert import GridMismatchError
-from stablesemi.metrics import MetricConfig, metric_isometric, metric_unitary
+from stablesemi.metrics import (
+    MetricConfig, metric_contractive, metric_isometric, metric_unitary)
 from stablesemi.semigroups import (
     ConjugatedGroup,
     DirectSumSemigroup,
@@ -35,6 +36,8 @@ from stablesemi.semigroups import (
     one_step_matrix,
     shift_grid,
 )
+
+from reference import operator_matrix, weighted
 
 
 def _mult(dim, seed, hi=2 * np.pi):
@@ -727,6 +730,29 @@ class TestAwsPipeline:
         assert np.isfinite(metric_isometric(R, A, cfg).value)
         with pytest.raises(GridMismatchError):
             metric_isometric(R, approximate_isometry_by_aws(R, 0.25, 5.0, n=32), cfg)
+
+    def test_bare_shift_metric_needs_room_for_its_shift(self):
+        # a strong metric gives the shift room for its N/h = 8 steps past
+        # the witnesses' 40 cells: an approximant on 44 cells cannot hold
+        # them and is rejected, never truncated; one on 48 cells is measured
+        # against the series built from both models' matrices.  A
+        # correlation reads only the witnesses' rows, so the weak metric
+        # needs no room
+        R = ShiftSemigroup(1.0, 40)
+        wit = DenseSequence.gaussian(R.grid, 8, seed=48)
+        cfg = MetricConfig(wit, J=8, N=8)
+        A44 = approximate_isometry_by_aws(R, 0.25, 5.0, n=44)
+        with pytest.raises(GridMismatchError):
+            metric_isometric(R, A44, cfg)
+        assert np.isfinite(metric_contractive(R, A44, cfg).value)
+        A48 = approximate_isometry_by_aws(R, 0.25, 5.0, n=48)
+        W = np.array([np.pad(weighted(x), (0, 8)) for x in wit]).T
+        diffs = np.array([np.linalg.norm(
+            (operator_matrix(R, t, 48)[:48] - operator_matrix(A48, t)) @ W, axis=0)
+            for t in range(9)])
+        sups = np.maximum.accumulate(diffs)[1:] / [x.norm() for x in wit]
+        want = (sups * 2.0 ** -np.add.outer(np.arange(1, 9), np.arange(1, 9))).sum()
+        assert metric_isometric(R, A48, cfg).value == pytest.approx(want, rel=1e-12)
 
     def test_direct_sum_with_shift_block_shorter_than_period(self):
         # the 40-cell shift block is shorter than the new 64-cell period: V

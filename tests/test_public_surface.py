@@ -1,6 +1,6 @@
 """The package's public surface: every exported name resolves, every name
 the benchmark's scripts read resolves, the kernel ladder runs its first
-rungs, the model protocol has seven members, and the per-vector checkers,
+rungs, the model protocol has six members, and the per-vector checkers,
 helpers and serializers that no scenario used, the members that restated a
 fact and the backward evolution are gone."""
 
@@ -20,7 +20,7 @@ DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance",
            "model_to_dict", "model_from_dict", "inner_product", "periodize_shift",
            "NotIsometricError", "_shift_grid", "NotPeriodicError", "_commensurable_base",
-           "_COMMENSURABLE_TOL", "_check_finite")
+           "_COMMENSURABLE_TOL", "_check_finite", "_evolved_grid", "_rows")
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -59,10 +59,16 @@ def test_models_state_no_isometry_flag_or_max_frequency(name):
         assert not hasattr(model, member), member
 
 
-def test_model_protocol_has_seven_members():
+def test_model_protocol_has_six_members():
+    # no model grows its payload, so none needs a compressed evolution
     members = {n for n in vars(stablesemi.SemigroupModel) if not n.startswith("__")}
-    assert members == {"_evolve", "_compressed", "_check_grid", "apply", "grid",
-                       "time_step", "spectral_form"}
+    assert members == {"_evolve", "_check_grid", "apply", "grid", "time_step",
+                       "spectral_form"}
+
+
+def test_pad_to_grid_pads_vectors_only():
+    # evolved batches keep their rows, so no array mode is left
+    assert list(inspect.signature(stablesemi.pad_to_grid).parameters) == ["x", "grid"]
 
 
 def test_stability_report_has_no_record_method():
@@ -87,8 +93,7 @@ def test_models_evolve_forward_only(name):
     # a unitary group's adjoint is apply(-t, x); no model evolves backwards
     model = getattr(stablesemi, name)
     assert not hasattr(model, "adjoint_apply")
-    for meth in ("_evolve", "_compressed"):
-        assert "adjoint" not in inspect.signature(getattr(model, meth)).parameters
+    assert "adjoint" not in inspect.signature(model._evolve).parameters
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stablesemi.diagnostics import ClassifyParams, classify, correlation
 from stablesemi.hilbert import (
-    DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
+    DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid, pad_to_grid)
 from stablesemi.metrics import MetricConfig, metric_isometric
 from stablesemi.semigroups import (
     ConjugatedGroup,
@@ -73,6 +73,14 @@ class TestMultiplicationGroup:
         x = _rvec(U.grid, 4)
         back = U.apply(-1.1, U.apply(1.1, x))
         np.testing.assert_allclose(back.coeffs, x.coeffs, atol=1e-14)
+
+    def test_apply_zero_pads_a_prefix_vector(self):
+        # `apply` is a batch of one, so it follows the grid rule of `_columns`
+        U = _mult()
+        x = _rvec(WeightedGrid(U.grid.points[:5], U.grid.weights[:5]), 3)
+        y = U.apply(0.7, x)
+        assert y.grid.same_as(U.grid)
+        np.testing.assert_array_equal(y.coeffs, U.apply(0.7, pad_to_grid(x, U.grid)).coeffs)
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_non_finite_times_are_inadmissible(self, t):
@@ -313,10 +321,6 @@ def _random_matrix(rng, rows, cols=3):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _pad(Y, rows):
-    return np.concatenate([Y, np.zeros((rows - Y.shape[0], Y.shape[1]))])
-
-
 zoo_cases = given(st.sampled_from(ZOO), st.integers(0, 10 ** 6),
                   st.lists(st.integers(0, 6), min_size=1, max_size=5))
 
@@ -329,8 +333,8 @@ def test_evolve_matches_construction_data(kind, seed, steps):
     times = ZOO_STEP * np.array(steps, dtype=float)
     Y = T._evolve(times, X)
     for t, y in zip(times, Y):
-        want = operator_matrix(T, t) @ X
-        assert np.abs(_pad(want, y.shape[0]) - y).max() <= 1e-12
+        # a truncated shift's matrix maps onto more rows; `_evolve` keeps X's
+        assert np.abs(operator_matrix(T, t)[: X.shape[0]] @ X - y).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,21 +346,25 @@ def test_evolve_over_many_times_stacks_single_times(kind, seed, steps):
     Y = T._evolve(times, X)
     for i, t in enumerate(times):
         one = T._evolve(times[i : i + 1], X)[0]
-        np.testing.assert_array_equal(_pad(one, Y.shape[1]), Y[i])
+        np.testing.assert_array_equal(one, Y[i])
 
 
 @settings(max_examples=40, deadline=None)
 @zoo_cases
-def test_compressed_evolution_cuts_evolve_to_the_payload(kind, seed, steps):
+def test_evolve_keeps_the_rows_of_its_payload(kind, seed, steps):
+    # no model grows its payload; a cell model also takes a longer one
     T = _zoo(kind, seed)
     rng = np.random.default_rng(seed)
     times = ZOO_STEP * np.array(steps, dtype=float)
     payloads = [T.grid.size]
     if isinstance(T, (ShiftSemigroup, PeriodicShiftGroup)):
-        payloads.append(T.grid.size + 4)  # extended by 4 cells
+        payloads.append(T.grid.size + 4)
     for rows in payloads:
         X = _random_matrix(rng, rows)
-        np.testing.assert_array_equal(T._compressed(times, X), T._evolve(times, X)[:, :rows])
+        assert T._evolve(times, X).shape == (times.size, rows, X.shape[1])
+        np.testing.assert_allclose(T._evolve(times, X)[-1],
+                                   operator_matrix(T, times[-1], rows)[:rows] @ X,
+                                   rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,17 +380,16 @@ def test_evolve_obeys_the_semigroup_law_on_the_step_lattice(kind, seed, a, b):
 
 def _dropped_mass(T, X, steps):
     """Per column of X (weighted coordinates), the squared norm that T's
-    truncated shift blocks push off their component within `steps` steps;
-    zero for every model that keeps or extends its payload."""
+    truncated shifts, bare or as a block, push past their payload within
+    `steps` steps; zero for every other model."""
     if isinstance(T, ConjugatedGroup):
         return _dropped_mass(T.inner, T.basis @ X, steps)
+    if isinstance(T, ShiftSemigroup):
+        return (np.abs(X[X.shape[0] - min(steps, X.shape[0]):]) ** 2).sum(axis=0)
     mass = np.zeros(X.shape[1])
     if isinstance(T, DirectSumSemigroup):
         for b, part in enumerate(T.parts):
-            if isinstance(part, ShiftSemigroup):
-                Xb = X[T.space.block_slice(b)]
-                cut = Xb.shape[0] - min(steps, part.cells)
-                mass += (np.abs(Xb[cut:]) ** 2).sum(axis=0)
+            mass += _dropped_mass(part, X[T.space.block_slice(b)], steps)
     return mass
 
 
@@ -453,7 +460,7 @@ def test_one_step_matrix_makes_no_apply_calls(kind, monkeypatch):
 
 
 def test_conjugating_a_truncated_shift_is_rejected_at_construction():
-    with pytest.raises(ValueError, match="changed dimension"):
+    with pytest.raises(ValueError, match="needs room"):
         ConjugatedGroup(WeightedGrid.uniform(5), np.eye(5), ShiftSemigroup(1.0, 5))
 
 
@@ -475,8 +482,27 @@ def test_step_times_keep_both_ends(h, k):
 
 @pytest.mark.parametrize("h", [1e-9, 1e-10])
 def test_step_times_add_no_point_below_a_tiny_step(h):
-    # the lattice margin of `_steps` is wider than these steps; a time grid
-    # from 0 still starts at 0, so a right shift can be classified on it
+    # a time grid from 0 starts at 0, so a right shift can be classified on it
     np.testing.assert_array_equal(_step_times(h, 0.0, 4 * h), np.arange(5) * h)
     S = ShiftSemigroup(h, 4)
     classify(S, DenseSequence.gaussian(S.grid, 2, seed=0), ClassifyParams(horizon=8 * h))
+
+
+@pytest.mark.parametrize("T, t", [(ShiftSemigroup(1e-10, 4), 1.5e-10),
+                                  (ShiftSemigroup(1e-10, 4), 3.7e-11),
+                                  (PeriodicShiftGroup(4, 1e-10), 1.5e-10)])
+def test_small_steps_admit_only_their_lattice(T, t):
+    # the lattice margin is relative to the step, not to 1, so a step far
+    # below 1 does not round every time onto its lattice
+    x = _rvec(T.grid)
+    with pytest.raises(InadmissibleTimeError, match="not an integer multiple"):
+        T.apply(t, x)
+    with pytest.raises(InadmissibleTimeError, match="not an integer multiple"):
+        _steps(np.array([0.0, t]), T.step)
+    np.testing.assert_array_equal(_steps(np.array([2e-10]), T.step), [[2]])
+    T.apply(2e-10, x)
+
+
+def test_step_times_stay_within_their_ends_at_a_small_step():
+    np.testing.assert_array_equal(_step_times(1e-10, 0.0, 1.5e-10), [0.0, 1e-10])
+    np.testing.assert_array_equal(_step_times(1e-10, -1.5e-10, 0.0), [-1e-10, 0.0])

@@ -419,9 +419,9 @@ def test_correlation_memory_is_blocked():
 
 
 def test_shift_evolution_memory_is_blocked():
-    # a shift's payload grows by a cell per step: unblocked, the 1201 times
-    # of this horizon would evolve 3 witnesses onto up to 1210 rows at once
-    # (> 60 MB)
+    # a strong metric gives the shift room for a cell per step: unblocked,
+    # the 1201 times of this horizon would evolve 3 witnesses on 1210 rows
+    # at once (> 60 MB)
     S, P = ShiftSemigroup(0.05, 10), PeriodicShiftGroup(10, 0.05)
     wit = DenseSequence.gaussian(S.grid, 3, seed=3)
     # inside a direct sum the shift's overflow is dropped, and must not be
