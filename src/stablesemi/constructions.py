@@ -28,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import HVector, WeightedGrid, _is_integer, pad_to_grid
+from .hilbert import HVector, WeightedGrid, _is_integer
 from .semigroups import (
     ConjugatedGroup,
+    InadmissibleTimeError,
     MultiplicationGroup,
     PeriodicShiftGroup,
     SemigroupModel,
@@ -40,7 +41,6 @@ from .semigroups import (
     _frequency_groups,
     _steps,
     one_step_matrix,
-    shift_grid,
 )
 
 
@@ -388,7 +388,8 @@ def _natural_step(V: SemigroupModel) -> float:
 def periodization_error_identity(
     R: ShiftSemigroup, n_c: int, f: HVector, t: float
 ) -> tuple[float, float, float]:
-    """(measured error^2, identity rhs, factor-2 tail bound) for t < n.
+    """(measured error^2, identity rhs, factor-2 tail bound) for 0 <= t < n,
+    n = n_c * h: `_periodization_errors` for a batch of one.
 
     The identity is exact in exact arithmetic:
         error^2 = sum_{cells in [n-t, n)} h |f|^2
@@ -396,23 +397,40 @@ def periodization_error_identity(
     The tail bound 2 * sum_{cells >= n-t} h |f|^2 is the constant claimed
     alongside it; see the tests for how tight it actually is.
     """
+    lhs, rhs, tail = _periodization_errors(R, n_c, (f,), np.array([t], dtype=float))
+    return float(lhs[0]), float(rhs[0]), float(tail[0])
+
+
+def _periodization_errors(R: ShiftSemigroup, n_c: int, vectors, times: np.ndarray):
+    """(error^2, identity rhs, tail bound) of `periodization_error_identity`
+    per vector f_i at its time t_i, as three arrays.
+
+    Every time is admitted first, on R's lattice (`_steps`), before any
+    vector is padded: InadmissibleTimeError for a step count l < 0, and
+    ValueError for l >= n_c.  Then one evaluation per distinct l: its
+    vectors meet U and R in `_columns`, which gives R room for l cells, the
+    error is `_diff_norms` at l h, and the rhs and the tail are read off the
+    same weighted columns z = sqrt(h) f.  At l = 0 the rhs and tail are 0.
+    """
     h = R.step
-    ell = int(_steps(np.array([t], dtype=float), h)[0, 0])  # R's lattice admits t
-    if ell >= n_c:
+    ells = _steps(times, h)[:, 0]
+    if ells.min() < 0:
+        raise InadmissibleTimeError("right shift only admits t >= 0")
+    if ells.max() >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = PeriodicShiftGroup(n_c, h)
-    # f with room for the period and the shift: R drops nothing, and both
-    # sides read the same coefficients
-    f = pad_to_grid(f, shift_grid(max(f.grid.size, n_c) + ell, h))
-    lhs = _diff_norms(U, R, *_columns((U, R), (f,)), np.array([t], dtype=float))[0, 0] ** 2
-    if ell == 0:
-        return float(lhs), 0.0, 0.0
-
-    c, length = f.coeffs, f.grid.size
-    first = h * (np.abs(c[n_c - ell : n_c]) ** 2).sum()
-    second = h * (np.abs(c[n_c:] - c[n_c - ell : length - ell]) ** 2).sum()
-    tail = 2.0 * h * (np.abs(c[n_c - ell :]) ** 2).sum()
-    return float(lhs), float(first + second), float(tail)
+    lhs, rhs, tail = (np.zeros(len(vectors)) for _ in range(3))
+    for ell in np.unique(ells).tolist():
+        idx = np.flatnonzero(ells == ell)
+        t = np.array([ell * h])
+        grid, Z = _columns((U, R), [vectors[i] for i in idx], t)
+        lhs[idx] = _diff_norms(U, R, grid, Z, t)[0] ** 2
+        if ell:
+            A = np.abs(Z) ** 2
+            rhs[idx] = (A[n_c - ell : n_c].sum(axis=0)
+                        + (np.abs(Z[n_c:] - Z[n_c - ell : -ell]) ** 2).sum(axis=0))
+            tail[idx] = 2.0 * A[n_c - ell :].sum(axis=0)
+    return lhs, rhs, tail
 
 
 # --- composed density pipelines ---------------------------------------------

@@ -18,8 +18,10 @@ from stablesemi.cli import (
     run_metric_tables,
     run_near_identity_sweep,
     run_quantization_sweep,
+    run_shift_periodization_check,
     write_outputs,
 )
+from stablesemi import constructions
 from stablesemi.constructions import (
     distinct_frequency_certificate, inflate_and_perturb, near_identity_aws, quantize_symbol)
 from stablesemi.diagnostics import correlation, mt_membership, wjkt_membership
@@ -249,10 +251,10 @@ def _reference_quantization_sweep(cfg):
     grid = WeightedGrid.uniform(dim, 1.0 / dim)
     rows, violations = [], 0
     max_err = {n: 0.0 for n in n_values}
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
-        t = float(rng.uniform(-t_max, t_max))
-        U = MultiplicationGroup(grid, rng.uniform(0.0, 2.0 * np.pi, dim))
+    # the trials' levels, times and symbols, each drawn as one array
+    ns, ts = rng.choice(n_values, trials).tolist(), rng.uniform(-t_max, t_max, trials).tolist()
+    for n, t, q in zip(ns, ts, rng.uniform(0.0, 2.0 * np.pi, (trials, dim))):
+        U = MultiplicationGroup(grid, q)
         qn = quantize_symbol(U, n).approximant.symbol
         measured = float(np.abs(np.exp(1j * t * U.symbol) - np.exp(1j * t * qn)).max())
         bound = 2.0 * np.pi * abs(t) / n
@@ -358,6 +360,40 @@ class TestBatchedSweeps:
         assert summary == want_summary
         assert ok == (want_summary["violations"] == 0)
         assert len(set(summary["fit_n_values"])) == len(summary["fit_n_values"])
+
+    @pytest.mark.parametrize("trials", [1, 7, 500])
+    def test_quantization_sweep_draws_three_arrays(self, trials):
+        class Counting:
+            """A Generator that counts the draws made through it."""
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def __getattr__(self, name):
+                draw = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.draws += 1
+                    return draw(*args, **kwargs)
+                return counted
+
+        rng = Counting(np.random.default_rng(3))
+        cfg = {**SCENARIOS["quantization_sweep"][1], "trials": trials, "dimension": 4}
+        rows, _, _ = run_quantization_sweep(cfg, rng)
+        assert len(rows) == trials and rng.draws == 3
+
+    def test_shift_periodization_check_evaluates_once_per_shift_count(self, monkeypatch):
+        calls = []
+        diff_norms = constructions._diff_norms
+
+        def counted(*args):
+            calls.append(args[-1])
+            return diff_norms(*args)
+        monkeypatch.setattr(constructions, "_diff_norms", counted)
+        cfg = {"cells": 12, "period_cells": 8, "trials": 50}
+        rows, summary, ok = run_shift_periodization_check(cfg, np.random.default_rng(6))
+        # 50 trials draw their shift counts from [1, 8)
+        assert len(rows) == 50 and ok and len(calls) <= 7
+        assert sorted(float(t[0]) for t in calls) == sorted({float(r["t"]) for r in rows})
 
     def test_near_identity_sweep_matches_per_time_loop(self):
         cfg = {"dimension": 7, "n_values": [1, 4, 64], "t_samples": 25}

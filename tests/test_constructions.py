@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from stablesemi import constructions
 from stablesemi.constructions import (
     _norm2,
+    _periodization_errors,
     _periodize_chains,
     _wold_chains,
     _phase_distance,
@@ -502,6 +503,46 @@ class TestPeriodization:
         R = ShiftSemigroup(1.0, 10)
         lhs, rhs, tail = periodization_error_identity(R, 8, _rvec(R.grid, 14), 0.0)
         assert lhs == pytest.approx(0.0, abs=1e-15) and rhs == 0.0
+
+    @pytest.mark.parametrize("payload", [40, 10])
+    def test_negative_time_is_inadmissible_for_any_payload(self, payload):
+        # a time is admitted before any vector is padded, so the payload's
+        # length cannot turn a negative time into a grid error
+        R = ShiftSemigroup(1.0, 40)
+        f = _rvec(shift_grid(payload, 1.0), 17)
+        with pytest.raises(InadmissibleTimeError, match="t >= 0"):
+            periodization_error_identity(R, 32, f, -1.0)
+
+    def test_batch_matches_batches_of_one(self):
+        # every step count in [0, n_c), repeated, on payloads shorter and
+        # longer than the period, with a step that is not 1
+        h, n_c = 0.5, 8
+        R = ShiftSemigroup(h, 12)
+        rng = np.random.default_rng(18)
+        ells = rng.permutation(np.concatenate([np.arange(n_c), rng.integers(0, n_c, 12)]))
+        fs = [_rvec(shift_grid(int(m), h), i)
+              for i, m in enumerate(rng.choice([3, 8, 13, 20], ells.size))]
+        got = np.array(_periodization_errors(R, n_c, fs, ells * h))
+        want = np.array([periodization_error_identity(R, n_c, f, ell * h)
+                         for f, ell in zip(fs, ells.tolist())]).T
+        assert {f.grid.size for f in fs} == {3, 8, 13, 20}
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert (got[:, ells == 0] == 0).all()
+
+    @pytest.mark.parametrize("bad", [4.0, 5.5, 0.65, -0.5, np.inf, np.nan])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_one_bad_time_fails_the_batch_as_alone(self, bad, at):
+        # l >= n_c (4.0, 5.5), off the lattice, negative or not finite
+        h, n_c = 0.5, 8
+        R = ShiftSemigroup(h, 12)
+        fs = [_rvec(R.grid, i) for i in range(7)]
+        times = np.arange(7) * h
+        times[at] = bad
+        with pytest.raises(ValueError) as alone:
+            periodization_error_identity(R, n_c, fs[at], bad)
+        with pytest.raises(ValueError) as batch:
+            _periodization_errors(R, n_c, fs, times)
+        assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
 
     def test_factor_four_tail_bound_always_holds(self):
         # the error is provably at most 4x the tail mass past n - t; the
