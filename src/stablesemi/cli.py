@@ -186,12 +186,10 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
 
 
 def run_cantor_demo(cfg: dict, rng: np.random.Generator):
-    depth, horizon = cfg["depth"], cfg["horizon"]
-    num = cfg["num_samples"]
-    stride = cfg["row_stride"]
-    times = np.linspace(0.0, horizon, num)
+    horizon, stride = cfg["horizon"], cfg["row_stride"]
+    times = np.linspace(0.0, horizon, cfg["num_samples"])
     oracle = cantor_transform_abs(times)
-    group = cantor_group(depth)
+    group = cantor_group(cfg["depth"])
     unit = HVector(group.grid, np.ones(group.grid.size))
     # autocorrelation of the uniform unit vector
     trace = correlation(group, unit, unit, times)
@@ -378,14 +376,6 @@ def _check_values(cfg: dict, defaults: dict) -> None:
             raise ConfigError(f"{key} must be <= {top}, got {cfg[key]!r} > {cfg[top]!r}")
 
 
-def _fmt(v) -> str:
-    """A CSV cell: the shortest round-trip repr of a float, NumPy's included
-    (repr(np.float64) names its type), else str."""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _json_safe(v):
     """The value with every non-finite float replaced by None (JSON null)."""
     if isinstance(v, float) and not math.isfinite(v):
@@ -406,7 +396,7 @@ def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet
         if rows:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(rows[0]))
-            writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+            writer.writerows(row.values() for row in rows)
     doc = {
         "scenario": scenario,
         "seed": cfg["seed"],
@@ -414,7 +404,7 @@ def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet
         "bounds_ok": ok,
         "metrics": _json_safe(summary),
     }
-    json_path.write_text(json.dumps(doc, indent=2, default=str, allow_nan=False) + "\n")
+    json_path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if not quiet:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] {scenario}: {len(rows)} rows -> {csv_path}")

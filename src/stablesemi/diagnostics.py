@@ -205,7 +205,7 @@ def classify(
     times = _time_grid(T, params.horizon, params.samples)
     normed = [x.normalized() for x in witnesses]
     tail = times >= params.horizon / 2.0
-    revival_window = times >= max(params.horizon / 100.0, times[1] if times.size > 1 else 0.0)
+    revival_window = times >= max(params.horizon / 100.0, times[1])
 
     # atoms and the Wiener limit: multiplication groups and their conjugates
     diag = T.inner if isinstance(T, ConjugatedGroup) else T

@@ -60,11 +60,7 @@ class WeightedGrid:
         return float(self.weights.sum())
 
     def same_as(self, other: "WeightedGrid") -> bool:
-        return self is other or (
-            self.size == other.size
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
-        )
+        return self is other or (self.size == other.size and _is_prefix_grid(self, other))
 
     @staticmethod
     def uniform(size: int, weight: float = 1.0) -> "WeightedGrid":
@@ -200,9 +196,6 @@ class DenseSequence:
 
         Metric values depend on this choice, the induced topology does not.
         """
-        rng = np.random.default_rng(seed)
-        vecs = []
-        for _ in range(count):
-            c = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-            vecs.append(HVector(grid, c))
-        return DenseSequence(tuple(vecs))
+        # one draw in the order of a real then an imaginary part per witness
+        parts = np.random.default_rng(seed).standard_normal((count, 2, grid.size))
+        return DenseSequence(tuple(HVector(grid, re + 1j * im) for re, im in parts))

@@ -77,11 +77,19 @@ class InadmissibleTimeError(ValueError):
 _STEP_RTOL = 1e-9
 
 
+def _margin(h: float, t):
+    """Distance from h Z within which a time t (a float or an array) is on it:
+    `_STEP_RTOL` max(h, |t|), capped at a quarter step, so never near two points."""
+    if isinstance(t, float):
+        return min(_STEP_RTOL * max(h, abs(t)), 0.25 * h)
+    return np.minimum(_STEP_RTOL * np.maximum(h, np.abs(t)), 0.25 * h)
+
+
 def _steps(times: np.ndarray, h: float | None) -> np.ndarray | None:
     """Integer step counts of `times` on the lattice h Z, as a column (None
     for h None, where every finite time is admissible); InadmissibleTimeError
-    for a time that is not finite or is off the lattice by more than
-    `_STEP_RTOL` max(h, |t|).
+    for a time that is not finite, is 2**53 steps or more (a count float64
+    does not hold exactly), or is off the lattice by more than its `_margin`.
 
     The one place a model admits a time.  One time (a one-step matrix, a
     membership predicate, a periodization identity) is checked in plain
@@ -94,16 +102,21 @@ def _steps(times: np.ndarray, h: float | None) -> np.ndarray | None:
             raise InadmissibleTimeError(f"t={t} is not finite")
         if h is None:
             return None
+        if abs(t) >= 2.0 ** 53 * h:
+            raise InadmissibleTimeError(f"t={t} is 2**53 steps of {h} or more")
         ell = round(t / h)
-        if abs(t - ell * h) > _STEP_RTOL * max(h, abs(t)):
+        if abs(t - ell * h) > _margin(h, t):
             raise InadmissibleTimeError(f"t={t} is not an integer multiple of step {h}")
         return np.array([[ell]])
     if not np.isfinite(times).all():
         raise InadmissibleTimeError(f"t={times[~np.isfinite(times)][0]} is not finite")
     if h is None:
         return None
+    big = np.abs(times) >= 2.0 ** 53 * h
+    if big.any():
+        raise InadmissibleTimeError(f"t={times[big][0]} is 2**53 steps of {h} or more")
     ell = np.round(times / h)
-    off = np.abs(times - ell * h) > _STEP_RTOL * np.maximum(h, np.abs(times))
+    off = np.abs(times - ell * h) > _margin(h, times)
     if off.any():
         raise InadmissibleTimeError(
             f"t={times[off][0]} is not an integer multiple of step {h}")
@@ -120,13 +133,12 @@ def _shared_step(models) -> float | None:
 
 
 def _step_times(h: float, lo: float, hi: float) -> np.ndarray:
-    """The lattice h Z on [lo, hi], each end widened by the margin within which
-    `_steps` accepts a time: hi = 0.7 keeps the seventh step of h = 0.1, and
-    hi = 1.1e6 the millionth of h = 1.1, though both quotients round below.
-    The margin is capped at half a step, so it adds no lattice point
-    outside [lo, hi]."""
-    lo -= min(_STEP_RTOL * max(h, abs(lo)), 0.5 * h)
-    hi += min(_STEP_RTOL * max(h, abs(hi)), 0.5 * h)
+    """The lattice h Z on [lo, hi], each end widened by the `_margin` within
+    which `_steps` accepts a time: hi = 0.7 keeps the seventh step of h =
+    0.1, and hi = 1.1e6 the millionth of h = 1.1, though both quotients
+    round below."""
+    lo -= _margin(h, lo)
+    hi += _margin(h, hi)
     return np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h
 
 
@@ -356,26 +368,19 @@ class DirectSumSemigroup(SemigroupModel):
         return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Block-diagonal form; None unless every part has one.  A periodic
-        part on a longer component is the identity above its period: zero
-        frequencies there, with an identity block."""
+        """Block-diagonal form, None unless every part has one: the identity
+        with each part's basis written in, so a periodic part on a longer
+        component is the identity above its period, with zero frequencies."""
         forms = [p.spectral_form() for p in self.parts]
         if any(f is None for f in forms):
             return None
         k = self.grid.size
         freqs = np.zeros(k)
-        basis = None if all(b is None for _, b in forms) else np.zeros((k, k), dtype=complex)
-        for i, (f, b) in enumerate(forms):
-            sl = self.space.block_slice(i)
-            lo, mid = sl.start, sl.start + f.size
-            freqs[lo:mid] = f
-            if basis is None:
-                continue
+        basis = None if all(b is None for _, b in forms) else np.eye(k, dtype=complex)
+        for lo, (f, b) in zip(self.space.offsets, forms):
+            freqs[lo:lo + f.size] = f
             if b is not None:
-                basis[lo:mid, lo:mid] = b
-                lo = mid
-            # the identity wherever no basis acts
-            np.fill_diagonal(basis[lo:sl.stop, lo:sl.stop], 1.0)
+                basis[lo:lo + f.size, lo:lo + f.size] = b
         return freqs, basis
 
 
@@ -397,10 +402,8 @@ class ConjugatedGroup(SemigroupModel):
     def __post_init__(self):
         b = np.ascontiguousarray(np.asarray(self.basis, dtype=complex))
         k = self._grid.size
-        if b.shape != (self.inner.grid.size, k):
-            raise ValueError("basis shape must be (inner dim, outer dim)")
-        if b.shape[0] != k:
-            raise ValueError("conjugation requires equal inner and outer dimension")
+        if b.shape != (k, k) or self.inner.grid.size != k:
+            raise ValueError("basis must be k x k, with k the inner and the outer dimension")
         if isinstance(self.inner, ShiftSemigroup):
             raise ValueError("a bare truncated shift needs room a conjugated space lacks")
         b.setflags(write=False)
@@ -533,7 +536,6 @@ def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarr
     <= sqrt(T) an entry is within 9 (sqrt(T) + 1) u at the rounded phases
     (4.5e-13 at T = 200001), plus the u |t f| rounding that cos/sin share.
     """
-    times = np.ravel(times)
     coarse, fine = _time_split(times)
     cols, b = V.shape[1], fine.size
     if b > 1:  # w directly, not as z^b: the error then grows with sqrt(T), not T
@@ -566,17 +568,6 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
     return out
 
 
-def _gram(T: SemigroupModel, times: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """G[t, j, i] = <T(t) z_i, z_j> = (Z* T(t) Z)[j, i] for the weighted
-    columns z of Z: one evolution per time block, reduced by a matrix
-    product.  Each z_j is zero past Z's rows, so what a shift drops there
-    adds nothing, and Z needs no room."""
-    G = np.empty((times.size, Z.shape[1], Z.shape[1]), dtype=complex)
-    for sl in _time_blocks(times.size, Z.size):
-        G[sl] = Z.conj().T @ T._evolve(times[sl], Z)
-    return G
-
-
 def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
     """(each model's frequencies, A = B Z) if columns Z over `grid` take the
     spectral path: every model has a spectral form on that grid, all with one
@@ -599,10 +590,14 @@ def _correlations(T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray, rows, co
     """(<T(t) z_r, z_c> per time and (r, c) pair, one column per pair; the
     coordinates: A = B Z on the spectral path, Z on the other)."""
     spectral = _spectral((T,), grid, Z, times)
-    if spectral is None:
-        return _gram(T, times, Z)[:, cols, rows], Z
-    (freqs,), A = spectral
-    return _phase_sums(times, freqs, A[:, rows] * A[:, cols].conj()), A
+    if spectral is not None:
+        (freqs,), A = spectral
+        return _phase_sums(times, freqs, A[:, rows] * A[:, cols].conj()), A
+    # Z* T(t) Z per block of times: each z_j is zero past Z's rows, so Z needs no room
+    out = np.empty((times.size, len(rows)), dtype=complex)
+    for sl in _time_blocks(times.size, Z.size):
+        out[sl] = (Z.conj().T @ T._evolve(times[sl], Z))[:, cols, rows]
+    return out, Z
 
 
 def _diff_norms(S: SemigroupModel, T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray,

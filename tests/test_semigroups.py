@@ -262,6 +262,15 @@ class TestConjugatedGroup:
         _assert_unitary(V, 1.9, [x])
         _assert_law(V, 0.4, 1.5)
 
+    @pytest.mark.parametrize("outer, basis, inner", [
+        (5, np.eye(5, 4), 5),  # a basis that is not square
+        (4, np.eye(4), 5),     # a square basis, inner dim != outer dim
+        (4, np.eye(5, 4), 5),  # (inner dim, outer dim), not square
+    ])
+    def test_basis_must_be_square_on_equal_dimensions(self, outer, basis, inner):
+        with pytest.raises(ValueError, match="basis must be k x k"):
+            ConjugatedGroup(WeightedGrid.uniform(outer), basis, _mult(inner))
+
 
 class TestOneStepMatrix:
     def test_mult_one_step_is_diagonal_phase(self):
@@ -506,3 +515,35 @@ def test_small_steps_admit_only_their_lattice(T, t):
 def test_step_times_stay_within_their_ends_at_a_small_step():
     np.testing.assert_array_equal(_step_times(1e-10, 0.0, 1.5e-10), [0.0, 1e-10])
     np.testing.assert_array_equal(_step_times(1e-10, -1.5e-10, 0.0), [-1e-10, 0.0])
+
+
+@pytest.mark.parametrize("t, match", [(5e8 + 0.5, "not an integer multiple"),
+                                      (2e9 + 1.5, "not an integer multiple"),
+                                      (2.0 ** 63, "2\\*\\*53 steps")])
+def test_large_step_counts_round_no_time_onto_the_lattice(t, match):
+    # the margin is capped below half a step, so a time half a step off stays
+    # off at any count, and a count float64 cannot hold exactly is refused
+    P = PeriodicShiftGroup(4, 1.0)
+    with pytest.raises(InadmissibleTimeError, match=match):
+        P.apply(t, _rvec(P.grid))
+    with pytest.raises(InadmissibleTimeError, match=match):
+        _steps(np.array([0.0, t]), 1.0)
+
+
+def test_a_count_past_float64_is_refused_before_any_cast():
+    P = PeriodicShiftGroup(4, 1.0)
+    x = _rvec(P.grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InadmissibleTimeError, match="2\\*\\*53 steps"):
+            correlation(P, x, x, [1.0, 1e20])
+
+
+@pytest.mark.parametrize("h, t", [(1.0, 2e9 + 2.0), (1.1, 1e12 * 1.1)])
+def test_large_step_counts_on_the_lattice_stay_admitted(h, t):
+    k = round(t / h)
+    assert _steps(np.array([t]), h).tolist() == [[k]]
+    assert _steps(np.array([0.0, t]), h).tolist() == [[0], [k]]
+    P = PeriodicShiftGroup(4, h)
+    x = _rvec(P.grid)
+    np.testing.assert_allclose(P.apply(t, x).coeffs, np.roll(x.coeffs, k), rtol=1e-15)

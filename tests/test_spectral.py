@@ -16,7 +16,7 @@ from stablesemi.diagnostics import (
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
-from stablesemi import diagnostics, metrics, semigroups
+from stablesemi import diagnostics, semigroups
 from stablesemi.semigroups import (
     _PHASE_BLOCK,
     ConjugatedGroup,
@@ -33,7 +33,7 @@ from stablesemi.semigroups import (
 
 from reference import operator_matrix, weighted
 
-KINDS = ("mult", "periodic", "dsum", "longer", "conj_mult", "conj_dsum", "conj_longer")
+KINDS = ("mult", "periodic", "dsum", "longer", "msum", "conj_mult", "conj_dsum", "conj_longer")
 TOL = 1e-12
 
 
@@ -68,6 +68,9 @@ def _model(kind, seed):
         return PeriodicShiftGroup(10, 0.5)
     if kind in ("dsum", "longer"):
         return _dsum(rng, cells)
+    if kind == "msum":  # no part has a basis, so neither has the sum
+        parts = (_mult(rng, 3), _mult(rng, 4))
+        return DirectSumSemigroup(SumSpace(tuple(m.grid for m in parts)), parts)
     inner = _mult(rng, 6) if kind == "conj_mult" else _dsum(rng, cells)
     k = inner.grid.size
     return ConjugatedGroup(_grid(rng, k), _unitary(rng, k), inner)
@@ -341,13 +344,12 @@ def test_spectral_path_makes_no_apply_calls(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_spectral_path_builds_no_gram(kind, monkeypatch):
-    def no_gram(*args):
-        raise AssertionError("_gram called on the spectral path")
+    # a Gram matrix Z* T(t) Z needs T(t) Z, so no model may evolve
+    def no_evolve(self, times, X):
+        raise AssertionError("_evolve called on the spectral path")
 
-    # in every module that could hold the name, so no caller keeps a route
-    # of its own
-    for module in (semigroups, diagnostics, metrics):
-        monkeypatch.setattr(module, "_gram", no_gram, raising=False)
+    for cls in (MultiplicationGroup, PeriodicShiftGroup, DirectSumSemigroup, ConjugatedGroup):
+        monkeypatch.setattr(cls, "_evolve", no_evolve)
     S = _model(kind, 9)
     wit = DenseSequence.gaussian(S.grid, 3, seed=9)
     u, t = wit[0].normalized(), 3.0 * (S.time_step or 1.0)
