@@ -548,9 +548,11 @@ def cantor_transform_abs(t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     tmax = max(float(np.abs(t).max()), 1.0)
     depth = max(1, math.ceil(math.log(tmax / math.sqrt(2.0 * _CANTOR_FACTOR_TOL)) / math.log(3.0)))
-    out = np.ones_like(t)
+    out, factor = np.ones_like(t), np.empty_like(t)
     for k in range(1, depth + 1):
-        out *= np.abs(np.cos(t / 3.0 ** k))
+        np.divide(t, 3.0 ** k, out=factor)
+        np.cos(factor, out=factor)
+        out *= np.abs(factor, out=factor)
     return out
 
 

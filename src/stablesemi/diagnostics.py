@@ -135,8 +135,8 @@ def detect_atoms(U: MultiplicationGroup, mass_threshold: float) -> list[tuple[fl
 def _atoms(U: MultiplicationGroup, lams, group, threshold: float) -> list[tuple[float, float]]:
     """`detect_atoms` on a grouping of U.symbol; equal masses keep their order."""
     masses = np.bincount(group, weights=U.grid.weights) / U.grid.total_mass
-    return [(float(lams[i]), float(masses[i]))
-            for i in np.argsort(-masses, kind="stable") if masses[i] > threshold]
+    order = np.argsort(-masses, kind="stable")
+    return [(float(lams[i]), float(masses[i])) for i in order[masses[order] > threshold]]
 
 
 VERDICTS = (

@@ -48,7 +48,9 @@ The spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
 grid.  On an arithmetic grid t0 + j dt, which is every grid the library
 builds, it factors each phase as exp(i t_{ab} f) exp(i c dt f), reduces by
 matrix products and builds both factor tables as powers of exp(i dt f) and
-exp(i b dt f), so it needs 3 M cos/sin pairs instead of T M.
+exp(i b dt f), so it needs 3 M cos/sin pairs instead of T M.  `_powers`
+builds a table by repeated squaring, in log2 of its rows contiguous
+products, with the error bound of a cumulative product.
 """
 
 from __future__ import annotations
@@ -516,10 +518,25 @@ def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _powers(first: np.ndarray, ratio: np.ndarray, rows: int) -> np.ndarray:
-    """Rows first * ratio^j for j < rows, by a cumulative product in place."""
+    """Rows first * ratio^j for j < rows, by repeated squaring.
+
+    Rows [n, 2n) are rows [0, n) times ratio^n for n = 1, 2, 4, ..., and
+    ratio^n is carried by squaring: ceil(log2 rows) contiguous products,
+    where a cumulative product runs a strided scalar loop per column.  The
+    error is that of j sequential products: with e the relative error of one
+    product, ratio^(2^k) is within (2^k - 1) e of its exact value, so row j,
+    one product per set bit of j, is within j e of first * ratio^j.
+    """
     P = np.empty((rows, first.size), dtype=complex)
-    P[0], P[1:] = first, ratio
-    return np.cumprod(P, axis=0, out=P)
+    P[0] = first
+    n, r = 1, ratio
+    while n < rows:
+        m = min(n, rows - n)
+        np.multiply(P[:m], r, out=P[n:n + m])
+        n += m
+        if n < rows:
+            r = r * r
+    return P
 
 
 def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -532,9 +549,12 @@ def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarr
     are powers of z = exp(i dt f) and w = exp(i b dt f), E_fine rows z^c and
     coarse rows exp(i t0 f) w^a, the last carried between blocks: 3 M
     cos/sin pairs, not 2 sqrt(T) M.  Error: |z| is within about 2u of 1
-    (u = 2^-53) and a complex product adds sqrt(5) u, so with exponents
-    <= sqrt(T) an entry is within 9 (sqrt(T) + 1) u at the rounded phases
-    (4.5e-13 at T = 200001), plus the u |t f| rounding that cos/sin share.
+    (u = 2^-53) and a complex product adds sqrt(5) u.  `_powers` takes a
+    row j in log2 j products, but each squaring doubles the error it
+    inherits, so the row's error is that of j sequential products, about
+    (2 + sqrt(5)) j u.  With exponents <= sqrt(T) an entry is within
+    9 (sqrt(T) + 1) u at the rounded phases (4.5e-13 at T = 200001), plus
+    the u |t f| rounding that cos/sin share.
     """
     coarse, fine = _time_split(times)
     cols, b = V.shape[1], fine.size

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablesemi import diagnostics
+from stablesemi import constructions, diagnostics
 from stablesemi.constructions import cantor_group, cantor_transform_abs, quantize_symbol
 from stablesemi.diagnostics import (
     ClassifyParams,
@@ -293,6 +295,17 @@ class TestCantorOracle:
         v = cantor_transform_abs(np.array([3.0 * np.pi]))[0]
         manual = np.prod([abs(np.cos(3.0 * np.pi / 3.0 ** k)) for k in range(1, 40)])
         assert v == pytest.approx(manual, abs=1e-12)
+
+    def test_product_equals_per_factor_product(self):
+        # the in-place factors give the bits of the plain per-factor product
+        ts = np.r_[-7.5, 0.0, np.linspace(0.0, 2e4, 2001)]
+        # the docstring's depth: every factor past it is within the tolerance of 1
+        tol = constructions._CANTOR_FACTOR_TOL
+        depth = math.ceil(math.log(2e4 / math.sqrt(2.0 * tol)) / math.log(3.0))
+        want = np.ones_like(ts)
+        for k in range(1, depth + 1):
+            want = want * np.abs(np.cos(ts / 3.0 ** k))
+        np.testing.assert_array_equal(cantor_transform_abs(ts), want)
 
     def test_discrete_model_converges_to_product(self):
         ts = np.linspace(0.0, 500.0, 400)

@@ -493,6 +493,25 @@ def _assert_phase_sums(times, freqs, V, rows=slice(None)):
     assert np.all(err <= TOL * np.abs(V).sum(axis=0))
 
 
+@pytest.mark.parametrize("M", [1, 64, 4096])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 16, 17, 448])
+def test_powers_are_within_j_products_of_exact(rows, M):
+    rng = np.random.default_rng(rows * 10007 + M)
+    theta = rng.uniform(-np.pi, np.pi, M)
+    first = rng.uniform(0.5, 2.0, M) * np.exp(1j * rng.uniform(-np.pi, np.pi, M))
+    ratio = semigroups._phases(np.ones(1), theta)[0]
+    P = semigroups._powers(first, ratio, rows)
+    assert P.shape == (rows, M)
+    np.testing.assert_array_equal(P[0], first)
+    # row j against first exp(i j theta) in long double: ratio is within
+    # about 2u of exp(i theta) and a complex product adds sqrt(5) u, so row j
+    # is within (2 + sqrt(5)) j u relative, as after j sequential products
+    j = np.arange(rows)[:, None]
+    exact = first * np.exp(1j * j.astype(np.longdouble) * theta.astype(np.longdouble))
+    err = np.abs(P - exact).astype(float) / np.abs(first)
+    assert np.all(err <= 5 * j * (np.finfo(float).eps / 2))
+
+
 def _coarse_blocks(times, m, cols):
     rows = max(1, _PHASE_BLOCK // (m * cols))
     return -(-_time_split(times)[0].size // rows)
