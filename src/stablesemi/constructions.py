@@ -214,8 +214,9 @@ class WoldResult:
     residual: float  # largest 2-norm defect of the split (`wold_decompose`)
     iterations: int  # chain-walk steps: the longest chain length once stabilized
     stabilized: bool
-    # smallest kept over largest dropped |eigenvalue| of I - W W*, split at 0.5;
-    # None when either side is empty, inf when the dropped ones are exactly zero
+    # smallest kept pivot of the chain starts over the largest |remaining
+    # diagonal| of I - W W* (`_wold_chains`); None when there is no chain
+    # start, inf when the remaining diagonal is exactly zero
     rank_gap: float | None
     step: float
     one_step: np.ndarray = field(repr=False)
@@ -259,8 +260,20 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     """(B0, B1, WB1, lengths, iterations, stabilized, rank_gap): the Wold
     split of the one-step map W by its wandering chains.
 
-    The chain starts S span L = range(I - W W*), whose eigenvalues are 0 or 1
-    (split at 0.5).  The walk Y_j = W^j S runs until ||Y_j|| < 0.5, for at
+    The chain starts S are an orthonormal basis of L = range(P), where
+    P = I - W W* is, for an isometric W, the projector onto ker W*.  They come
+    from a pivoted Gram-Schmidt on the columns of P, which is never formed:
+    P's diagonal is 1 - ||W[i]||^2 and its column i is e_i - W W[i]*.  Each
+    pivot takes the column with the largest remaining diagonal,
+    orthogonalizes it against the starts so far (twice) and normalizes it,
+    and its squared moduli come off the remaining diagonal, which so stays
+    the diagonal of P - S S*.  The pivots stop once that diagonal is at most
+    1/(2k), a cut that is derived, not tuned: a rank-r projector on k
+    dimensions has a diagonal entry >= r/k, and each pivot takes one rank
+    off, so every true pivot is >= 1/k, while the round-off left after the
+    last is about k rounding errors.  rank_gap is the smallest kept pivot over the largest
+    |remaining diagonal| (None with no starts, inf when that diagonal is
+    exactly zero).  The walk Y_j = W^j S runs until ||Y_j|| < 0.5, for at
     most max_iter steps (None: k, as no chain is longer).  The chain lengths
     are the eigenvalues of G = sum_j Y_j* Y_j, in ascending order, and its
     eigenvectors E align S with the chains.  B1 holds the chain vectors
@@ -272,12 +285,27 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     iterations counts the walk steps.
     """
     k = W.shape[0]
-    vals, vecs = np.linalg.eigh(np.eye(k) - W @ W.conj().T)
-    kept, dropped = vals[vals > 0.5], np.abs(vals[vals <= 0.5])
+    d = 1.0 - np.einsum("ij,ij->i", W, W.conj()).real  # diagonal of P = I - W W*
+    S = np.empty((k, 0), dtype=W.dtype)
+    pivots = []
+    while S.shape[1] < k and d.max() > 0.5 / k:
+        i = int(d.argmax())
+        u = -(W @ W[i].conj())  # column i of P
+        u[i] += 1.0
+        for _ in range(2):
+            u -= S @ (S.conj().T @ u)
+        norm = np.linalg.norm(u)
+        if norm == 0:  # only when P is no projector, so W no isometry
+            break
+        pivots.append(d[i])
+        u /= norm
+        d -= (u * u.conj()).real
+        S = np.column_stack([S, u])
     rank_gap = None
-    if kept.size and dropped.size:
-        rank_gap = float(kept.min() / dropped.max()) if dropped.max() > 0 else math.inf
-    Y = [vecs[:, vals > 0.5]]
+    if pivots:
+        dropped = np.abs(d).max()
+        rank_gap = float(min(pivots) / dropped) if dropped > 0 else math.inf
+    Y = [S]
     while np.vdot(Y[-1], Y[-1]).real >= 0.25 and len(Y) <= (k if max_iter is None else max_iter):
         Y.append(W @ Y[-1])
     stabilized = np.vdot(Y[-1], Y[-1]).real < 0.25

@@ -251,6 +251,26 @@ def _conjugated_mixed(du, nc, seed):
     return ConjugatedGroup(WeightedGrid.uniform(k), q, inner), q.conj().T[:, :du]
 
 
+def _conjugated_chains(du, cells, seed, q=None):
+    """Q*(Mult (+) Shift(c_1) (+) ... (+) Shift(c_m))Q on a uniform grid, one
+    wandering chain per cell count; Q is random unitary unless given."""
+    rng = np.random.default_rng(seed)
+    gu = WeightedGrid.uniform(du)
+    shifts = [ShiftSemigroup(1.0, c) for c in cells]
+    inner = DirectSumSemigroup(
+        SumSpace((gu, *(r.grid for r in shifts))),
+        (MultiplicationGroup(gu, rng.uniform(-np.pi / 2, np.pi / 2, du)), *shifts))
+    k = inner.grid.size
+    if q is None:
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return ConjugatedGroup(WeightedGrid.uniform(k), q, inner)
+
+
+def _chain_heads(B1, lengths):
+    """The first vector of each chain in B1: the chain starts, aligned."""
+    return B1[:, np.cumsum(lengths) - lengths]
+
+
 def _capped_walk(monkeypatch, cap):
     """Cap the chain walk of every Wold split at `cap` steps."""
     walk = constructions._wold_chains
@@ -301,15 +321,7 @@ class TestWold:
     def test_shift_block_is_a_shift_matrix_per_chain(self, du, cells, seed):
         # B1 is the chain basis W^j s, so the shift block B1* W B1 is the
         # truncated shift of each chain, shortest first
-        rng = np.random.default_rng(seed)
-        gu = WeightedGrid.uniform(du)
-        shifts = [ShiftSemigroup(1.0, c) for c in cells]
-        inner = DirectSumSemigroup(
-            SumSpace((gu, *(r.grid for r in shifts))),
-            (MultiplicationGroup(gu, rng.uniform(-np.pi / 2, np.pi / 2, du)), *shifts))
-        k = inner.grid.size
-        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-        V = ConjugatedGroup(WeightedGrid.uniform(k), q, inner)
+        V = _conjugated_chains(du, cells, seed)
         wr = wold_decompose(V, step=1.0)
         want = scipy.linalg.block_diag(*(np.eye(c, k=-1) for c in cells))
         B1 = wr.basis_matrix_shift
@@ -344,17 +356,110 @@ class TestWold:
         np.testing.assert_allclose(B1.conj().T @ B1, np.eye(8), atol=1e-12)
         np.testing.assert_allclose(B0.conj().T @ B1, 0.0, atol=1e-12)
 
+    @staticmethod
+    def _pivots_and_remainder(W, B1, lengths):
+        """(kept pivots, remaining diagonal) of the chain starts, recomputed
+        on the formed P = I - W W*: the pivots by a pivoted Cholesky of P cut
+        at 1/(2k), the remainder as diag(P - S S*), S the chain heads."""
+        k = W.shape[0]
+        P = np.eye(k) - W @ W.conj().T
+        R, pivots = P.copy(), []
+        while np.diag(R).real.max() > 0.5 / k:
+            i = np.diag(R).real.argmax()
+            pivots.append(R[i, i].real)
+            col = R[:, i] / np.sqrt(R[i, i].real)
+            R -= np.outer(col, col.conj())
+        S = _chain_heads(B1, lengths)
+        return np.array(pivots), np.diag(P).real - (np.abs(S) ** 2).sum(axis=1)
+
     def test_rank_gap(self):
-        assert wold_decompose(_mixed(), step=1.0).rank_gap > 1e6
-        assert wold_decompose(_conjugated_mixed(4, 8, seed=23)[0], step=1.0).rank_gap > 1e6
-        # nothing dropped, so there is no gap to report
+        # _mixed's one-step map is exact: one pivot of 1 and a zero remainder
+        wr = wold_decompose(_mixed(), step=1.0)
+        pivots, rest = self._pivots_and_remainder(
+            wr.one_step, wr.basis_matrix_shift, wr.chain_lengths)
+        assert pivots.tolist() == [1.0] and not rest.any() and wr.rank_gap == np.inf
+        # conjugated, the remainder is round-off, so the gap matches the
+        # recomputed one up to that round-off's own spread
+        V = _conjugated_chains(20, (9, 31), seed=23)
+        wr = wold_decompose(V, step=1.0)
+        pivots, rest = self._pivots_and_remainder(
+            wr.one_step, wr.basis_matrix_shift, wr.chain_lengths)
+        assert pivots.size == 2 and pivots.min() >= 1.0 / 60
+        dropped = pivots.min() / wr.rank_gap
+        assert 0 < dropped <= 60 * np.finfo(float).eps
+        assert 0.25 <= dropped / np.abs(rest).max() <= 4.0
+        # nothing kept, so there is no gap to report
         assert wold_decompose(_mult(5, seed=24, hi=np.pi)).rank_gap is None
+        # an exact shift matrix leaves an exactly zero remainder
+        assert _wold_chains(np.eye(6, k=-1), None)[6] == np.inf
+
+    def test_rank_gap_of_a_remainder_above_round_off(self):
+        # a contraction Q*(Shift(5) (+) c U)Q, c^2 = 1 - 1/(4k), keeps one
+        # start; the diagonal left after it is about 1/(4k), below the 1/(2k)
+        # cut but far above round-off, so the gap is pinned to round-off
+        rng = np.random.default_rng(26)
+        k, c = 12, np.sqrt(1.0 - 1.0 / 48)
+        U = np.diag(np.exp(1j * rng.uniform(0, 6, 7)))
+        M = scipy.linalg.block_diag(np.eye(5, k=-1), c * U)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        W = q.conj().T @ M @ q
+        P = np.eye(k) - W @ W.conj().T
+        i = np.diag(P).real.argmax()
+        s = P[:, i] / np.linalg.norm(P[:, i])
+        want = P[i, i].real / np.abs(np.diag(P).real - np.abs(s) ** 2).max()
+        got = _wold_chains(W, None)[6]
+        assert abs(got - want) <= 1e-12 * want
 
     def test_matrix_dims_nonincreasing(self):
         rng = np.random.default_rng(10)
         W = np.diag(np.exp(1j * rng.uniform(0, 2, 5)))
         B0, B1, iters, stab = wold_decompose_matrix(W, 50)
         assert B0.shape[1] == 5 and B1.shape[1] == 0 and stab
+
+
+class TestChainStarts:
+    """The chain starts of `_wold_chains` against an eigh oracle: the
+    eigenvectors of the formed I - W W* with eigenvalue above 0.5."""
+
+    @staticmethod
+    def _check_against_eigh(W, B1, lengths):
+        S = _chain_heads(B1, lengths)
+        assert np.abs(S.conj().T @ S - np.eye(S.shape[1])).max(initial=0.0) <= 1e-13
+        vals, vecs = np.linalg.eigh(np.eye(W.shape[0]) - W @ W.conj().T)
+        L = vecs[:, vals > 0.5]
+        assert L.shape == S.shape
+        if S.shape[1]:
+            # sine of the largest principal angle between span(S) and span(L)
+            assert np.linalg.norm(S - L @ (L.conj().T @ S), 2) <= 1e-12
+
+    @pytest.mark.parametrize("du, cells, seed", [
+        (3, (5,), 51), (10, (7, 13), 52), (40, (3, 11, 30), 53), (100, (120, 50, 20, 10), 54)])
+    def test_starts_span_the_wandering_subspace(self, du, cells, seed):
+        W = one_step_matrix(_conjugated_chains(du, cells, seed), 1.0)
+        _, B1, _, lengths, _, stabilized, _ = _wold_chains(W, None)
+        assert stabilized and lengths.tolist() == sorted(cells)
+        self._check_against_eigh(W, B1, lengths)
+
+    @pytest.mark.parametrize("k", [2, 16, 300])
+    def test_start_spread_evenly(self, k):
+        # conjugated by the unitary DFT, the one chain start is a DFT column:
+        # every diagonal entry of I - W W* is 1/k, so its one pivot is 1/k,
+        # twice the cut
+        F = np.fft.fft(np.eye(k)) / np.sqrt(k)
+        W = one_step_matrix(_conjugated_chains(k // 2, (k - k // 2,), 55, q=F), 1.0)
+        np.testing.assert_allclose(1.0 - (np.abs(W) ** 2).sum(axis=1), 1.0 / k, rtol=1e-12)
+        _, B1, _, lengths, _, stabilized, _ = _wold_chains(W, None)
+        assert stabilized and lengths.tolist() == [k - k // 2]
+        self._check_against_eigh(W, B1, lengths)
+
+    @pytest.mark.parametrize("w, starts", [(0.0, 1), (np.exp(0.7j), 0)])
+    def test_one_dimension(self, w, starts):
+        # k = 1: the one-cell shift is one chain start, a phase none
+        W = np.array([[w]])
+        B0, B1, _, lengths, _, stabilized, rank_gap = _wold_chains(W, None)
+        assert stabilized and B1.shape == (1, starts) and B0.shape == (1, 1 - starts)
+        assert rank_gap == (np.inf if starts else None)
+        self._check_against_eigh(W, B1, lengths)
 
 
 class TestWoldSplitReuse:
@@ -721,6 +826,15 @@ class TestPeriodizeChains:
         assert stabilized is unitary
         if unitary:
             assert B0.shape[1] == 2 and B1.shape[1] == 0
+
+    def test_dependent_pivot_column_ends_the_starts(self):
+        # row 3 of W has norm 2 * sqrt(2), so I - W W* is no projector: its
+        # third pivot column, e_1 - W W[1]* again, lies in the span of the
+        # first two starts; the starts end there, and the split does not settle
+        W = np.zeros((6, 6))
+        W[[0, 1, 2, 3, 3, 4], [1, 4, 2, 4, 5, 0]] = [1.0, 0.5, 1.0, 2.0, 2.0, 2.0]
+        _, B1, _, lengths, _, stabilized, _ = _wold_chains(W, None)
+        assert lengths.size == 2 and not stabilized
 
     @pytest.mark.parametrize("k, offset, settles", [
         (400, 2e-10, True), (400, 2e-8, False), (8, 0.0, True), (8, 1e-11, False)])
