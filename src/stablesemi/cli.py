@@ -31,9 +31,9 @@ from .constructions import (
     cantor_transform_abs,
     distinct_frequency_certificate,
     near_identity_aws,
+    periodization_error_identity,
     quantize_symbol,
     wold_decompose,
-    _periodization_errors,
     _phase_distance,
     _snap_down,
 )
@@ -129,7 +129,7 @@ def run_shift_periodization_check(cfg: dict, rng: np.random.Generator):
         fs.append(HVector(R.grid, rng.standard_normal(cells) + 1j * rng.standard_normal(cells)))
         ells.append(int(rng.integers(1, n_c)))
     # then one identity evaluation per distinct shift count
-    lhs, rhs, tail = _periodization_errors(R, n_c, fs, np.array(ells, dtype=float))
+    lhs, rhs, tail = periodization_error_identity(R, n_c, fs, np.array(ells, dtype=float))
     gap = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
     worst_gap = float(gap.max())
     rows = [

@@ -140,9 +140,9 @@ class InflationResult:
 
 
 def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
-    """(scale, m, source, embed_index) of `inflate_and_perturb` for the symbol
-    q: inflated slot i copies index source[i], and index j sits at slot
-    embed_index[j], in copy 0."""
+    """(scale, m, source, embed_index, deltas) of `inflate_and_perturb` for
+    the symbol q: inflated slot i copies index source[i] and adds deltas[i]
+    to its frequency, and index j sits at slot embed_index[j], in copy 0."""
     if not (0 < eps < math.inf and 0 < t0 < math.inf):
         raise ValueError(f"need finite eps > 0 and t0 > 0, got eps={eps!r}, t0={t0!r}")
     if not _is_integer(copies) or copies < 2:
@@ -152,9 +152,7 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
     starts = np.cumsum(sizes) - sizes
-    scale = 1.0 / m
-    if lams.size > 1:
-        scale = min(scale, float(np.diff(lams).min()) / 4.0)
+    scale = min(1.0 / m, float(np.diff(lams).min(initial=np.inf)) / 4.0)
 
     # group g fills copies*size_g slots from copies*start_g, copy-major: copy c
     # of sorted position i goes to copies*start_g + c*size_g + (i - start_g)
@@ -165,7 +163,8 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
     source[dest] = order
     embed_index = np.empty(q.size, dtype=int)
     embed_index[order] = dest[0]
-    return scale, m, source, embed_index
+    deltas = scale * np.arange(1, dest.size + 1) / (dest.size + 1.0)
+    return scale, m, source, embed_index, deltas
 
 
 def inflate_and_perturb(
@@ -192,9 +191,8 @@ def inflate_and_perturb(
         if not a.grid.same_as(periodic.grid):
             raise ValueError("anchors must live on the periodic group's grid")
     q = periodic.symbol
-    scale, m, source, embed_index = _inflation_layout(q, eps, t0, copies)
+    scale, m, source, embed_index, deltas = _inflation_layout(q, eps, t0, copies)
     grid = WeightedGrid(periodic.grid.points[source], periodic.grid.weights[source])
-    deltas = scale * np.arange(1, source.size + 1) / (source.size + 1.0)
     return InflationResult(MultiplicationGroup(grid, q[source] + deltas), scale, m, embed_index)
 
 
@@ -228,10 +226,6 @@ class WoldResult:
     @property
     def unitary_dim(self) -> int:
         return self.basis_matrix_unitary.shape[1]
-
-    @property
-    def shift_dim(self) -> int:
-        return self.basis_matrix_shift.shape[1]
 
     @functools.cached_property
     def diagonal_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +275,9 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     basis of their complement H0.  WB1 = W B1 is read off the walk itself, as
     W (Y_j E) = Y_{j+1} E, with one step past its last slab.  stabilized says
     the walk vanished and every length is an integer >= 1 to within
-    _CHAIN_ULPS * s * k rounding errors, s the slabs Y_j summed into G;
-    iterations counts the walk steps.
+    _CHAIN_ULPS * s * k rounding errors, s the slabs Y_j summed into G, below
+    s and at most k in all, as no chain outlives the walk (a non-isometric W
+    can pass the integer check alone); iterations counts the walk steps.
     """
     k = W.shape[0]
     d = 1.0 - np.einsum("ij,ij->i", W, W.conj()).real  # diagonal of P = I - W W*
@@ -316,6 +311,7 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     ell = np.round(lengths).astype(int)
     tol = _CHAIN_ULPS * steps * k * np.finfo(float).eps
     stabilized = bool(stabilized and ell.min(initial=1) >= 1
+                      and ell.max(initial=0) < steps and ell.sum() <= k
                       and np.abs(lengths - ell).max(initial=0.0) <= tol)
     chains = (Y @ E).transpose(1, 2, 0)
     mask = np.arange(steps) < ell[:, None]
@@ -328,7 +324,7 @@ def _norm2(X: np.ndarray) -> float:
     """||X||_2 as the root of the largest eigenvalue of the smaller Gram
     matrix, X* X or X X*."""
     G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
-    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
+    return math.sqrt(float(np.linalg.eigvalsh(G).max(initial=0.0)))
 
 
 def wold_decompose_matrix(
@@ -380,17 +376,13 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     B0, B1, WB1, lengths, iterations, stabilized, rank_gap = _wold_chains(W, None)
     WB0 = W @ B0
     M0 = B0.conj().T @ WB0
-    defects = []
-    if B0.shape[1]:
-        defects.append(_norm2(WB0 - B0 @ M0))  # H0 invariance
-        # Hermitian, so its 2-norm is its largest |eigenvalue|
-        defects.append(float(np.abs(np.linalg.eigvalsh(
-            M0.conj().T @ M0 - np.eye(B0.shape[1]))).max()))
-    if B1.shape[1] and B0.shape[1]:
-        defects.append(_norm2(B0.conj().T @ WB1))  # H1 invariance
-    residual = max(defects, default=0.0)
-    if not stabilized:
-        residual = max(residual, 1.0)  # dimensions never settled; flag loudly
+    # M0* M0 - I is Hermitian, so its 2-norm is its largest |eigenvalue|; an
+    # empty block has an empty spectrum, so its defect reads 0
+    isometry = np.abs(np.linalg.eigvalsh(M0.conj().T @ M0 - np.eye(B0.shape[1])))
+    residual = max(_norm2(WB0 - B0 @ M0),  # H0 invariance
+                   float(isometry.max(initial=0.0)),
+                   _norm2(B0.conj().T @ WB1),  # H1 invariance
+                   0.0 if stabilized else 1.0)  # dimensions never settled; flag loudly
     for a in (W, M0, B0, B1, lengths):
         a.setflags(write=False)
     result = WoldResult(
@@ -414,37 +406,31 @@ def _natural_step(V: SemigroupModel) -> float:
 # --- shift periodization -----------------------------------------
 
 def periodization_error_identity(
-    R: ShiftSemigroup, n_c: int, f: HVector, t: float
-) -> tuple[float, float, float]:
-    """(measured error^2, identity rhs, factor-2 tail bound) for 0 <= t < n,
-    n = n_c * h: `_periodization_errors` for a batch of one.
-
-    The identity is exact in exact arithmetic:
+    R: ShiftSemigroup, n_c: int, vectors: Sequence[HVector], times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(measured error^2, identity rhs, factor-2 tail bound) per vector f_i
+    at its time t_i, 0 <= t_i < n, n = n_c * h, as three arrays.  The
+    identity is exact in exact arithmetic:
         error^2 = sum_{cells in [n-t, n)} h |f|^2
                 + sum_{cells >= n} h |f(s) - f(s-t)|^2.
     The tail bound 2 * sum_{cells >= n-t} h |f|^2 is the constant claimed
     alongside it; see the tests for how tight it actually is.
-    """
-    lhs, rhs, tail = _periodization_errors(R, n_c, (f,), np.array([t], dtype=float))
-    return float(lhs[0]), float(rhs[0]), float(tail[0])
 
-
-def _periodization_errors(R: ShiftSemigroup, n_c: int, vectors, times: np.ndarray):
-    """(error^2, identity rhs, tail bound) of `periodization_error_identity`
-    per vector f_i at its time t_i, as three arrays.
-
-    Every time is admitted first, on R's lattice (`_steps`), before any
-    vector is padded: InadmissibleTimeError for a step count l < 0, and
-    ValueError for l >= n_c.  Then one evaluation per distinct l: its
-    vectors meet U and R in `_columns`, which gives R room for l cells, the
-    error is `_diff_norms` at l h, and the rhs and the tail are read off the
-    same weighted columns z = sqrt(h) f.  At l = 0 the rhs and tail are 0.
+    ValueError unless there is one time per vector.  Every time is admitted
+    first, on R's lattice (`_steps`), before any vector is padded:
+    InadmissibleTimeError for a step count l < 0, ValueError for l >= n_c.
+    Then one evaluation per distinct l: its vectors meet U and R in
+    `_columns`, which gives R room for l cells, the error is `_diff_norms` at
+    l h, and the rhs and tail (0 at l = 0) are read off its columns sqrt(h) f.
     """
     h = R.step
+    times = np.asarray(times, dtype=float)
+    if times.shape != (len(vectors),):
+        raise ValueError(f"need one time per vector, got {times.shape} for {len(vectors)}")
     ells = _steps(times, h)[:, 0]
-    if ells.min() < 0:
+    if ells.min(initial=0) < 0:
         raise InadmissibleTimeError("right shift only admits t >= 0")
-    if ells.max() >= n_c:
+    if ells.max(initial=0) >= n_c:
         raise ValueError("the identity only applies for t < n")
     U = PeriodicShiftGroup(n_c, h)
     lhs, rhs, tail = (np.zeros(len(vectors)) for _ in range(3))
@@ -475,15 +461,15 @@ def _diagonalize_unitary(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
 def _periodize_chains(B1: np.ndarray, lengths, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(frequencies, Z) of the cyclic wrap of the chains in B1 (`_wold_chains`).
 
-    The length-l DFT of a chain diagonalizes its wrap, with frequencies
-    2*pi*r/(l*h), r in (-l/2, l/2]; Z's columns are these DFT vectors, in the
-    coordinates of B1's rows.
+    A length-l chain's wrap is the circular shift on l cells, so the spectral
+    form of `PeriodicShiftGroup(l, h)` diagonalizes it; Z's columns are its
+    basis vectors, in the coordinates of B1's rows.
     """
     freqs, Z = [np.zeros(0)], [B1[:, :0]]
     for end, length in zip(np.cumsum(lengths), lengths):
-        Z.append(np.fft.fft(B1[:, end - length : end], axis=1) / math.sqrt(length))
-        r = np.arange(length)
-        freqs.append(2.0 * np.pi * np.where(2 * r > length, r - length, r) / (length * h))
+        f, basis = PeriodicShiftGroup(int(length), h).spectral_form()
+        freqs.append(f)
+        Z.append(B1[:, end - length : end] @ basis.conj().T)
     return np.concatenate(freqs), np.concatenate(Z, axis=1)
 
 
@@ -548,9 +534,8 @@ def approximate_isometry_by_aws(
     periodic = approximate_isometry_by_periodic(V, n)
     freqs, basis = periodic.spectral_form()
     # the compressed symbol of `inflate_and_perturb`, without its inflated group
-    scale, _, _, embed_index = _inflation_layout(freqs, eps, t0, copies)
-    symbol = freqs + scale * (embed_index + 1) / (copies * freqs.size + 1.0)
-    return _from_form(periodic.grid, symbol, basis)
+    _, _, _, embed_index, deltas = _inflation_layout(freqs, eps, t0, copies)
+    return _from_form(periodic.grid, freqs + deltas[embed_index], basis)
 
 
 def distinct_frequency_certificate(model: SemigroupModel) -> bool:

@@ -45,9 +45,9 @@ A = B Z meets phases only; otherwise `_evolve`, one batched evolution per
 model and block of times, reduced by a matrix product or a norm.
 
 The spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
-grid.  On an arithmetic grid t0 + j dt, which is every grid the library
-builds, it factors each phase as exp(i t_{ab} f) exp(i c dt f), reduces by
-matrix products and builds both factor tables as powers of exp(i dt f) and
+grid.  On an arithmetic grid t0 + j dt (a linspace or step multiples, not a
+random sweep) it factors each phase as exp(i t_{ab} f) exp(i c dt f), reduces
+by matrix products and builds both factor tables as powers of exp(i dt f) and
 exp(i b dt f), so it needs 3 M cos/sin pairs instead of T M.  `_powers`
 builds a table by repeated squaring, in log2 of its rows contiguous
 products, with the error bound of a cumulative product.
@@ -320,10 +320,11 @@ class PeriodicShiftGroup(_CellModel):
 # live at a time.
 @functools.lru_cache(maxsize=8)
 def _dft_form(nc: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only spectral form of a circular shift on nc cells: its DFT."""
-    basis = np.fft.fft(np.eye(nc)) / np.sqrt(nc)  # rows are DFT characters
-    freqs = -2.0 * np.pi * np.arange(nc) / (nc * h)
-    freqs = np.where(freqs <= -np.pi / h, freqs + 2.0 * np.pi / h, freqs)
+    """Read-only spectral form of a circular shift on nc cells, its DFT: basis
+    row r is exp(2 pi i r j / nc) / sqrt(nc), at 2 pi r / (nc h), r in (-nc/2, nc/2]."""
+    basis = np.fft.fft(np.eye(nc)).conj() / np.sqrt(nc)
+    r = np.arange(nc)
+    freqs = 2.0 * np.pi * np.where(2 * r > nc, r - nc, r) / (nc * h)
     freqs.setflags(write=False)
     basis.setflags(write=False)
     return freqs, basis

@@ -108,7 +108,7 @@ def test_criterion_3a_periodization_exact_identity():
         c = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
         f = HVector(R.grid, c)
         ell = int(rng.integers(1, n_c))
-        lhs, rhs, _ = periodization_error_identity(R, n_c, f, float(ell))
+        (lhs,), (rhs,), _ = periodization_error_identity(R, n_c, [f], [float(ell)])
         worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
     _report(3, "periodization identity, exact part", worst <= 1e-12,
             f"worst relative gap {worst:.2e} over 1000 trials")
@@ -129,7 +129,7 @@ def test_criterion_3b_periodization_factor2_tail():
         c = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
         f = HVector(R.grid, c)
         ell = int(rng.integers(1, n_c))
-        lhs, _, tail = periodization_error_identity(R, n_c, f, float(ell))
+        (lhs,), _, (tail,) = periodization_error_identity(R, n_c, [f], [float(ell)])
         if lhs > tail * (1.0 + 1e-12):
             violations += 1
         if tail > 0:

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from stablesemi import constructions
 from stablesemi.constructions import (
     _norm2,
-    _periodization_errors,
     _periodize_chains,
     _wold_chains,
     _phase_distance,
@@ -202,6 +201,16 @@ class TestInflation:
         aws = approximate_isometry_by_aws(base, 0.5, 2.0, n=8, copies=np.int64(3))
         assert distinct_frequency_certificate(aws)
 
+    def test_aws_symbol_is_the_compressed_inflation(self):
+        # repeated frequencies, so the copies and the deltas both matter
+        U = MultiplicationGroup(WeightedGrid.uniform(7), np.array([0.3, 1.2, 0.3, -2.0, 1.2, 0.3, 2.5]))
+        base = approximate_isometry_by_periodic(U, 8)
+        assert np.unique(base.symbol).size < base.symbol.size
+        for copies in (2, 5):
+            aws = approximate_isometry_by_aws(U, 0.2, 3.0, n=8, copies=copies)
+            res = inflate_and_perturb(base, [], 0.2, 3.0, copies=copies)
+            assert np.array_equal(aws.symbol, res.compressed().symbol)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 200), st.integers(2, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
     @example(n=6, copies=3, levels=1, seed=5)  # zeros at 0, 1, 3 and 5
@@ -281,7 +290,7 @@ class TestWold:
     def test_pure_unitary(self):
         U = _mult(7, seed=9, hi=np.pi)
         wr = wold_decompose(U)
-        assert wr.unitary_dim == 7 and wr.shift_dim == 0
+        assert wr.unitary_dim == 7 and wr.basis_matrix_shift.shape[1] == 0
         assert wr.stabilized and wr.residual <= 1e-10
 
     def test_pure_shift(self):
@@ -290,7 +299,7 @@ class TestWold:
         space = SumSpace((gs,))
         T = DirectSumSemigroup(space, (R,))
         wr = wold_decompose(T, step=1.0)
-        assert wr.unitary_dim == 0 and wr.shift_dim == 9
+        assert wr.unitary_dim == 0 and wr.basis_matrix_shift.shape[1] == 9
 
     @pytest.mark.parametrize("step", [0.0, np.nan, -1.0])
     def test_step_must_be_finite_and_positive(self, step):
@@ -299,7 +308,7 @@ class TestWold:
 
     def test_mixed_dims_and_wandering(self):
         wr = wold_decompose(_mixed(), step=1.0)
-        assert wr.unitary_dim == 3 and wr.shift_dim == 6
+        assert wr.unitary_dim == 3 and wr.basis_matrix_shift.shape[1] == 6
         W = wr.one_step
         _, B1, _, lengths, _, _, _ = _wold_chains(W, None)
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
@@ -410,11 +419,40 @@ class TestWold:
         got = _wold_chains(W, None)[6]
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("W", [
+        # e0 walks e0, 2 e1, 0: G = 5 is an integer, but no chain outlives
+        # the walk's two nonvanishing steps
+        np.array([[0.0, 0.0], [2.0, 0.0]]),
+        # lengths 2 and 3 are integers, but five chain vectors in 4 dimensions
+        np.array([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1], [0, -1, 0, 0]], dtype=float),
+    ])
+    def test_non_isometry_does_not_settle(self, W):
+        assert not _wold_chains(W, None)[5]
+        assert not wold_decompose_matrix(W)[3]
+
     def test_matrix_dims_nonincreasing(self):
         rng = np.random.default_rng(10)
         W = np.diag(np.exp(1j * rng.uniform(0, 2, 5)))
         B0, B1, iters, stab = wold_decompose_matrix(W, 50)
         assert B0.shape[1] == 5 and B1.shape[1] == 0 and stab
+
+
+class TestChainDFT:
+    @pytest.mark.parametrize("h", [0.5, 1.0, 1.1])
+    def test_chain_wrap_takes_the_periodic_shift_form(self, h):
+        # a chain's wrap is the circular shift on its cells: its frequencies
+        # are 2 pi r / (l h), r in (-l/2, l/2], bit for bit, and the basis
+        # diagonalizes the shift
+        for ell in range(1, 10):
+            freqs, basis = PeriodicShiftGroup(ell, h).spectral_form()
+            r = np.arange(ell)
+            want = 2.0 * np.pi * np.where(2 * r > ell, r - ell, r) / (ell * h)
+            got, Z = _periodize_chains(np.eye(ell), np.array([ell]), h)
+            assert np.array_equal(freqs, want) and np.array_equal(got, want)
+            np.testing.assert_allclose(Z, basis.conj().T, rtol=0, atol=1e-15)
+            P = np.roll(np.eye(ell), 1, axis=0)  # (P x)_j = x_{j-1}
+            D = basis @ P @ basis.conj().T
+            np.testing.assert_allclose(D, np.diag(np.exp(1j * h * freqs)), rtol=0, atol=1e-14)
 
 
 class TestChainStarts:
@@ -595,18 +633,18 @@ class TestPeriodization:
         R = ShiftSemigroup(1.0, 30)
         f = _rvec(R.grid, 13)
         for ell in [1, 5, 14]:
-            lhs, rhs, tail = periodization_error_identity(R, 15, f, float(ell))
+            (lhs,), (rhs,), _ = periodization_error_identity(R, 15, [f], [float(ell)])
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("t", [np.inf, np.nan])
     def test_non_finite_time_is_inadmissible(self, t):
         R = ShiftSemigroup(1.0, 40)
         with pytest.raises(InadmissibleTimeError, match="not finite"):
-            periodization_error_identity(R, 32, _rvec(R.grid, 16), t)
+            periodization_error_identity(R, 32, [_rvec(R.grid, 16)], [t])
 
     def test_zero_time_zero_error(self):
         R = ShiftSemigroup(1.0, 10)
-        lhs, rhs, tail = periodization_error_identity(R, 8, _rvec(R.grid, 14), 0.0)
+        (lhs,), (rhs,), _ = periodization_error_identity(R, 8, [_rvec(R.grid, 14)], [0.0])
         assert lhs == pytest.approx(0.0, abs=1e-15) and rhs == 0.0
 
     @pytest.mark.parametrize("payload", [40, 10])
@@ -616,7 +654,7 @@ class TestPeriodization:
         R = ShiftSemigroup(1.0, 40)
         f = _rvec(shift_grid(payload, 1.0), 17)
         with pytest.raises(InadmissibleTimeError, match="t >= 0"):
-            periodization_error_identity(R, 32, f, -1.0)
+            periodization_error_identity(R, 32, [f], [-1.0])
 
     def test_batch_matches_batches_of_one(self):
         # every step count in [0, n_c), repeated, on payloads shorter and
@@ -627,9 +665,9 @@ class TestPeriodization:
         ells = rng.permutation(np.concatenate([np.arange(n_c), rng.integers(0, n_c, 12)]))
         fs = [_rvec(shift_grid(int(m), h), i)
               for i, m in enumerate(rng.choice([3, 8, 13, 20], ells.size))]
-        got = np.array(_periodization_errors(R, n_c, fs, ells * h))
-        want = np.array([periodization_error_identity(R, n_c, f, ell * h)
-                         for f, ell in zip(fs, ells.tolist())]).T
+        got = np.array(periodization_error_identity(R, n_c, fs, ells * h))
+        want = np.concatenate([periodization_error_identity(R, n_c, [f], [ell * h])
+                               for f, ell in zip(fs, ells.tolist())], axis=1)
         assert {f.grid.size for f in fs} == {3, 8, 13, 20}
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert (got[:, ells == 0] == 0).all()
@@ -644,10 +682,22 @@ class TestPeriodization:
         times = np.arange(7) * h
         times[at] = bad
         with pytest.raises(ValueError) as alone:
-            periodization_error_identity(R, n_c, fs[at], bad)
+            periodization_error_identity(R, n_c, [fs[at]], [bad])
         with pytest.raises(ValueError) as batch:
-            _periodization_errors(R, n_c, fs, times)
+            periodization_error_identity(R, n_c, fs, times)
         assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
+
+    @pytest.mark.parametrize("times", [[1.0], [1.0, 2.0, 3.0], 1.0])
+    def test_one_time_per_vector(self, times):
+        # a shorter list would leave vectors without values, a longer one
+        # times without vectors
+        R = ShiftSemigroup(1.0, 12)
+        with pytest.raises(ValueError, match="need one time per vector"):
+            periodization_error_identity(R, 8, [_rvec(R.grid, 0), _rvec(R.grid, 1)], times)
+
+    def test_empty_batch(self):
+        got = periodization_error_identity(ShiftSemigroup(1.0, 12), 8, [], [])
+        assert [a.shape for a in got] == [(0,)] * 3
 
     def test_factor_four_tail_bound_always_holds(self):
         # the error is provably at most 4x the tail mass past n - t; the
@@ -658,7 +708,7 @@ class TestPeriodization:
         for trial in range(50):
             f = HVector(R.grid, rng.standard_normal(24) + 1j * rng.standard_normal(24))
             ell = int(rng.integers(1, 16))
-            lhs, rhs, tail = periodization_error_identity(R, 16, f, float(ell))
+            (lhs,), _, (tail,) = periodization_error_identity(R, 16, [f], [float(ell)])
             assert lhs <= 2.0 * tail + 1e-12
 
 

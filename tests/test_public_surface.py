@@ -20,7 +20,8 @@ DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "difference_norm", "direct_sum_embed", "jgl_split", "quantization_distance",
            "model_to_dict", "model_from_dict", "inner_product", "periodize_shift",
            "NotIsometricError", "_shift_grid", "NotPeriodicError", "_commensurable_base",
-           "_COMMENSURABLE_TOL", "_check_finite", "_evolved_grid", "_rows")
+           "_COMMENSURABLE_TOL", "_check_finite", "_evolved_grid", "_rows",
+           "_periodization_errors")
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -73,6 +74,11 @@ def test_pad_to_grid_pads_vectors_only():
 
 def test_stability_report_has_no_record_method():
     assert not hasattr(stablesemi.StabilityReport, "to_record")
+
+
+def test_wold_result_states_no_shift_dim():
+    # the shift part's dimension is basis_matrix_shift.shape[1]
+    assert not hasattr(stablesemi.WoldResult, "shift_dim")
 
 
 @pytest.mark.parametrize("name", ["wold_decompose", "approximate_isometry_by_periodic",
