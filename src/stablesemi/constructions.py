@@ -5,7 +5,7 @@ Implements, on the discretized spectral model:
 * symbol quantization onto the lattice (2*pi/n)Z, with the uniform bound
   2*pi*|t|/n on the resulting operator distance;
 * near-identity groups with injective symbol in (0, 1/n), almost weakly
-  stable in the model sense (no repeated frequency), with the bound 2t/n;
+  stable in the model sense (no repeated frequency), with the bound |t|/n;
 * eigenspace inflation and injective frequency perturbation of a periodic
   group, keeping embedded anchors within eps over a fixed time horizon;
 * Wold decomposition of an isometric one-step map W by its wandering
@@ -49,7 +49,6 @@ from .semigroups import (
 @dataclass(frozen=True)
 class QuantizationResult:
     approximant: MultiplicationGroup
-    level: int
 
 
 def _levels(n) -> np.ndarray:
@@ -92,10 +91,7 @@ def quantize_symbol(U: MultiplicationGroup, n: int) -> QuantizationResult:
     The approximant satisfies sup_k |exp(itq_k) - exp(itq_{n,k})| <= 2*pi*|t|/n
     for every real t and is n-periodic: approximant.apply(n) is the identity.
     """
-    return QuantizationResult(
-        approximant=MultiplicationGroup(U.grid, _snap_down(U.symbol, n)),
-        level=n,
-    )
+    return QuantizationResult(MultiplicationGroup(U.grid, _snap_down(U.symbol, n)))
 
 
 # --- near-identity almost weakly stable groups -------------------
@@ -105,8 +101,9 @@ def near_identity_aws(grid: WeightedGrid, n: int) -> MultiplicationGroup:
 
     The symbol is rank-based in the grid points (any strictly monotone map
     into (0,1) works), so duplicate points are rejected: injectivity would
-    fail.  Satisfies ||U_n(t) - I|| <= 2t/n for 0 <= t <= pi*n.  ValueError
-    for a level n that is not a finite number >= 1 (`_levels`).
+    fail.  Satisfies ||U_n(t) - I|| <= |t| * max q < |t|/n for every real t,
+    as |exp(itq) - 1| = 2|sin(tq/2)| <= |t|q.  ValueError for a level n that
+    is not a finite number >= 1 (`_levels`).
     """
     _levels(n)
     pts = grid.points
@@ -124,25 +121,13 @@ def near_identity_aws(grid: WeightedGrid, n: int) -> MultiplicationGroup:
 @dataclass(frozen=True)
 class InflationResult:
     group: MultiplicationGroup
-    scale_per_level: float  # perturbation magnitudes lie in (0, scale_per_level)
-    level_m: int
     embed_index: np.ndarray  # position in `group.grid` of each original point
-
-    def embed(self, x: HVector) -> HVector:
-        c = np.zeros(self.group.grid.size, dtype=complex)
-        c[self.embed_index] = x.coeffs
-        return HVector(self.group.grid, c)
-
-    def compressed(self) -> MultiplicationGroup:
-        """Restriction to the embedded copy of the original space."""
-        g, i = self.group.grid, self.embed_index
-        return MultiplicationGroup(WeightedGrid(g.points[i], g.weights[i]), self.group.symbol[i])
 
 
 def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
-    """(scale, m, source, embed_index, deltas) of `inflate_and_perturb` for
-    the symbol q: inflated slot i copies index source[i] and adds deltas[i]
-    to its frequency, and index j sits at slot embed_index[j], in copy 0."""
+    """(source, embed_index, deltas) of `inflate_and_perturb` for the symbol
+    q: inflated slot i copies index source[i] and adds deltas[i] to its
+    frequency, and index j sits at slot embed_index[j], in copy 0."""
     if not (0 < eps < math.inf and 0 < t0 < math.inf):
         raise ValueError(f"need finite eps > 0 and t0 > 0, got eps={eps!r}, t0={t0!r}")
     if not _is_integer(copies) or copies < 2:
@@ -164,7 +149,7 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
     embed_index = np.empty(q.size, dtype=int)
     embed_index[order] = dest[0]
     deltas = scale * np.arange(1, dest.size + 1) / (dest.size + 1.0)
-    return scale, m, source, embed_index, deltas
+    return source, embed_index, deltas
 
 
 def inflate_and_perturb(
@@ -191,9 +176,9 @@ def inflate_and_perturb(
         if not a.grid.same_as(periodic.grid):
             raise ValueError("anchors must live on the periodic group's grid")
     q = periodic.symbol
-    scale, m, source, embed_index, deltas = _inflation_layout(q, eps, t0, copies)
+    source, embed_index, deltas = _inflation_layout(q, eps, t0, copies)
     grid = WeightedGrid(periodic.grid.points[source], periodic.grid.weights[source])
-    return InflationResult(MultiplicationGroup(grid, q[source] + deltas), scale, m, embed_index)
+    return InflationResult(MultiplicationGroup(grid, q[source] + deltas), embed_index)
 
 
 # --- Wold decomposition -------------------------------------------
@@ -217,7 +202,6 @@ class WoldResult:
     # start, inf when the remaining diagonal is exactly zero
     rank_gap: float | None
     step: float
-    one_step: np.ndarray = field(repr=False)
     unitary_block: np.ndarray = field(repr=False)  # one-step map on H0
     basis_matrix_unitary: np.ndarray = field(repr=False)  # weighted coordinates
     basis_matrix_shift: np.ndarray = field(repr=False)  # chain vectors W^j s, chain by chain
@@ -248,6 +232,12 @@ class WoldResult:
 # both, and measured at most 1.5 of them on conjugated Mult (+) Shift models
 # up to k = 1500, so 16 keeps a tenfold margin (2.6e-13 at k = 8).
 _CHAIN_ULPS = 16
+
+
+def _chain_tol(steps: int, k: int) -> float:
+    """The bound on a chain length's distance to an integer, and on a settled
+    split's residual, after `steps` walk slabs on k dimensions."""
+    return _CHAIN_ULPS * steps * k * np.finfo(float).eps
 
 
 def _wold_chains(W: np.ndarray, max_iter: int | None):
@@ -309,10 +299,9 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     Y = np.stack(Y)
     lengths, E = np.linalg.eigh(np.einsum("jar,jas->rs", Y[:steps].conj(), Y[:steps]))
     ell = np.round(lengths).astype(int)
-    tol = _CHAIN_ULPS * steps * k * np.finfo(float).eps
     stabilized = bool(stabilized and ell.min(initial=1) >= 1
                       and ell.max(initial=0) < steps and ell.sum() <= k
-                      and np.abs(lengths - ell).max(initial=0.0) <= tol)
+                      and np.abs(lengths - ell).max(initial=0.0) <= _chain_tol(steps, k))
     chains = (Y @ E).transpose(1, 2, 0)
     mask = np.arange(steps) < ell[:, None]
     B1, WB1 = chains[:, :, :steps][:, mask], chains[:, :, 1:][:, mask]
@@ -383,10 +372,10 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
                    float(isometry.max(initial=0.0)),
                    _norm2(B0.conj().T @ WB1),  # H1 invariance
                    0.0 if stabilized else 1.0)  # dimensions never settled; flag loudly
-    for a in (W, M0, B0, B1, lengths):
+    for a in (M0, B0, B1, lengths):
         a.setflags(write=False)
     result = WoldResult(
-        residual, iterations, stabilized, rank_gap, step=h, one_step=W, unitary_block=M0,
+        residual, iterations, stabilized, rank_gap, step=h, unitary_block=M0,
         basis_matrix_unitary=B0, basis_matrix_shift=B1, chain_lengths=lengths)
     _last_split = (V, h, result)
     return result
@@ -494,8 +483,8 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     So a model and its conjugation by a unitary Q get Q-conjugate
     approximants.
     Raises ValueError for a level n that is not a finite number >= 1, and
-    when the Wold split does not stabilize, that is when V is not isometric
-    to working precision (`wold_decompose`).
+    when the Wold split's residual exceeds its chain lengths' round-off bound
+    (`_chain_tol`): a split that did not stabilize, or of a non-isometric V.
     """
     _levels(n)
     if isinstance(V, ShiftSemigroup):
@@ -503,8 +492,10 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     form = V.spectral_form()
     if form is None:
         wr = wold_decompose(V)
-        if not wr.stabilized:
-            raise ValueError("the Wold split did not stabilize")
+        tol = _chain_tol(wr.iterations + 1, wr.basis_matrix_unitary.shape[0])
+        if not wr.residual <= tol:
+            raise ValueError(f"the Wold split did not stabilize to round-off: "
+                             f"residual {wr.residual:.3g} exceeds {tol:.3g}")
         form = wr.diagonal_form
     freqs, basis = form
     return _from_form(V.grid, _snap_down(freqs, n), basis)
@@ -534,7 +525,7 @@ def approximate_isometry_by_aws(
     periodic = approximate_isometry_by_periodic(V, n)
     freqs, basis = periodic.spectral_form()
     # the compressed symbol of `inflate_and_perturb`, without its inflated group
-    _, _, _, embed_index, deltas = _inflation_layout(freqs, eps, t0, copies)
+    _, embed_index, deltas = _inflation_layout(freqs, eps, t0, copies)
     return _from_form(periodic.grid, freqs + deltas[embed_index], basis)
 
 
@@ -557,9 +548,12 @@ def cantor_transform_abs(t) -> np.ndarray:
 
     Product formula |gamma(t)| = prod_{k>=1} |cos(t / 3^k)|, truncated at the
     depth where every remaining factor is within _CANTOR_FACTOR_TOL of 1.
+    Every time is admitted first (`_steps`): InadmissibleTimeError for a NaN
+    or infinite one.  No times give an empty array.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    tmax = max(float(np.abs(t).max()), 1.0)
+    _steps(t, None)
+    tmax = float(np.abs(t).max(initial=1.0))
     depth = max(1, math.ceil(math.log(tmax / math.sqrt(2.0 * _CANTOR_FACTOR_TOL)) / math.log(3.0)))
     out, factor = np.ones_like(t), np.empty_like(t)
     for k in range(1, depth + 1):

@@ -1,6 +1,7 @@
-"""Stability diagnostics: correlation traces, Cesaro/Wiener functionals,
-density-one estimation, atom detection, and the membership predicates used
-by the category-escape demonstration.
+"""Stability diagnostics: correlation traces, the Cesaro mean, the
+finite-horizon verdict `classify`, the one reader of the spectral measure
+(its atoms, the Wiener limit and the density of decay), and the membership
+predicates used by the category-escape demonstration.
 
 All asymptotic notions become finite-horizon estimates; every verdict is
 labeled "evidence", never a proof.  On finite grids all spectral measures
@@ -71,8 +72,6 @@ def correlation(T: SemigroupModel, x: HVector, y: HVector, time_grid) -> Correla
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    if times.size == 1:
-        return np.ones(1)
     w = np.zeros(times.size)
     d = np.diff(times)
     w[:-1] += d / 2.0
@@ -92,51 +91,6 @@ def cesaro_mean_abs2(trace: CorrelationTrace) -> float:
         raise ValueError("need at least 2 samples")
     w, span = _trapezoid_weights(trace.times), trace.times[-1] - trace.times[0]
     return float(_trapezoid_mean(w, np.abs(trace.values) ** 2, span))
-
-
-def wiener_limit(U: MultiplicationGroup, x: HVector) -> float:
-    """Closed-form limit of the Cesaro mean for the diagonal model (y = x);
-    GridMismatchError unless x meets U's grid (`_columns`).
-
-    Equal to the sum of squared atom masses of the spectral measure of x,
-    the |z|^2 of its weighted coordinates z: frequencies are grouped by
-    exact equality (`_frequency_groups`).
-    """
-    z = _columns((U,), (x,))[1][:, 0]
-    return _atom_mass_squares(_frequency_groups(U.symbol)[1], np.abs(z) ** 2)
-
-
-def _atom_mass_squares(group: np.ndarray, masses: np.ndarray) -> float:
-    return float((np.bincount(group, weights=masses) ** 2).sum())
-
-
-def density_estimate(trace: CorrelationTrace, eps: float) -> float:
-    """Fraction of sampled-time measure where |value| < eps.
-
-    Uses the same trapezoid weights as cesaro_mean_abs2, so the Chebyshev
-    relation density >= 1 - cesaro/eps^2 holds exactly on the grid.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    w = _trapezoid_weights(trace.times)
-    return float(_trapezoid_mean(w, np.abs(trace.values) < eps, w.sum()))
-
-
-def detect_atoms(U: MultiplicationGroup, mass_threshold: float) -> list[tuple[float, float]]:
-    """Exact-equality frequency groups above the mass threshold.
-
-    Masses are grid weights normalized by total mass; sorted descending.
-    """
-    if not mass_threshold >= 0:
-        raise ValueError("mass threshold must be >= 0")
-    return _atoms(U, *_frequency_groups(U.symbol), mass_threshold)
-
-
-def _atoms(U: MultiplicationGroup, lams, group, threshold: float) -> list[tuple[float, float]]:
-    """`detect_atoms` on a grouping of U.symbol; equal masses keep their order."""
-    masses = np.bincount(group, weights=U.grid.weights) / U.grid.total_mass
-    order = np.argsort(-masses, kind="stable")
-    return [(float(lams[i]), float(masses[i])) for i in order[masses[order] > threshold]]
 
 
 VERDICTS = (
@@ -201,6 +155,11 @@ def classify(
     WeaklyStableEvidence (all pair correlations below eps on the tail window
     [T/2, T]), then AlmostWeaklyStableEvidence (density-one decay with a
     small Cesaro mean but a non-vanishing tail), else Inconclusive.
+
+    On a multiplication group or its conjugate, `atoms` are the exact-equality
+    frequency groups (`_frequency_groups`) whose grid weight over total mass
+    exceeds mass_threshold, heaviest first, and `wiener_closed_form` is the
+    largest over the witnesses of their sum of squared atom masses.
     """
     times = _time_grid(T, params.horizon, params.samples)
     normed = [x.normalized() for x in witnesses]
@@ -217,7 +176,7 @@ def classify(
     values, coords = _correlations(T, *_columns((T,), normed), rows, cols, times)
 
     # |autocorrelation|, one contiguous row per witness, reduced row by row
-    # exactly as cesaro_mean_abs2 and density_estimate reduce one trace
+    # exactly as cesaro_mean_abs2 reduces one trace
     w = _trapezoid_weights(times)
     mags = np.abs(values.T[rows == cols])
     revival = bool(np.any(mags[:, revival_window] > 1.0 - params.eps))
@@ -229,9 +188,13 @@ def classify(
     # so here it took the spectral path, where |coordinate|^2 is the mass
     worst_wiener, atoms = None, ()
     if diag is not None:
-        groups = _frequency_groups(diag.symbol)
-        atoms = tuple(_atoms(diag, *groups, params.mass_threshold))
-        worst_wiener = max(_atom_mass_squares(groups[1], np.abs(a) ** 2) for a in coords.T)
+        lams, group = _frequency_groups(diag.symbol)
+        masses = np.bincount(group, weights=diag.grid.weights) / diag.grid.total_mass
+        order = np.argsort(-masses, kind="stable")
+        atoms = tuple((float(lams[i]), float(masses[i]))
+                      for i in order[masses[order] > params.mass_threshold])
+        worst_wiener = max(float((np.bincount(group, weights=np.abs(a) ** 2) ** 2).sum())
+                           for a in coords.T)
 
     if atoms or revival:
         verdict = "PointSpectrumDetected"

@@ -56,9 +56,6 @@ class MetricValue:
     truncation_bound: float
     sampling_slack: float | None  # None when the sup is exact (discrete times)
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _tail_bound(J: int, N: int, axes: int) -> float:
     # sum over (n > N or some witness index > J) of 2 * 2^-(n + j...), with

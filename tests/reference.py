@@ -1,7 +1,8 @@
 """Reference matrices of the semigroup models, built from their construction
 data alone (phase diagonals, shifted identities, rolls, block diagonals and
-B* M B), so that tests never check a model's evolution against itself; and
-the weighted inner product of two vectors."""
+B* M B), so that tests never check a model's evolution against itself; the
+weighted inner product of two vectors; and a multiplication group's spectral
+atoms, one frequency at a time."""
 
 import numpy as np
 import scipy.linalg
@@ -49,3 +50,23 @@ def inner_product(x, y):
 def weighted(x):
     """Weighted coordinates sqrt(mu) x of a vector."""
     return np.sqrt(x.grid.weights) * x.coeffs
+
+
+def atom_masses(symbol, weights):
+    """{frequency: its grid weight over the total mass}, one distinct
+    frequency at a time, ascending."""
+    total = float(np.sum(weights))
+    masses = {}
+    for lam in sorted(set(np.asarray(symbol).tolist())):
+        mass = 0.0
+        for q, w in zip(symbol, weights):
+            if q == lam:
+                mass += w
+        masses[lam] = mass / total
+    return masses
+
+
+def atoms(masses, threshold):
+    """The (frequency, mass) pairs of `atom_masses` above the threshold,
+    heaviest first; a stable sort, so equal masses stay in frequency order."""
+    return sorted(((lam, m) for lam, m in masses.items() if m > threshold), key=lambda fm: -fm[1])

@@ -30,7 +30,7 @@ from stablesemi.constructions import (
 from stablesemi.diagnostics import (
     CorrelationTrace,
     cesaro_mean_abs2,
-    wiener_limit,
+    classify,
     wjkt_membership,
 )
 from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
@@ -163,7 +163,8 @@ def test_criterion_5_wiener_consistency():
         g = WeightedGrid.uniform(dim, 1.0 / dim)
         U = MultiplicationGroup(g, q)
         x = HVector(g, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).normalized()
-        w = wiener_limit(U, x)
+        # the closed-form Wiener limit of classify's report on x alone
+        w = classify(U, DenseSequence((x,))).wiener_closed_form
         corr1 = _autocorr(U, x, t1)
         corr2 = _autocorr(U, x, t2)
         gaps1.append(abs(cesaro_mean_abs2(CorrelationTrace(t1, corr1)) - w))
@@ -281,7 +282,9 @@ def test_criterion_9_perturbation_guarantee():
         res = inflate_and_perturb(base, anchors, eps, t0, copies=3)
         worst = 0.0
         for a in anchors:
-            emb = res.embed(a)
+            coeffs = np.zeros(res.group.grid.size, dtype=complex)
+            coeffs[res.embed_index] = a.coeffs
+            emb = HVector(res.group.grid, coeffs)
             for t in np.linspace(-t0, t0, 201):
                 orig = np.exp(1j * t * base.symbol) * a.coeffs
                 pert = res.group.apply(t, emb)

@@ -298,7 +298,7 @@ def _reference_category_escape(cfg):
     jcell = 2.0 * np.pi / base_level
     base = MultiplicationGroup(grid, jcell * np.floor(U.symbol / jcell))
     infl = inflate_and_perturb(base, [], cfg["eps"], cfg["t0"], copies=cfg["copies"])
-    aws = MultiplicationGroup(grid, infl.compressed().symbol)
+    aws = MultiplicationGroup(grid, infl.group.symbol[infl.embed_index])
     t_sweep = np.unique(np.concatenate([
         np.linspace(1.0, 200.0, 200), np.exp(rng.uniform(np.log(10.0), np.log(1e5), 400))]))
     for j in range(j_count):

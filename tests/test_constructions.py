@@ -63,7 +63,6 @@ class TestQuantization:
         q = quantize_symbol(U, 16)
         j = q.approximant.symbol * 16 / (2 * np.pi)
         np.testing.assert_allclose(j, np.round(j), atol=1e-9)
-        assert q.level == 16
 
     def test_idempotent_on_lattice_symbols(self):
         g = WeightedGrid.uniform(4)
@@ -143,6 +142,14 @@ class TestNearIdentity:
             near_identity_aws(WeightedGrid.uniform(3), n)
 
 
+def _embed(res, x):
+    """x on an inflation's grid: its coefficients at res.embed_index, in
+    copy 0, and zero in every other slot."""
+    c = np.zeros(res.group.grid.size, dtype=complex)
+    c[res.embed_index] = x.coeffs
+    return HVector(res.group.grid, c)
+
+
 class TestInflation:
     def test_guarantee_on_anchors(self):
         eps, t0 = 1e-3, 10.0
@@ -150,10 +157,11 @@ class TestInflation:
         base = quantize_symbol(U, 16).approximant
         anchors = [_rvec(base.grid, 7).normalized()]
         res = inflate_and_perturb(base, anchors, eps, t0, copies=3)
-        assert res.level_m == 20000
+        # every delta lies below 1/m, m = 2 t0 / eps = 20000
+        assert np.abs(res.group.symbol[res.embed_index] - base.symbol).max() < 1 / 20000
         assert distinct_frequency_certificate(res.group)
         a = anchors[0]
-        emb = res.embed(a)
+        emb = _embed(res, a)
         assert emb.norm() == pytest.approx(a.norm(), abs=1e-14)
         for t in np.linspace(-t0, t0, 11):
             orig = np.exp(1j * t * base.symbol) * a.coeffs
@@ -166,9 +174,11 @@ class TestInflation:
     def test_compressed_symbol_close_to_base(self):
         base = quantize_symbol(_mult(6, seed=8), 8).approximant
         res = inflate_and_perturb(base, [], 0.5, 2.0, copies=2)
-        comp = res.compressed()
-        assert np.abs(comp.symbol - base.symbol).max() <= res.scale_per_level
-        assert np.unique(comp.symbol).size == comp.symbol.size
+        comp = res.group.symbol[res.embed_index]
+        # every delta lies below 1/m, m = 2 t0 / eps = 8, a quarter of the
+        # lattice gap 2 pi / 8 being larger
+        assert np.abs(comp - base.symbol).max() < 1 / 8
+        assert np.unique(comp).size == comp.size
 
     def test_incommensurable_symbol_is_perturbed(self):
         # the guarantee uses no common base of the frequencies
@@ -177,7 +187,7 @@ class TestInflation:
         a = HVector(U.grid, np.array([0.6, 0.8j]))
         res = inflate_and_perturb(U, [a], eps, t0)
         assert distinct_frequency_certificate(res.group)
-        emb = res.embed(a)
+        emb = _embed(res, a)
         for t in np.linspace(-t0, t0, 21):
             drift = (res.group.apply(t, emb).coeffs[res.embed_index]
                      - U.apply(t, a).coeffs)
@@ -209,7 +219,7 @@ class TestInflation:
         for copies in (2, 5):
             aws = approximate_isometry_by_aws(U, 0.2, 3.0, n=8, copies=copies)
             res = inflate_and_perturb(base, [], 0.2, 3.0, copies=copies)
-            assert np.array_equal(aws.symbol, res.compressed().symbol)
+            assert np.array_equal(aws.symbol, res.group.symbol[res.embed_index])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 200), st.integers(2, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
@@ -232,7 +242,10 @@ class TestInflation:
             wts.append(np.tile(grid.weights[idx], copies))
             lam.append(np.full(idx.size * copies, f))
             offset += idx.size * copies
-        deltas = res.scale_per_level * np.arange(1, offset + 1) / (offset + 1.0)
+        # injective deltas below 1/m, m = 2 t0 / eps = 40, and below a
+        # quarter of the smallest frequency gap
+        scale = min(1.0 / 40, float(np.diff(np.unique(q)).min(initial=np.inf)) / 4.0)
+        deltas = scale * np.arange(1, offset + 1) / (offset + 1.0)
         assert np.array_equal(res.group.symbol, np.concatenate(lam) + deltas)
         assert np.array_equal(res.embed_index, embed)
         assert np.array_equal(res.group.grid.points, np.concatenate(pts))
@@ -307,9 +320,10 @@ class TestWold:
             wold_decompose(_mult(4, seed=9, hi=np.pi), step=step)
 
     def test_mixed_dims_and_wandering(self):
-        wr = wold_decompose(_mixed(), step=1.0)
+        V = _mixed()
+        wr = wold_decompose(V, step=1.0)
         assert wr.unitary_dim == 3 and wr.basis_matrix_shift.shape[1] == 6
-        W = wr.one_step
+        W = one_step_matrix(V, wr.step)
         _, B1, _, lengths, _, _, _ = _wold_chains(W, None)
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
         # one chain of length 6: the sixth roots of unity, each once
@@ -334,7 +348,7 @@ class TestWold:
         wr = wold_decompose(V, step=1.0)
         want = scipy.linalg.block_diag(*(np.eye(c, k=-1) for c in cells))
         B1 = wr.basis_matrix_shift
-        assert np.abs(B1.conj().T @ wr.one_step @ B1 - want).max() <= 1e-12
+        assert np.abs(B1.conj().T @ one_step_matrix(V, wr.step) @ B1 - want).max() <= 1e-12
         # one chain per shift block, as long as its cell count
         assert wr.chain_lengths.tolist() == sorted(cells)
         assert wold_decompose(V, step=1.0) is wr
@@ -383,16 +397,17 @@ class TestWold:
 
     def test_rank_gap(self):
         # _mixed's one-step map is exact: one pivot of 1 and a zero remainder
-        wr = wold_decompose(_mixed(), step=1.0)
+        V = _mixed()
+        wr = wold_decompose(V, step=1.0)
         pivots, rest = self._pivots_and_remainder(
-            wr.one_step, wr.basis_matrix_shift, wr.chain_lengths)
+            one_step_matrix(V, wr.step), wr.basis_matrix_shift, wr.chain_lengths)
         assert pivots.tolist() == [1.0] and not rest.any() and wr.rank_gap == np.inf
         # conjugated, the remainder is round-off, so the gap matches the
         # recomputed one up to that round-off's own spread
         V = _conjugated_chains(20, (9, 31), seed=23)
         wr = wold_decompose(V, step=1.0)
         pivots, rest = self._pivots_and_remainder(
-            wr.one_step, wr.basis_matrix_shift, wr.chain_lengths)
+            one_step_matrix(V, wr.step), wr.basis_matrix_shift, wr.chain_lengths)
         assert pivots.size == 2 and pivots.min() >= 1.0 / 60
         dropped = pivots.min() / wr.rank_gap
         assert 0 < dropped <= 60 * np.finfo(float).eps
@@ -561,7 +576,7 @@ class TestWoldSplitReuse:
         with pytest.raises(ValueError):
             wr.basis_matrix_unitary[0, 0] = 1.0
         with pytest.raises(ValueError):
-            wr.one_step[0, 0] = 1.0
+            wr.unitary_block[0, 0] = 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from([(2, 5, 33), (4, 7, 34), (2, 5, 35)]), min_size=2, max_size=8))
@@ -577,7 +592,6 @@ class TestWoldSplitReuse:
             wr = wold_decompose(V, step=1.0)
             W = one_step_matrix(V, 1.0)
             B0, B1, _, _, iterations, stabilized, rank_gap = _wold_chains(W, None)
-            assert np.array_equal(wr.one_step, W)
             assert np.array_equal(wr.basis_matrix_unitary, B0)
             assert np.array_equal(wr.basis_matrix_shift, B1)
             assert (wr.iterations, wr.stabilized, wr.rank_gap) == (iterations, stabilized, rank_gap)
@@ -612,8 +626,9 @@ class TestSplitByproducts:
 
     def test_residual_is_the_largest_defect(self):
         # the three defects, written out with SVD norms
-        wr = wold_decompose(_conjugated_mixed(6, 14, seed=49)[0], step=1.0)
-        W, B0, B1 = wr.one_step, wr.basis_matrix_unitary, wr.basis_matrix_shift
+        V, _ = _conjugated_mixed(6, 14, seed=49)
+        wr = wold_decompose(V, step=1.0)
+        W, B0, B1 = one_step_matrix(V, wr.step), wr.basis_matrix_unitary, wr.basis_matrix_shift
         M0 = wr.unitary_block
         want = max(np.linalg.norm(W @ B0 - B0 @ M0, 2),
                    np.linalg.norm(M0.conj().T @ M0 - np.eye(6), 2),
@@ -776,6 +791,23 @@ class TestPeriodicApproximation:
         V, _ = _conjugated_mixed(4, 12, seed=44)
         with pytest.raises(ValueError, match="did not stabilize"):
             approximate_isometry_by_periodic(V, 64)
+
+    @pytest.mark.parametrize("pipeline", ["periodic", "aws"])
+    def test_non_isometric_split_raises(self, pipeline):
+        # a basis that is not unitary: the split settles, with one 3-cell
+        # chain, but its residual is 4.06
+        gu = WeightedGrid.uniform(3)
+        inner = DirectSumSemigroup(
+            SumSpace((gu, shift_grid(3, 1.0))),
+            (MultiplicationGroup(gu, np.array([0.3, 0.9, 1.4])), ShiftSemigroup(1.0, 3)))
+        V = ConjugatedGroup(WeightedGrid.uniform(6), np.diag([1.5, 1.5, 1.5, 1, 1, 1]), inner)
+        wr = wold_decompose(V)
+        assert wr.stabilized and wr.residual > 4
+        with pytest.raises(ValueError, match="residual 4.06 exceeds"):
+            if pipeline == "periodic":
+                approximate_isometry_by_periodic(V, 8)
+            else:
+                approximate_isometry_by_aws(V, 0.25, 5.0, n=8)
 
     def test_unitary_model_is_quantized_in_its_own_spectral_form(self, monkeypatch):
         def no_split(*args):

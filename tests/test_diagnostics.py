@@ -14,10 +14,7 @@ from stablesemi.diagnostics import (
     cesaro_mean_abs2,
     classify,
     correlation,
-    density_estimate,
-    detect_atoms,
     mt_membership,
-    wiener_limit,
     wjkt_membership,
 )
 from stablesemi.hilbert import DenseSequence, GridMismatchError, HVector, WeightedGrid
@@ -26,10 +23,17 @@ from stablesemi.metrics import (
 from stablesemi.semigroups import (
     InadmissibleTimeError, MultiplicationGroup, PeriodicShiftGroup, ShiftSemigroup)
 
+from reference import atom_masses, atoms
+
 
 def _two_atom():
     g = WeightedGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     return MultiplicationGroup(g, np.array([0.0, 1.0]))
+
+
+def _one_witness(U, x, **params):
+    """classify's report on U with x as its only witness."""
+    return classify(U, DenseSequence((x,)), ClassifyParams(**params))
 
 
 class TestTrace:
@@ -73,24 +77,24 @@ class TestCesaroWiener:
         for T, tol in [(100.0, 5e-3), (1000.0, 5e-4)]:
             tr = correlation(U, x, x, np.linspace(0.0, T, int(20 * T)))
             assert cesaro_mean_abs2(tr) == pytest.approx(0.5, abs=tol)
-        assert wiener_limit(U, x) == pytest.approx(0.5)
+        assert _one_witness(U, x).wiener_closed_form == pytest.approx(0.5)
 
     def test_wiener_groups_equal_frequencies(self):
         g = WeightedGrid.uniform(4, 0.25)
         U = MultiplicationGroup(g, np.array([1.0, 1.0, 2.0, 3.0]))
-        x = HVector(g, np.ones(4))
+        x = HVector(g, np.ones(4))  # a unit witness: classify normalizes its witnesses
         # masses: {1.0: 0.5, 2.0: 0.25, 3.0: 0.25} -> 0.25 + 0.0625 + 0.0625
-        assert wiener_limit(U, x) == pytest.approx(0.375)
+        assert _one_witness(U, x).wiener_closed_form == pytest.approx(0.375)
 
     def test_wiener_rejects_a_vector_on_other_weights(self):
         U = MultiplicationGroup(WeightedGrid.uniform(4), np.array([1.0, 1.0, 2.0, 3.0]))
         with pytest.raises(GridMismatchError):
-            wiener_limit(U, HVector(WeightedGrid.uniform(4, 3.0), np.ones(4)))
+            _one_witness(U, HVector(WeightedGrid.uniform(4, 3.0), np.ones(4)))
 
     def test_wiener_rejects_a_vector_of_another_size(self):
         U = MultiplicationGroup(WeightedGrid.uniform(4), np.array([1.0, 1.0, 2.0, 3.0]))
         with pytest.raises(GridMismatchError):
-            wiener_limit(U, HVector(WeightedGrid.uniform(5), np.ones(5)))
+            _one_witness(U, HVector(WeightedGrid.uniform(5), np.ones(5)))
 
     def test_cesaro_matches_closed_form_oracle(self):
         # independent closed form: mean of |sum w_k e^{it q_k}|^2 over [0,T]
@@ -113,29 +117,22 @@ class TestCesaroWiener:
 
 class TestDensityAtoms:
     def test_chebyshev_relation_exact_on_grid(self):
+        # density and Cesaro mean share the trapezoid weights of one grid
         U = _two_atom()
         x = HVector(U.grid, np.ones(2))
-        tr = correlation(U, x, x, np.linspace(0.0, 50.0, 501))
         eps = 0.9
-        dens = density_estimate(tr, eps)
-        ces = cesaro_mean_abs2(tr)
-        assert dens >= 1.0 - ces / eps ** 2 - 1e-12
+        rep = _one_witness(U, x, horizon=50.0, samples=501, eps=eps)
+        assert rep.density_est >= 1.0 - rep.cesaro_abs2 / eps ** 2 - 1e-12
 
     def test_density_rejects_a_nan_eps(self):
-        U = _two_atom()
-        x = HVector(U.grid, np.ones(2))
-        with pytest.raises(ValueError, match="eps must be positive"):
-            density_estimate(correlation(U, x, x, np.linspace(0.0, 5.0, 11)), np.nan)
+        with pytest.raises(ValueError, match="need eps > 0"):
+            ClassifyParams(eps=np.nan)
 
-    def test_detect_atoms_rejects_a_nan_threshold(self):
-        with pytest.raises(ValueError, match="mass threshold must be >= 0"):
-            detect_atoms(_two_atom(), np.nan)
-
-    def test_detect_atoms_sorted(self):
+    def test_atoms_sorted(self):
         g = WeightedGrid(np.arange(3.0), np.array([0.2, 0.5, 0.3]))
         U = MultiplicationGroup(g, np.array([4.0, 5.0, 6.0]))
-        atoms = detect_atoms(U, 0.25)
-        assert atoms == [(5.0, pytest.approx(0.5)), (6.0, pytest.approx(0.3))]
+        rep = _one_witness(U, HVector(g, np.ones(3)), mass_threshold=0.25)
+        assert rep.atoms == ((5.0, pytest.approx(0.5)), (6.0, pytest.approx(0.3)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -147,25 +144,17 @@ class TestDensityAtoms:
         # an integer k puts the threshold on the mass of entry k's group
         threshold=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(0, 23)),
     )
-    def test_detect_atoms_matches_per_frequency_loop(self, pool, picks, weights, threshold):
+    def test_atoms_match_per_frequency_loop(self, pool, picks, weights, threshold):
         symbol = np.array([pool[i % len(pool)] for i in picks])
         w = np.ones(symbol.size) if weights is None else np.array(weights[: symbol.size])
         U = MultiplicationGroup(WeightedGrid(np.arange(float(symbol.size)), w), symbol)
-        # the docstring, one frequency at a time: each distinct frequency's
-        # weight over the total, kept above the threshold, heaviest first
-        # (a stable sort, so equal masses stay in frequency order)
-        masses = {}
-        for lam in sorted(set(symbol.tolist())):
-            mass = 0.0
-            for q, wq in zip(symbol, w):
-                if q == lam:
-                    mass += wq
-            masses[lam] = mass / U.grid.total_mass
+        masses = atom_masses(symbol, w)
         if isinstance(threshold, int):
             threshold = masses[symbol[threshold % symbol.size]]
-        want = sorted(((lam, m) for lam, m in masses.items() if m > threshold),
-                      key=lambda fm: -fm[1])
-        got = detect_atoms(U, threshold)
+        want = atoms(masses, threshold)
+        # the atoms read no witness and no time; the shortest grid suffices
+        got = _one_witness(U, HVector(U.grid, np.ones(symbol.size)), horizon=1.0, samples=2,
+                           mass_threshold=threshold).atoms
         assert [f for f, _ in got] == [f for f, _ in want]
         np.testing.assert_array_max_ulp(
             np.array([m for _, m in got]), np.array([m for _, m in want]), maxulp=4)
@@ -177,6 +166,7 @@ class TestClassify:
         {"samples": 1}, {"samples": 2.5}, {"samples": 200.0}, {"samples": True},
         {"eps": 0.0}, {"eps": float("nan")}, {"delta_wiener": -1e-3},
         {"delta_density": -0.1}, {"delta_density": 1.5}, {"mass_threshold": -0.1},
+        {"mass_threshold": float("nan")},
     ])
     def test_params_reject_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -307,6 +297,15 @@ class TestCantorOracle:
             want = want * np.abs(np.cos(ts / 3.0 ** k))
         np.testing.assert_array_equal(cantor_transform_abs(ts), want)
 
+    def test_no_times_give_an_empty_array(self):
+        out = cantor_transform_abs(np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
+    def test_non_finite_times_are_inadmissible(self, t):
+        with pytest.raises(InadmissibleTimeError, match="not finite"):
+            cantor_transform_abs(t)
+
     def test_discrete_model_converges_to_product(self):
         ts = np.linspace(0.0, 500.0, 400)
         oracle = cantor_transform_abs(ts)
@@ -336,7 +335,7 @@ class TestGridRule:
     other = WeightedGrid(g.points[1:5], g.weights[1:5])  # 4 points, not a prefix
     U = MultiplicationGroup(g, np.random.default_rng(0).uniform(-3.0, 3.0, g.size))
     V = quantize_symbol(U, 8).approximant
-    NAMES = ("correlation", "classify", "mt_membership", "wjkt_membership", "wiener_limit",
+    NAMES = ("correlation", "classify", "mt_membership", "wjkt_membership",
              "metric_unitary", "metric_isometric", "metric_contractive")
 
     def _pair(self, grid):
@@ -361,7 +360,6 @@ class TestGridRule:
             lambda: classify(U, seq, ClassifyParams(horizon=20.0, samples=50)),
             lambda: [mt_membership(U, u, t) for t in times],
             lambda: [wjkt_membership(U, u, 2, t) for t in times],
-            lambda: wiener_limit(U, x),
             lambda: metric_unitary(U, V, cfg),
             lambda: metric_isometric(U, V, cfg),
             lambda: metric_contractive(U, V, cfg),

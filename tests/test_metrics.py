@@ -4,7 +4,6 @@ import pytest
 from stablesemi.hilbert import DenseSequence, HVector, SumSpace, WeightedGrid
 from stablesemi.metrics import (
     MetricConfig,
-    MetricValue,
     metric_contractive,
     metric_isometric,
     metric_unitary,
@@ -42,9 +41,6 @@ class TestConfig:
             MetricConfig(seq, **{"J": 2, key: bad})
         # NumPy integers are counts too
         assert MetricConfig(seq, **{"J": 2, key: np.int64(3)})
-
-    def test_float_conversion(self):
-        assert float(MetricValue(0.25, 0.1, None)) == 0.25
 
 
 class TestMetricAxioms:

@@ -1,10 +1,12 @@
 """The package's public surface: every exported name resolves, every name
 the benchmark's scripts read resolves, the kernel ladder runs its first
 rungs, the model protocol has six members, and the per-vector checkers,
-helpers and serializers that no scenario used, the members that restated a
-fact and the backward evolution are gone."""
+helpers and serializers that no scenario used, the readers of the spectral
+measure that restated `classify`, the members that restated a fact or an
+input and the backward evolution are gone."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import subprocess
@@ -21,7 +23,15 @@ DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "model_to_dict", "model_from_dict", "inner_product", "periodize_shift",
            "NotIsometricError", "_shift_grid", "NotPeriodicError", "_commensurable_base",
            "_COMMENSURABLE_TOL", "_check_finite", "_evolved_grid", "_rows",
-           "_periodization_errors")
+           "_periodization_errors", "detect_atoms", "wiener_limit", "density_estimate")
+# members that restated an input or another name: the level passed in; the
+# inflation's perturbation scale, its m, and its embedding and compression,
+# which embed_index gives; the one-step map, one_step_matrix(V, wr.step); and
+# float() of a metric value, its .value
+RESTATED = (("QuantizationResult", "level"), ("InflationResult", "scale_per_level"),
+            ("InflationResult", "level_m"), ("InflationResult", "embed"),
+            ("InflationResult", "compressed"), ("WoldResult", "one_step"),
+            ("MetricValue", "__float__"))
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -31,6 +41,10 @@ def test_star_import_resolves_every_export():
     exec("from stablesemi import *", ns)
     assert [name for name in stablesemi.__all__ if name not in ns] == []
     assert len(set(stablesemi.__all__)) == len(stablesemi.__all__)
+
+
+def test_public_name_count():
+    assert len(stablesemi.__all__) == 43
 
 
 @pytest.mark.parametrize("name", DELETED)
@@ -79,6 +93,13 @@ def test_stability_report_has_no_record_method():
 def test_wold_result_states_no_shift_dim():
     # the shift part's dimension is basis_matrix_shift.shape[1]
     assert not hasattr(stablesemi.WoldResult, "shift_dim")
+
+
+@pytest.mark.parametrize("cls, member", RESTATED)
+def test_result_types_restate_no_input(cls, member):
+    result = getattr(stablesemi, cls)
+    assert member not in {f.name for f in dataclasses.fields(result)}
+    assert not hasattr(result, member)
 
 
 @pytest.mark.parametrize("name", ["wold_decompose", "approximate_isometry_by_periodic",

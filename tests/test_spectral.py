@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stablesemi.constructions import cantor_group, quantize_symbol
 from stablesemi.diagnostics import (
-    ClassifyParams, classify, correlation, detect_atoms, mt_membership, wjkt_membership)
+    ClassifyParams, classify, correlation, mt_membership, wjkt_membership)
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
@@ -31,7 +31,7 @@ from stablesemi.semigroups import (
     shift_grid,
 )
 
-from reference import operator_matrix, weighted
+from reference import atom_masses, atoms, operator_matrix, weighted
 
 KINDS = ("mult", "periodic", "dsum", "longer", "msum", "conj_mult", "conj_dsum", "conj_longer")
 TOL = 1e-12
@@ -179,7 +179,9 @@ def test_classify_matches_apply_loop(kind, seed):
         sw = np.sqrt(T.grid.weights)
         want = max(float((np.abs(B @ (sw * x.normalized().coeffs)) ** 4).sum()) for x in wit)
         assert rep.wiener_closed_form == pytest.approx(want, rel=TOL)
-        assert rep.atoms == tuple(detect_atoms(diag, p.mass_threshold))
+        want = atoms(atom_masses(diag.symbol, diag.grid.weights), p.mass_threshold)
+        assert [f for f, _ in rep.atoms] == [f for f, _ in want]
+        np.testing.assert_allclose([m for _, m in rep.atoms], [m for _, m in want], rtol=TOL)
     else:
         assert rep.wiener_closed_form is None and rep.atoms == ()
 
