@@ -492,7 +492,7 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     form = V.spectral_form()
     if form is None:
         wr = wold_decompose(V)
-        tol = _chain_tol(wr.iterations + 1, wr.basis_matrix_unitary.shape[0])
+        tol = _chain_tol(wr.iterations + 1, V.grid.size)
         if not wr.residual <= tol:
             raise ValueError(f"the Wold split did not stabilize to round-off: "
                              f"residual {wr.residual:.3g} exceeds {tol:.3g}")
