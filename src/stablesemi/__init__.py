@@ -42,7 +42,6 @@ from .diagnostics import (
     ClassifyParams,
     CorrelationTrace,
     StabilityReport,
-    VERDICTS,
     cesaro_mean_abs2,
     classify,
     correlation,
@@ -78,7 +77,6 @@ __all__ = [
     "ShiftSemigroup",
     "StabilityReport",
     "SumSpace",
-    "VERDICTS",
     "WeightedGrid",
     "WoldResult",
     "approximate_isometry_by_aws",

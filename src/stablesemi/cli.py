@@ -158,7 +158,7 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
         space = SumSpace((gu, gs))
         inner = DirectSumSemigroup(
             space, (MultiplicationGroup(gu, freqs), ShiftSemigroup(1.0, nc)))
-        dim = space.dimension
+        dim = space.combined.size
         Q = _random_unitary(rng, dim)
         outer = WeightedGrid.uniform(dim)
         V = ConjugatedGroup(outer, Q, inner)

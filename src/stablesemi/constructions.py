@@ -474,21 +474,22 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     """Replace an isometric model by a nearby periodic unitary one.
 
     A bare shift, an isometry only on a payload with room for its shift, is
-    wrapped at the period n: the period's cells are its space.  Every other
-    model lives on a fixed space, V's grid, and is quantized there at level
-    n (`_snap_down`) in a spectral form: its own when it is unitary, else
-    that of its Wold split V = U (+) S, where U is diagonalized by a Schur
-    form and each wandering chain of S is wrapped cyclically and
-    diagonalized by a DFT (`WoldResult.diagonal_form`, kept on the split).
-    So a model and its conjugation by a unitary Q get Q-conjugate
-    approximants.
-    Raises ValueError for a level n that is not a finite number >= 1, and
-    when the Wold split's residual exceeds its chain lengths' round-off bound
+    wrapped at the period n, a whole number of its steps (`_steps`): the
+    period's cells are its space.  Every other model lives on a fixed
+    space, V's grid, and is quantized there at level n (`_snap_down`) in a
+    spectral form: its own when it is unitary, else that of its Wold split
+    V = U (+) S, where U is diagonalized by a Schur form and each wandering
+    chain of S is wrapped cyclically and diagonalized by a DFT
+    (`WoldResult.diagonal_form`, kept on the split).  So a model and its
+    conjugation by a unitary Q get Q-conjugate approximants.
+    Raises ValueError for a level n that is not a finite number >= 1 (for a
+    bare shift, InadmissibleTimeError off its lattice), and when the Wold
+    split's residual exceeds its chain lengths' round-off bound
     (`_chain_tol`): a split that did not stabilize, or of a non-isometric V.
     """
     _levels(n)
     if isinstance(V, ShiftSemigroup):
-        return PeriodicShiftGroup(max(1, int(round(n / V.step))), V.step)
+        return PeriodicShiftGroup(int(_steps(np.array([n], dtype=float), V.step)[0, 0]), V.step)
     form = V.spectral_form()
     if form is None:
         wr = wold_decompose(V)

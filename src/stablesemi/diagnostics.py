@@ -93,7 +93,7 @@ def cesaro_mean_abs2(trace: CorrelationTrace) -> float:
     return float(_trapezoid_mean(w, np.abs(trace.values) ** 2, span))
 
 
-VERDICTS = (
+_VERDICTS = (
     "WeaklyStableEvidence",
     "AlmostWeaklyStableEvidence",
     "PointSpectrumDetected",
@@ -103,6 +103,11 @@ VERDICTS = (
 
 @dataclass(frozen=True)
 class ClassifyParams:
+    """Thresholds and time grid of `classify`: a model with a time step h
+    is sampled on its lattice hZ over [0, horizon] (at least one step), so
+    `samples`, the count of evenly spaced times, applies only to a model
+    without one."""
+
     horizon: float = 200.0
     eps: float = 1e-2
     delta_wiener: float = 1e-2
@@ -132,7 +137,7 @@ class StabilityReport:
     tail_sup: float
 
     def __post_init__(self):
-        if self.verdict not in VERDICTS:
+        if self.verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if not 0.0 <= self.density_est <= 1.0 + 1e-12:
             raise ValueError("density estimate must lie in [0, 1]")
@@ -189,7 +194,7 @@ def classify(
     worst_wiener, atoms = None, ()
     if diag is not None:
         lams, group = _frequency_groups(diag.symbol)
-        masses = np.bincount(group, weights=diag.grid.weights) / diag.grid.total_mass
+        masses = np.bincount(group, weights=diag.grid.weights) / diag.grid.weights.sum()
         order = np.argsort(-masses, kind="stable")
         atoms = tuple((float(lams[i]), float(masses[i]))
                       for i in order[masses[order] > params.mass_threshold])

@@ -34,6 +34,9 @@ class WeightedGrid:
     weights: np.ndarray
 
     def __post_init__(self):
+        # a cast to float would drop an imaginary part with only a warning
+        if np.iscomplexobj(self.points) or np.iscomplexobj(self.weights):
+            raise ValueError("points and weights must be real")
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         wts = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
         if pts.ndim != 1 or wts.ndim != 1:
@@ -54,10 +57,6 @@ class WeightedGrid:
     @property
     def size(self) -> int:
         return self.points.size
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     def same_as(self, other: "WeightedGrid") -> bool:
         return self is other or (self.size == other.size and _is_prefix_grid(self, other))
@@ -154,16 +153,6 @@ class SumSpace:
                 np.concatenate([g.weights for g in comps]),
             ),
         )
-
-    @property
-    def dimension(self) -> int:
-        return self.combined.size
-
-    def block_slice(self, block: int) -> slice:
-        if not 0 <= block < len(self.components):
-            raise IndexError(f"block index {block} out of range")
-        start = self.offsets[block]
-        return slice(start, start + self.components[block].size)
 
 
 @dataclass(frozen=True)

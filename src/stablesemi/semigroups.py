@@ -209,6 +209,8 @@ class MultiplicationGroup(SemigroupModel):
     symbol: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.symbol):
+            raise ValueError("symbol must be real")
         q = np.ascontiguousarray(np.asarray(self.symbol, dtype=float))
         if q.shape != (self._grid.size,):
             raise ValueError("symbol length must equal grid size")
@@ -365,9 +367,8 @@ class DirectSumSemigroup(SemigroupModel):
 
     def _evolve(self, times, X):
         out = np.empty((times.size, *X.shape), dtype=complex)
-        for b, part in enumerate(self.parts):
-            sl = self.space.block_slice(b)
-            out[:, sl] = part._evolve(times, X[sl])
+        for lo, g, part in zip(self.space.offsets, self.space.components, self.parts):
+            out[:, lo:lo + g.size] = part._evolve(times, X[lo:lo + g.size])
         return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:

@@ -735,9 +735,34 @@ class TestPeriodicApproximation:
             P.symbol, quantize_symbol(U, 64).approximant.symbol)
 
     def test_shift_branch(self):
-        R = ShiftSemigroup(1.0, 12)
-        P = approximate_isometry_by_periodic(R, 20)
-        assert isinstance(P, PeriodicShiftGroup) and P.period_cells == 20
+        # the period n is n/h cells of the shift's step
+        for h, n, cells in [(1.0, 20, 20), (0.5, 64, 128)]:
+            P = approximate_isometry_by_periodic(ShiftSemigroup(h, 12), n)
+            assert P == PeriodicShiftGroup(cells, h)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _mult(10, seed=16),
+        lambda: PeriodicShiftGroup(10, 1.0),
+        lambda: _conjugated_mixed(4, 12, seed=52)[0],
+        lambda: ShiftSemigroup(0.5, 10),
+        lambda: ShiftSemigroup(1.0, 10),
+    ], ids=["mult", "periodic-shift", "conjugated-mixed", "shift-h0.5", "shift-h1.0"])
+    def test_frequencies_lie_on_the_level_lattice(self, make):
+        n = 64
+        j = approximate_isometry_by_periodic(make(), n).spectral_form()[0] * n / (2 * np.pi)
+        assert np.abs(j - np.round(j)).max() <= 1e-9
+
+    @pytest.mark.parametrize("h, n", [(0.3, 64), (4.0, 1)])
+    @pytest.mark.parametrize("pipeline", ["periodic", "aws"])
+    def test_bare_shift_level_off_its_lattice_is_rejected(self, h, n, pipeline):
+        # n = 64 is 213.3 steps of 0.3 and n = 1 a quarter step of 4: no
+        # whole number of cells wraps at the period n
+        V = ShiftSemigroup(h, 10)
+        with pytest.raises(ValueError, match="not an integer multiple of step"):
+            if pipeline == "periodic":
+                approximate_isometry_by_periodic(V, n)
+            else:
+                approximate_isometry_by_aws(V, 0.25, 5.0, n=n)
 
     def test_generic_branch_is_unitary_and_close(self):
         # conjugated mixed model goes through Wold + diagonalization

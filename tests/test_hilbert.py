@@ -24,7 +24,7 @@ class TestWeightedGrid:
         g = WeightedGrid.uniform(4, 0.25)
         assert g.size == 4
         np.testing.assert_allclose(g.weights, 0.25)
-        assert g.total_mass == pytest.approx(1.0)
+        assert g.weights.sum() == pytest.approx(1.0)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -38,6 +38,17 @@ class TestWeightedGrid:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             WeightedGrid(np.arange(3.0), np.ones(2))
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_rejects_complex_points(self, imag):
+        # a cast to float would drop the imaginary part, zero or not
+        with pytest.raises(ValueError, match="real"):
+            WeightedGrid(np.arange(3.0) + imag * 1j, np.ones(3))
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_rejects_complex_weights(self, imag):
+        with pytest.raises(ValueError, match="real"):
+            WeightedGrid(np.arange(3.0), np.ones(3) + imag * 1j)
 
     def test_arrays_read_only(self):
         g = WeightedGrid.uniform(3)
@@ -101,8 +112,9 @@ class TestHVector:
 
 def _embed(space, block, x):
     """x on the block's grid, zero elsewhere in the sum space."""
-    c = np.zeros(space.dimension, dtype=complex)
-    c[space.block_slice(block)] = x.coeffs
+    c = np.zeros(space.combined.size, dtype=complex)
+    lo = space.offsets[block]
+    c[lo:lo + x.grid.size] = x.coeffs
     return HVector(space.combined, c)
 
 
@@ -113,19 +125,18 @@ class TestSumSpace:
         x = _vec(g1, 4)
         emb = _embed(space, 0, x)
         assert emb.norm() == pytest.approx(x.norm(), abs=1e-14)
-        assert space.dimension == 8
+        assert space.combined.size == 8
 
-    def test_block_slice_inverts_embed(self):
+    def test_offsets_invert_embed(self):
         g1, g2 = WeightedGrid.uniform(3), WeightedGrid(np.arange(5.0), np.linspace(0.1, 0.5, 5))
         space = SumSpace((g1, g2))
-        np.testing.assert_array_equal(space.combined.weights[space.block_slice(1)], g2.weights)
-        np.testing.assert_array_equal(space.combined.points[space.block_slice(0)], g1.points)
+        assert space.offsets == (0, 3)
+        np.testing.assert_array_equal(space.combined.weights[3:], g2.weights)
+        np.testing.assert_array_equal(space.combined.points[:3], g1.points)
         x = _vec(g2, 5)
         emb = _embed(space, 1, x)
-        np.testing.assert_array_equal(emb.coeffs[space.block_slice(1)], x.coeffs)
-        np.testing.assert_array_equal(emb.coeffs[space.block_slice(0)], 0.0)
-        with pytest.raises(IndexError):
-            space.block_slice(2)
+        np.testing.assert_array_equal(emb.coeffs[3:], x.coeffs)
+        np.testing.assert_array_equal(emb.coeffs[:3], 0.0)
 
     def test_pythagoras_across_blocks(self):
         g1, g2 = WeightedGrid.uniform(3, 0.7), WeightedGrid.uniform(4, 0.1)

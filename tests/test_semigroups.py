@@ -98,6 +98,12 @@ class TestMultiplicationGroup:
         with pytest.raises(ValueError):
             MultiplicationGroup(WeightedGrid.uniform(3), np.array([1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize("symbol", [[1 + 1j, 2, 3], np.array([1.0, 2.0, 3.0], dtype=complex)])
+    def test_rejects_complex_symbol(self, symbol):
+        # a cast to float would drop the imaginary part, zero or not
+        with pytest.raises(ValueError, match="real"):
+            MultiplicationGroup(WeightedGrid.uniform(3), symbol)
+
 
 class TestShiftSemigroup:
     def test_isometric_by_extension(self):
@@ -397,8 +403,8 @@ def _dropped_mass(T, X, steps):
         return (np.abs(X[X.shape[0] - min(steps, X.shape[0]):]) ** 2).sum(axis=0)
     mass = np.zeros(X.shape[1])
     if isinstance(T, DirectSumSemigroup):
-        for b, part in enumerate(T.parts):
-            mass += _dropped_mass(part, X[T.space.block_slice(b)], steps)
+        for lo, g, part in zip(T.space.offsets, T.space.components, T.parts):
+            mass += _dropped_mass(part, X[lo:lo + g.size], steps)
     return mass
 
 
