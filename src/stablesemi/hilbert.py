@@ -26,6 +26,24 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _intake(obj, name: str, dtype: type, shape: tuple, shape_rule: str) -> None:
+    """The one intake of an array field `name` of a frozen dataclass: refuse a complex
+    value for a float field (a cast drops its imaginary part), cast once to C-contiguous
+    `dtype`, check `shape` (else `shape_rule`) and finiteness, freeze, write back."""
+    a = getattr(obj, name)
+    if dtype is float and np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real")
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(shape_rule)
+    # the float view halves a complex array's check; count_nonzero beats .all() when short
+    finite = np.isfinite(a.view(float))
+    if np.count_nonzero(finite) < finite.size:
+        raise ValueError(f"{name} must be finite")
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class WeightedGrid:
     """K real grid points with strictly positive masses."""
@@ -34,25 +52,13 @@ class WeightedGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        # a cast to float would drop an imaginary part with only a warning
-        if np.iscomplexobj(self.points) or np.iscomplexobj(self.weights):
-            raise ValueError("points and weights must be real")
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        wts = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        if pts.ndim != 1 or wts.ndim != 1:
-            raise ValueError("points and weights must be one-dimensional")
-        if pts.size != wts.size:
-            raise ValueError("points and weights must have equal length")
-        if pts.size < 1:
+        _intake(self, "points", float, (np.size(self.points),), "points must be one-dimensional")
+        _intake(self, "weights", float, self.points.shape,
+                "points and weights must have equal length")
+        if self.points.size < 1:
             raise ValueError("grid must have at least one point")
-        if not np.all(np.isfinite(wts)) or not np.all(wts > 0):
-            raise ValueError("all weights must be strictly positive and finite")
-        if not np.isfinite(pts).all():
-            raise ValueError("all points must be finite")
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+        if not (self.weights > 0).all():
+            raise ValueError("all weights must be strictly positive")
 
     @property
     def size(self) -> int:
@@ -74,13 +80,7 @@ class HVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1 or c.size != self.grid.size:
-            raise ValueError("coefficient count must equal grid size")
-        if not np.isfinite(c).all():
-            raise ValueError("all coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        _intake(self, "coeffs", complex, (self.grid.size,), "coefficient count must equal grid size")
 
     def norm(self) -> float:
         return float(np.sqrt((self.grid.weights * np.abs(self.coeffs) ** 2).sum()))

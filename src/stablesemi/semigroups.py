@@ -66,6 +66,7 @@ from .hilbert import (
     HVector,
     SumSpace,
     WeightedGrid,
+    _intake,
     _is_integer,
     pad_to_grid,
 )
@@ -209,15 +210,7 @@ class MultiplicationGroup(SemigroupModel):
     symbol: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.symbol):
-            raise ValueError("symbol must be real")
-        q = np.ascontiguousarray(np.asarray(self.symbol, dtype=float))
-        if q.shape != (self._grid.size,):
-            raise ValueError("symbol length must equal grid size")
-        if not np.isfinite(q).all():
-            raise ValueError("symbol must be finite")
-        q.setflags(write=False)
-        object.__setattr__(self, "symbol", q)
+        _intake(self, "symbol", float, (self._grid.size,), "symbol length must equal grid size")
 
     @property
     def grid(self) -> WeightedGrid:
@@ -390,7 +383,8 @@ class DirectSumSemigroup(SemigroupModel):
 
 @dataclass(frozen=True)
 class ConjugatedGroup(SemigroupModel):
-    """B* inner(t) B, with B unitary in weighted coordinates.
+    """B* inner(t) B, with B unitary in weighted coordinates: the basis is
+    checked k x k and finite where it enters, not unitary.
 
     `basis` maps outer weighted coordinates (sqrt(mu) * coeffs) to inner
     weighted coordinates.  A bare truncated shift is rejected: it is an
@@ -404,14 +398,12 @@ class ConjugatedGroup(SemigroupModel):
     inner: SemigroupModel
 
     def __post_init__(self):
-        b = np.ascontiguousarray(np.asarray(self.basis, dtype=complex))
-        k = self._grid.size
-        if b.shape != (k, k) or self.inner.grid.size != k:
-            raise ValueError("basis must be k x k, with k the inner and the outer dimension")
+        k, rule = self._grid.size, "basis must be k x k, with k the inner and the outer dimension"
+        if self.inner.grid.size != k:
+            raise ValueError(rule)
+        _intake(self, "basis", complex, (k, k), rule)
         if isinstance(self.inner, ShiftSemigroup):
             raise ValueError("a bare truncated shift needs room a conjugated space lacks")
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
 
     @property
     def grid(self) -> WeightedGrid:
@@ -503,6 +495,7 @@ def _time_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if drift <= _GRID_ULPS * np.finfo(float).eps * np.abs(times).max():
             b = math.isqrt(n - 1) + 1
             return times[::b], np.arange(b) * dt
+    # b = 1 keeps one form: a plain _phases(times, freqs) @ V sums in another order, moving bits
     return times, np.zeros(1)
 
 
@@ -602,6 +595,7 @@ def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
     if any(f is None for f in forms):
         return None
     B = forms[0][1]
+    # equal, not only identical: two direct sums build equal bases, and `_evolve` is slower
     if any(b is not B and (b is None or B is None or not np.array_equal(b, B)) for _, b in forms):
         return None
     _steps(times, _shared_step(models))

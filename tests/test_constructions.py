@@ -756,9 +756,11 @@ class TestPeriodicApproximation:
     @pytest.mark.parametrize("pipeline", ["periodic", "aws"])
     def test_bare_shift_level_off_its_lattice_is_rejected(self, h, n, pipeline):
         # n = 64 is 213.3 steps of 0.3 and n = 1 a quarter step of 4: no
-        # whole number of cells wraps at the period n
+        # whole number of cells wraps at the period n, and the error names
+        # the level, not a time
         V = ShiftSemigroup(h, 10)
-        with pytest.raises(ValueError, match="not an integer multiple of step"):
+        with pytest.raises(InadmissibleTimeError,
+                           match=f"level n={n} is not an integer multiple of step {h}"):
             if pipeline == "periodic":
                 approximate_isometry_by_periodic(V, n)
             else:

@@ -10,6 +10,7 @@ from stablesemi.hilbert import (
     WeightedGrid,
     pad_to_grid,
 )
+from stablesemi.semigroups import ConjugatedGroup, MultiplicationGroup
 
 from reference import inner_product
 
@@ -108,6 +109,50 @@ class TestHVector:
         lhs = (x + y).norm() ** 2 + (x - y).norm() ** 2
         rhs = 2.0 * (x.norm() ** 2 + y.norm() ** 2)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, rhs))
+
+
+# Every array a grid, vector or model is built from: a constructor from the
+# array, and a valid value for it (real or complex as the field is).
+INTAKE = {
+    "points": (lambda a: WeightedGrid(a, np.ones(3)), np.arange(3.0)),
+    "weights": (lambda a: WeightedGrid(np.arange(3.0), a), np.full(3, 0.5)),
+    "coeffs": (lambda a: HVector(WeightedGrid.uniform(3), a), np.array([1.0, 2j, -1.0])),
+    "symbol": (lambda a: MultiplicationGroup(WeightedGrid.uniform(3), a), np.arange(3.0)),
+    "basis": (lambda a: ConjugatedGroup(WeightedGrid.uniform(3), a, MultiplicationGroup(
+        WeightedGrid.uniform(3), np.arange(3.0))), np.eye(3)[::-1] * 1j),
+}
+
+
+@pytest.mark.parametrize("field", INTAKE)
+class TestIntake:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entry(self, field, bad):
+        # a complex entry in a real field is refused as complex, before the cast
+        make, good = INTAKE[field]
+        a = good.astype(np.result_type(good, bad))
+        a.flat[1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be (finite|real)"):
+            make(a)
+
+    def test_complex_value_raises_where_real(self, field):
+        make, good = INTAKE[field]
+        a = good + 0j
+        if np.iscomplexobj(good):
+            np.testing.assert_array_equal(getattr(make(a), field), good)
+        else:
+            with pytest.raises(ValueError, match=f"{field} must be real"):
+                make(a)
+
+    def test_stored_array_is_contiguous_and_read_only(self, field):
+        make, good = INTAKE[field]
+        strided = np.stack([good, good], axis=-1)[..., 0]
+        assert not strided.flags.c_contiguous
+        stored = getattr(make(strided), field)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert stored.dtype == good.dtype
+        np.testing.assert_array_equal(stored, good)
+        with pytest.raises(ValueError):
+            stored.flat[0] = 0.0
 
 
 def _embed(space, block, x):

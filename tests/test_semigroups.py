@@ -277,6 +277,16 @@ class TestConjugatedGroup:
         with pytest.raises(ValueError, match="basis must be k x k"):
             ConjugatedGroup(WeightedGrid.uniform(outer), basis, _mult(inner))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_is_rejected_at_construction(self, bad):
+        # once built, such a model gave NaN correlations at every time
+        rng = np.random.default_rng(14)
+        B, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        B[2, 1] = bad
+        g = WeightedGrid.uniform(4)
+        with pytest.raises(ValueError, match="basis must be finite"):
+            ConjugatedGroup(g, B, MultiplicationGroup(g, rng.uniform(0.0, 2.0, 4)))
+
 
 class TestOneStepMatrix:
     def test_mult_one_step_is_diagonal_phase(self):
