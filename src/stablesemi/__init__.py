@@ -45,8 +45,6 @@ from .diagnostics import (
     cesaro_mean_abs2,
     classify,
     correlation,
-    mt_membership,
-    wjkt_membership,
 )
 from .metrics import (
     MetricConfig,
@@ -91,14 +89,12 @@ __all__ = [
     "metric_contractive",
     "metric_isometric",
     "metric_unitary",
-    "mt_membership",
     "near_identity_aws",
     "one_step_matrix",
     "pad_to_grid",
     "periodization_error_identity",
     "quantize_symbol",
     "shift_grid",
-    "wjkt_membership",
     "wold_decompose",
     "wold_decompose_matrix",
 ]

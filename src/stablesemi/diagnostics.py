@@ -1,7 +1,6 @@
 """Stability diagnostics: correlation traces, the Cesaro mean, the
 finite-horizon verdict `classify`, the one reader of the spectral measure
-(its atoms, the Wiener limit and the density of decay), and the membership
-predicates used by the category-escape demonstration.
+(its atoms, the Wiener limit and the density of decay).
 
 All asymptotic notions become finite-horizon estimates; every verdict is
 labeled "evidence", never a proof.  On finite grids all spectral measures
@@ -11,8 +10,8 @@ simple spectrum (no repeated frequency) and a small Wiener limit.
 Every vector meets its model on the grid `semigroups._columns` picks (the
 longest of theirs, each vector zero-padded onto it), and every correlation
 goes through `semigroups._correlations`, whose module docstring states the
-rule that picks its path: `correlation` evaluates one pair, `classify` all
-witness pairs in one call, and the membership predicates one time.
+rule that picks its path: `correlation` evaluates one pair, and `classify`
+all witness pairs in one call.
 """
 
 from __future__ import annotations
@@ -223,25 +222,3 @@ def classify(
         verdict=verdict,
         tail_sup=worst_tail,
     )
-
-
-def _modulus(U: SemigroupModel, x: HVector, t: float) -> float:
-    """|<U(t)x, x>| at one time, as a Python float: the predicates then
-    return a bool, which a summary's JSON writes as `true`.  U admits t as
-    every evolution does (`_steps`)."""
-    values = _correlations(U, *_columns((U,), (x,)), [0], [0], np.array([t], dtype=float))[0]
-    return abs(complex(values[0, 0]))
-
-
-def mt_membership(U: SemigroupModel, x: HVector, t: float) -> bool:
-    """|<U(t)x, x>| <= 1/2 for a unit vector x."""
-    if abs(x.norm() - 1.0) > 1e-12:
-        raise ValueError("membership in M_t is defined for unit vectors")
-    return _modulus(U, x, t) <= 0.5
-
-
-def wjkt_membership(U: SemigroupModel, x_j: HVector, k: int, t: float) -> bool:
-    """|<U(t)x_j, x_j>| < 1/k."""
-    if not (_is_integer(k) and k >= 1):
-        raise ValueError("k must be a positive integer")
-    return _modulus(U, x_j, t) < 1.0 / k

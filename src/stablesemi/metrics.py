@@ -77,10 +77,10 @@ def _lipschitz_slack(S: SemigroupModel, T: SemigroupModel, dt: float) -> float:
     return (fs + ft) * dt / 2.0
 
 
-def _block_sups(diffs: np.ndarray, times: np.ndarray, cfg: MetricConfig, forward: bool):
-    """Per-n sampled sup of the difference table diffs[time, witness...]:
-    an (N, *witness axes) table."""
-    reach = times if forward else np.abs(times)
+def _block_sups(diffs: np.ndarray, times: np.ndarray, cfg: MetricConfig):
+    """Per-n sampled sup of the difference table diffs[time, witness...]
+    over |t| <= n: an (N, *witness axes) table."""
+    reach = np.abs(times)
     return np.stack([diffs[reach <= n + 1e-12].max(axis=0) for n in range(1, cfg.N + 1)])
 
 
@@ -114,11 +114,10 @@ def _metric_inputs(S, T, cfg: MetricConfig, lo: float, room: bool):
     return times, slack, np.array([x.norm() for x in witnesses]), grid, Z
 
 
-def _strong_metric(S, T, cfg: MetricConfig, forward: bool) -> MetricValue:
-    lo = 0.0 if forward else -float(cfg.N)
+def _strong_metric(S, T, cfg: MetricConfig, lo: float) -> MetricValue:
     times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, lo, room=True)
     diffs = _diff_norms(S, T, grid, Z, times)
-    return _assemble(_block_sups(diffs, times, cfg, forward), norms, cfg, slack)
+    return _assemble(_block_sups(diffs, times, cfg), norms, cfg, slack)
 
 
 def metric_unitary(U: SemigroupModel, V: SemigroupModel, cfg: MetricConfig) -> MetricValue:
@@ -126,12 +125,12 @@ def metric_unitary(U: SemigroupModel, V: SemigroupModel, cfg: MetricConfig) -> M
     U(-t) = U(t)* for unitary groups).  A model that is not unitary holds a
     truncated shift, which raises InadmissibleTimeError (a ValueError) at
     the first negative time, before any value is formed."""
-    return _strong_metric(U, V, cfg, forward=False)
+    return _strong_metric(U, V, cfg, -float(cfg.N))
 
 
 def metric_isometric(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) -> MetricValue:
     """Strong metric on isometric semigroups (every model is one): forward times only."""
-    return _strong_metric(S, T, cfg, forward=True)
+    return _strong_metric(S, T, cfg, 0.0)
 
 
 def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) -> MetricValue:
@@ -141,5 +140,5 @@ def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) 
     i, j = np.indices((cfg.J, cfg.J)).reshape(2, -1)
     S_ij, T_ij = (_correlations(M, grid, Z, i, j, times)[0] for M in (S, T))
     diffs = np.abs(S_ij - T_ij).reshape(times.size, cfg.J, cfg.J)
-    return _assemble(_block_sups(diffs, times, cfg, forward=True), norms, cfg,
+    return _assemble(_block_sups(diffs, times, cfg), norms, cfg,
                      None if slack is None else 2.0 * slack)

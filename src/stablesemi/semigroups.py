@@ -95,9 +95,8 @@ def _steps(times: np.ndarray, h: float | None) -> np.ndarray | None:
     does not hold exactly), or is off the lattice by more than its `_margin`.
 
     The one place a model admits a time.  One time (a one-step matrix, a
-    membership predicate, a periodization identity) is checked in plain
-    Python, where numpy's per-call cost would dominate; a time grid in one
-    vectorized pass.
+    periodization identity) is checked in plain Python, where numpy's
+    per-call cost would dominate; a time grid in one vectorized pass.
     """
     if times.size == 1:
         t = float(times[0])

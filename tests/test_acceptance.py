@@ -31,7 +31,6 @@ from stablesemi.diagnostics import (
     CorrelationTrace,
     cesaro_mean_abs2,
     classify,
-    wjkt_membership,
 )
 from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary

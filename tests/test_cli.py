@@ -20,10 +20,10 @@ from stablesemi.cli import (
     run_shift_periodization_check,
     write_outputs,
 )
-from stablesemi import constructions
+from stablesemi import cli, constructions
 from stablesemi.constructions import (
     distinct_frequency_certificate, inflate_and_perturb, near_identity_aws, quantize_symbol)
-from stablesemi.diagnostics import correlation, mt_membership, wjkt_membership
+from stablesemi.diagnostics import correlation
 from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
 from stablesemi.metrics import MetricConfig, metric_unitary
 from stablesemi.semigroups import MultiplicationGroup
@@ -131,12 +131,23 @@ class TestConfig:
 
 
 class TestMain:
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys, monkeypatch):
         cfgp = _write(tmp_path, "ok.json", SMALL)
         assert main(["run", str(cfgp), "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "zz": 1})
         assert main(["run", str(bad)]) == 2
+        # an output directory that cannot be created is a config error,
+        # found before the scenario runs (exit 1 would mean a violated bound)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+
+        def not_run(*args):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", not_run)
+        assert main(["run", str(cfgp), "--out", str(blocker / "sub"), "--quiet"]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_fiber_dim_is_an_unknown_key(self, tmp_path, capsys):
         # shifts are scalar; a multiplicity is a direct sum of shifts
@@ -272,7 +283,8 @@ def _reference_quantization_sweep(cfg):
 def _reference_category_escape(cfg):
     """The scenario built by hand: a floor onto (2*pi/base_level)Z, then
     inflation and compression for the almost weakly stable group; each
-    membership decided from the trace value and from the predicate."""
+    membership decided from the trace value: an escape row is outside M_t
+    (value > 1/2), an AWS row inside W_jkt (value < 1/k_max)."""
     dim, base_level = cfg["dimension"], cfg["base_level"]
     n_values, multiples = cfg["n_values"], cfg["multiples"]
     j_count, k_max = cfg["witnesses"], cfg["k_max"]
@@ -288,8 +300,8 @@ def _reference_category_escape(cfg):
         d = metric_unitary(U, Vn, mcfg).value
         revivals = np.abs(correlation(Vn, x, x, n * np.arange(1, multiples + 1)).values)
         for m, val in enumerate(revivals.tolist(), start=1):
-            escaped = not mt_membership(Vn, x, m * n)
-            ok = ok and escaped and val > 0.5
+            escaped = val > 0.5
+            ok = ok and escaped
             rows.append({"table": "escape", "n": n, "t": m * n, "witness": -1,
                          "value": val, "escaped": escaped, "metric_to_base": d})
         if prev is not None and d > prev + 1e-9:
@@ -305,8 +317,7 @@ def _reference_category_escape(cfg):
         xj = seq[j]
         vals = np.abs(correlation(aws, xj, xj, t_sweep).values) / xj.norm() ** 2
         best_t = float(t_sweep[int(np.argmin(vals))])
-        entered = bool(vals.min() < 1.0 / k_max) and wjkt_membership(
-            aws, xj.normalized(), k_max, best_t)
+        entered = bool(vals.min() < 1.0 / k_max)
         ok = ok and entered
         rows.append({"table": "aws", "n": base_level, "t": best_t, "witness": j,
                      "value": float(vals.min()), "escaped": entered,

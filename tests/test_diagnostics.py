@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablesemi import constructions, diagnostics
+from stablesemi.cli import ConfigError, load_config
 from stablesemi.constructions import cantor_group, cantor_transform_abs, quantize_symbol
 from stablesemi.diagnostics import (
     ClassifyParams,
@@ -14,8 +16,6 @@ from stablesemi.diagnostics import (
     cesaro_mean_abs2,
     classify,
     correlation,
-    mt_membership,
-    wjkt_membership,
 )
 from stablesemi.hilbert import DenseSequence, GridMismatchError, HVector, WeightedGrid
 from stablesemi.metrics import (
@@ -222,39 +222,32 @@ class TestClassify:
 
 
 class TestMembership:
-    def test_mt_requires_unit_norm(self):
-        U = _two_atom()
-        with pytest.raises(ValueError):
-            mt_membership(U, HVector(U.grid, 2.0 * np.ones(2)), 1.0)
+    """Membership in M_t and W_jkt is read off the correlation, as
+    `category_escape` decides it: x is outside M_t when |<U(t)x, x>| > 1/2,
+    and x_j inside W_jkt when its value is below 1/k."""
 
     def test_mt_two_atom(self):
         U = _two_atom()
         x = HVector(U.grid, np.ones(2))
-        # |<U(t)x,x>| = |cos(t/2)|
-        assert mt_membership(U, x, np.pi)
-        assert not mt_membership(U, x, 0.1)
+        # |<U(t)x,x>| = |cos(t/2)|: outside M_t at t = 0.1, inside at t = pi
+        vals = np.abs(correlation(U, x, x, [0.1, np.pi]).values)
+        np.testing.assert_allclose(vals, np.abs(np.cos([0.05, np.pi / 2])), atol=1e-15)
+        assert vals[0] > 0.5 >= vals[1]
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_non_finite_times_are_inadmissible(self, t):
         U = _two_atom()
         x = HVector(U.grid, np.ones(2))
         with pytest.raises(InadmissibleTimeError):
-            mt_membership(U, x, t)
-        with pytest.raises(InadmissibleTimeError):
-            wjkt_membership(U, x, 3, t)
+            correlation(U, x, x, [t])
 
     @pytest.mark.parametrize("k", [2.5, True, np.nan])
-    def test_wjkt_k_must_be_a_positive_integer(self, k):
-        U = _two_atom()
-        with pytest.raises(ValueError, match="k must be a positive integer"):
-            wjkt_membership(U, HVector(U.grid, np.ones(2)), k, 1.0)
-
-    def test_wjkt_strict_inequality(self):
-        U = _two_atom()
-        x = HVector(U.grid, np.ones(2))
-        t = 2.0 * np.arccos(1.0 / 3.0)
-        assert not wjkt_membership(U, x, 3, t)  # exactly 1/3 is excluded
-        assert wjkt_membership(U, x, 3, t + 1e-6)
+    def test_wjkt_k_must_be_a_positive_integer(self, k, tmp_path):
+        # the k of W_jkt is category_escape's k_max, checked where the config loads
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "category_escape", "k_max": k}))
+        with pytest.raises(ConfigError, match="k_max must be an integer >= 1"):
+            load_config(cfg)
 
     def test_eigenvector_proximity_blocks_decay(self):
         # a unit vector within delta of a unit eigenvector has
@@ -275,7 +268,6 @@ class TestMembership:
             val = abs(complex((g.weights * np.exp(1j * t * U.symbol) * x.coeffs
                                * np.conj(x.coeffs)).sum()))
             assert val >= floor - 1e-12
-            assert not wjkt_membership(U, x, 3, t)
 
 
 class TestCantorOracle:
@@ -335,8 +327,8 @@ class TestGridRule:
     other = WeightedGrid(g.points[1:5], g.weights[1:5])  # 4 points, not a prefix
     U = MultiplicationGroup(g, np.random.default_rng(0).uniform(-3.0, 3.0, g.size))
     V = quantize_symbol(U, 8).approximant
-    NAMES = ("correlation", "classify", "mt_membership", "wjkt_membership",
-             "metric_unitary", "metric_isometric", "metric_contractive")
+    NAMES = ("correlation", "classify", "metric_unitary", "metric_isometric",
+             "metric_contractive")
 
     def _pair(self, grid):
         """Two vectors on grid and their copies zero-padded by hand onto g."""
@@ -351,15 +343,12 @@ class TestGridRule:
         """Each function of NAMES on U (and V) and the vectors xs, uncalled."""
         U, V = self.U, self.V
         x, y = xs
-        u = x.normalized()
         seq = DenseSequence(tuple(xs))
         cfg = MetricConfig(seq, J=2, N=3, samples_per_block=8)
         times = np.linspace(0.0, 20.0, 41)
         return dict(zip(self.NAMES, (
             lambda: correlation(U, x, y, times).values.tolist(),
             lambda: classify(U, seq, ClassifyParams(horizon=20.0, samples=50)),
-            lambda: [mt_membership(U, u, t) for t in times],
-            lambda: [wjkt_membership(U, u, 2, t) for t in times],
             lambda: metric_unitary(U, V, cfg),
             lambda: metric_isometric(U, V, cfg),
             lambda: metric_contractive(U, V, cfg),

@@ -1,7 +1,7 @@
-"""The spectral path of correlation, classify, the membership predicates and
-the metrics over a zoo of unitary models, and the `_evolve` path they take
-otherwise over shift and Wold-sum pairs, checked against per-time loops over
-reference matrices built from construction data."""
+"""The spectral path of correlation, classify and the metrics over a zoo of
+unitary models, and the `_evolve` path they take otherwise over shift and
+Wold-sum pairs, checked against per-time loops over reference matrices built
+from construction data."""
 
 import math
 import tracemalloc
@@ -11,8 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stablesemi.constructions import cantor_group, quantize_symbol
-from stablesemi.diagnostics import (
-    ClassifyParams, classify, correlation, mt_membership, wjkt_membership)
+from stablesemi.diagnostics import ClassifyParams, classify, correlation
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
@@ -290,10 +289,6 @@ def test_diagnostics_off_the_spectral_path_match_reference(name, seed):
         if key == "density_est" and any(np.any(np.abs(c - p.eps) < 1e-9) for c in selfs):
             continue  # a value on the threshold may fall either side
         assert getattr(rep, key) == pytest.approx(want, rel=TOL, abs=TOL), key
-    u, t = x.normalized(), 3 * T.time_step
-    value = abs(_corr_reference(T, u, u, [t])[0])
-    assert mt_membership(T, u, t) == (value <= 0.5)
-    assert wjkt_membership(T, u, 2, t) == (value < 0.5)
 
 
 @settings(max_examples=10, deadline=None)
@@ -354,11 +349,8 @@ def test_spectral_path_builds_no_gram(kind, monkeypatch):
         monkeypatch.setattr(cls, "_evolve", no_evolve)
     S = _model(kind, 9)
     wit = DenseSequence.gaussian(S.grid, 3, seed=9)
-    u, t = wit[0].normalized(), 3.0 * (S.time_step or 1.0)
     correlation(S, wit[0], wit[1], _times(S, np.random.default_rng(9)))
     classify(S, wit, ClassifyParams(horizon=20.0, samples=50))
-    mt_membership(S, u, t)
-    wjkt_membership(S, u, 3, t)
     metric_contractive(S, _approximant(S), MetricConfig(wit, J=3, N=2, samples_per_block=4))
 
 
