@@ -9,7 +9,7 @@ benchmarks, and metric convergence tables.
 Usage: stablesemi run <config.json> [--out DIR] [--seed N] [--quiet]
 
 Exit codes: 0 = all bounds held, 1 = a bound was violated, 2 = config error
-(an output directory that cannot be created among them).
+(among them an output directory that cannot be created or a file that cannot be written).
 Config files are flat JSON objects with a `scenario` discriminator; unknown
 keys are errors.  The seed fully determines all randomized inputs, so a
 fixed config yields byte-identical CSV output.
@@ -444,7 +444,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run_scenario(cfg, args.out, args.quiet)
+    try:
+        return run_scenario(cfg, args.out, args.quiet)
+    except OSError as exc:
+        print(f"config error: cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -74,7 +74,8 @@ class WeightedGrid:
 
 @dataclass(frozen=True)
 class HVector:
-    """Complex coefficient vector over a weighted grid."""
+    """Complex coefficient vector over a weighted grid: coefficients and a
+    norm, no arithmetic; to combine vectors, combine their `coeffs`."""
 
     grid: WeightedGrid
     coeffs: np.ndarray
@@ -90,21 +91,6 @@ class HVector:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return HVector(self.grid, self.coeffs / n)
-
-    def __add__(self, other: "HVector") -> "HVector":
-        if not self.grid.same_as(other.grid):
-            raise GridMismatchError("vector addition requires a shared grid")
-        return HVector(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        if not self.grid.same_as(other.grid):
-            raise GridMismatchError("vector subtraction requires a shared grid")
-        return HVector(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "HVector":
-        return HVector(self.grid, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 def _is_prefix_grid(short: WeightedGrid, long: WeightedGrid) -> bool:

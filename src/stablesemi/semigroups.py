@@ -154,7 +154,8 @@ def shift_grid(cells: int, step: float) -> WeightedGrid:
 
 
 class SemigroupModel:
-    """Common interface; concrete models subclass this and define `_evolve`.
+    """Common interface; every model defines `_evolve` and has a `grid`: a field
+    of a multiplication group and of a conjugation, a property of a shift or a sum.
 
     Every model is an isometric semigroup, and a unitary group exactly when
     `spectral_form` is not None; no flag restates either.  A shift acts on
@@ -186,10 +187,6 @@ class SemigroupModel:
         return HVector(grid, self._evolve(times, Z)[0, :, 0] / np.sqrt(grid.weights))
 
     @property
-    def grid(self) -> WeightedGrid:
-        raise NotImplementedError
-
-    @property
     def time_step(self):
         """Smallest positive admissible step, or None if all reals admissible."""
         return None
@@ -205,15 +202,11 @@ class SemigroupModel:
 class MultiplicationGroup(SemigroupModel):
     """(U(t)x)_k = exp(i t q_k) x_k on a weighted grid; always unitary."""
 
-    _grid: WeightedGrid
+    grid: WeightedGrid
     symbol: np.ndarray
 
     def __post_init__(self):
-        _intake(self, "symbol", float, (self._grid.size,), "symbol length must equal grid size")
-
-    @property
-    def grid(self) -> WeightedGrid:
-        return self._grid
+        _intake(self, "symbol", float, (self.grid.size,), "symbol length must equal grid size")
 
     def _evolve(self, times, X):
         _steps(times, None)
@@ -392,21 +385,17 @@ class ConjugatedGroup(SemigroupModel):
     which drop the overflow of each block, are accepted.
     """
 
-    _grid: WeightedGrid
+    grid: WeightedGrid
     basis: np.ndarray
     inner: SemigroupModel
 
     def __post_init__(self):
-        k, rule = self._grid.size, "basis must be k x k, with k the inner and the outer dimension"
+        k, rule = self.grid.size, "basis must be k x k, with k the inner and the outer dimension"
         if self.inner.grid.size != k:
             raise ValueError(rule)
         _intake(self, "basis", complex, (k, k), rule)
         if isinstance(self.inner, ShiftSemigroup):
             raise ValueError("a bare truncated shift needs room a conjugated space lacks")
-
-    @property
-    def grid(self) -> WeightedGrid:
-        return self._grid
 
     @property
     def time_step(self):

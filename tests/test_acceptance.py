@@ -36,6 +36,8 @@ from stablesemi.hilbert import DenseSequence, HVector, WeightedGrid
 from stablesemi.metrics import MetricConfig, metric_contractive, metric_isometric, metric_unitary
 from stablesemi.semigroups import MultiplicationGroup, ShiftSemigroup
 
+from reference import weighted
+
 
 def _report(num: int, label: str, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
@@ -224,8 +226,8 @@ def test_criterion_7_category_escape():
     for k in range(20):
         e = HVector(g, np.sqrt(10.0) * np.eye(10)[k % 10])
         p = HVector(g, rng.standard_normal(10) + 1j * rng.standard_normal(10))
-        x = (e + (rng.uniform(0.01, 0.25) / p.norm()) * p).normalized()
-        d = min((x - e).norm(), 0.25)
+        x = HVector(g, e.coeffs + (rng.uniform(0.01, 0.25) / p.norm()) * p.coeffs).normalized()
+        d = min(np.linalg.norm(weighted(x) - weighted(e)), 0.25)
         floor = 1.0 - d * d - 2.0 * d
         ts = np.linspace(0.0, 100.0, 401)
         vals = np.abs(_autocorr(U, x, ts))

@@ -137,6 +137,10 @@ class TestMain:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "zz": 1})
         assert main(["run", str(bad)]) == 2
+        # so is an output file that cannot be written, found after the scenario ran
+        (tmp_path / "w" / f"{SMALL['scenario']}.csv").mkdir(parents=True)
+        assert main(["run", str(cfgp), "--out", str(tmp_path / "w"), "--quiet"]) == 2
+        assert "cannot write outputs to" in capsys.readouterr().err
         # an output directory that cannot be created is a config error,
         # found before the scenario runs (exit 1 would mean a violated bound)
         blocker = tmp_path / "a_file"

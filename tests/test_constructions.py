@@ -782,8 +782,8 @@ class TestPeriodicApproximation:
         np.testing.assert_allclose(M.conj().T @ M, np.eye(8), atol=1e-10)
         # at one step the approximant tracks V up to the quantization scale
         # plus the rank-one defect of completing the truncated shift
-        d = (V.apply(1.0, x) - P.apply(1.0, x)).norm()
-        assert d < 1.5
+        vx, px = V.apply(1.0, x), P.apply(1.0, x)
+        assert vx.grid.same_as(px.grid) and np.linalg.norm(weighted(vx) - weighted(px)) < 1.5
 
     @pytest.mark.parametrize("du, cells, seed", [
         (4, (7,), 41), (3, (5, 9), 42), (2, (6, 6), 43)])
@@ -861,7 +861,9 @@ class TestPeriodicApproximation:
         for seed in (50, 51):
             x = _rvec(V.grid, seed).normalized()
             for t in range(-int(t0), int(t0) + 1):
-                assert (A.apply(float(t), x) - P.apply(float(t), x)).norm() <= eps + 1e-10
+                ax, px = A.apply(float(t), x), P.apply(float(t), x)
+                assert ax.grid.same_as(px.grid)
+                assert np.linalg.norm(weighted(ax) - weighted(px)) <= eps + 1e-10
 
     @pytest.mark.parametrize("n", [12, 64])
     def test_one_approximant_in_every_basis(self, n):
@@ -975,8 +977,9 @@ class TestAwsPipeline:
         x = _rvec(U.grid, 20).normalized()
         # pipeline distance <= quantization error + perturbation guarantee
         for t in np.linspace(-t0, t0, 7):
-            d = (U.apply(t, x) - A.apply(t, x)).norm()
-            assert d <= 2 * np.pi * abs(t) / 256 + eps + 1e-10
+            ux, ax = U.apply(t, x), A.apply(t, x)
+            d = np.linalg.norm(weighted(ux) - weighted(ax))
+            assert ux.grid.same_as(ax.grid) and d <= 2 * np.pi * abs(t) / 256 + eps + 1e-10
 
     def test_shift_input(self):
         R = ShiftSemigroup(1.0, 10)
@@ -1051,4 +1054,6 @@ class TestAwsPipeline:
                 z = basis.conj().T @ (np.exp(1j * t * freqs) * (basis @ (sw * x.coeffs)))
                 y = A.apply(float(t), x)
                 np.testing.assert_allclose(z / sw, y.coeffs, rtol=0, atol=1e-12)
-                assert (y - P.apply(float(t), x)).norm() <= eps + 1e-10
+                px = P.apply(float(t), x)
+                assert y.grid.same_as(px.grid)
+                assert np.linalg.norm(weighted(y) - weighted(px)) <= eps + 1e-10

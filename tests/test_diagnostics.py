@@ -23,7 +23,7 @@ from stablesemi.metrics import (
 from stablesemi.semigroups import (
     InadmissibleTimeError, MultiplicationGroup, PeriodicShiftGroup, ShiftSemigroup)
 
-from reference import atom_masses, atoms
+from reference import atom_masses, atoms, weighted
 
 
 def _two_atom():
@@ -259,9 +259,8 @@ class TestMembership:
         e = HVector(g, np.sqrt(6.0) * np.eye(6)[2])  # unit eigenvector
         delta = 0.2
         pert = HVector(g, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        pert = (delta / pert.norm()) * pert
-        x = (e + pert).normalized()
-        d = (x - e).norm()
+        x = HVector(g, e.coeffs + (delta / pert.norm()) * pert.coeffs).normalized()
+        d = np.linalg.norm(weighted(x) - weighted(e))
         floor = 1.0 - d * d - 2.0 * d
         assert floor > 1.0 / 3.0
         for t in np.linspace(0.0, 50.0, 101):

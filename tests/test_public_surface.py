@@ -1,10 +1,10 @@
 """The package's public surface: every exported name resolves, every name
 the benchmark's scripts read resolves, the kernel ladder runs its first
-rungs, the model protocol has six members, and the per-vector checkers,
+rungs, the model protocol has five members, and the per-vector checkers,
 helpers and serializers that no scenario used, the readers of the spectral
 measure that restated `classify`, the verdict tuple only `StabilityReport`
-reads, the members that restated a fact or an input and the backward
-evolution are gone."""
+reads, the members that restated a fact or an input (vector arithmetic
+among them) and the backward evolution are gone."""
 
 import ast
 import dataclasses
@@ -30,13 +30,18 @@ DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
 # inflation's perturbation scale, its m, and its embedding and compression,
 # which embed_index gives; the one-step map, one_step_matrix(V, wr.step);
 # float() of a metric value, its .value; a sum space's dimension and block
-# slices, its combined.size and offsets; and a grid's total mass, its
-# weights.sum()
+# slices, its combined.size and offsets; a grid's total mass, its
+# weights.sum(); the `_grid` of a multiplication group and of a conjugation,
+# which a `grid` property handed back (now `grid` is the field); and a
+# vector's sum, difference and scaling, those of its coeffs
 RESTATED = (("QuantizationResult", "level"), ("InflationResult", "scale_per_level"),
             ("InflationResult", "level_m"), ("InflationResult", "embed"),
             ("InflationResult", "compressed"), ("WoldResult", "one_step"),
             ("MetricValue", "__float__"), ("SumSpace", "dimension"),
-            ("SumSpace", "block_slice"), ("WeightedGrid", "total_mass"))
+            ("SumSpace", "block_slice"), ("WeightedGrid", "total_mass"),
+            ("MultiplicationGroup", "_grid"), ("ConjugatedGroup", "_grid"),
+            ("HVector", "__add__"), ("HVector", "__sub__"), ("HVector", "__mul__"),
+            ("HVector", "__rmul__"))
 # tolerances and walk caps are the library's own constants, not caller options
 KNOBS = ("max_iter", "tol", "commensurability_tol", "factor_tol")
 
@@ -79,11 +84,17 @@ def test_models_state_no_isometry_flag_or_max_frequency(name):
         assert not hasattr(model, member), member
 
 
-def test_model_protocol_has_six_members():
+def test_model_protocol_has_five_members():
     # no model grows its payload, so none needs a compressed evolution
     members = {n for n in vars(stablesemi.SemigroupModel) if not n.startswith("__")}
-    assert members == {"_evolve", "_check_grid", "apply", "grid", "time_step",
-                       "spectral_form"}
+    assert members == {"_evolve", "_check_grid", "apply", "time_step", "spectral_form"}
+
+
+def test_grid_is_a_constructor_keyword():
+    g = stablesemi.WeightedGrid.uniform(2)
+    mult = stablesemi.MultiplicationGroup(grid=g, symbol=[0.0, 1.0])
+    conj = stablesemi.ConjugatedGroup(grid=g, basis=[[0, 1], [1, 0]], inner=mult)
+    assert mult.grid is conj.grid is g
 
 
 def test_pad_to_grid_pads_vectors_only():

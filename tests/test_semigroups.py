@@ -155,7 +155,7 @@ class TestShiftSemigroup:
         for t, s in [(1.0, 2.0), (0.0, 3.0)]:
             lhs, rhs = R.apply(t + s, x), R.apply(t, R.apply(s, x))
             assert lhs.grid is rhs.grid
-            assert (lhs - rhs).norm() <= 1e-12 * x.norm()
+            assert np.linalg.norm(weighted(lhs) - weighted(rhs)) <= 1e-12 * x.norm()
         y = R.apply(4.0, x)
         np.testing.assert_allclose(weighted(y), operator_matrix(R, 4.0) @ weighted(x))
         assert y.norm() == pytest.approx(x.norm(), rel=1e-12)
@@ -487,6 +487,14 @@ def test_one_step_matrix_makes_no_apply_calls(kind, monkeypatch):
 def test_conjugating_a_truncated_shift_is_rejected_at_construction():
     with pytest.raises(ValueError, match="needs room"):
         ConjugatedGroup(WeightedGrid.uniform(5), np.eye(5), ShiftSemigroup(1.0, 5))
+
+
+@pytest.mark.parametrize("kind", ["mult", "shift", "periodic", "dsum_shift", "conj_dsum"])
+def test_every_model_has_a_grid_it_acts_on(kind):
+    # the protocol declares no grid: each of the five model classes has its own
+    T = _zoo(kind, 0)
+    assert isinstance(T.grid, WeightedGrid)
+    T._check_grid(T.grid)
 
 
 def test_shift_grid_is_shared():
