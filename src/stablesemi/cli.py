@@ -8,8 +8,10 @@ benchmarks, and metric convergence tables.
 
 Usage: stablesemi run <config.json> [--out DIR] [--seed N] [--quiet]
 
-Exit codes: 0 = all bounds held, 1 = a bound was violated, 2 = config error
-(among them an output directory that cannot be created or a file that cannot be written).
+Exit codes: 0 = all bounds held, 1 = a bound was violated, 2 = config error:
+any ValueError while reading or checking a config (a file that is not UTF-8
+included), an output directory that cannot be created or a file that cannot
+be written.
 Config files are flat JSON objects with a `scenario` discriminator; unknown
 keys are errors.  The seed fully determines all randomized inputs, so a
 fixed config yields byte-identical CSV output.
@@ -39,7 +41,7 @@ from .constructions import (
     _snap_down,
 )
 from .diagnostics import cesaro_mean_abs2, correlation
-from .hilbert import DenseSequence, HVector, SumSpace, WeightedGrid, _is_integer
+from .hilbert import DenseSequence, HVector, SumSpace, WeightedGrid, _count, _positive
 from .metrics import MetricConfig, metric_unitary
 from .semigroups import (
     ConjugatedGroup,
@@ -50,9 +52,6 @@ from .semigroups import (
     _correlations,
     shift_grid,
 )
-
-class ConfigError(ValueError):
-    pass
 
 
 # --- helpers -----------------------------------------------------------------
@@ -323,32 +322,25 @@ SCENARIOS = {
 
 def load_config(path: Path) -> dict:
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a flat JSON object")
+        raise ValueError("config must be a flat JSON object")
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
-        raise ConfigError(
+        raise ValueError(
             f"unknown scenario {scenario!r}; choose one of {sorted(SCENARIOS)}")
     _, defaults = SCENARIOS[scenario]
     allowed = set(defaults) | {"scenario", "seed"}
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys for {scenario}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys for {scenario}: {sorted(unknown)}")
     cfg = dict(defaults)
     cfg.update(raw)
-    cfg["seed"] = _checked_seed(cfg.get("seed", 0))
+    cfg["seed"] = _count(cfg.get("seed", 0), "seed", 0)
     _check_values(cfg, defaults)
     return cfg
-
-
-def _checked_seed(seed):
-    """The seed if it is an integer >= 0 (not a bool), else ConfigError."""
-    if not _is_integer(seed) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
 
 
 # counts that need two: a time grid needs two samples, a trial draws its period
@@ -358,23 +350,24 @@ _AT_LEAST_TWO = {"num_samples", "samples_per_block", "period_cells", "copies"}
 
 def _check_values(cfg: dict, defaults: dict) -> None:
     """Reject values the scenario cannot run with, before it runs, by the type
-    of each default: an int is a count >= 1 (>= 2 in _AT_LEAST_TWO), a float
-    a finite number > 0, a list a non-empty list of levels >= 1."""
+    of each default and the rules of `hilbert._count` and `hilbert._positive`:
+    an int is a count >= 1 (>= 2 in _AT_LEAST_TWO), a float a finite number
+    > 0, a list a non-empty list of counts >= 1."""
     for key, default in defaults.items():
         v = cfg[key]
         if isinstance(default, int):
-            low = 2 if key in _AT_LEAST_TWO else 1
-            if not _is_integer(v) or v < low:
-                raise ConfigError(f"{key} must be an integer >= {low}, got {v!r}")
+            _count(v, key, 2 if key in _AT_LEAST_TWO else 1)
         elif isinstance(default, float):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-                raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
-        elif not (isinstance(v, list) and v and all(_is_integer(n) and n >= 1 for n in v)):
-            raise ConfigError(f"{key} must be a non-empty list of integers >= 1, got {v!r}")
+            _positive(v, key)
+        elif isinstance(v, list) and v:
+            for n in v:
+                _count(n, key)
+        else:
+            raise ValueError(f"{key} must be a non-empty list of integers >= 1, got {v!r}")
     for key in defaults:  # a min_* bound may not exceed its max_*
         top = "max_" + key[4:]
         if key.startswith("min_") and cfg[key] > cfg[top]:
-            raise ConfigError(f"{key} must be <= {top}, got {cfg[key]!r} > {cfg[top]!r}")
+            raise ValueError(f"{key} must be <= {top}, got {cfg[key]!r} > {cfg[top]!r}")
 
 
 def _json_safe(v):
@@ -436,12 +429,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = _checked_seed(args.seed)
+            cfg["seed"] = _count(args.seed, "seed", 0)
         args.out.mkdir(parents=True, exist_ok=True)  # before the scenario runs
     except OSError as exc:
         print(f"config error: cannot create output directory {args.out}: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import HVector, WeightedGrid, _is_integer
+from .hilbert import HVector, WeightedGrid, _count, _positive
 from .semigroups import (
     ConjugatedGroup,
     InadmissibleTimeError,
@@ -53,9 +53,9 @@ class QuantizationResult:
 
 def _levels(n) -> np.ndarray:
     """n as an array, ValueError unless every level in it is a finite
-    number >= 1 (a NaN fails `n >= 1`)."""
+    number >= 1 (a NaN fails `n >= 1`, and a bool is not a level)."""
     n = np.asarray(n)
-    if not ((n >= 1) & (n < np.inf)).all():
+    if n.dtype == bool or not ((n >= 1) & (n < np.inf)).all():
         raise ValueError("quantization level must be >= 1 and finite")
     return n
 
@@ -128,10 +128,7 @@ def _inflation_layout(q: np.ndarray, eps: float, t0: float, copies: int):
     """(source, embed_index, deltas) of `inflate_and_perturb` for the symbol
     q: inflated slot i copies index source[i] and adds deltas[i] to its
     frequency, and index j sits at slot embed_index[j], in copy 0."""
-    if not (0 < eps < math.inf and 0 < t0 < math.inf):
-        raise ValueError(f"need finite eps > 0 and t0 > 0, got eps={eps!r}, t0={t0!r}")
-    if not _is_integer(copies) or copies < 2:
-        raise ValueError(f"copies must be an integer >= 2, got {copies!r}")
+    eps, t0, copies = _positive(eps, "eps"), _positive(t0, "t0"), _count(copies, "copies", 2)
     m = max(1, math.ceil(2.0 * t0 / eps))
     lams, group = _frequency_groups(q)
     order = np.argsort(group, kind="stable")
@@ -351,14 +348,12 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     hand: the eigenvalues of the Hermitian M0* M0 - I, the smaller Gram
     matrix of the others (`_norm2`).  It is at least 1 when the walk did not
     stabilize, as for a one-step map that is not an isometry.  A given step
-    must be finite and > 0 (ValueError).  A repeated call on the same model
-    object with the same h returns the same result, whose arrays are all
-    read-only.
+    must be a finite number > 0 (`hilbert._positive`, else ValueError).  A
+    repeated call on the same model object with the same h returns the same
+    result, whose arrays are all read-only.
     """
     global _last_split
-    if step is not None and not 0 < step < math.inf:
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
-    h = step if step is not None else _natural_step(V)
+    h = _positive(step, "step") if step is not None else _natural_step(V)
     if _last_split is not None and _last_split[0] is V and _last_split[1] == h:
         return _last_split[2]
     W = one_step_matrix(V, h)
@@ -576,8 +571,7 @@ def cantor_group(depth: int) -> MultiplicationGroup:
     weights; the symbol is the atom position, so the autocorrelation of the
     uniform unit vector is the depth-d truncated product formula.
     """
-    if not _is_integer(depth) or depth < 1:
-        raise ValueError(f"cantor depth must be an integer >= 1, got {depth!r}")
+    _count(depth, "cantor depth")
     bits = np.arange(2 ** depth)[:, None] >> np.arange(depth)[None, :] & 1
     pts = (bits * (2.0 / 3.0 ** np.arange(1, depth + 1))).sum(axis=1)
     grid = WeightedGrid(pts, np.full(2 ** depth, 2.0 ** -depth))

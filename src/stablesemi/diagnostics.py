@@ -16,12 +16,11 @@ all witness pairs in one call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence, HVector, _is_integer
+from .hilbert import DenseSequence, HVector, _count, _positive
 from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
@@ -105,7 +104,8 @@ class ClassifyParams:
     """Thresholds and time grid of `classify`: a model with a time step h
     is sampled on its lattice hZ over [0, horizon] (at least one step), so
     `samples`, the count of evenly spaced times, applies only to a model
-    without one."""
+    without one.  `horizon` and `eps` are finite numbers > 0
+    (`hilbert._positive`) and `samples` an integer >= 2 (`hilbert._count`)."""
 
     horizon: float = 200.0
     eps: float = 1e-2
@@ -115,13 +115,12 @@ class ClassifyParams:
     samples: int = 2000
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be finite and > 0")
-        if not _is_integer(self.samples) or self.samples < 2:
-            raise ValueError("samples must be an integer >= 2")
-        if not (self.eps > 0 and self.delta_wiener >= 0 and 0 <= self.delta_density <= 1
+        _positive(self.horizon, "horizon")
+        _count(self.samples, "samples", 2)
+        _positive(self.eps, "eps")
+        if not (self.delta_wiener >= 0 and 0 <= self.delta_density <= 1
                 and self.mass_threshold >= 0):
-            raise ValueError("need eps > 0, delta_wiener >= 0, 0 <= delta_density <= 1"
+            raise ValueError("need delta_wiener >= 0, 0 <= delta_density <= 1"
                              " and mass_threshold >= 0")
 
 

@@ -7,7 +7,9 @@ vectors over a grid carry the weighted inner product
     <x, y> = sum_k mu_k x_k conj(y_k).
 
 Zero-padding onto an extending grid, direct sums of grids, and the fixed
-witness sequence used by the semigroup metrics live here as well.
+witness sequence used by the semigroup metrics live here as well, and so
+does the one intake of every checked input: `_intake` for an array field,
+`_count` and `_positive` for a scalar.
 """
 
 from __future__ import annotations
@@ -21,9 +23,19 @@ class GridMismatchError(ValueError):
     """Two vectors do not live on the same (or a compatible) grid."""
 
 
-def _is_integer(v) -> bool:
-    """A Python or NumPy integer; bools are not counts."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def _count(v, name: str, low: int = 1):
+    """v if it is a Python or NumPy integer >= low, never a bool; else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    return v
+
+
+def _positive(v, name: str):
+    """v if it is a finite Python or NumPy real > 0, never a bool; else ValueError."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    if not (real and 0 < v < np.inf):
+        raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+    return v
 
 
 def _intake(obj, name: str, dtype: type, shape: tuple, shape_rule: str) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence, _is_integer
+from .hilbert import DenseSequence, _count
 from .semigroups import (
     SemigroupModel, _columns, _correlations, _diff_norms, _shared_step, _step_times)
 
@@ -42,12 +42,10 @@ class MetricConfig:
     samples_per_block: int = 64
 
     def __post_init__(self):
-        if not all(_is_integer(v) for v in (self.J, self.N, self.samples_per_block)):
-            raise ValueError("J, N and samples_per_block must be integers")
-        if not 1 <= self.J <= len(self.dense_seq):
+        if _count(self.J, "J") > len(self.dense_seq):
             raise ValueError("J must satisfy 1 <= J <= len(dense_seq)")
-        if self.N < 1 or self.samples_per_block < 2:
-            raise ValueError("need N >= 1 and samples_per_block >= 2")
+        _count(self.N, "N")
+        _count(self.samples_per_block, "samples_per_block", 2)
 
 
 @dataclass(frozen=True)

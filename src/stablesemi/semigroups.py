@@ -66,8 +66,9 @@ from .hilbert import (
     HVector,
     SumSpace,
     WeightedGrid,
+    _count,
     _intake,
-    _is_integer,
+    _positive,
     pad_to_grid,
 )
 
@@ -219,13 +220,8 @@ class MultiplicationGroup(SemigroupModel):
 class _CellModel(SemigroupModel):
     """The two scalar shifts: they act on payloads that are exactly a shift
     grid of `step`, of any number of cells, and their times are multiples
-    of `step`."""
-
-    def _validate(self, cells, name: str) -> None:
-        if not (_is_integer(cells) and cells >= 1):
-            raise ValueError(f"{name} must be an integer >= 1")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and > 0")
+    of `step`.  Each checks its cell count with `hilbert._count` and its step
+    with `hilbert._positive` where it is built."""
 
     @property
     def time_step(self) -> float:
@@ -250,7 +246,8 @@ class ShiftSemigroup(_CellModel):
     cells: int
 
     def __post_init__(self):
-        self._validate(self.cells, "cells")
+        _count(self.cells, "cells")
+        _positive(self.step, "step")
 
     @property
     def grid(self) -> WeightedGrid:
@@ -281,7 +278,8 @@ class PeriodicShiftGroup(_CellModel):
     step: float
 
     def __post_init__(self):
-        self._validate(self.period_cells, "period_cells")
+        _count(self.period_cells, "period_cells")
+        _positive(self.step, "step")
 
     @property
     def grid(self) -> WeightedGrid:

@@ -10,7 +10,6 @@ import pytest
 
 from stablesemi.cli import (
     SCENARIOS,
-    ConfigError,
     load_config,
     main,
     run_category_escape,
@@ -56,11 +55,11 @@ class TestConfig:
         assert cfg["depth"] == 12 and cfg["seed"] == 0
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown config keys"):
             load_config(_write(tmp_path, "c.json", {"scenario": "cantor_demo", "nope": 1}))
 
     def test_unknown_scenario_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown scenario"):
+        with pytest.raises(ValueError, match="unknown scenario"):
             load_config(_write(tmp_path, "c.json", {"scenario": "wat"}))
 
     @pytest.mark.parametrize("bad", [
@@ -68,7 +67,7 @@ class TestConfig:
         {"horizon": 0.0}, {"horizon": -3.0}, {"horizon": "10"},
     ])
     def test_cantor_demo_values_rejected(self, tmp_path, bad):
-        with pytest.raises(ConfigError, match=next(iter(bad))):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             load_config(_write(tmp_path, "c.json", {"scenario": "cantor_demo", **bad}))
 
     @pytest.mark.parametrize("scenario,bad", [
@@ -112,7 +111,7 @@ class TestConfig:
         ("metric_tables", {"seed": True}),
     ])
     def test_sweep_values_rejected(self, tmp_path, scenario, bad):
-        with pytest.raises(ConfigError, match=next(iter(bad))):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             load_config(_write(tmp_path, "c.json", {"scenario": scenario, **bad}))
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -126,7 +125,7 @@ class TestConfig:
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("[1, 2]")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             load_config(p)
 
 
@@ -137,6 +136,11 @@ class TestMain:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         bad = _write(tmp_path, "bad.json", {"scenario": "cantor_demo", "zz": 1})
         assert main(["run", str(bad)]) == 2
+        # so is a config that is not UTF-8, named by its path, with no traceback
+        undecodable = tmp_path / "bytes.json"
+        undecodable.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(undecodable)]) == 2
+        assert f"cannot read config {undecodable}" in capsys.readouterr().err
         # so is an output file that cannot be written, found after the scenario ran
         (tmp_path / "w" / f"{SMALL['scenario']}.csv").mkdir(parents=True)
         assert main(["run", str(cfgp), "--out", str(tmp_path / "w"), "--quiet"]) == 2

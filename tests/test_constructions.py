@@ -117,6 +117,11 @@ class TestQuantization:
         with pytest.raises(ValueError, match="quantization level must be >= 1 and finite"):
             quantize_symbol(_mult(3, seed=0), np.nan)
 
+    def test_a_bool_is_not_a_level(self):
+        # True used to pass as level 1
+        with pytest.raises(ValueError, match="quantization level must be >= 1 and finite"):
+            quantize_symbol(_mult(3, seed=0), True)
+
 
 class TestNearIdentity:
     def test_bound_and_unitarity(self):
@@ -134,7 +139,7 @@ class TestNearIdentity:
         with pytest.raises(ValueError):
             near_identity_aws(g, 10)
 
-    @pytest.mark.parametrize("n", [np.inf, np.nan, 0.5])
+    @pytest.mark.parametrize("n", [np.inf, np.nan, 0.5, True])
     def test_level_must_be_finite_and_at_least_one(self, n):
         # an infinite level would give the identity, which is not almost
         # weakly stable
@@ -193,12 +198,12 @@ class TestInflation:
                      - U.apply(t, a).coeffs)
             assert np.sqrt((U.grid.weights * np.abs(drift) ** 2).sum()) <= eps * a.norm()
 
-    @pytest.mark.parametrize("eps, t0", [(np.nan, 2.0), (0.5, np.inf)])
+    @pytest.mark.parametrize("eps, t0", [(np.nan, 2.0), (0.5, np.inf), (True, 2.0)])
     def test_eps_and_t0_must_be_finite(self, eps, t0):
         base = quantize_symbol(_mult(6, seed=8), 8).approximant
-        with pytest.raises(ValueError, match="need finite eps > 0 and t0 > 0"):
+        with pytest.raises(ValueError, match="(eps|t0) must be a finite number > 0"):
             inflate_and_perturb(base, [], eps, t0, copies=2)
-        with pytest.raises(ValueError, match="need finite eps > 0 and t0 > 0"):
+        with pytest.raises(ValueError, match="(eps|t0) must be a finite number > 0"):
             approximate_isometry_by_aws(base, eps, t0, n=8, copies=2)
 
     def test_copies_must_be_an_integer(self):
@@ -314,9 +319,9 @@ class TestWold:
         wr = wold_decompose(T, step=1.0)
         assert wr.unitary_dim == 0 and wr.basis_matrix_shift.shape[1] == 9
 
-    @pytest.mark.parametrize("step", [0.0, np.nan, -1.0])
+    @pytest.mark.parametrize("step", [0.0, np.nan, -1.0, True])
     def test_step_must_be_finite_and_positive(self, step):
-        with pytest.raises(ValueError, match="step must be finite and > 0"):
+        with pytest.raises(ValueError, match="step must be a finite number > 0"):
             wold_decompose(_mult(4, seed=9, hi=np.pi), step=step)
 
     def test_mixed_dims_and_wandering(self):

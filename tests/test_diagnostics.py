@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablesemi import constructions, diagnostics
-from stablesemi.cli import ConfigError, load_config
+from stablesemi.cli import load_config
 from stablesemi.constructions import cantor_group, cantor_transform_abs, quantize_symbol
 from stablesemi.diagnostics import (
     ClassifyParams,
@@ -125,7 +125,7 @@ class TestDensityAtoms:
         assert rep.density_est >= 1.0 - rep.cesaro_abs2 / eps ** 2 - 1e-12
 
     def test_density_rejects_a_nan_eps(self):
-        with pytest.raises(ValueError, match="need eps > 0"):
+        with pytest.raises(ValueError, match="eps must be a finite number > 0"):
             ClassifyParams(eps=np.nan)
 
     def test_atoms_sorted(self):
@@ -166,7 +166,8 @@ class TestClassify:
         {"samples": 1}, {"samples": 2.5}, {"samples": 200.0}, {"samples": True},
         {"eps": 0.0}, {"eps": float("nan")}, {"delta_wiener": -1e-3},
         {"delta_density": -0.1}, {"delta_density": 1.5}, {"mass_threshold": -0.1},
-        {"mass_threshold": float("nan")},
+        {"mass_threshold": float("nan")}, {"horizon": True}, {"eps": True},
+        {"eps": float("inf")},
     ])
     def test_params_reject_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -246,7 +247,7 @@ class TestMembership:
         # the k of W_jkt is category_escape's k_max, checked where the config loads
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scenario": "category_escape", "k_max": k}))
-        with pytest.raises(ConfigError, match="k_max must be an integer >= 1"):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 1"):
             load_config(cfg)
 
     def test_eigenvector_proximity_blocks_decay(self):

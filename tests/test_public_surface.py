@@ -25,7 +25,8 @@ DELETED = ("check_semigroup_law", "check_isometry", "check_unitarity", "align",
            "NotIsometricError", "_shift_grid", "NotPeriodicError", "_commensurable_base",
            "_COMMENSURABLE_TOL", "_check_finite", "_evolved_grid", "_rows",
            "_periodization_errors", "detect_atoms", "wiener_limit", "density_estimate",
-           "VERDICTS", "mt_membership", "wjkt_membership", "_modulus")
+           "VERDICTS", "mt_membership", "wjkt_membership", "_modulus", "ConfigError",
+           "_checked_seed", "_is_integer")
 # members that restated an input or another name: the level passed in; the
 # inflation's perturbation scale, its m, and its embedding and compression,
 # which embed_index gives; the one-step map, one_step_matrix(V, wr.step);
@@ -88,6 +89,11 @@ def test_model_protocol_has_five_members():
     # no model grows its payload, so none needs a compressed evolution
     members = {n for n in vars(stablesemi.SemigroupModel) if not n.startswith("__")}
     assert members == {"_evolve", "_check_grid", "apply", "time_step", "spectral_form"}
+
+
+def test_cell_models_keep_no_scalar_rule_of_their_own():
+    # a shift checks its cells and step with hilbert's _count and _positive
+    assert not hasattr(importlib.import_module("stablesemi.semigroups")._CellModel, "_validate")
 
 
 def test_grid_is_a_constructor_keyword():

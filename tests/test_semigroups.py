@@ -220,6 +220,9 @@ class TestPeriodicShiftGroup:
     (PeriodicShiftGroup, (3, -1.0)),
     (PeriodicShiftGroup, (np.float64(3.0), 1.0)),
     (PeriodicShiftGroup, (0, 1.0)),
+    (ShiftSemigroup, (True, 4)),
+    (PeriodicShiftGroup, (4, True)),
+    (ShiftSemigroup, (np.array(1.0), 4)),
 ])
 def test_shift_models_reject_bad_sizes_and_steps_at_construction(cls, args):
     with pytest.raises(ValueError):
