@@ -52,10 +52,10 @@ class QuantizationResult:
 
 
 def _levels(n) -> np.ndarray:
-    """n as an array, ValueError unless every level in it is a finite
-    number >= 1 (a NaN fails `n >= 1`, and a bool is not a level)."""
+    """n as an array, ValueError unless it holds integers or real floats, each
+    finite and >= 1 (a NaN fails `n >= 1`; a bool or a string is no level)."""
     n = np.asarray(n)
-    if n.dtype == bool or not ((n >= 1) & (n < np.inf)).all():
+    if n.dtype.kind not in "iuf" or not ((n >= 1) & (n < np.inf)).all():
         raise ValueError("quantization level must be >= 1 and finite")
     return n
 
@@ -191,9 +191,9 @@ class WoldResult:
     once.
     """
 
-    residual: float  # largest 2-norm defect of the split (`wold_decompose`)
+    residual: float  # largest 2-norm defect of the split, a measurement (`wold_decompose`)
     iterations: int  # chain-walk steps: the longest chain length once stabilized
-    stabilized: bool
+    stabilized: bool  # the split's one soundness verdict (`wold_decompose`)
     # smallest kept pivot of the chain starts over the largest |remaining
     # diagonal| of I - W W* (`_wold_chains`); None when there is no chain
     # start, inf when the remaining diagonal is exactly zero
@@ -238,7 +238,7 @@ def _chain_tol(steps: int, k: int) -> float:
 
 
 def _wold_chains(W: np.ndarray, max_iter: int | None):
-    """(B0, B1, WB1, lengths, iterations, stabilized, rank_gap): the Wold
+    """(B0, B1, WB1, lengths, iterations, settled, rank_gap): the Wold
     split of the one-step map W by its wandering chains.
 
     The chain starts S are an orthonormal basis of L = range(P), where
@@ -260,7 +260,7 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     eigenvectors E align S with the chains.  B1 holds the chain vectors
     W^j s chain by chain, spanning H1 = (+)_j W^j L, and B0 is an orthonormal
     basis of their complement H0.  WB1 = W B1 is read off the walk itself, as
-    W (Y_j E) = Y_{j+1} E, with one step past its last slab.  stabilized says
+    W (Y_j E) = Y_{j+1} E, with one step past its last slab.  settled says
     the walk vanished and every length is an integer >= 1 to within
     _CHAIN_ULPS * s * k rounding errors, s the slabs Y_j summed into G, below
     s and at most k in all, as no chain outlives the walk (a non-isometric W
@@ -290,20 +290,20 @@ def _wold_chains(W: np.ndarray, max_iter: int | None):
     Y = [S]
     while np.vdot(Y[-1], Y[-1]).real >= 0.25 and len(Y) <= (k if max_iter is None else max_iter):
         Y.append(W @ Y[-1])
-    stabilized = np.vdot(Y[-1], Y[-1]).real < 0.25
+    settled = np.vdot(Y[-1], Y[-1]).real < 0.25
     steps = len(Y)
     Y.append(W @ Y[-1])  # the step past the walk, for W B1's last chain vectors
     Y = np.stack(Y)
     lengths, E = np.linalg.eigh(np.einsum("jar,jas->rs", Y[:steps].conj(), Y[:steps]))
     ell = np.round(lengths).astype(int)
-    stabilized = bool(stabilized and ell.min(initial=1) >= 1
-                      and ell.max(initial=0) < steps and ell.sum() <= k
-                      and np.abs(lengths - ell).max(initial=0.0) <= _chain_tol(steps, k))
+    settled = bool(settled and ell.min(initial=1) >= 1
+                   and ell.max(initial=0) < steps and ell.sum() <= k
+                   and np.abs(lengths - ell).max(initial=0.0) <= _chain_tol(steps, k))
     chains = (Y @ E).transpose(1, 2, 0)
     mask = np.arange(steps) < ell[:, None]
     B1, WB1 = chains[:, :, :steps][:, mask], chains[:, :, 1:][:, mask]
     B0 = np.linalg.qr(B1, mode="complete")[0][:, B1.shape[1]:]
-    return B0, B1, WB1, ell, steps - 1, stabilized, rank_gap
+    return B0, B1, WB1, ell, steps - 1, settled, rank_gap
 
 
 def _norm2(X: np.ndarray) -> float:
@@ -316,14 +316,15 @@ def _norm2(X: np.ndarray) -> float:
 def wold_decompose_matrix(
     W: np.ndarray, max_iter: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """(B0, B1, iterations, stabilized) of `_wold_chains`: bases of H0 and of
-    the wandering chains of W, the walk steps, and whether the split settled.
+    """(B0, B1, iterations, settled) of `_wold_chains`: bases of H0 and of
+    the wandering chains of W, the walk steps, and whether the walk settled.
+    It computes no residual, so its flag is not `WoldResult.stabilized`.
 
     A thin wrapper, kept only because perfbench/kernel_ladder.py calls it
     with max_iter=k + 5; it goes with the next change to the benchmark.
     """
-    B0, B1, _, _, iterations, stabilized, _ = _wold_chains(W, max_iter)
-    return B0, B1, iterations, stabilized
+    B0, B1, _, _, iterations, settled, _ = _wold_chains(W, max_iter)
+    return B0, B1, iterations, settled
 
 
 # (V, h, WoldResult) of the last call: one slot, so the pipelines that follow
@@ -346,8 +347,9 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     the split: ||W B0 - B0 M0|| (H0 invariance), ||M0* M0 - I|| and
     ||B0* W B1|| (H1 invariance), each from the smallest Hermitian matrix at
     hand: the eigenvalues of the Hermitian M0* M0 - I, the smaller Gram
-    matrix of the others (`_norm2`).  It is at least 1 when the walk did not
-    stabilize, as for a one-step map that is not an isometry.  A given step
+    matrix of the others (`_norm2`).  stabilized, the split's one soundness
+    verdict, says the walk settled and the residual is within `_chain_tol`,
+    which a non-isometric W fails even when its walk settles.  A given step
     must be a finite number > 0 (`hilbert._positive`, else ValueError).  A
     repeated call on the same model object with the same h returns the same
     result, whose arrays are all read-only.
@@ -357,7 +359,7 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     if _last_split is not None and _last_split[0] is V and _last_split[1] == h:
         return _last_split[2]
     W = one_step_matrix(V, h)
-    B0, B1, WB1, lengths, iterations, stabilized, rank_gap = _wold_chains(W, None)
+    B0, B1, WB1, lengths, iterations, settled, rank_gap = _wold_chains(W, None)
     WB0 = W @ B0
     M0 = B0.conj().T @ WB0
     # M0* M0 - I is Hermitian, so its 2-norm is its largest |eigenvalue|; an
@@ -365,8 +367,8 @@ def wold_decompose(V: SemigroupModel, step: float | None = None) -> WoldResult:
     isometry = np.abs(np.linalg.eigvalsh(M0.conj().T @ M0 - np.eye(B0.shape[1])))
     residual = max(_norm2(WB0 - B0 @ M0),  # H0 invariance
                    float(isometry.max(initial=0.0)),
-                   _norm2(B0.conj().T @ WB1),  # H1 invariance
-                   0.0 if stabilized else 1.0)  # dimensions never settled; flag loudly
+                   _norm2(B0.conj().T @ WB1))  # H1 invariance
+    stabilized = bool(settled and residual <= _chain_tol(iterations + 1, W.shape[0]))
     for a in (M0, B0, B1, lengths):
         a.setflags(write=False)
     result = WoldResult(
@@ -400,13 +402,15 @@ def periodization_error_identity(
     The tail bound 2 * sum_{cells >= n-t} h |f|^2 is the constant claimed
     alongside it; see the tests for how tight it actually is.
 
-    ValueError unless there is one time per vector.  Every time is admitted
-    first, on R's lattice (`_steps`), before any vector is padded:
-    InadmissibleTimeError for a step count l < 0, ValueError for l >= n_c.
+    ValueError unless n_c is an integer >= 1 (`hilbert._count`) and there is
+    one time per vector.  Every time is admitted first, on R's lattice
+    (`_steps`), before any vector is padded: InadmissibleTimeError for a
+    step count l < 0, ValueError for l >= n_c.
     Then one evaluation per distinct l: its vectors meet U and R in
     `_columns`, which gives R room for l cells, the error is `_diff_norms` at
     l h, and the rhs and tail (0 at l = 0) are read off its columns sqrt(h) f.
     """
+    _count(n_c, "n_c")
     h = R.step
     times = np.asarray(times, dtype=float)
     if times.shape != (len(vectors),):
@@ -480,8 +484,8 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     conjugation by a unitary Q get Q-conjugate approximants.
     Raises ValueError for a level n that is not a finite number >= 1 (for a
     bare shift, InadmissibleTimeError off its lattice), and when the Wold
-    split's residual exceeds its chain lengths' round-off bound
-    (`_chain_tol`): a split that did not stabilize, or of a non-isometric V.
+    split is not sound (`WoldResult.stabilized`): its walk did not settle,
+    or V is not an isometry.
     """
     _levels(n)
     if isinstance(V, ShiftSemigroup):
@@ -493,10 +497,9 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     form = V.spectral_form()
     if form is None:
         wr = wold_decompose(V)
-        tol = _chain_tol(wr.iterations + 1, V.grid.size)
-        if not wr.residual <= tol:
+        if not wr.stabilized:
             raise ValueError(f"the Wold split did not stabilize to round-off: "
-                             f"residual {wr.residual:.3g} exceeds {tol:.3g}")
+                             f"residual {wr.residual:.3g}")
         form = wr.diagonal_form
     freqs, basis = form
     return _from_form(V.grid, _snap_down(freqs, n), basis)

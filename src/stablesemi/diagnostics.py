@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseSequence, HVector, _count, _positive
+from .hilbert import DenseSequence, HVector, _count, _positive, _real
 from .semigroups import (
     ConjugatedGroup,
     MultiplicationGroup,
@@ -105,7 +105,8 @@ class ClassifyParams:
     is sampled on its lattice hZ over [0, horizon] (at least one step), so
     `samples`, the count of evenly spaced times, applies only to a model
     without one.  `horizon` and `eps` are finite numbers > 0
-    (`hilbert._positive`) and `samples` an integer >= 2 (`hilbert._count`)."""
+    (`hilbert._positive`), `samples` an integer >= 2 (`hilbert._count`), and
+    the three thresholds finite reals (`hilbert._real`) in their ranges."""
 
     horizon: float = 200.0
     eps: float = 1e-2
@@ -118,9 +119,10 @@ class ClassifyParams:
         _positive(self.horizon, "horizon")
         _count(self.samples, "samples", 2)
         _positive(self.eps, "eps")
-        if not (self.delta_wiener >= 0 and 0 <= self.delta_density <= 1
-                and self.mass_threshold >= 0):
-            raise ValueError("need delta_wiener >= 0, 0 <= delta_density <= 1"
+        thresholds = (self.delta_wiener, self.delta_density, self.mass_threshold)
+        if not (all(map(_real, thresholds)) and self.delta_wiener >= 0
+                and 0 <= self.delta_density <= 1 and self.mass_threshold >= 0):
+            raise ValueError("need finite reals delta_wiener >= 0, 0 <= delta_density <= 1"
                              " and mass_threshold >= 0")
 
 

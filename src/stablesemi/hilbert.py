@@ -9,7 +9,7 @@ vectors over a grid carry the weighted inner product
 Zero-padding onto an extending grid, direct sums of grids, and the fixed
 witness sequence used by the semigroup metrics live here as well, and so
 does the one intake of every checked input: `_intake` for an array field,
-`_count` and `_positive` for a scalar.
+`_count`, `_positive` and `_real` for a scalar.
 """
 
 from __future__ import annotations
@@ -30,10 +30,15 @@ def _count(v, name: str, low: int = 1):
     return v
 
 
+def _real(v) -> bool:
+    """Whether v is a finite Python or NumPy real, never a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and -np.inf < v < np.inf)
+
+
 def _positive(v, name: str):
-    """v if it is a finite Python or NumPy real > 0, never a bool; else ValueError."""
-    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-    if not (real and 0 < v < np.inf):
+    """v if it is a finite Python or NumPy real > 0 (`_real`); else ValueError."""
+    if not (_real(v) and v > 0):
         raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
     return v
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -17,6 +18,7 @@ from stablesemi.cli import (
     run_near_identity_sweep,
     run_quantization_sweep,
     run_shift_periodization_check,
+    run_wold_benchmark,
     write_outputs,
 )
 from stablesemi import cli, constructions
@@ -330,8 +332,7 @@ def _reference_category_escape(cfg):
         rows.append({"table": "aws", "n": base_level, "t": best_t, "witness": j,
                      "value": float(vals.min()), "escaped": entered,
                      "metric_to_base": float("nan")})
-    return rows, {"all_escaped_and_entered": ok,
-                  "frequencies_distinct": distinct_frequency_certificate(infl.group)}, ok
+    return rows, {"frequencies_distinct": distinct_frequency_certificate(infl.group)}, ok
 
 
 def _reference_metric_tables(cfg):
@@ -349,7 +350,7 @@ def _reference_metric_tables(cfg):
         prev = mv.value
         rows.append({"n": n, "metric_value": mv.value, "truncation_bound": mv.truncation_bound,
                      "sampling_slack": mv.sampling_slack})
-    return rows, {"monotone": ok}, ok
+    return rows, {}, ok
 
 
 def _same_rows(rows, want):
@@ -453,7 +454,8 @@ def test_metric_rising_along_the_ladder_fails_the_run(tmp_path, scenario, flag):
     cfgp = _write(tmp_path, "c.json", {"scenario": scenario, "n_values": [512, 8]})
     assert main(["run", str(cfgp), "--out", str(tmp_path), "--quiet"]) == 1
     doc = json.loads((tmp_path / f"{scenario}_summary.json").read_text())
-    assert doc["bounds_ok"] is False and doc["metrics"][flag] is False
+    # the verdict lives in bounds_ok alone
+    assert doc["bounds_ok"] is False and flag not in doc["metrics"]
     with open(tmp_path / f"{scenario}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     # every escape and entry held: the rise alone fails category_escape
@@ -491,6 +493,25 @@ def test_write_outputs_matches_dictwriter(tmp_path, scenario):
         writer.writeheader()
         writer.writerows(rows)
     assert csv_path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_no_summary_restates_bounds_ok(scenario):
+    # bounds_ok is each scenario's one verdict; no metrics key restates it
+    fn, defaults = SCENARIOS[scenario]
+    cfg = {**defaults, **QUICK[scenario], "scenario": scenario, "seed": 4}
+    _, summary, _ = fn(cfg, np.random.default_rng(cfg["seed"]))
+    assert not {"all_exact", "all_escaped_and_entered", "monotone"} & set(summary)
+
+
+def test_wold_benchmark_fails_an_unsound_split(monkeypatch):
+    # every recovered dimension and angle can hold while the split is unsound
+    split = cli.wold_decompose
+    monkeypatch.setattr(
+        cli, "wold_decompose", lambda V: dataclasses.replace(split(V), stabilized=False))
+    cfg = {**SCENARIOS["wold_benchmark"][1], **QUICK["wold_benchmark"], "seed": 4}
+    rows, _, ok = run_wold_benchmark(cfg, np.random.default_rng(cfg["seed"]))
+    assert rows and ok is False
 
 
 def test_a_numpy_scalar_in_the_summary_is_refused(tmp_path):

@@ -122,6 +122,11 @@ class TestQuantization:
         with pytest.raises(ValueError, match="quantization level must be >= 1 and finite"):
             quantize_symbol(_mult(3, seed=0), True)
 
+    @pytest.mark.parametrize("n", ["3", [2, "4"], None, 3 + 0j])
+    def test_a_non_real_is_not_a_level(self, n):
+        with pytest.raises(ValueError, match="quantization level must be >= 1 and finite"):
+            quantize_symbol(_mult(3, seed=0), n)
+
 
 class TestNearIdentity:
     def test_bound_and_unitarity(self):
@@ -139,7 +144,7 @@ class TestNearIdentity:
         with pytest.raises(ValueError):
             near_identity_aws(g, 10)
 
-    @pytest.mark.parametrize("n", [np.inf, np.nan, 0.5, True])
+    @pytest.mark.parametrize("n", [np.inf, np.nan, 0.5, True, "3", [2, "4"], None, 3 + 0j])
     def test_level_must_be_finite_and_at_least_one(self, n):
         # an infinite level would give the identity, which is not almost
         # weakly stable
@@ -715,6 +720,12 @@ class TestPeriodization:
         with pytest.raises(ValueError, match="need one time per vector"):
             periodization_error_identity(R, 8, [_rvec(R.grid, 0), _rvec(R.grid, 1)], times)
 
+    @pytest.mark.parametrize("n_c", [True, 0, -1, 2.5, np.nan])
+    def test_period_cells_must_be_a_count(self, n_c):
+        # refused before any time is admitted, even with no vectors
+        with pytest.raises(ValueError, match="n_c must be an integer >= 1"):
+            periodization_error_identity(ShiftSemigroup(1.0, 12), n_c, [], [])
+
     def test_empty_batch(self):
         got = periodization_error_identity(ShiftSemigroup(1.0, 12), 8, [], [])
         assert [a.shape for a in got] == [(0,)] * 3
@@ -826,16 +837,16 @@ class TestPeriodicApproximation:
 
     @pytest.mark.parametrize("pipeline", ["periodic", "aws"])
     def test_non_isometric_split_raises(self, pipeline):
-        # a basis that is not unitary: the split settles, with one 3-cell
-        # chain, but its residual is 4.06
+        # a basis that is not unitary: the walk settles, with one 3-cell
+        # chain, but the residual is 4.06, so the split is not sound
         gu = WeightedGrid.uniform(3)
         inner = DirectSumSemigroup(
             SumSpace((gu, shift_grid(3, 1.0))),
             (MultiplicationGroup(gu, np.array([0.3, 0.9, 1.4])), ShiftSemigroup(1.0, 3)))
         V = ConjugatedGroup(WeightedGrid.uniform(6), np.diag([1.5, 1.5, 1.5, 1, 1, 1]), inner)
         wr = wold_decompose(V)
-        assert wr.stabilized and wr.residual > 4
-        with pytest.raises(ValueError, match="residual 4.06 exceeds"):
+        assert not wr.stabilized and wr.residual > 4
+        with pytest.raises(ValueError, match="residual 4.06"):
             if pipeline == "periodic":
                 approximate_isometry_by_periodic(V, 8)
             else:

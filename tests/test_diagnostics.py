@@ -167,7 +167,9 @@ class TestClassify:
         {"eps": 0.0}, {"eps": float("nan")}, {"delta_wiener": -1e-3},
         {"delta_density": -0.1}, {"delta_density": 1.5}, {"mass_threshold": -0.1},
         {"mass_threshold": float("nan")}, {"horizon": True}, {"eps": True},
-        {"eps": float("inf")},
+        {"eps": float("inf")}, {"delta_wiener": True}, {"delta_density": True},
+        {"mass_threshold": True}, {"delta_wiener": "0.1"}, {"mass_threshold": None},
+        {"delta_wiener": float("inf")}, {"mass_threshold": float("inf")},
     ])
     def test_params_reject_bad_values(self, bad):
         with pytest.raises(ValueError):
