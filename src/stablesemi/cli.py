@@ -111,9 +111,9 @@ def run_near_identity_sweep(cfg: dict, rng: np.random.Generator):
     for n in n_values:
         U = near_identity_aws(grid, n)
         ts = np.linspace(0.0, np.pi * n, t_samples)
-        measured = _phase_distance(U.symbol, 0.0, ts)  # exp(0j) is exactly 1
+        measured = _phase_distance(U.symbol, 0.0, ts)  # to the identity: q - 0 is exact
         bound = 2.0 * ts / n
-        violations += int(np.count_nonzero(measured > bound * (1.0 + 1e-12) + 1e-15))
+        violations += int(np.count_nonzero(measured > bound * (1.0 + 1e-12)))
         rows.extend(
             {"n": n, "t": t, "measured_dist": m, "bound": b}
             for t, m, b in zip(ts.tolist(), measured.tolist(), bound.tolist()))
@@ -179,7 +179,7 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
         rows.append({
             "trial": trial, "true_dim_H0": du, "recovered_dim": rec,
             "max_principal_angle": angle, "residual": wr.residual,
-            "rank_gap": wr.rank_gap,
+            "stabilized": wr.stabilized, "rank_gap": wr.rank_gap,
         })
     gaps = [r["rank_gap"] for r in rows if r["rank_gap"] is not None]
     return rows, {"min_rank_gap": min(gaps, default=None)}, ok

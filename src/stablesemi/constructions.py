@@ -79,10 +79,14 @@ def _phase_distance(q: np.ndarray, qn: np.ndarray, t) -> np.ndarray:
     """max_k |exp(itq_k) - exp(itqn_k)| over q's last axis.
 
     t is a time or an array of times that broadcasts over the leading axes,
-    one time per symbol.
+    one time per symbol.  Measured by the half-angle identity
+    |exp(ia) - exp(ib)| = 2 |sin((a - b) / 2)|, in the operation order of
+    `semigroups._phase_gaps`: one real sine per entry, accurate to a few
+    ulps relative; the difference of two complex exponentials cancels
+    where the distance is small, to relative errors up to ~1e-11.
     """
     t = np.asarray(t)[..., None]
-    return np.abs(np.exp(1j * t * q) - np.exp(1j * t * qn)).max(axis=-1)
+    return 2.0 * np.abs(np.sin(t * (0.5 * (q - qn)))).max(axis=-1)
 
 
 def quantize_symbol(U: MultiplicationGroup, n: int) -> QuantizationResult:

@@ -559,8 +559,11 @@ def _phase_sums(times: np.ndarray, freqs: np.ndarray, V: np.ndarray) -> np.ndarr
 def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """|exp(i t f_S) - exp(i t f_T)|^2 @ masses for dfreqs = f_S - f_T.
 
-    Written 4 sin^2(t dfreqs / 2) so nearby models lose no digits to
-    cancellation (2 - 2 cos would leave ~1e-8 where the gap is 0).
+    Written 4 sin^2(t dfreqs / 2) by the half-angle identity
+    |exp(ia) - exp(ib)| = 2 |sin((a - b) / 2)|, which
+    `constructions._phase_distance` measures by too, so nearby models lose
+    no digits to cancellation: each entry is accurate to a few ulps
+    relative (2 - 2 cos would leave ~1e-8 where the gap is 0).
     """
     out = np.empty((times.size, masses.shape[1]))
     for sl in _time_blocks(times.size, dfreqs.size):

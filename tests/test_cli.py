@@ -276,7 +276,7 @@ def _reference_quantization_sweep(cfg):
     for n, t, q in zip(ns, ts, rng.uniform(0.0, 2.0 * np.pi, (trials, dim))):
         U = MultiplicationGroup(grid, q)
         qn = quantize_symbol(U, n).approximant.symbol
-        measured = float(np.abs(np.exp(1j * t * U.symbol) - np.exp(1j * t * qn)).max())
+        measured = float(2.0 * np.abs(np.sin(t * (0.5 * (U.symbol - qn)))).max())
         bound = 2.0 * np.pi * abs(t) / n
         violations += measured > bound * (1.0 + 1e-12)
         max_err[n] = max(max_err[n], measured)
@@ -423,7 +423,7 @@ class TestBatchedSweeps:
             U = near_identity_aws(grid, n)
             for t in np.linspace(0.0, np.pi * n, 25):
                 want.append({"n": n, "t": float(t),
-                             "measured_dist": float(np.abs(np.exp(1j * t * U.symbol) - 1.0).max()),
+                             "measured_dist": float(2.0 * np.abs(np.sin(t * (0.5 * U.symbol))).max()),
                              "bound": float(2.0 * t / n)})
         _same_rows(rows, want)
         assert ok and summary == {"violations": 0}
@@ -512,6 +512,8 @@ def test_wold_benchmark_fails_an_unsound_split(monkeypatch):
     cfg = {**SCENARIOS["wold_benchmark"][1], **QUICK["wold_benchmark"], "seed": 4}
     rows, _, ok = run_wold_benchmark(cfg, np.random.default_rng(cfg["seed"]))
     assert rows and ok is False
+    # each row names its failed split
+    assert all(r["stabilized"] is False for r in rows)
 
 
 def test_a_numpy_scalar_in_the_summary_is_refused(tmp_path):

@@ -101,11 +101,38 @@ class TestQuantization:
         grid = WeightedGrid.uniform(6)
         snapped = _snap_down(Q, ns)
         dist = _phase_distance(Q, snapped, ts)
+        u = 2.0 ** -53
         for q, n, t, got, d in zip(Q, ns, ts, snapped, dist):
             U = MultiplicationGroup(grid, q)
             V = quantize_symbol(U, int(n)).approximant
             np.testing.assert_array_equal(got, V.symbol)
-            assert d == _sup_phase_gap(U, V, float(t))
+            assert d == float(2.0 * np.abs(np.sin(t * (0.5 * (q - V.symbol)))).max())
+            # against the exp-form oracle, within both forms' rounding, in units
+            # of u: the oracle's phases t*q and t*qn (|t| m each, m the largest
+            # |q| or |qn|), its two exps (2 each), difference (3) and modulus
+            # (2); the half-angle value's q - qn (at most 2*pi) and product
+            # with t (4*pi |t| through 2 sin), and its sine (2).  Together
+            # u (11 + 2 |t| (m + 2*pi))
+            m = max(np.abs(q).max(), np.abs(V.symbol).max())
+            assert abs(d - _sup_phase_gap(U, V, float(t))) <= u * (11 + 2 * abs(t) * (m + 2 * np.pi))
+
+    def test_phase_distance_is_accurate_to_a_few_ulps(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        u = 2.0 ** -53
+        for n in [8, 16, 32, 64, 128, 256, 512, 1024]:  # quantization_sweep's levels
+            cell = 2.0 * np.pi / n
+            Q = rng.uniform(0.0, 2.0 * np.pi, (12, 32))
+            ts = rng.uniform(-10.0, 10.0, 12)
+            ts[0] = 3e-13
+            # a hair below a cell edge snaps onto the edge: a distance of about one ulp
+            Q[1] = np.nextafter(cell * rng.integers(1, n, 32), 0.0)
+            qn = _snap_down(Q, n)
+            for q, r, t, d in zip(Q, qn, ts, _phase_distance(Q, qn, ts)):
+                with mpmath.workdps(40):
+                    exact = max(2 * abs(mpmath.sin(mpmath.mpf(t) * (mpmath.mpf(a) - mpmath.mpf(b)) / 2))
+                                for a, b in zip(q.tolist(), r.tolist()))
+                    assert exact > 0 and abs(mpmath.mpf(d) - exact) <= 8 * u * exact
 
     def test_snap_down_rejects_level_below_one(self):
         with pytest.raises(ValueError, match="level"):
