@@ -1,5 +1,5 @@
-"""Scenario runner: reproducible experiments over the library, with CSV row
-output and JSON summaries.
+"""Scenario runner: reproducible experiments over the library, with a CSV
+table and a JSON summary per run.
 
 Scenarios: bound-verification sweeps for the quantization and near-identity
 bounds, the exact shift-periodization identity, the Cantor-measure witness
@@ -15,12 +15,15 @@ be written.
 Config files are flat JSON objects with a `scenario` discriminator; unknown
 keys are errors.  The seed fully determines all randomized inputs, so a
 fixed config yields byte-identical CSV output.
+
+Each `run_*` scenario returns (table, summary, ok): the table is a dict of
+equal-length columns, each a list of plain Python bool, int, float or str,
+which `write_outputs` writes as the CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -86,11 +89,8 @@ def run_quantization_sweep(cfg: dict, rng: np.random.Generator):
     ratio = np.divide(measured, bound, out=np.zeros(trials), where=bound > 0)
     violations = int(np.count_nonzero(measured > bound * (1.0 + 1e-12)))
     max_err = {n: float(measured[ns == n].max(initial=0.0)) for n in n_values}
-    rows = [
-        {"n": n, "t": t, "measured_dist": m, "bound": b, "ratio": r}
-        for n, t, m, b, r in zip(ns.tolist(), ts.tolist(), measured.tolist(),
-                                 bound.tolist(), ratio.tolist())
-    ]
+    table = {"n": ns.tolist(), "t": ts.tolist(), "measured_dist": measured.tolist(),
+             "bound": bound.tolist(), "ratio": ratio.tolist()}
     # fit the rate over distinct levels, only where the bound is below the
     # trivial cap of 2
     fit_ns = [n for n in max_err if 2.0 * np.pi * t_max / n < 2.0 and max_err[n] > 0]
@@ -101,23 +101,25 @@ def run_quantization_sweep(cfg: dict, rng: np.random.Generator):
         "fit_n_values": fit_ns,
         "max_error_per_n": {str(n): max_err[n] for n in n_values},
     }
-    return rows, summary, violations == 0
+    return table, summary, violations == 0
 
 
 def run_near_identity_sweep(cfg: dict, rng: np.random.Generator):
     dim, n_values, t_samples = cfg["dimension"], cfg["n_values"], cfg["t_samples"]
     grid = WeightedGrid(np.sort(rng.uniform(0, 1, dim)), np.full(dim, 1.0 / dim))
-    rows, violations = [], 0
+    table = {"n": [], "t": [], "measured_dist": [], "bound": []}
+    violations = 0
     for n in n_values:
         U = near_identity_aws(grid, n)
         ts = np.linspace(0.0, np.pi * n, t_samples)
         measured = _phase_distance(U.symbol, 0.0, ts)  # to the identity: q - 0 is exact
         bound = 2.0 * ts / n
         violations += int(np.count_nonzero(measured > bound * (1.0 + 1e-12)))
-        rows.extend(
-            {"n": n, "t": t, "measured_dist": m, "bound": b}
-            for t, m, b in zip(ts.tolist(), measured.tolist(), bound.tolist()))
-    return rows, {"violations": violations}, violations == 0
+        table["n"] += [n] * t_samples
+        table["t"] += ts.tolist()
+        table["measured_dist"] += measured.tolist()
+        table["bound"] += bound.tolist()
+    return table, {"violations": violations}, violations == 0
 
 
 def run_shift_periodization_check(cfg: dict, rng: np.random.Generator):
@@ -132,23 +134,21 @@ def run_shift_periodization_check(cfg: dict, rng: np.random.Generator):
     lhs, rhs, tail = periodization_error_identity(R, n_c, fs, np.array(ells, dtype=float))
     gap = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
     worst_gap = float(gap.max())
-    rows = [
-        {"trial": trial, "t": ell, "error_sq": e, "identity_rhs": r, "tail_bound": b,
-         "rel_gap": g}
-        for trial, (ell, e, r, b, g) in enumerate(zip(
-            ells, lhs.tolist(), rhs.tolist(), tail.tolist(), gap.tolist()))
-    ]
+    table = {"trial": list(range(trials)), "t": ells, "error_sq": lhs.tolist(),
+             "identity_rhs": rhs.tolist(), "tail_bound": tail.tolist(), "rel_gap": gap.tolist()}
     ok = worst_gap <= 1e-12
     summary = {
         "worst_identity_gap": worst_gap,
         "factor2_tail_violations": int(np.count_nonzero(lhs > tail * (1.0 + 1e-12))),
     }
-    return rows, summary, ok
+    return table, summary, ok
 
 
 def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
     trials = cfg["trials"]
-    rows, ok = [], True
+    names = ("trial", "true_dim_H0", "recovered_dim", "max_principal_angle", "residual",
+             "stabilized", "rank_gap")
+    table, ok = {name: [] for name in names}, True
     for trial in range(trials):
         du = int(rng.integers(cfg["min_unitary_dim"], cfg["max_unitary_dim"] + 1))
         nc = int(rng.integers(cfg["min_shift_cells"], cfg["max_shift_cells"] + 1))
@@ -176,13 +176,11 @@ def run_wold_benchmark(cfg: dict, rng: np.random.Generator):
             angle = float("nan")
         good = wr.stabilized and rec == du and angle <= 1e-8
         ok = ok and good
-        rows.append({
-            "trial": trial, "true_dim_H0": du, "recovered_dim": rec,
-            "max_principal_angle": angle, "residual": wr.residual,
-            "stabilized": wr.stabilized, "rank_gap": wr.rank_gap,
-        })
-    gaps = [r["rank_gap"] for r in rows if r["rank_gap"] is not None]
-    return rows, {"min_rank_gap": min(gaps, default=None)}, ok
+        row = (trial, du, rec, angle, wr.residual, wr.stabilized, wr.rank_gap)
+        for name, cell in zip(names, row):
+            table[name].append(cell)
+    gaps = [g for g in table["rank_gap"] if g is not None]
+    return table, {"min_rank_gap": min(gaps, default=None)}, ok
 
 
 def run_cantor_demo(cfg: dict, rng: np.random.Generator):
@@ -198,10 +196,8 @@ def run_cantor_demo(cfg: dict, rng: np.random.Generator):
     ces = cesaro_mean_abs2(trace)
     tail = times >= horizon / 2.0
     tail_sup = float(oracle[tail].max())
-    rows = [
-        {"t": float(t), "abs_corr_product": float(o), "abs_corr_discrete": float(d)}
-        for t, o, d in zip(times[::stride], oracle[::stride], disc[::stride])
-    ]
+    table = {"t": times[::stride].tolist(), "abs_corr_product": oracle[::stride].tolist(),
+             "abs_corr_discrete": disc[::stride].tolist()}
     ok = ces <= 0.05 and tail_sup >= 0.2
     summary = {
         "cesaro_abs2": ces,
@@ -209,14 +205,16 @@ def run_cantor_demo(cfg: dict, rng: np.random.Generator):
         "discretization_gap": gap,
         "witness_norm": unit.norm(),
     }
-    return rows, summary, ok
+    return table, summary, ok
 
 
 def _quantization_ladder(rng: np.random.Generator, dim: int, n_values, witnesses: int, **metric):
-    """(U, seq, ladder, monotone): a random multiplication group U on `dim`
+    """(U, seq, ladder, rise): a random multiplication group U on `dim`
     uniform points, then `witnesses` Gaussian witnesses on its grid; per level
     n, (n, U_n, metric_unitary(U, U_n)) with U_n quantized and `metric` the
-    MetricConfig fields; and whether the metric never rose by more than 1e-9."""
+    MetricConfig fields; and the metric's largest rise from one level to the
+    next, d(U, U_{n_{i+1}}) - d(U, U_{n_i}) (None for a one-level ladder),
+    which its callers hold to 1e-9."""
     grid = WeightedGrid.uniform(dim, 1.0 / dim)
     U = MultiplicationGroup(grid, _random_symbol(rng, dim))
     seq = DenseSequence.gaussian(grid, witnesses, seed=int(rng.integers(2 ** 31)))
@@ -224,28 +222,28 @@ def _quantization_ladder(rng: np.random.Generator, dim: int, n_values, witnesses
     levels = [quantize_symbol(U, n).approximant for n in n_values]
     ladder = [(n, Un, metric_unitary(U, Un, mcfg)) for n, Un in zip(n_values, levels)]
     values = [mv.value for _, _, mv in ladder]
-    monotone = not any(d > prev + 1e-9 for prev, d in zip(values, values[1:]))
-    return U, seq, ladder, monotone
+    rise = max((d - prev for prev, d in zip(values, values[1:])), default=None)
+    return U, seq, ladder, rise
 
 
 def run_category_escape(cfg: dict, rng: np.random.Generator):
     dim, multiples = cfg["dimension"], cfg["multiples"]
     j_count, k_max = cfg["witnesses"], cfg["k_max"]
-    U, seq, ladder, ok = _quantization_ladder(
+    U, seq, ladder, rise = _quantization_ladder(
         rng, dim, cfg["n_values"], max(j_count, 6), J=min(6, j_count), N=6,
         samples_per_block=32)
     x = HVector(U.grid, np.ones(dim))  # unit witness for the M_t escape
 
-    rows = []
+    # the escape rows, `multiples` per level, then one AWS row per witness
+    ns, ts, values, metric = [], [], [], []
     for n, Vn, d in ladder:
         revivals = np.abs(correlation(Vn, x, x, n * np.arange(1, multiples + 1)).values)
-        for m, val in enumerate(revivals.tolist(), start=1):
-            escaped = val > 0.5  # outside the closed set M_t
-            ok = ok and escaped
-            rows.append({
-                "table": "escape", "n": n, "t": m * n, "witness": -1,
-                "value": val, "escaped": escaped, "metric_to_base": d.value,
-            })
+        ns += [n] * multiples
+        ts += range(n, n * multiples + 1, n)
+        values += revivals.tolist()
+        metric += [d.value] * multiples
+    escaped = [val > 0.5 for val in values]  # outside the closed set M_t
+    n_escape = len(values)
 
     # residual mechanism: the perturbed group enters W_{jk} for all witnesses
     aws = approximate_isometry_by_aws(
@@ -260,25 +258,31 @@ def run_category_escape(cfg: dict, rng: np.random.Generator):
     for j, xj in enumerate(wit):
         trace = vals[:, j] / xj.norm() ** 2
         best = int(np.argmin(trace))
-        entered = bool(trace[best] < 1.0 / k_max)  # inside the open set W_jkt
-        ok = ok and entered
-        rows.append({
-            "table": "aws", "n": cfg["base_level"], "t": float(t_sweep[best]), "witness": j,
-            "value": float(trace[best]), "escaped": entered, "metric_to_base": float("nan"),
-        })
-    return rows, {"frequencies_distinct": distinct_frequency_certificate(aws)}, ok
+        ts.append(float(t_sweep[best]))
+        values.append(float(trace[best]))
+        escaped.append(bool(trace[best] < 1.0 / k_max))  # inside the open set W_jkt
+    table = {
+        "table": ["escape"] * n_escape + ["aws"] * j_count,
+        "n": ns + [cfg["base_level"]] * j_count, "t": ts,
+        "witness": [-1] * n_escape + list(range(j_count)), "value": values, "escaped": escaped,
+        "metric_to_base": metric + [float("nan")] * j_count,
+    }
+    summary = {"frequencies_distinct": distinct_frequency_certificate(aws),
+               "max_ladder_rise": rise}
+    return table, summary, all(escaped) and (rise is None or rise <= 1e-9)
 
 
 def run_metric_tables(cfg: dict, rng: np.random.Generator):
-    _, _, ladder, ok = _quantization_ladder(
+    _, _, ladder, rise = _quantization_ladder(
         rng, cfg["dimension"], cfg["n_values"], cfg["J"], J=cfg["J"], N=cfg["N"],
         samples_per_block=cfg["samples_per_block"])
-    rows = [{
-        "n": n, "metric_value": mv.value,
-        "truncation_bound": mv.truncation_bound,
-        "sampling_slack": mv.sampling_slack,
-    } for n, _, mv in ladder]
-    return rows, {}, ok
+    table = {
+        "n": [n for n, _, _ in ladder],
+        "metric_value": [mv.value for _, _, mv in ladder],
+        "truncation_bound": [mv.truncation_bound for _, _, mv in ladder],
+        "sampling_slack": [mv.sampling_slack for _, _, mv in ladder],
+    }
+    return table, {"max_ladder_rise": rise}, rise is None or rise <= 1e-9
 
 
 SCENARIOS = {
@@ -379,27 +383,38 @@ def _json_safe(v):
     return v
 
 
-def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet: bool):
+def write_outputs(cfg: dict, table: dict, summary: dict, ok: bool, out_dir: Path, quiet: bool):
+    """Write `<scenario>.csv` and `<scenario>_summary.json` under out_dir and
+    return their paths.  The table is a dict of equal-length columns (else
+    ValueError); the CSV is its keys as the header, then one line per row,
+    each cell written as `str` of its value, which for a float is its
+    `repr`, with LF line endings and no quoting: every cell is a plain
+    Python bool, int, float or str with no comma, quote or newline in it.
+    An empty table writes an empty CSV."""
+    columns = list(table.values())
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns differ in length: {dict(zip(table, lengths))}")
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = cfg["scenario"]
     csv_path = out_dir / f"{scenario}.csv"
     json_path = out_dir / f"{scenario}_summary.json"
+    lines = [",".join(table)] if table else []
+    lines += map(",".join, zip(*[list(map(str, col)) for col in columns]))
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        if rows:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(rows[0]))
-            writer.writerows(row.values() for row in rows)
+        fh.write("".join(line + "\n" for line in lines))
+    n_rows = lengths[0] if lengths else 0
     doc = {
         "scenario": scenario,
         "seed": cfg["seed"],
-        "rows": len(rows),
+        "rows": n_rows,
         "bounds_ok": ok,
         "metrics": _json_safe(summary),
     }
     json_path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if not quiet:
         status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {scenario}: {len(rows)} rows -> {csv_path}")
+        print(f"[{status}] {scenario}: {n_rows} rows -> {csv_path}")
         for key, val in summary.items():
             print(f"    {key} = {val}")
     return csv_path, json_path
@@ -408,8 +423,8 @@ def write_outputs(cfg: dict, rows, summary: dict, ok: bool, out_dir: Path, quiet
 def run_scenario(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     fn, _ = SCENARIOS[cfg["scenario"]]
     rng = np.random.default_rng(cfg["seed"])
-    rows, summary, ok = fn(cfg, rng)
-    write_outputs(cfg, rows, summary, ok, out_dir, quiet)
+    table, summary, ok = fn(cfg, rng)
+    write_outputs(cfg, table, summary, ok, out_dir, quiet)
     return 0 if ok else 1
 
 

@@ -76,12 +76,12 @@ def test_criterion_1_quantization_bound():
            "trials": 10000, "t_max": 10.0,
            "n_values": [8, 16, 32, 64, 128, 256, 512, 1024]}
     start = time.monotonic()
-    rows, summary, ok = run_quantization_sweep(cfg, np.random.default_rng(cfg["seed"]))
+    table, summary, ok = run_quantization_sweep(cfg, np.random.default_rng(cfg["seed"]))
     elapsed = time.monotonic() - start
     slope = summary["slope"]
     good = ok and -1.2 <= slope <= -0.8 and elapsed <= 60.0
     _report(1, "quantization bound", good,
-            f"{summary['violations']} violations in {len(rows)} trials, "
+            f"{summary['violations']} violations in {len(table['n'])} trials, "
             f"slope {slope:.3f}, {elapsed:.1f}s")
 
 
@@ -143,9 +143,9 @@ def test_criterion_3b_periodization_factor2_tail():
 def test_criterion_4_wold_recovery():
     cfg = {"trials": 100, "min_unitary_dim": 1, "max_unitary_dim": 10,
            "min_shift_cells": 5, "max_shift_cells": 50}
-    rows, summary, ok = run_wold_benchmark(cfg, np.random.default_rng(4))
-    exact = sum(r["recovered_dim"] == r["true_dim_H0"] for r in rows)
-    worst_angle = max(r["max_principal_angle"] for r in rows)
+    table, summary, ok = run_wold_benchmark(cfg, np.random.default_rng(4))
+    exact = sum(r == d for r, d in zip(table["recovered_dim"], table["true_dim_H0"]))
+    worst_angle = max(table["max_principal_angle"])
     _report(4, "Wold recovery", ok,
             f"{exact}/100 exact dimensions, worst principal angle {worst_angle:.2e}")
 
@@ -208,15 +208,14 @@ def test_criterion_7_category_escape():
     cfg = {"scenario": "category_escape", "seed": 7, "dimension": 24,
            "base_level": 64, "n_values": [64, 128, 256, 512], "multiples": 3,
            "witnesses": 6, "k_max": 3, "eps": 0.25, "t0": 5.0, "copies": 2}
-    rows, summary, ok = run_category_escape(cfg, np.random.default_rng(cfg["seed"]))
-    escape_rows = [r for r in rows if r["table"] == "escape"]
-    revival_exact = all(r["value"] >= 1.0 - 1e-9 for r in escape_rows)
-    metric_vals = []
-    for n in cfg["n_values"]:
-        metric_vals.append(next(r["metric_to_base"] for r in escape_rows if r["n"] == n))
+    table, summary, ok = run_category_escape(cfg, np.random.default_rng(cfg["seed"]))
+    kind = table["table"]
+    revival_exact = all(v >= 1.0 - 1e-9 for k, v in zip(kind, table["value"]) if k == "escape")
+    metric_at = {n: d for k, n, d in zip(kind, table["n"], table["metric_to_base"])
+                 if k == "escape"}
+    metric_vals = [metric_at[n] for n in cfg["n_values"]]
     monotone = all(b <= a + 1e-12 for a, b in zip(metric_vals, metric_vals[1:]))
-    aws_rows = [r for r in rows if r["table"] == "aws"]
-    entered = all(r["escaped"] for r in aws_rows)
+    entered = all(e for k, e in zip(kind, table["escaped"]) if k == "aws")
 
     # eigenvector proximity bound, verbatim on constructed pairs
     rng = np.random.default_rng(70)

@@ -304,7 +304,7 @@ def _reference_category_escape(cfg):
     x = HVector(grid, np.ones(dim))
     seq = DenseSequence.gaussian(grid, max(j_count, 6), seed=int(rng.integers(2 ** 31)))
     mcfg = MetricConfig(seq, J=min(6, j_count), N=6, samples_per_block=32)
-    rows, ok, prev = [], True, None
+    rows, ok, prev, rise = [], True, None, None
     for n in n_values:
         Vn = quantize_symbol(U, n).approximant
         d = metric_unitary(U, Vn, mcfg).value
@@ -314,8 +314,9 @@ def _reference_category_escape(cfg):
             ok = ok and escaped
             rows.append({"table": "escape", "n": n, "t": m * n, "witness": -1,
                          "value": val, "escaped": escaped, "metric_to_base": d})
-        if prev is not None and d > prev + 1e-9:
-            ok = False
+        if prev is not None:
+            ok = ok and d <= prev + 1e-9
+            rise = d - prev if rise is None else max(rise, d - prev)
         prev = d
     jcell = 2.0 * np.pi / base_level
     base = MultiplicationGroup(grid, jcell * np.floor(U.symbol / jcell))
@@ -332,7 +333,9 @@ def _reference_category_escape(cfg):
         rows.append({"table": "aws", "n": base_level, "t": best_t, "witness": j,
                      "value": float(vals.min()), "escaped": entered,
                      "metric_to_base": float("nan")})
-    return rows, {"frequencies_distinct": distinct_frequency_certificate(infl.group)}, ok
+    summary = {"frequencies_distinct": distinct_frequency_certificate(infl.group),
+               "max_ladder_rise": rise}
+    return rows, summary, ok
 
 
 def _reference_metric_tables(cfg):
@@ -342,22 +345,24 @@ def _reference_metric_tables(cfg):
     U = MultiplicationGroup(grid, rng.uniform(0.0, 2.0 * np.pi, dim))
     seq = DenseSequence.gaussian(grid, cfg["J"], seed=int(rng.integers(2 ** 31)))
     mcfg = MetricConfig(seq, J=cfg["J"], N=cfg["N"], samples_per_block=cfg["samples_per_block"])
-    rows, ok, prev = [], True, None
+    rows, ok, prev, rise = [], True, None, None
     for n in n_values:
         mv = metric_unitary(U, quantize_symbol(U, n).approximant, mcfg)
-        if prev is not None and mv.value > prev + 1e-9:
-            ok = False
+        if prev is not None:
+            ok = ok and mv.value <= prev + 1e-9
+            rise = mv.value - prev if rise is None else max(rise, mv.value - prev)
         prev = mv.value
         rows.append({"n": n, "metric_value": mv.value, "truncation_bound": mv.truncation_bound,
                      "sampling_slack": mv.sampling_slack})
-    return rows, {}, ok
+    return rows, {"max_ladder_rise": rise}, ok
 
 
-def _same_rows(rows, want):
-    # each cell by its type and repr, which the CSV text is, NaN included
-    def cells(rs):
-        return [[(k, type(v), repr(v)) for k, v in r.items()] for r in rs]
-    assert cells(rows) == cells(want)
+def _same_rows(table, want):
+    # the table's columns against the reference rows, each cell by its type
+    # and repr, which the CSV text is, NaN included
+    def cells(columns):
+        return [(k, [(type(v), repr(v)) for v in col]) for k, col in columns.items()]
+    assert cells(table) == cells({k: [r[k] for r in want] for k in want[0]})
 
 
 class TestBatchedSweeps:
@@ -370,9 +375,9 @@ class TestBatchedSweeps:
     ])
     def test_quantization_sweep_matches_per_trial_loop(self, overrides):
         cfg = {**SCENARIOS["quantization_sweep"][1], "seed": 11, **overrides}
-        rows, summary, ok = run_quantization_sweep(cfg, np.random.default_rng(cfg["seed"]))
+        table, summary, ok = run_quantization_sweep(cfg, np.random.default_rng(cfg["seed"]))
         want_rows, want_summary = _reference_quantization_sweep(cfg)
-        _same_rows(rows, want_rows)
+        _same_rows(table, want_rows)
         slope, want_slope = summary.pop("slope"), want_summary.pop("slope")
         assert slope == want_slope or (math.isnan(slope) and math.isnan(want_slope))
         assert summary == want_summary
@@ -396,8 +401,8 @@ class TestBatchedSweeps:
 
         rng = Counting(np.random.default_rng(3))
         cfg = {**SCENARIOS["quantization_sweep"][1], "trials": trials, "dimension": 4}
-        rows, _, _ = run_quantization_sweep(cfg, rng)
-        assert len(rows) == trials and rng.draws == 3
+        table, _, _ = run_quantization_sweep(cfg, rng)
+        assert len(table["n"]) == trials and rng.draws == 3
 
     def test_shift_periodization_check_evaluates_once_per_shift_count(self, monkeypatch):
         calls = []
@@ -408,14 +413,14 @@ class TestBatchedSweeps:
             return diff_norms(*args)
         monkeypatch.setattr(constructions, "_diff_norms", counted)
         cfg = {"cells": 12, "period_cells": 8, "trials": 50}
-        rows, summary, ok = run_shift_periodization_check(cfg, np.random.default_rng(6))
+        table, summary, ok = run_shift_periodization_check(cfg, np.random.default_rng(6))
         # 50 trials draw their shift counts from [1, 8)
-        assert len(rows) == 50 and ok and len(calls) <= 7
-        assert sorted(float(t[0]) for t in calls) == sorted({float(r["t"]) for r in rows})
+        assert len(table["trial"]) == 50 and ok and len(calls) <= 7
+        assert sorted(float(t[0]) for t in calls) == sorted({float(t) for t in table["t"]})
 
     def test_near_identity_sweep_matches_per_time_loop(self):
         cfg = {"dimension": 7, "n_values": [1, 4, 64], "t_samples": 25}
-        rows, summary, ok = run_near_identity_sweep(cfg, np.random.default_rng(3))
+        table, summary, ok = run_near_identity_sweep(cfg, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         grid = WeightedGrid(np.sort(rng.uniform(0, 1, 7)), np.full(7, 1.0 / 7))
         want = []
@@ -425,25 +430,25 @@ class TestBatchedSweeps:
                 want.append({"n": n, "t": float(t),
                              "measured_dist": float(2.0 * np.abs(np.sin(t * (0.5 * U.symbol))).max()),
                              "bound": float(2.0 * t / n)})
-        _same_rows(rows, want)
+        _same_rows(table, want)
         assert ok and summary == {"violations": 0}
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("overrides", [{}, {"copies": 5, "base_level": 16, "witnesses": 3}])
     def test_category_escape_matches_hand_built_pipeline(self, overrides, seed):
         cfg = {**SCENARIOS["category_escape"][1], "seed": seed, **overrides}
-        rows, summary, ok = run_category_escape(cfg, np.random.default_rng(seed))
+        table, summary, ok = run_category_escape(cfg, np.random.default_rng(seed))
         want_rows, want_summary, want_ok = _reference_category_escape(cfg)
-        _same_rows(rows, want_rows)
+        _same_rows(table, want_rows)
         assert summary == want_summary and ok == want_ok
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("overrides", [{}, {"J": 3, "N": 2, "n_values": [512, 64, 64, 8]}])
     def test_metric_tables_matches_per_level_loop(self, overrides, seed):
         cfg = {**SCENARIOS["metric_tables"][1], "seed": seed, **overrides}
-        rows, summary, ok = run_metric_tables(cfg, np.random.default_rng(seed))
+        table, summary, ok = run_metric_tables(cfg, np.random.default_rng(seed))
         want_rows, want_summary, want_ok = _reference_metric_tables(cfg)
-        _same_rows(rows, want_rows)
+        _same_rows(table, want_rows)
         assert summary == want_summary and ok == want_ok
 
 
@@ -454,8 +459,9 @@ def test_metric_rising_along_the_ladder_fails_the_run(tmp_path, scenario, flag):
     cfgp = _write(tmp_path, "c.json", {"scenario": scenario, "n_values": [512, 8]})
     assert main(["run", str(cfgp), "--out", str(tmp_path), "--quiet"]) == 1
     doc = json.loads((tmp_path / f"{scenario}_summary.json").read_text())
-    # the verdict lives in bounds_ok alone
+    # the verdict lives in bounds_ok alone, and the rise that failed it is named
     assert doc["bounds_ok"] is False and flag not in doc["metrics"]
+    assert doc["metrics"]["max_ladder_rise"] > 1e-9
     with open(tmp_path / f"{scenario}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     # every escape and entry held: the rise alone fails category_escape
@@ -479,14 +485,16 @@ QUICK = {
 def test_write_outputs_matches_dictwriter(tmp_path, scenario):
     fn, defaults = SCENARIOS[scenario]
     cfg = {**defaults, **QUICK[scenario], "scenario": scenario, "seed": 4}
-    rows, summary, ok = fn(cfg, np.random.default_rng(cfg["seed"]))
+    table, summary, ok = fn(cfg, np.random.default_rng(cfg["seed"]))
     if scenario == "category_escape":
         # bools, strings, ints and NaN all reach the CSV
-        kinds = {type(v) for v in rows[-1].values()}
-        assert {bool, str, int, float} <= kinds and math.isnan(rows[-1]["metric_to_base"])
-    # the writer writes cells as handed over, so each is a plain Python scalar
-    assert {type(v) for row in rows for v in row.values()} <= {bool, int, float, str}
-    csv_path, _ = write_outputs(cfg, rows, summary, ok, tmp_path, quiet=True)
+        kinds = {type(col[-1]) for col in table.values()}
+        assert {bool, str, int, float} <= kinds and math.isnan(table["metric_to_base"][-1])
+    # the writer writes each cell as str of its value, so each is a plain
+    # Python scalar
+    assert {type(v) for col in table.values() for v in col} <= {bool, int, float, str}
+    csv_path, _ = write_outputs(cfg, table, summary, ok, tmp_path, quiet=True)
+    rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
@@ -510,13 +518,38 @@ def test_wold_benchmark_fails_an_unsound_split(monkeypatch):
     monkeypatch.setattr(
         cli, "wold_decompose", lambda V: dataclasses.replace(split(V), stabilized=False))
     cfg = {**SCENARIOS["wold_benchmark"][1], **QUICK["wold_benchmark"], "seed": 4}
-    rows, _, ok = run_wold_benchmark(cfg, np.random.default_rng(cfg["seed"]))
-    assert rows and ok is False
+    table, _, ok = run_wold_benchmark(cfg, np.random.default_rng(cfg["seed"]))
+    assert table["stabilized"] and ok is False
     # each row names its failed split
-    assert all(r["stabilized"] is False for r in rows)
+    assert all(s is False for s in table["stabilized"])
 
 
 def test_a_numpy_scalar_in_the_summary_is_refused(tmp_path):
     cfg = {"scenario": "wold_benchmark", "seed": 0}
     with pytest.raises(TypeError, match="not JSON serializable"):
-        write_outputs(cfg, [], {"count": np.int64(3)}, True, tmp_path, quiet=True)
+        write_outputs(cfg, {}, {"count": np.int64(3)}, True, tmp_path, quiet=True)
+
+
+def test_write_outputs_matches_csv_writer_on_edge_cells(tmp_path):
+    # cells past what the scenarios write: a negative int, a signed zero,
+    # floats repr writes in exponent form, NaN and inf
+    cells = [True, -1, 0.1, -0.0, 1e16, 1.5e-05, math.nan, math.inf, "escape"]
+    names = [f"c{i}" for i in range(len(cells))]
+    cfg = {"scenario": "category_escape", "seed": 0}
+    csv_path, _ = write_outputs(
+        cfg, {k: [v, v] for k, v in zip(names, cells)}, {}, True, tmp_path, quiet=True)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([names, cells, cells])
+    assert csv_path.read_bytes() == ref.read_bytes()
+
+
+def test_write_outputs_refuses_columns_of_unequal_length(tmp_path):
+    cfg = {"scenario": "metric_tables", "seed": 0}
+    with pytest.raises(ValueError, match=r"\{'n': 3, 'metric_value': 2\}"):
+        write_outputs(cfg, {"n": [1, 2, 3], "metric_value": [0.5, 0.25]}, {}, True,
+                      tmp_path, quiet=True)
+    assert not (tmp_path / "metric_tables.csv").exists()
+    # an empty table writes an empty CSV and no rows
+    csv_path, json_path = write_outputs(cfg, {}, {}, True, tmp_path, quiet=True)
+    assert csv_path.read_bytes() == b"" and json.loads(json_path.read_text())["rows"] == 0
