@@ -31,7 +31,9 @@ compare by identity.
 
 A model is unitary exactly when it has a spectral form, frequencies and a
 basis (a periodic shift's DFT basis is memoized by shape, like shift
-grids).
+grids).  A direct sum's basis is block-diagonal, and `_blocks` states it
+once as its parts' blocks at their offsets, the identity elsewhere: the
+kernels read it block by block, and `spectral_form` writes it out dense.
 
 A batch of vectors becomes weighted columns Z in `_columns`, on the longest
 of its vectors' and its models' grids, the vectors zero-padded onto it;
@@ -41,8 +43,10 @@ given the batch's times, it also gives a bare truncated shift its room.
 every difference ||S(t)z - T(t)z|| through `_diff_norms`.  One test
 (`_spectral`) picks their path: spectral when Z lies on each model's own
 grid, where it has a spectral form, and the forms share one basis B, so
-A = B Z meets phases only; otherwise `_evolve`, one batched evolution per
-model and block of times, reduced by a matrix product or a norm.
+A = B Z meets phases only, formed block by block (each block multiplies
+its own rows of Z, and the rows under the identity are copied); otherwise
+`_evolve`, one batched evolution per model and block of times, reduced by
+a matrix product or a norm.
 
 The spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
 grid.  On an arithmetic grid t0 + j dt (a linspace or step multiples, not a
@@ -355,20 +359,62 @@ class DirectSumSemigroup(SemigroupModel):
         return out
 
     def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Block-diagonal form, None unless every part has one: the identity
-        with each part's basis written in, so a periodic part on a longer
-        component is the identity above its period, with zero frequencies."""
-        forms = [p.spectral_form() for p in self.parts]
-        if any(f is None for f in forms):
+        """Block-diagonal form, None unless every part has one: the dense
+        basis of the parts' blocks (`_blocks`), so a periodic part on a
+        longer component is the identity above its period, with zero
+        frequencies."""
+        form = _blocks(self)
+        if form is None:
             return None
-        k = self.grid.size
-        freqs = np.zeros(k)
-        basis = None if all(b is None for _, b in forms) else np.eye(k, dtype=complex)
-        for lo, (f, b) in zip(self.space.offsets, forms):
-            freqs[lo:lo + f.size] = f
-            if b is not None:
-                basis[lo:lo + f.size, lo:lo + f.size] = b
-        return freqs, basis
+        freqs, blocks = form
+        return freqs, _dense(blocks, freqs.size)
+
+
+def _blocks(M: SemigroupModel) -> tuple[np.ndarray, tuple] | None:
+    """(freqs, blocks) of a unitary model's spectral form, None for any other.
+
+    The basis is the identity except on each (lo, b) of `blocks`, where it
+    is the square block b on rows lo to lo + len(b).  A direct sum's parts
+    bring their own blocks at their offsets, so a multiplication part brings
+    none and a periodic part its memoized DFT (`_dft_form`); any other model
+    brings its basis as one block, or none for the identity.
+    """
+    if not isinstance(M, DirectSumSemigroup):
+        form = M.spectral_form()
+        if form is None:
+            return None
+        freqs, basis = form
+        return freqs, (() if basis is None else ((0, basis),))
+    freqs, blocks = np.zeros(M.grid.size), []
+    for lo, part in zip(M.space.offsets, M.parts):
+        form = _blocks(part)
+        if form is None:
+            return None
+        f, part_blocks = form
+        freqs[lo:lo + f.size] = f
+        blocks += [(lo + at, b) for at, b in part_blocks]
+    return freqs, tuple(blocks)
+
+
+def _dense(blocks: tuple, k: int) -> np.ndarray | None:
+    """The k x k basis that `blocks` state (`_blocks`), None for the identity."""
+    if not blocks:
+        return None
+    basis = np.eye(k, dtype=complex)
+    for lo, b in blocks:
+        basis[lo:lo + b.shape[0], lo:lo + b.shape[0]] = b
+    return basis
+
+
+def _in_basis(blocks: tuple, Z: np.ndarray) -> np.ndarray:
+    """B Z for the basis B that `blocks` state: each block multiplies its own
+    rows, and the rows under the identity are copied."""
+    if not blocks:
+        return Z
+    A = Z.astype(complex)
+    for lo, b in blocks:
+        A[lo:lo + b.shape[0]] = b @ Z[lo:lo + b.shape[0]]
+    return A
 
 
 @dataclass(frozen=True)
@@ -575,20 +621,30 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
 def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
     """(each model's frequencies, A = B Z) if columns Z over `grid` take the
     spectral path: every model has a spectral form on that grid, all with one
-    basis B (the same array or an equal one).  Else None.  The spectral path
-    evolves nothing, so it admits the times here (`_steps`), with the step
-    the models share."""
+    basis B.  Else None.  The forms are read block by block (`_blocks`): two
+    with the same block offsets and sizes share B when each block is the
+    same array or an equal one; forms laid out differently (a direct sum and
+    a conjugation by its dense basis) are compared densely.  The spectral
+    path evolves nothing, so it admits the times here (`_steps`), with the
+    step the models share."""
     if not all(grid.same_as(M.grid) for M in models):
         return None
-    forms = [M.spectral_form() for M in models]
+    forms = [_blocks(M) for M in models]
     if any(f is None for f in forms):
         return None
-    B = forms[0][1]
-    # equal, not only identical: two direct sums build equal bases, and `_evolve` is slower
-    if any(b is not B and (b is None or B is None or not np.array_equal(b, B)) for _, b in forms):
-        return None
+    blocks = forms[0][1]
+    for _, other in forms[1:]:
+        if [(lo, b.shape) for lo, b in other] == [(lo, b.shape) for lo, b in blocks]:
+            # equal, not only identical: a conjugated part's basis may be a copy
+            if not all(a is b or np.array_equal(a, b) for (_, a), (_, b) in zip(blocks, other)):
+                return None
+        else:
+            B = _dense(blocks, grid.size)
+            if B is None or not np.array_equal(B, _dense(other, grid.size)):
+                return None
+            blocks = ((0, B),)
     _steps(times, _shared_step(models))
-    return [f for f, _ in forms], (Z if B is None else B @ Z)
+    return [f for f, _ in forms], _in_basis(blocks, Z)
 
 
 def _correlations(T: SemigroupModel, grid: WeightedGrid, Z: np.ndarray, rows, cols, times):
@@ -628,6 +684,10 @@ def one_step_matrix(T: SemigroupModel, h: float) -> np.ndarray:
     One evolution of the identity, which keeps its rows: a truncated shift
     drops its overflow, so the result always has the nominal dimension.
     """
-    k = T.grid.size
-    return T._evolve(np.array([h], dtype=float), np.eye(k, dtype=complex))[0]
+    times = np.array([h], dtype=float)
+    if isinstance(T, ConjugatedGroup):
+        # B* inner(h) B with inner(h) evolved on B itself, which is B @ I bit
+        # for bit: `_evolve` on the identity, one k^3 product short
+        return (T.basis.conj().T @ T.inner._evolve(times, T.basis))[0]
+    return T._evolve(times, np.eye(T.grid.size, dtype=complex))[0]
 

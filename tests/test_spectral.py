@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stablesemi.constructions import cantor_group, quantize_symbol
+from stablesemi.constructions import (
+    approximate_isometry_by_periodic, cantor_group, quantize_symbol)
 from stablesemi.diagnostics import ClassifyParams, classify, correlation
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
@@ -24,9 +25,14 @@ from stablesemi.semigroups import (
     MultiplicationGroup,
     PeriodicShiftGroup,
     ShiftSemigroup,
+    _correlations,
     _dft_form,
+    _diff_norms,
+    _phase_gaps,
     _phase_sums,
+    _spectral,
     _time_split,
+    one_step_matrix,
     shift_grid,
 )
 
@@ -609,3 +615,124 @@ def test_conjugated_basis_is_composed_once_and_read_only():
     assert T.spectral_form()[1] is basis
     np.testing.assert_array_equal(basis, T.inner.spectral_form()[1] @ T.basis)
     assert not basis.flags.writeable
+
+
+def _sum_columns(S, seed, count=3):
+    grid, Z = semigroups._columns((S,), DenseSequence.gaussian(S.grid, count, seed=seed))
+    return grid, Z, (S.time_step or 0.3) * np.arange(40.0)
+
+
+def test_sums_with_equal_blocks_share_the_spectral_path():
+    # each conjugated part holds its own copy of one basis: the blocks are
+    # equal arrays, not one array
+    rng = np.random.default_rng(21)
+    mult, inner, q, g = _mult(rng, 4), _mult(rng, 5), _unitary(rng, 5), _grid(rng, 5)
+    space = SumSpace((mult.grid, g, shift_grid(6, 1.0)))
+    S, T = (DirectSumSemigroup(space, (m, ConjugatedGroup(g, q.copy(), inner),
+                                       PeriodicShiftGroup(3, 1.0)))
+            for m in (mult, quantize_symbol(mult, 16).approximant))
+    grid, Z, times = _sum_columns(S, 21)
+    assert _spectral((S, T), grid, Z, times) is not None
+    # the same values as the dense basis gives
+    (fs, B), (ft, _) = S.spectral_form(), T.spectral_form()
+    A = B @ Z
+    rows, cols = np.triu_indices(Z.shape[1])
+    values, coords = _correlations(S, grid, Z, rows, cols, times)
+    want = _phase_sums(times, fs, A[:, rows] * A[:, cols].conj())
+    np.testing.assert_allclose(coords, A, rtol=0, atol=4e-16 * np.abs(A).max())
+    np.testing.assert_allclose(values, want, rtol=0, atol=4e-16 * np.abs(want).max())
+    diffs = _diff_norms(S, T, grid, Z, times)
+    want = np.sqrt(_phase_gaps(times, fs - ft, np.abs(A) ** 2))
+    np.testing.assert_allclose(diffs, want, rtol=1e-15, atol=1e-15 * want.max())
+
+
+def test_sums_with_different_blocks_take_evolve():
+    rng = np.random.default_rng(22)
+    mult, component = _mult(rng, 4), shift_grid(6, 1.0)
+    space = SumSpace((mult.grid, component))
+    # periodic blocks of other sizes at one offset
+    by_period = [DirectSumSemigroup(space, (mult, PeriodicShiftGroup(p, 1.0))) for p in (3, 5)]
+    # blocks of one size that differ
+    cspace = SumSpace((mult.grid, WeightedGrid.uniform(5)))
+    by_basis = [DirectSumSemigroup(cspace, (mult, ConjugatedGroup(
+        WeightedGrid.uniform(5), _unitary(rng, 5), _mult(rng, 5)))) for _ in range(2)]
+    # a periodic block against none
+    by_count = [by_period[1], DirectSumSemigroup(
+        space, (mult, MultiplicationGroup(component, rng.uniform(-3.0, 3.0, 6))))]
+    for S, T in (by_period, by_basis, by_count):
+        grid, Z, times = _sum_columns(S, 22)
+        assert _spectral((S, T), grid, Z, times) is None
+        want = np.linalg.norm(S._evolve(times, Z) - T._evolve(times, Z), axis=1)
+        np.testing.assert_allclose(_diff_norms(S, T, grid, Z, times), want, rtol=0, atol=1e-12)
+
+
+def test_blocks_of_other_sizes_with_one_dense_basis_share_the_spectral_path():
+    # a 3-cell DFT block against a 5-cell block that is that DFT and the
+    # identity: the block lists differ, the dense bases do not
+    rng = np.random.default_rng(25)
+    mult, component = _mult(rng, 4), shift_grid(5, 1.0)
+    q = np.eye(5, dtype=complex)
+    q[:3, :3] = _dft_form(3, 1.0)[1]
+    inner = MultiplicationGroup(component, rng.uniform(-3.0, 3.0, 5))
+    space = SumSpace((mult.grid, component))
+    S, T = (DirectSumSemigroup(space, (mult, part)) for part in (
+        PeriodicShiftGroup(3, 1.0), ConjugatedGroup(component, q, inner)))
+    grid, Z, times = _sum_columns(S, 25)
+    assert _spectral((S, T), grid, Z, times) is not None
+    want = np.linalg.norm(S._evolve(times, Z) - T._evolve(times, Z), axis=1)
+    np.testing.assert_allclose(_diff_norms(S, T, grid, Z, times), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cells", [3, 5], ids=["period", "longer"])
+def test_sum_and_its_periodic_approximant_share_the_spectral_path(cells, monkeypatch):
+    # the approximant conjugates by the sum's dense basis: its one block is
+    # laid out unlike the sum's, and the two are compared densely
+    S = _dsum(np.random.default_rng(23), cells)
+    P = approximate_isometry_by_periodic(S, 8)
+    assert isinstance(P, ConjugatedGroup)
+    grid, Z, times = _sum_columns(S, 23)
+    assert _spectral((S, P), grid, Z, times) is not None
+    assert _spectral((P, S), grid, Z, times) is not None
+
+    def no_evolve(self, times, X):
+        raise AssertionError("_evolve called on the spectral path")
+
+    for cls in (MultiplicationGroup, PeriodicShiftGroup, DirectSumSemigroup, ConjugatedGroup):
+        monkeypatch.setattr(cls, "_evolve", no_evolve)
+    metric_unitary(S, P, MetricConfig(DenseSequence.gaussian(S.grid, 3, seed=23), J=3, N=2))
+
+
+@pytest.mark.parametrize("kind", ["conj_mult", "conj_dsum", "conj_longer", "wold_sum"])
+@pytest.mark.parametrize("k", [40, 80, 120])
+def test_conjugated_one_step_matrix_is_evolve_on_the_identity(kind, k):
+    rng = np.random.default_rng(k)
+    if kind == "conj_mult":
+        inner = _mult(rng, k)
+    else:
+        half = k // 2
+        mult = _mult(rng, half)
+        part = {"conj_dsum": PeriodicShiftGroup(k - half, 1.0),
+                "conj_longer": PeriodicShiftGroup(k - half - 3, 1.0),
+                "wold_sum": ShiftSemigroup(1.0, k - half)}[kind]
+        inner = DirectSumSemigroup(SumSpace((mult.grid, shift_grid(k - half, 1.0))), (mult, part))
+    V = ConjugatedGroup(_grid(rng, k), _unitary(rng, k), inner)
+    h = V.time_step or 0.7
+    np.testing.assert_array_equal(
+        one_step_matrix(V, h), V._evolve(np.array([h]), np.eye(k, dtype=complex))[0])
+
+
+def test_direct_sum_correlation_builds_no_dense_basis():
+    # a dense basis of Mult(512) (+) Periodic(512) alone is 16 MiB
+    mult = MultiplicationGroup(WeightedGrid.uniform(512), np.linspace(-3.0, 3.0, 512))
+    periodic = PeriodicShiftGroup(512, 1.0)
+    T = DirectSumSemigroup(SumSpace((mult.grid, periodic.grid)), (mult, periodic))
+    x, y = DenseSequence.gaussian(T.grid, 2, seed=24).vectors
+    times = np.arange(64.0)
+    correlation(T, x, y, times)  # the memoized DFT block is built here
+    tracemalloc.start()
+    try:
+        correlation(T, x, y, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2 * 16 // 4
