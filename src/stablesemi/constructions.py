@@ -28,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import HVector, WeightedGrid, _count, _positive
+from .hilbert import HVector, SumSpace, WeightedGrid, _count, _positive
 from .semigroups import (
     ConjugatedGroup,
+    DirectSumSemigroup,
     InadmissibleTimeError,
     MultiplicationGroup,
     PeriodicShiftGroup,
@@ -213,11 +214,12 @@ class WoldResult:
         return self.basis_matrix_unitary.shape[1]
 
     @functools.cached_property
-    def diagonal_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(frequencies, to_diag): the unitary block and the cyclic wrap of
-        each chain, diagonalized.  to_diag maps weighted coordinates onto the
-        eigenvectors, the unitary block's Schur vectors first
-        (`_diagonalize_unitary`), then each chain's DFT vectors
+    def diagonal_form(self) -> tuple[np.ndarray, tuple]:
+        """(frequencies, ((0, to_diag),)), a spectral form with one full
+        block (`SemigroupModel.spectral_form`): the unitary block and the
+        cyclic wrap of each chain, diagonalized.  to_diag maps weighted
+        coordinates onto the eigenvectors, the unitary block's Schur vectors
+        first (`_diagonalize_unitary`), then each chain's DFT vectors
         (`_periodize_chains`).  Computed once per split, read-only."""
         freqs0, Z0 = _diagonalize_unitary(self.unitary_block, self.step)
         freqs1, Z1 = _periodize_chains(self.basis_matrix_shift, self.chain_lengths, self.step)
@@ -225,7 +227,7 @@ class WoldResult:
         to_diag = np.concatenate([Z0.conj().T @ self.basis_matrix_unitary.conj().T, Z1.conj().T])
         for a in (freqs, to_diag):
             a.setflags(write=False)
-        return freqs, to_diag
+        return freqs, ((0, to_diag),)
 
 
 # A chain length is an integer when within this many rounding errors per walk
@@ -460,18 +462,36 @@ def _periodize_chains(B1: np.ndarray, lengths, h: float) -> tuple[np.ndarray, np
     """
     freqs, Z = [np.zeros(0)], [B1[:, :0]]
     for end, length in zip(np.cumsum(lengths), lengths):
-        f, basis = PeriodicShiftGroup(int(length), h).spectral_form()
+        f, ((_, basis),) = PeriodicShiftGroup(int(length), h).spectral_form()
         freqs.append(f)
         Z.append(B1[:, end - length : end] @ basis.conj().T)
     return np.concatenate(freqs), np.concatenate(Z, axis=1)
 
 
-def _from_form(grid: WeightedGrid, freqs: np.ndarray, basis: np.ndarray | None) -> SemigroupModel:
-    """The unitary group on grid with spectral form (freqs, basis): a
-    multiplication group when basis is None, else its conjugation by basis."""
-    if basis is None:
-        return MultiplicationGroup(grid, freqs)
-    return ConjugatedGroup(grid, basis, MultiplicationGroup(WeightedGrid.uniform(freqs.size), freqs))
+def _from_form(grid: WeightedGrid, freqs: np.ndarray, blocks: tuple) -> SemigroupModel:
+    """The unitary group on grid with spectral form (freqs, blocks): a
+    multiplication group on each run of rows the blocks leave alone, one
+    conjugated by each block on that block's rows, and the direct sum of
+    these parts, or the part itself when there is one.  So the group's own
+    form holds the same block arrays at the same offsets."""
+    def part(lo: int, hi: int, block: np.ndarray | None) -> SemigroupModel:
+        g, f = (grid, freqs) if hi - lo == freqs.size else (
+            WeightedGrid(grid.points[lo:hi], grid.weights[lo:hi]), freqs[lo:hi])
+        if block is None:
+            return MultiplicationGroup(g, f)
+        return ConjugatedGroup(g, block, MultiplicationGroup(WeightedGrid.uniform(hi - lo), f))
+
+    parts, at = [], 0
+    for lo, block in blocks:
+        if lo > at:
+            parts.append(part(at, lo, None))
+        at = lo + block.shape[0]
+        parts.append(part(lo, at, block))
+    if at < freqs.size:
+        parts.append(part(at, freqs.size, None))
+    if len(parts) == 1:
+        return parts[0]
+    return DirectSumSemigroup(SumSpace(tuple(p.grid for p in parts)), tuple(parts))
 
 
 def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupModel:
@@ -485,7 +505,9 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     V = U (+) S, where U is diagonalized by a Schur form and each wandering
     chain of S is wrapped cyclically and diagonalized by a DFT
     (`WoldResult.diagonal_form`, kept on the split).  So a model and its
-    conjugation by a unitary Q get Q-conjugate approximants.
+    conjugation by a unitary Q get Q-conjugate approximants.  It holds the
+    form's blocks (`_from_form`): a unitary direct sum gives a direct sum
+    with the sum's own block arrays, and the two meet on the spectral path.
     Raises ValueError for a level n that is not a finite number >= 1 (for a
     bare shift, InadmissibleTimeError off its lattice), and when the Wold
     split is not sound (`WoldResult.stabilized`): its walk did not settle,
@@ -505,8 +527,8 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
             raise ValueError(f"the Wold split did not stabilize to round-off: "
                              f"residual {wr.residual:.3g}")
         form = wr.diagonal_form
-    freqs, basis = form
-    return _from_form(V.grid, _snap_down(freqs, n), basis)
+    freqs, blocks = form
+    return _from_form(V.grid, _snap_down(freqs, n), blocks)
 
 
 def approximate_isometry_by_aws(
@@ -524,6 +546,8 @@ def approximate_isometry_by_aws(
     periodic approximant's space and has pairwise-distinct frequencies (the
     model's almost-weak-stability certificate); the distance to the
     periodic approximant is at most eps on |t| <= t0 for unit vectors.
+    It keeps the periodic approximant's blocks (`_from_form`), so a unitary
+    direct sum gives a direct sum here too.
     That space is V's grid, but a bare shift's is the period's n/h cells.
     A vector on V's grid meets the output as every vector meets a model
     (`semigroups._columns`): zero-padded onto the period's cells when n/h is
@@ -531,10 +555,10 @@ def approximate_isometry_by_aws(
     shift room for its steps), and GridMismatchError below it.
     """
     periodic = approximate_isometry_by_periodic(V, n)
-    freqs, basis = periodic.spectral_form()
+    freqs, blocks = periodic.spectral_form()
     # the compressed symbol of `inflate_and_perturb`, without its inflated group
     _, embed_index, deltas = _inflation_layout(freqs, eps, t0, copies)
-    return _from_form(periodic.grid, freqs + deltas[embed_index], basis)
+    return _from_form(periodic.grid, freqs + deltas[embed_index], blocks)
 
 
 def distinct_frequency_certificate(model: SemigroupModel) -> bool:

@@ -132,11 +132,15 @@ def metric_isometric(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) ->
 
 
 def metric_contractive(S: SemigroupModel, T: SemigroupModel, cfg: MetricConfig) -> MetricValue:
-    """Weak metric on contractions: triple-truncated sum over witness pairs."""
+    """Weak metric on contractions: triple-truncated sum over witness pairs.
+
+    Its sampling slack is the strong metric's: d/dt <S(t)x_i, x_j> is
+    <i A_S S(t)x_i, x_j>, A_S S's generator, so |d/dt (<S(t)x_i, x_j> -
+    <T(t)x_i, x_j>)| <= (max|q_S| + max|q_T|) ||x_i|| ||x_j||, and
+    `_assemble` divides each entry by ||x_i|| ||x_j||."""
     times, slack, norms, grid, Z = _metric_inputs(S, T, cfg, 0.0, room=False)
     # diffs[t, i, j] = |<S(t)x_i, x_j> - <T(t)x_i, x_j>|, over all J^2 pairs
     i, j = np.indices((cfg.J, cfg.J)).reshape(2, -1)
     S_ij, T_ij = (_correlations(M, grid, Z, i, j, times)[0] for M in (S, T))
     diffs = np.abs(S_ij - T_ij).reshape(times.size, cfg.J, cfg.J)
-    return _assemble(_block_sups(diffs, times, cfg), norms, cfg,
-                     None if slack is None else 2.0 * slack)
+    return _assemble(_block_sups(diffs, times, cfg), norms, cfg, slack)

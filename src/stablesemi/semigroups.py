@@ -30,10 +30,11 @@ needs).  Shift grids are memoized, so equal grids are one object and
 compare by identity.
 
 A model is unitary exactly when it has a spectral form, frequencies and a
-basis (a periodic shift's DFT basis is memoized by shape, like shift
-grids).  A direct sum's basis is block-diagonal, and `_blocks` states it
-once as its parts' blocks at their offsets, the identity elsewhere: the
-kernels read it block by block, and `spectral_form` writes it out dense.
+basis stated as square blocks at their row offsets, the identity elsewhere
+(a periodic shift's DFT block is memoized by shape, like shift grids).  A
+multiplication group has no block, a direct sum its parts' blocks at
+their offsets, and a conjugation one full block.  No basis is written out
+dense: the kernels read it block by block.
 
 A batch of vectors becomes weighted columns Z in `_columns`, on the longest
 of its vectors' and its models' grids, the vectors zero-padded onto it;
@@ -42,11 +43,12 @@ given the batch's times, it also gives a bare truncated shift its room.
 <T(t) z_r, z_c> of weighted columns Z goes through `_correlations`, and
 every difference ||S(t)z - T(t)z|| through `_diff_norms`.  One test
 (`_spectral`) picks their path: spectral when Z lies on each model's own
-grid, where it has a spectral form, and the forms share one basis B, so
-A = B Z meets phases only, formed block by block (each block multiplies
-its own rows of Z, and the rows under the identity are copied); otherwise
-`_evolve`, one batched evolution per model and block of times, reduced by
-a matrix product or a norm.
+grid, where it has a spectral form, and the forms share one basis B (the
+same blocks at the same offsets), so A = B Z meets phases only, formed
+block by block (each block multiplies its own rows of Z, and the rows
+under the identity are copied); otherwise `_evolve`, one batched
+evolution per model and block of times, reduced by a matrix product or a
+norm.
 
 The spectral kernel `_phase_sums` evaluates exp(i t (x) f) @ V over a time
 grid.  On an arithmetic grid t0 + j dt (a linspace or step multiples, not a
@@ -196,10 +198,12 @@ class SemigroupModel:
         """Smallest positive admissible step, or None if all reals admissible."""
         return None
 
-    def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """(freqs, basis) with T(t) = B* diag(exp(i t freqs)) B in weighted
-        coordinates of `grid`; basis None means the identity.  None exactly
-        when the model is not unitary."""
+    def spectral_form(self) -> tuple[np.ndarray, tuple] | None:
+        """(freqs, blocks) with T(t) = B* diag(exp(i t freqs)) B in weighted
+        coordinates of `grid`: B is the identity except on each (lo, b) of
+        `blocks`, where it is the square block b on rows and columns lo to
+        lo + len(b), so () means the identity.  None exactly when the model
+        is not unitary."""
         return None
 
 
@@ -217,8 +221,8 @@ class MultiplicationGroup(SemigroupModel):
         _steps(times, None)
         return _phases(times, self.symbol)[:, :, None] * X
 
-    def spectral_form(self) -> tuple[np.ndarray, None]:
-        return self.symbol, None
+    def spectral_form(self) -> tuple[np.ndarray, tuple]:
+        return self.symbol, ()
 
 
 class _CellModel(SemigroupModel):
@@ -300,8 +304,9 @@ class PeriodicShiftGroup(_CellModel):
         src[:, p:] = r[p:]
         return X[src]
 
-    def spectral_form(self) -> tuple[np.ndarray, np.ndarray]:
-        return _dft_form(self.period_cells, self.step)
+    def spectral_form(self) -> tuple[np.ndarray, tuple]:
+        freqs, dft = _dft_form(self.period_cells, self.step)
+        return freqs, ((0, dft),)
 
 
 # Memoized by shape, not per instance: a model that lives long (a pool of
@@ -358,57 +363,26 @@ class DirectSumSemigroup(SemigroupModel):
             out[:, lo:lo + g.size] = part._evolve(times, X[lo:lo + g.size])
         return out
 
-    def spectral_form(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Block-diagonal form, None unless every part has one: the dense
-        basis of the parts' blocks (`_blocks`), so a periodic part on a
-        longer component is the identity above its period, with zero
-        frequencies."""
-        form = _blocks(self)
-        if form is None:
-            return None
-        freqs, blocks = form
-        return freqs, _dense(blocks, freqs.size)
-
-
-def _blocks(M: SemigroupModel) -> tuple[np.ndarray, tuple] | None:
-    """(freqs, blocks) of a unitary model's spectral form, None for any other.
-
-    The basis is the identity except on each (lo, b) of `blocks`, where it
-    is the square block b on rows lo to lo + len(b).  A direct sum's parts
-    bring their own blocks at their offsets, so a multiplication part brings
-    none and a periodic part its memoized DFT (`_dft_form`); any other model
-    brings its basis as one block, or none for the identity.
-    """
-    if not isinstance(M, DirectSumSemigroup):
-        form = M.spectral_form()
-        if form is None:
-            return None
-        freqs, basis = form
-        return freqs, (() if basis is None else ((0, basis),))
-    freqs, blocks = np.zeros(M.grid.size), []
-    for lo, part in zip(M.space.offsets, M.parts):
-        form = _blocks(part)
-        if form is None:
-            return None
-        f, part_blocks = form
-        freqs[lo:lo + f.size] = f
-        blocks += [(lo + at, b) for at, b in part_blocks]
-    return freqs, tuple(blocks)
-
-
-def _dense(blocks: tuple, k: int) -> np.ndarray | None:
-    """The k x k basis that `blocks` state (`_blocks`), None for the identity."""
-    if not blocks:
-        return None
-    basis = np.eye(k, dtype=complex)
-    for lo, b in blocks:
-        basis[lo:lo + b.shape[0], lo:lo + b.shape[0]] = b
-    return basis
+    def spectral_form(self) -> tuple[np.ndarray, tuple] | None:
+        """Its parts' forms, each part's blocks at its offset; None unless
+        every part has one.  So a multiplication part brings no block, and a
+        periodic part on a longer component is the identity above its
+        period, with zero frequencies."""
+        freqs, blocks = np.zeros(self.grid.size), []
+        for lo, part in zip(self.space.offsets, self.parts):
+            form = part.spectral_form()
+            if form is None:
+                return None
+            f, part_blocks = form
+            freqs[lo:lo + f.size] = f
+            blocks += [(lo + at, b) for at, b in part_blocks]
+        return freqs, tuple(blocks)
 
 
 def _in_basis(blocks: tuple, Z: np.ndarray) -> np.ndarray:
-    """B Z for the basis B that `blocks` state: each block multiplies its own
-    rows, and the rows under the identity are copied."""
+    """B Z for the basis B that `blocks` state (`spectral_form`): each block
+    multiplies its own rows, and the rows under the identity are copied;
+    Z itself for no block."""
     if not blocks:
         return Z
     A = Z.astype(complex)
@@ -448,19 +422,20 @@ class ConjugatedGroup(SemigroupModel):
     def _evolve(self, times, X):
         return self.basis.conj().T @ self.inner._evolve(times, self.basis @ X)
 
-    def spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def spectral_form(self) -> tuple[np.ndarray, tuple] | None:
         return self._spectral_form
 
     @functools.cached_property
-    def _spectral_form(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The inner form, its basis composed with `basis` once per model."""
+    def _spectral_form(self) -> tuple[np.ndarray, tuple] | None:
+        """The inner form as one full block, the inner blocks composed with
+        `basis` once per model: `basis` itself when the inner form has none."""
         form = self.inner.spectral_form()
         if form is None:
             return None
-        freqs, inner_basis = form
-        basis = self.basis if inner_basis is None else inner_basis @ self.basis
+        freqs, inner_blocks = form
+        basis = _in_basis(inner_blocks, self.basis)
         basis.setflags(write=False)
-        return freqs, basis
+        return freqs, ((0, basis),)
 
 
 def _frequency_groups(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -621,28 +596,22 @@ def _phase_gaps(times: np.ndarray, dfreqs: np.ndarray, masses: np.ndarray) -> np
 def _spectral(models, grid: WeightedGrid, Z: np.ndarray, times: np.ndarray):
     """(each model's frequencies, A = B Z) if columns Z over `grid` take the
     spectral path: every model has a spectral form on that grid, all with one
-    basis B.  Else None.  The forms are read block by block (`_blocks`): two
-    with the same block offsets and sizes share B when each block is the
-    same array or an equal one; forms laid out differently (a direct sum and
-    a conjugation by its dense basis) are compared densely.  The spectral
-    path evolves nothing, so it admits the times here (`_steps`), with the
-    step the models share."""
+    basis B, read block by block: the same block offsets, each block the
+    same array or an equal one.  Else None.  The spectral path evolves
+    nothing, so it admits the times here (`_steps`), with the step the
+    models share."""
     if not all(grid.same_as(M.grid) for M in models):
         return None
-    forms = [_blocks(M) for M in models]
+    forms = [M.spectral_form() for M in models]
     if any(f is None for f in forms):
         return None
     blocks = forms[0][1]
     for _, other in forms[1:]:
-        if [(lo, b.shape) for lo, b in other] == [(lo, b.shape) for lo, b in blocks]:
-            # equal, not only identical: a conjugated part's basis may be a copy
-            if not all(a is b or np.array_equal(a, b) for (_, a), (_, b) in zip(blocks, other)):
-                return None
-        else:
-            B = _dense(blocks, grid.size)
-            if B is None or not np.array_equal(B, _dense(other, grid.size)):
-                return None
-            blocks = ((0, B),)
+        # equal, not only identical: a conjugated part's basis may be a copy
+        if len(other) != len(blocks) or not all(
+                lo == at and (a is b or np.array_equal(a, b))
+                for (lo, a), (at, b) in zip(blocks, other)):
+            return None
     _steps(times, _shared_step(models))
     return [f for f, _ in forms], _in_basis(blocks, Z)
 

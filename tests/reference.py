@@ -1,8 +1,9 @@
 """Reference matrices of the semigroup models, built from their construction
 data alone (phase diagonals, shifted identities, rolls, block diagonals and
 B* M B), so that tests never check a model's evolution against itself; the
-weighted inner product of two vectors; and a multiplication group's spectral
-atoms, one frequency at a time."""
+dense basis a spectral form's blocks state; the weighted inner product of
+two vectors; and a multiplication group's spectral atoms, one frequency at
+a time."""
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +39,15 @@ def operator_matrix(T, t, rows=None):
     if isinstance(T, ConjugatedGroup):
         return T.basis.conj().T @ operator_matrix(T.inner, t) @ T.basis
     raise TypeError(f"no reference for {type(T).__name__}")
+
+
+def dense(blocks, k):
+    """The k x k basis that the blocks of a spectral form state: the identity
+    with each (lo, b) written in on rows and columns lo to lo + len(b)."""
+    B = np.eye(k, dtype=complex)
+    for lo, b in blocks:
+        B[lo:lo + len(b), lo:lo + len(b)] = b
+    return B
 
 
 def inner_product(x, y):

@@ -91,7 +91,8 @@ class TestClosedFormTerm:
 
     @pytest.mark.parametrize("J, N, spb", [(3, 4, 16), (2, 5, 2), (1, 1, 64)])
     def test_contractive_bound_and_slack_closed_forms(self, J, N, spb):
-        # max frequencies 2.5 and 1.5; at spb = 2 the doubled slack caps at 2
+        # max frequencies 2.5 and 1.5: the slack per entry is the strong
+        # metric's, (2.5 + 1.5) dt / 2
         U = _mult([0.0, 1.0, 2.5])
         V = _mult([0.5, 1.0, -1.5])
         mv = metric_contractive(U, V, _cfg(U.grid, J=J, N=N, spb=spb))
@@ -99,7 +100,19 @@ class TestClosedFormTerm:
         slack = (2.5 + 1.5) * (1.0 / spb) / 2.0
         weights = sum(2.0 ** -(i + j + n) for n in range(1, N + 1)
                       for i in range(1, J + 1) for j in range(1, J + 1))
-        assert mv.sampling_slack == pytest.approx(min(2.0 * slack, 2.0) * weights, rel=1e-15)
+        assert mv.sampling_slack == pytest.approx(min(slack, 2.0) * weights, rel=1e-15)
+
+    def test_contractive_slack_covers_a_finer_sampling(self):
+        # the sup over continuous time is within the slack of the sampled one:
+        # 64 times the samples never rise past value + slack
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            U, V = _mult(rng.uniform(-3.0, 3.0, 6)), _mult(rng.uniform(-3.0, 3.0, 6))
+            coarse = metric_contractive(U, V, _cfg(U.grid, J=3, N=3, spb=4, seed=seed))
+            fine = metric_contractive(U, V, _cfg(U.grid, J=3, N=3, spb=256, seed=seed))
+            worst = max(worst, (fine.value - coarse.value) / coarse.sampling_slack)
+        assert worst <= 1.0
 
 
 class TestOrderingAndRefinement:

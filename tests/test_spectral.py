@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stablesemi.constructions import (
-    approximate_isometry_by_periodic, cantor_group, quantize_symbol)
+    _snap_down, approximate_isometry_by_aws, approximate_isometry_by_periodic, cantor_group,
+    quantize_symbol)
 from stablesemi.diagnostics import ClassifyParams, classify, correlation
 from stablesemi.hilbert import (
     DenseSequence, GridMismatchError, HVector, SumSpace, WeightedGrid)
@@ -36,7 +37,7 @@ from stablesemi.semigroups import (
     shift_grid,
 )
 
-from reference import atom_masses, atoms, operator_matrix, weighted
+from reference import atom_masses, atoms, dense, operator_matrix, weighted
 
 KINDS = ("mult", "periodic", "dsum", "longer", "msum", "conj_mult", "conj_dsum", "conj_longer")
 TOL = 1e-12
@@ -119,9 +120,9 @@ few = settings(max_examples=20, deadline=None)
 def test_spectral_form_reproduces_apply(kind, seed):
     T = _model(kind, seed)
     rng = np.random.default_rng(seed + 1)
-    freqs, basis = T.spectral_form()
+    freqs, blocks = T.spectral_form()
     k = T.grid.size
-    B = np.eye(k) if basis is None else basis
+    B = dense(blocks, k)
     np.testing.assert_allclose(B.conj().T @ B, np.eye(k), atol=TOL)
     sw = np.sqrt(T.grid.weights)
     x = _vec(T.grid, rng)
@@ -595,12 +596,12 @@ def test_periodic_basis_is_built_once_and_read_only(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", lambda *a, **k: builds.append(1) or fft(*a, **k))
     T = PeriodicShiftGroup(12, 0.5)
     x = _vec(T.grid, np.random.default_rng(3))
-    freqs, basis = T.spectral_form()
+    freqs, ((_, basis),) = T.spectral_form()
     correlation(T, x, x, np.arange(8.0) * 0.5)
     classify(T, DenseSequence((x,)), ClassifyParams(horizon=10.0, samples=20))
     again = PeriodicShiftGroup(12, 0.5).spectral_form()
     assert len(builds) == 1
-    assert again[0] is freqs and again[1] is basis
+    assert again[0] is freqs and again[1][0][1] is basis
     for a in (freqs, basis):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -609,11 +610,14 @@ def test_periodic_basis_is_built_once_and_read_only(monkeypatch):
 
 def test_conjugated_basis_is_composed_once_and_read_only():
     # a conjugated direct sum holding a periodic shift: its spectral basis is
-    # the product of the sum's basis and the conjugation, formed once per model
+    # one full block, the product of the sum's basis and the conjugation,
+    # formed once per model
     T = _model("conj_dsum", 5)
-    freqs, basis = T.spectral_form()
-    assert T.spectral_form()[1] is basis
-    np.testing.assert_array_equal(basis, T.inner.spectral_form()[1] @ T.basis)
+    freqs, blocks = T.spectral_form()
+    assert T.spectral_form()[1] is blocks
+    ((lo, basis),) = blocks
+    assert lo == 0
+    np.testing.assert_array_equal(basis, dense(T.inner.spectral_form()[1], T.grid.size) @ T.basis)
     assert not basis.flags.writeable
 
 
@@ -634,8 +638,8 @@ def test_sums_with_equal_blocks_share_the_spectral_path():
     grid, Z, times = _sum_columns(S, 21)
     assert _spectral((S, T), grid, Z, times) is not None
     # the same values as the dense basis gives
-    (fs, B), (ft, _) = S.spectral_form(), T.spectral_form()
-    A = B @ Z
+    (fs, blocks), (ft, _) = S.spectral_form(), T.spectral_form()
+    A = dense(blocks, grid.size) @ Z
     rows, cols = np.triu_indices(Z.shape[1])
     values, coords = _correlations(S, grid, Z, rows, cols, times)
     want = _phase_sums(times, fs, A[:, rows] * A[:, cols].conj())
@@ -659,37 +663,31 @@ def test_sums_with_different_blocks_take_evolve():
     # a periodic block against none
     by_count = [by_period[1], DirectSumSemigroup(
         space, (mult, MultiplicationGroup(component, rng.uniform(-3.0, 3.0, 6))))]
-    for S, T in (by_period, by_basis, by_count):
+    # a 3-cell DFT block against a 6-cell block that is that DFT and the
+    # identity: one dense basis, stated in other blocks
+    q = np.eye(6, dtype=complex)
+    q[:3, :3] = _dft_form(3, 1.0)[1]
+    inner = MultiplicationGroup(component, rng.uniform(-3.0, 3.0, 6))
+    by_layout = [DirectSumSemigroup(space, (mult, part)) for part in (
+        PeriodicShiftGroup(3, 1.0), ConjugatedGroup(component, q, inner))]
+    # one block array at two offsets
+    u, f = _unitary(rng, 3), rng.uniform(-3.0, 3.0, (4, 3))
+    g, h = WeightedGrid.uniform(3), WeightedGrid(np.arange(3.0) + 3, np.ones(3))
+    by_offset = [DirectSumSemigroup(SumSpace((g, h)), parts) for parts in (
+        (ConjugatedGroup(g, u, MultiplicationGroup(g, f[0])), MultiplicationGroup(h, f[1])),
+        (MultiplicationGroup(g, f[2]), ConjugatedGroup(h, u, MultiplicationGroup(g, f[3]))))]
+    for S, T in (by_period, by_basis, by_count, by_layout, by_offset):
         grid, Z, times = _sum_columns(S, 22)
         assert _spectral((S, T), grid, Z, times) is None
         want = np.linalg.norm(S._evolve(times, Z) - T._evolve(times, Z), axis=1)
         np.testing.assert_allclose(_diff_norms(S, T, grid, Z, times), want, rtol=0, atol=1e-12)
 
 
-def test_blocks_of_other_sizes_with_one_dense_basis_share_the_spectral_path():
-    # a 3-cell DFT block against a 5-cell block that is that DFT and the
-    # identity: the block lists differ, the dense bases do not
-    rng = np.random.default_rng(25)
-    mult, component = _mult(rng, 4), shift_grid(5, 1.0)
-    q = np.eye(5, dtype=complex)
-    q[:3, :3] = _dft_form(3, 1.0)[1]
-    inner = MultiplicationGroup(component, rng.uniform(-3.0, 3.0, 5))
-    space = SumSpace((mult.grid, component))
-    S, T = (DirectSumSemigroup(space, (mult, part)) for part in (
-        PeriodicShiftGroup(3, 1.0), ConjugatedGroup(component, q, inner)))
-    grid, Z, times = _sum_columns(S, 25)
-    assert _spectral((S, T), grid, Z, times) is not None
-    want = np.linalg.norm(S._evolve(times, Z) - T._evolve(times, Z), axis=1)
-    np.testing.assert_allclose(_diff_norms(S, T, grid, Z, times), want, rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("cells", [3, 5], ids=["period", "longer"])
 def test_sum_and_its_periodic_approximant_share_the_spectral_path(cells, monkeypatch):
-    # the approximant conjugates by the sum's dense basis: its one block is
-    # laid out unlike the sum's, and the two are compared densely
+    # the approximant holds the sum's own blocks at their offsets
     S = _dsum(np.random.default_rng(23), cells)
     P = approximate_isometry_by_periodic(S, 8)
-    assert isinstance(P, ConjugatedGroup)
     grid, Z, times = _sum_columns(S, 23)
     assert _spectral((S, P), grid, Z, times) is not None
     assert _spectral((P, S), grid, Z, times) is not None
@@ -700,6 +698,24 @@ def test_sum_and_its_periodic_approximant_share_the_spectral_path(cells, monkeyp
     for cls in (MultiplicationGroup, PeriodicShiftGroup, DirectSumSemigroup, ConjugatedGroup):
         monkeypatch.setattr(cls, "_evolve", no_evolve)
     metric_unitary(S, P, MetricConfig(DenseSequence.gaussian(S.grid, 3, seed=23), J=3, N=2))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_approximants_keep_the_models_blocks(kind):
+    # both pipelines quantize a unitary model in its own form and keep its
+    # block arrays, so each meets the model on the spectral path
+    M = _model(kind, 27)
+    freqs, blocks = M.spectral_form()
+    grid, Z, times = _sum_columns(M, 27)
+    P = approximate_isometry_by_periodic(M, 8)
+    A = approximate_isometry_by_aws(M, 0.25, 5.0, n=8, copies=2)
+    np.testing.assert_array_equal(P.spectral_form()[0], _snap_down(freqs, 8))
+    for approx in (P, A):
+        got = approx.spectral_form()[1]
+        assert [lo for lo, _ in got] == [lo for lo, _ in blocks]
+        assert all(a is b for (_, a), (_, b) in zip(got, blocks))
+        assert _spectral((M, approx), grid, Z, times) is not None
+        assert _spectral((approx, M), grid, Z, times) is not None
 
 
 @pytest.mark.parametrize("kind", ["conj_mult", "conj_dsum", "conj_longer", "wold_sum"])
@@ -732,6 +748,22 @@ def test_direct_sum_correlation_builds_no_dense_basis():
     tracemalloc.start()
     try:
         correlation(T, x, y, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2 * 16 // 4
+
+
+def test_sum_against_its_periodic_approximant_builds_no_dense_basis():
+    # one dense basis of Mult(512) (+) Periodic(512) is 16 MiB
+    mult = MultiplicationGroup(WeightedGrid.uniform(512), np.linspace(-3.0, 3.0, 512))
+    periodic = PeriodicShiftGroup(512, 1.0)
+    S = DirectSumSemigroup(SumSpace((mult.grid, periodic.grid)), (mult, periodic))
+    P = approximate_isometry_by_periodic(S, 64)  # the memoized DFT block is built here
+    cfg = MetricConfig(DenseSequence.gaussian(S.grid, 3, seed=26), J=3, N=2)
+    tracemalloc.start()
+    try:
+        metric_unitary(S, P, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
