@@ -218,9 +218,12 @@ class WoldResult:
         """(frequencies, ((0, to_diag),)), a spectral form with one full
         block (`SemigroupModel.spectral_form`): the unitary block and the
         cyclic wrap of each chain, diagonalized.  to_diag maps weighted
-        coordinates onto the eigenvectors, the unitary block's Schur vectors
-        first (`_diagonalize_unitary`), then each chain's DFT vectors
-        (`_periodize_chains`).  Computed once per split, read-only."""
+        coordinates onto the eigenvectors, the unitary block's first
+        (`_diagonalize_unitary`, a Cayley transform and `eigh`), then each
+        chain's DFT vectors (`_periodize_chains`).  Computed once per split,
+        read-only.  Meaningful only for a sound split (`stabilized`), whose
+        unitary block is unitary to round-off: both pipelines refuse an
+        unsound split before they read this."""
         freqs0, Z0 = _diagonalize_unitary(self.unitary_block, self.step)
         freqs1, Z1 = _periodize_chains(self.basis_matrix_shift, self.chain_lengths, self.step)
         freqs = np.concatenate([freqs0, freqs1])
@@ -445,12 +448,33 @@ def periodization_error_identity(
 # --- composed density pipelines ---------------------------------------------
 
 def _diagonalize_unitary(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies, Z) with M = Z diag(exp(i h q)) Z* for unitary M."""
-    if M.shape[0] == 0:
+    """(frequencies, Z) with M = Z diag(exp(i h q)) Z*, Z unitary, for unitary M.
+
+    M is normal, so a Cayley transform with its pole off the spectrum makes
+    the eigenproblem Hermitian.  The eigenvalues of (M + M*)/2 are the
+    cosines of M's eigenvalue angles, so the 2n angles +-arccos of them
+    contain every one, and the pole e^{i phi} sits at the midpoint of their
+    widest gap on the circle.  That gap is at least pi/n, so the pole is at
+    least pi/(2n) from the spectrum and ||(I - e^{-i phi} M)^-1|| is at most
+    1/(2 sin(pi/(4n))) <= n: a bound derived from n, not tuned.  With
+    R = e^{-i phi} M, C = i (I - R)^-1 (I + R) is Hermitian with eigenvalues
+    -cot((theta - phi)/2), distinct for distinct theta, and M's eigenvectors;
+    Z diagonalizes it (`eigh`), and the frequencies are the angles of the
+    Rayleigh quotients diag(Z* M Z) in (-pi, pi], divided by h.
+    """
+    n = M.shape[0]
+    if n == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    import scipy.linalg  # local: ~0.3 s of start-up that only the Wold/Schur path needs
-    T, Z = scipy.linalg.schur(M, output="complex")
-    return np.angle(np.diag(T)) / h, Z
+    theta = np.arccos(np.clip(np.linalg.eigvalsh((M + M.conj().T) / 2), -1.0, 1.0))
+    angles = np.sort(np.concatenate([-theta, theta]))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    widest = gaps.argmax()
+    R = np.exp(-1j * (angles[widest] + gaps[widest] / 2)) * M
+    eye = np.eye(n)
+    C = 1j * np.linalg.solve(eye - R, eye + R)
+    Z = np.linalg.eigh((C + C.conj().T) / 2)[1]
+    angle = np.angle(np.einsum("ij,ij->j", Z.conj(), M @ Z))
+    return np.where(angle > -np.pi, angle, np.pi) / h, Z
 
 
 def _periodize_chains(B1: np.ndarray, lengths, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -502,16 +526,17 @@ def approximate_isometry_by_periodic(V: SemigroupModel, n: int) -> SemigroupMode
     period's cells are its space.  Every other model lives on a fixed
     space, V's grid, and is quantized there at level n (`_snap_down`) in a
     spectral form: its own when it is unitary, else that of its Wold split
-    V = U (+) S, where U is diagonalized by a Schur form and each wandering
-    chain of S is wrapped cyclically and diagonalized by a DFT
-    (`WoldResult.diagonal_form`, kept on the split).  So a model and its
-    conjugation by a unitary Q get Q-conjugate approximants.  It holds the
-    form's blocks (`_from_form`): a unitary direct sum gives a direct sum
-    with the sum's own block arrays, and the two meet on the spectral path.
-    Raises ValueError for a level n that is not a finite number >= 1 (for a
-    bare shift, InadmissibleTimeError off its lattice), and when the Wold
-    split is not sound (`WoldResult.stabilized`): its walk did not settle,
-    or V is not an isometry.
+    V = U (+) S, where U is diagonalized by a Cayley transform and `eigh`
+    (`_diagonalize_unitary`) and each wandering chain of S is wrapped
+    cyclically and diagonalized by a DFT (`WoldResult.diagonal_form`, kept
+    on the split).  So a model and its conjugation by a unitary Q get
+    Q-conjugate approximants.  It holds the form's blocks (`_from_form`): a
+    unitary direct sum gives a direct sum with the sum's own block arrays,
+    and the two meet on the spectral path.  Raises ValueError for a level n
+    that is not a finite number >= 1 (for a bare shift,
+    InadmissibleTimeError off its lattice), and when the Wold split is not
+    sound (`WoldResult.stabilized`): its walk did not settle, or V is not an
+    isometry.  That refusal comes before any diagonalization.
     """
     _levels(n)
     if isinstance(V, ShiftSemigroup):

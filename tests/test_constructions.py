@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from stablesemi import constructions
 from stablesemi.constructions import (
+    _diagonalize_unitary,
     _norm2,
     _periodize_chains,
     _wold_chains,
@@ -552,6 +554,18 @@ class TestChainStarts:
         self._check_against_eigh(W, B1, lengths)
 
 
+def _counted_diagonalizations(monkeypatch):
+    """The shapes of the blocks `_diagonalize_unitary` is called on, as a
+    list that fills while monkeypatch is active."""
+    calls, diagonalize = [], constructions._diagonalize_unitary
+
+    def counted(M, h):
+        calls.append(M.shape)
+        return diagonalize(M, h)
+    monkeypatch.setattr(constructions, "_diagonalize_unitary", counted)
+    return calls
+
+
 class TestWoldSplitReuse:
     def test_one_split_per_model(self, monkeypatch):
         calls = []
@@ -573,14 +587,8 @@ class TestWoldSplitReuse:
         # the slot is keyed on the model, so W is built once, not per call
         assert sorted(calls) == ["_wold_chains", "one_step_matrix"]
 
-    def test_one_schur_per_split(self, monkeypatch):
-        calls = []
-        schur = scipy.linalg.schur
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return schur(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, "schur", counted)
+    def test_one_diagonalization_per_split(self, monkeypatch):
+        calls = _counted_diagonalizations(monkeypatch)
         V, _ = _conjugated_mixed(5, 11, seed=36)
         wr = wold_decompose(V, step=1.0)
         approximate_isometry_by_periodic(V, 64)
@@ -862,22 +870,27 @@ class TestPeriodicApproximation:
         with pytest.raises(ValueError, match="did not stabilize"):
             approximate_isometry_by_periodic(V, 64)
 
+    @pytest.mark.parametrize("basis, residual", [
+        (np.diag([1.5, 1.5, 1.5, 1, 1, 1]), "4.06"),  # the walk settles, one 3-cell chain
+        (2.0 * np.eye(6), "15"),
+    ], ids=["diag_1.5", "twice_identity"])
     @pytest.mark.parametrize("pipeline", ["periodic", "aws"])
-    def test_non_isometric_split_raises(self, pipeline):
-        # a basis that is not unitary: the walk settles, with one 3-cell
-        # chain, but the residual is 4.06, so the split is not sound
+    def test_non_isometric_split_raises(self, pipeline, basis, residual, monkeypatch):
+        # a basis that is not unitary: the split is not sound, and its verdict
+        # refuses it before any block, unitary or not, is diagonalized
+        calls = _counted_diagonalizations(monkeypatch)
         gu = WeightedGrid.uniform(3)
         inner = DirectSumSemigroup(
             SumSpace((gu, shift_grid(3, 1.0))),
             (MultiplicationGroup(gu, np.array([0.3, 0.9, 1.4])), ShiftSemigroup(1.0, 3)))
-        V = ConjugatedGroup(WeightedGrid.uniform(6), np.diag([1.5, 1.5, 1.5, 1, 1, 1]), inner)
-        wr = wold_decompose(V)
-        assert not wr.stabilized and wr.residual > 4
-        with pytest.raises(ValueError, match="residual 4.06"):
+        V = ConjugatedGroup(WeightedGrid.uniform(6), basis, inner)
+        assert not wold_decompose(V).stabilized
+        with pytest.raises(ValueError, match=f"residual {residual}"):
             if pipeline == "periodic":
                 approximate_isometry_by_periodic(V, 8)
             else:
                 approximate_isometry_by_aws(V, 0.25, 5.0, n=8)
+        assert calls == []
 
     def test_unitary_model_is_quantized_in_its_own_spectral_form(self, monkeypatch):
         def no_split(*args):
@@ -1009,6 +1022,53 @@ class TestPeriodizeChains:
         assert B0.shape == B1.shape == WB1.shape == (0, 0) and lengths.size == iterations == 0 and stabilized
         freqs, Z = _periodize_chains(B1, lengths, 1.0)
         assert freqs.shape == (0,) and Z.shape == (0, 0)
+
+
+# eigenvalue angles of unitary blocks that are hard for a Cayley transform or
+# for the pole rule of `_diagonalize_unitary`: an eigenvalue at exactly -1 or
+# 1, +-theta pairs, a multiple eigenvalue, a cluster 1e-9 wide, one dimension,
+# and a full circle
+_HARD_SPECTRA = {
+    "at_minus_one": [np.pi, 0.3, -1.2, 2.0],
+    "at_one": [0.0, 0.3, -1.2, 2.0],
+    "all_minus_one": [np.pi] * 6,
+    "plus_minus_pairs": [0.4, -0.4, 1.3, -1.3, 2.9, -2.9],
+    "multiplicity_3": [0.7, 0.7, 0.7, -2.0, 1.0],
+    "cluster": (1.1 + 2.5e-10 * np.arange(5)).tolist(),
+    "one_dimension": [2.5],
+    "equispaced_40": (2 * np.pi * np.arange(40) / 40 - np.pi).tolist(),
+    "random_40": np.random.default_rng(40).uniform(-np.pi, np.pi, 40).tolist(),
+}
+
+
+class TestDiagonalizeUnitary:
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("name", list(_HARD_SPECTRA))
+    def test_hard_spectra(self, name, h):
+        angles = np.array(_HARD_SPECTRA[name])
+        n = angles.size
+        eigenvalues = np.where(angles == np.pi, -1.0, np.exp(1j * angles))  # -1 exactly
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        M = q @ np.diag(eigenvalues) @ q.conj().T
+        freqs, Z = _diagonalize_unitary(M, h)
+        bound = 8 * n * np.finfo(float).eps / 2
+        assert np.linalg.norm(Z @ np.diag(np.exp(1j * h * freqs)) @ Z.conj().T - M, 2) <= bound
+        assert np.linalg.norm(Z.conj().T @ Z - np.eye(n), 2) <= bound
+        assert np.all((freqs > -np.pi / h) & (freqs <= np.pi / h))
+        # the same eigenvalues as a Schur form's, as points on the circle,
+        # multiplicities included
+        T, _ = scipy.linalg.schur(M, output="complex")
+        gaps = np.abs(np.exp(1j * h * freqs)[:, None] - np.exp(1j * np.angle(np.diag(T)))[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(gaps)
+        assert gaps[rows, cols].max() <= 1e-13
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_blocks(self, sign):
+        # +-I exactly: every angle sits at one point, and the pole opposite it
+        freqs, Z = _diagonalize_unitary(sign * np.eye(4, dtype=complex), 0.5)
+        np.testing.assert_array_equal(freqs, np.full(4, 0.0 if sign > 0 else 2 * np.pi))
+        np.testing.assert_allclose(Z.conj().T @ Z, np.eye(4), rtol=0, atol=1e-15)
 
 
 class TestAwsPipeline:

@@ -1,7 +1,8 @@
-"""Start-up cost: `scipy.linalg` is loaded only where a Schur form is taken,
-so importing the package, running unitary-only paths (the approximation
-pipelines on a unitary model included) and the `wold_benchmark` scenario
-never pays for it."""
+"""Start-up cost: no library path loads `scipy` or `scipy.linalg`, so
+importing the package, running unitary-only paths (the approximation
+pipelines on a unitary model included), the `wold_benchmark` scenario, and
+a Wold split's diagonalization with both pipelines after it never pay for
+them."""
 
 import json
 import os
@@ -20,7 +21,8 @@ import numpy as np
 import stablesemi, stablesemi.cli
 from stablesemi import (ClassifyParams, ConjugatedGroup, DenseSequence, DirectSumSemigroup,
                         MultiplicationGroup, ShiftSemigroup, SumSpace, WeightedGrid,
-                        approximate_isometry_by_aws, classify, shift_grid, wold_decompose)
+                        approximate_isometry_by_aws, approximate_isometry_by_periodic, classify,
+                        shift_grid, wold_decompose)
 from stablesemi.cli import run_scenario
 
 
@@ -48,17 +50,19 @@ inner = DirectSumSemigroup(SumSpace((gu, shift_grid(4, 1.0))),
                            (MultiplicationGroup(gu, rng.uniform(-1.0, 1.0, 3)),
                             ShiftSemigroup(1.0, 4)))
 q, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
-wold_decompose(ConjugatedGroup(WeightedGrid.uniform(7), q, inner)).diagonal_form
-states["schur"] = loaded()
+V = ConjugatedGroup(WeightedGrid.uniform(7), q, inner)
+wold_decompose(V).diagonal_form
+approximate_isometry_by_periodic(V, 64)
+approximate_isometry_by_aws(V, 0.25, 5.0, n=64, copies=2)
+states["wold"] = loaded()
 print(json.dumps(states))
 """
 
 
-def test_scipy_linalg_is_loaded_only_by_the_schur_path(tmp_path):
+def test_no_library_path_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, check=True)
     states = json.loads(proc.stdout.strip().splitlines()[-1])
     none = {"scipy": False, "scipy.linalg": False}
-    assert (states["import"], states["unitary"], states["wold_benchmark"]) == (none, none, none)
-    assert states["schur"]["scipy.linalg"]
+    assert states == {"import": none, "unitary": none, "wold_benchmark": none, "wold": none}
